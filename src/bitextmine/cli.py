@@ -242,7 +242,6 @@ def cmd_train(args) -> None:
         learning_rate=args.lr,
         margin=args.margin,
         scale=args.scale,
-        scale_mode=args.scale_mode,
         shards=args.shards,
         seed=args.seed,
         weight_decay=args.weight_decay,
@@ -622,12 +621,12 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp.add_argument("--margin", type=float, default=0.3, help="additive margin")
     sp.add_argument("--scale", type=float, default=10.0, help="similarity scaling factor")
     sp.add_argument(
-        "--scale-mode",
-        default="similarity",
-        choices=("similarity", "embedding"),
-        help="apply scale to the margined similarity or to each embedding",
+        "--shards",
+        type=int,
+        default=1,
+        help="simulated accelerator shards; rows rank against cross-shard negatives, "
+        "so the gradient equals the unsharded one",
     )
-    sp.add_argument("--shards", type=int, default=1, help="simulated accelerator shards")
     sp.add_argument("--weight-decay", type=float, default=0.0, help="decoupled weight decay")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--checkpoint-interval", type=int, default=0, help="steps between checkpoints (0 = end only)")

@@ -5,18 +5,16 @@ For a batch of N aligned pairs with unit-norm embeddings X, Y, the
 similarity matrix is S = X Y^T (cosine reduces to the dot product).
 Per-row logits in the source-to-target direction are
 
-    z_ij = s * (S_ij - m * [i == j])        (similarity scaling)
-    z_ij = s^2 * S_ij - m * [i == j]        (embedding scaling)
+    z_ij = s * (S_ij - m * [i == j])
 
 and the loss is the mean cross-entropy of the diagonal against each
 row, computed with a numerically stable log-sum-exp. The
 target-to-source direction applies the same construction to S^T; the
 bidirectional loss is their sum.
 
-Embedding scaling models multiplying each normalized embedding by
-sqrt-of-scale before the dot product, so the effective multiplier on
-cosine is s^2; similarity scaling (the default, s applied to the
-margined cosine) is the canonical additive-margin-softmax form.
+This is the only logit form. A run that scaled each embedding instead
+(logits s^2 * S_ij - m * [i == j], the removed embedding scale mode)
+is the same loss with margin m / s^2 and scale s^2.
 """
 
 from __future__ import annotations
@@ -30,23 +28,17 @@ from .errors import NumericalError
 SOURCE_TO_TARGET = "source_to_target"
 TARGET_TO_SOURCE = "target_to_source"
 
-SCALE_SIMILARITY = "similarity"
-SCALE_EMBEDDING = "embedding"
-
 
 @dataclass(frozen=True)
 class LossConfig:
     margin: float = 0.3
     scale: float = 10.0
-    scale_mode: str = SCALE_SIMILARITY
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.margin < 1.0):
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if not (0.0 < self.scale < float("inf")):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.scale_mode not in (SCALE_SIMILARITY, SCALE_EMBEDDING):
-            raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
 
 
 def similarity_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -58,18 +50,24 @@ def similarity_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y.T
 
 
-def _logits(sim: np.ndarray, config: LossConfig) -> np.ndarray:
-    margined = sim - config.margin * np.eye(sim.shape[0])
-    if config.scale_mode == SCALE_SIMILARITY:
-        return config.scale * margined
-    return config.scale**2 * sim - config.margin * np.eye(sim.shape[0])
+def _rank_rows(sim: np.ndarray, config: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ranking-loss kernel for an (n, c >= n) similarity block whose
+    positive for row i is column i.
 
-
-def _row_terms(z: np.ndarray) -> np.ndarray:
-    """Per-row -log softmax of the diagonal, via stable log-sum-exp."""
+    Returns each row's -log softmax of its margined positive, and the
+    derivative of that term with respect to the row's logits: the row
+    softmax minus the positive indicator. The derivative with respect to
+    ``sim`` is ``config.scale`` times the latter.
+    """
+    if not np.all(np.isfinite(sim)):
+        raise NumericalError("similarity matrix contains non-finite entries")
+    positive = np.eye(*sim.shape)
+    z = config.scale * (sim - config.margin * positive)
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return lse - np.diagonal(z)
+    e = np.exp(z - zmax)
+    total = e.sum(axis=1, keepdims=True)
+    terms = zmax[:, 0] + np.log(total[:, 0]) - np.diagonal(z)
+    return terms, e / total - positive
 
 
 def ams_loss(sim: np.ndarray, config: LossConfig, direction: str = SOURCE_TO_TARGET) -> float:
@@ -77,14 +75,12 @@ def ams_loss(sim: np.ndarray, config: LossConfig, direction: str = SOURCE_TO_TAR
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.shape[0] < 1:
         raise ValueError(f"similarity matrix must be square and non-empty, got {sim.shape}")
-    if not np.all(np.isfinite(sim)):
-        raise NumericalError("similarity matrix contains non-finite entries")
     if direction == TARGET_TO_SOURCE:
         sim = sim.T
     elif direction != SOURCE_TO_TARGET:
         raise ValueError(f"unknown direction {direction!r}")
-    z = _logits(sim, config)
-    return float(np.sum(_row_terms(z)) / sim.shape[0])
+    terms, _ = _rank_rows(sim, config)
+    return float(np.sum(terms) / sim.shape[0])
 
 
 def bidirectional_loss(sim: np.ndarray, config: LossConfig) -> float:
@@ -92,30 +88,17 @@ def bidirectional_loss(sim: np.ndarray, config: LossConfig) -> float:
     return ams_loss(sim, config, SOURCE_TO_TARGET) + ams_loss(sim, config, TARGET_TO_SOURCE)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def grad_wrt_similarity(sim: np.ndarray, config: LossConfig) -> np.ndarray:
-    """d(bidirectional loss)/dS for a similarity matrix S."""
-    sim = np.asarray(sim, dtype=np.float64)
-    n = sim.shape[0]
-    eye = np.eye(n)
-    factor = config.scale if config.scale_mode == SCALE_SIMILARITY else config.scale**2
-    p = _softmax_rows(_logits(sim, config))
-    q = _softmax_rows(_logits(sim.T, config))
-    return (factor / n) * (p - eye) + (factor / n) * (q - eye).T
-
-
 def loss_and_grad_wrt_embeddings(
     X: np.ndarray, Y: np.ndarray, config: LossConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients with respect to the (normalized) embeddings."""
+    """Bidirectional loss plus gradients with respect to the (normalized)
+    embeddings."""
     sim = similarity_matrix(X, Y)
-    value = bidirectional_loss(sim, config)
-    dsim = grad_wrt_similarity(sim, config)
+    n = sim.shape[0]
+    fwd_terms, fwd_grad = _rank_rows(sim, config)
+    bwd_terms, bwd_grad = _rank_rows(sim.T, config)
+    value = float(np.sum(fwd_terms) / n) + float(np.sum(bwd_terms) / n)
+    dsim = (config.scale / n) * fwd_grad + (config.scale / n) * bwd_grad.T
     dX = dsim @ Y
     dY = dsim.T @ X
     return value, dX, dY

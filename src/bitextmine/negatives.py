@@ -2,11 +2,11 @@
 sampling, plus hard-negative mining with a weaker encoder.
 
 A batch of N aligned embedding pairs is split into K equal contiguous
-shards. Each shard ranks its own rows against the column space gathered
-from every shard (the broadcast), so the per-row loss terms, averaged
-in global order, reproduce the unsharded bidirectional loss. Disabling
-the broadcast restricts each row to its local shard's columns, which
-can only shrink softmax denominators and therefore the loss.
+shards. With the broadcast, each shard ranks its own rows against the
+column space gathered from every shard, so the sharded loss and its
+gradients equal the unsharded ones bit for bit. Disabling the broadcast
+restricts each row to its local shard's columns, which can only shrink
+softmax denominators and therefore the loss.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence, SentencePair
-from .errors import NumericalError
-from .loss import LossConfig, SCALE_SIMILARITY
+from .loss import LossConfig, _rank_rows, loss_and_grad_wrt_embeddings
 
 
 @dataclass
@@ -57,54 +56,33 @@ def shard_batch(X: np.ndarray, Y: np.ndarray, K: int) -> ShardedBatch:
     return ShardedBatch(shards=shards, global_order=order)
 
 
-def _margined_logits(sim: np.ndarray, pos_cols: np.ndarray, config: LossConfig) -> np.ndarray:
-    pos = np.zeros_like(sim)
-    pos[np.arange(sim.shape[0]), pos_cols] = 1.0
-    if config.scale_mode == SCALE_SIMILARITY:
-        return config.scale * (sim - config.margin * pos)
-    return config.scale**2 * sim - config.margin * pos
-
-
-def _row_loss_terms(z: np.ndarray, pos_cols: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-    return lse - z[np.arange(z.shape[0]), pos_cols]
-
-
 def sharded_bidirectional_loss(
     sharded: ShardedBatch, config: LossConfig, broadcast: bool = True
-) -> float:
-    """Bidirectional ranking loss computed shard by shard.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bidirectional ranking loss and its gradients with respect to the
+    (normalized) embeddings, computed shard by shard.
 
-    With the broadcast every shard's rows see the full gathered column
-    space and the result equals the unsharded loss; without it each row
-    competes only against its local shard (the ablation setting).
+    Returns ``(loss, dX, dY)`` with gradient rows in global order. With
+    the broadcast every shard's rows see the full gathered column space,
+    and the result is the unsharded ``loss_and_grad_wrt_embeddings``
+    bit for bit. Without it each row competes only against its local
+    shard (the ablation setting), and each shard's loss and gradients
+    are weighted by its share of the rows.
     """
+    if broadcast:
+        return loss_and_grad_wrt_embeddings(*sharded.reconstruct(), config)
     n = sharded.global_order.size
-    x_all = np.concatenate([xk for xk, _ in sharded.shards], axis=0)
-    y_all = np.concatenate([yk for _, yk in sharded.shards], axis=0)
-    order_flat = sharded.global_order.reshape(-1)
-    # Column j of the gathered block holds global row order_flat[j].
-    col_of_global = np.empty(n, dtype=np.int64)
-    col_of_global[order_flat] = np.arange(n)
-
-    fwd_terms = np.empty(n)
-    bwd_terms = np.empty(n)
-    for k, (xk, yk) in enumerate(sharded.shards):
-        rows = sharded.global_order[k]
-        if broadcast:
-            sim_fwd = xk @ y_all.T
-            sim_bwd = yk @ x_all.T
-            pos = col_of_global[rows]
-        else:
-            sim_fwd = xk @ yk.T
-            sim_bwd = yk @ xk.T
-            pos = np.arange(rows.size)
-        if not (np.all(np.isfinite(sim_fwd)) and np.all(np.isfinite(sim_bwd))):
-            raise NumericalError("non-finite similarity in sharded loss")
-        fwd_terms[rows] = _row_loss_terms(_margined_logits(sim_fwd, pos, config), pos)
-        bwd_terms[rows] = _row_loss_terms(_margined_logits(sim_bwd, pos, config), pos)
-    return float(np.sum(fwd_terms) / n + np.sum(bwd_terms) / n)
+    d = sharded.shards[0][0].shape[1]
+    value = 0.0
+    dX = np.empty((n, d))
+    dY = np.empty((n, d))
+    for (xk, yk), rows in zip(sharded.shards, sharded.global_order):
+        weight = rows.size / n
+        loss_k, dxk, dyk = loss_and_grad_wrt_embeddings(xk, yk, config)
+        value += weight * loss_k
+        dX[rows] = weight * dxk
+        dY[rows] = weight * dyk
+    return value, dX, dY
 
 
 @dataclass
@@ -190,11 +168,6 @@ def augmented_bidirectional_loss(batch: AugmentedBatch, config: LossConfig) -> f
     """Bidirectional loss where forward rows rank against [Y; extras]."""
     n = batch.X.shape[0]
     columns = np.concatenate([batch.Y, batch.extra_targets], axis=0)
-    sim_fwd = batch.X @ columns.T
-    pos = np.arange(n)
-    if not np.all(np.isfinite(sim_fwd)):
-        raise NumericalError("non-finite similarity in augmented loss")
-    fwd = _row_loss_terms(_margined_logits(sim_fwd, pos, config), pos)
-    sim_bwd = batch.Y @ batch.X.T
-    bwd = _row_loss_terms(_margined_logits(sim_bwd, pos, config), pos)
+    fwd, _ = _rank_rows(batch.X @ columns.T, config)
+    bwd, _ = _rank_rows(batch.Y @ batch.X.T, config)
     return float(np.sum(fwd) / n + np.sum(bwd) / n)

@@ -41,7 +41,7 @@ from .encoder import (
 )
 from .errors import CheckpointError, NumericalError
 from .fileio import atomic_write_bytes
-from .loss import LossConfig, loss_and_grad_wrt_embeddings
+from .loss import LossConfig
 from .negatives import shard_batch, sharded_bidirectional_loss
 from .vocab import Vocab, tokenize_sentence
 
@@ -65,7 +65,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     margin: float = 0.3
     scale: float = 10.0
-    scale_mode: str = "similarity"
     shards: int = 1
     seed: int = 0
     weight_decay: float = 0.0
@@ -83,7 +82,7 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(margin=self.margin, scale=self.scale, scale_mode=self.scale_mode)
+        return LossConfig(margin=self.margin, scale=self.scale)
 
 
 @dataclass
@@ -158,10 +157,11 @@ def finetune_dual_encoder(
     """Train the shared encoder on translation pairs with the sharded
     bidirectional additive-margin loss.
 
-    Both sides are encoded with the same parameters. Resuming from a
-    checkpointed (params, state) reproduces the unbroken run exactly;
-    training continues from state.step_count up to ``stop_step``
-    (default: the full configured horizon).
+    Each step computes the loss and its gradients once, in one call to
+    ``sharded_bidirectional_loss``. Both sides are encoded with the same
+    parameters. Resuming from a checkpointed (params, state) reproduces
+    the unbroken run exactly; training continues from state.step_count
+    up to ``stop_step`` (default: the full configured horizon).
     """
     if not pair_corpus:
         raise ValueError("empty pair corpus")
@@ -179,14 +179,13 @@ def finetune_dual_encoder(
         vx, cache_x = forward_batch(params, [src_seqs[i] for i in idx])
         vy, cache_y = forward_batch(params, [tgt_seqs[i] for i in idx])
 
-        loss_value = sharded_bidirectional_loss(
+        loss_value, dvx, dvy = sharded_bidirectional_loss(
             shard_batch(vx, vy, config.shards), loss_cfg
         )
         if not math.isfinite(loss_value):
             raise NumericalError(
                 f"ranking loss diverged at step {t + 1}; last checkpoint retained"
             )
-        _, dvx, dvy = loss_and_grad_wrt_embeddings(vx, vy, loss_cfg)
         grads = backward_batch(params, cache_x, grad_through_normalization(cache_x, dvx))
         backward_batch(params, cache_y, grad_through_normalization(cache_y, dvy), grads)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .corpus import Sentence
 from .errors import DataError
+from .fileio import atomic_write_text
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -47,8 +48,7 @@ class Vocab:
         return len(self.pieces)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.pieces) + "\n")
+        atomic_write_text(path, "\n".join(self.pieces) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":

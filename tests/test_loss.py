@@ -154,15 +154,6 @@ class TestLossGrad:
             rel = np.linalg.norm(fd - dX) / max(np.linalg.norm(fd), np.linalg.norm(dX))
             assert rel <= 1e-4
 
-    def test_embedding_scale_mode_gradient(self):
-        rng = np.random.default_rng(8)
-        X, Y = unit_rows(rng, 4, 6), unit_rows(rng, 4, 6)
-        cfg = LossConfig(margin=0.3, scale=3.0, scale_mode="embedding")
-        _, dX, _ = loss_grad(X, Y, cfg)
-        fd = fd_grad(X, Y, cfg)
-        rel = np.linalg.norm(fd - dX) / max(np.linalg.norm(fd), np.linalg.norm(dX))
-        assert rel <= 1e-4
-
     def test_gradient_vanishes_when_separated_and_scale_grows(self):
         # perfectly separated batch (identity similarity): softmax saturates
         # as the scale grows, so gradient norms fall monotonically
@@ -202,7 +193,3 @@ class TestConfigValidation:
             LossConfig(scale=0.0)
         with pytest.raises(ValueError):
             LossConfig(scale=float("inf"))
-
-    def test_scale_mode_values(self):
-        with pytest.raises(ValueError):
-            LossConfig(scale_mode="bogus")

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from bitextmine.corpus import Sentence, SentencePair
-from bitextmine.loss import LossConfig, bidirectional_loss, similarity_matrix
+from bitextmine.loss import (
+    LossConfig,
+    bidirectional_loss,
+    loss_and_grad_wrt_embeddings,
+    similarity_matrix,
+)
 from bitextmine.negatives import (
     AugmentedBatch,
     augment_batch_with_hard_negatives,
@@ -53,25 +58,51 @@ class TestShardedLoss:
         rng = np.random.default_rng(4)
         X, Y = unit_rows(rng, 8, 6), unit_rows(rng, 8, 6)
         base = bidirectional_loss(similarity_matrix(X, Y), CFG)
-        assert sharded_bidirectional_loss(shard_batch(X, Y, 1), CFG) == pytest.approx(base, abs=1e-12)
+        assert sharded_bidirectional_loss(shard_batch(X, Y, 1), CFG)[0] == pytest.approx(base, abs=1e-12)
 
     def test_equivalence_across_divisors(self):
         rng = np.random.default_rng(5)
         for n in (4, 8, 16):
             X, Y = unit_rows(rng, n, 8), unit_rows(rng, n, 8)
             base = bidirectional_loss(similarity_matrix(X, Y), CFG)
+            _, base_dX, base_dY = loss_and_grad_wrt_embeddings(X, Y, CFG)
             for k in (k for k in range(1, n + 1) if n % k == 0):
-                value = sharded_bidirectional_loss(shard_batch(X, Y, k), CFG)
+                value, dX, dY = sharded_bidirectional_loss(shard_batch(X, Y, k), CFG)
                 assert abs(value - base) <= 1e-9
+                np.testing.assert_array_equal(dX, base_dX)
+                np.testing.assert_array_equal(dY, base_dY)
 
     def test_removing_broadcast_never_increases_loss(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             X, Y = unit_rows(rng, 8, 6), unit_rows(rng, 8, 6)
             sharded = shard_batch(X, Y, 4)
-            full = sharded_bidirectional_loss(sharded, CFG)
-            local = sharded_bidirectional_loss(sharded, CFG, broadcast=False)
+            full = sharded_bidirectional_loss(sharded, CFG)[0]
+            local = sharded_bidirectional_loss(sharded, CFG, broadcast=False)[0]
             assert local <= full + 1e-12
+
+    @pytest.mark.parametrize("broadcast", [True, False])
+    def test_gradient_matches_finite_differences(self, broadcast):
+        rng = np.random.default_rng(12)
+        X, Y = unit_rows(rng, 8, 5), unit_rows(rng, 8, 5)
+
+        def loss(X, Y):
+            return sharded_bidirectional_loss(shard_batch(X, Y, 4), CFG, broadcast)[0]
+
+        _, dX, dY = sharded_bidirectional_loss(shard_batch(X, Y, 4), CFG, broadcast)
+        h = 1e-6
+        for M, grad in ((X, dX), (Y, dY)):
+            fd = np.zeros_like(M)
+            for idx in np.ndindex(M.shape):
+                saved = M[idx]
+                M[idx] = saved + h
+                up = loss(X, Y)
+                M[idx] = saved - h
+                down = loss(X, Y)
+                M[idx] = saved
+                fd[idx] = (up - down) / (2 * h)
+            rel = np.linalg.norm(fd - grad) / max(np.linalg.norm(fd), np.linalg.norm(grad))
+            assert rel <= 1e-4
 
 
 def sentence(sid, text="w", lang="bb"):

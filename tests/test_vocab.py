@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +94,20 @@ class TestBuildVocab:
         loaded = Vocab.load(path)
         assert loaded.pieces == vocab.pieces
         assert path.read_text(encoding="utf-8").splitlines()[:5] == list(SPECIAL_TOKENS)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        build_vocab({"aa": sents("aa", "kade")}, target_size=30).save(path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            build_vocab({"aa": sents("aa", "kade gibe lomu")}, target_size=30).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 class TestTokenize:
