@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import os
 import sys
@@ -39,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Report a value rejected while turning flags into configs as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +105,7 @@ def _load_vocab(path):
     return Vocab.load(path)
 
 
-def _load_params(path):
+def _load_encoder(path):
     from .trainer import load_checkpoint
 
     params, _ = load_checkpoint(path)
@@ -112,8 +122,6 @@ def _read_mono(path, lang):
 
 
 def _encode_pool(params, vocab, sentences):
-    import numpy as np
-
     from .encoder import encode_batch
     from .vocab import tokenize_sentence
 
@@ -180,26 +188,29 @@ def cmd_pretrain(args) -> None:
     from .encoder import EncoderConfig, init_params
     from .trainer import TrainConfig, pretrain, save_checkpoint
 
+    with _flag_values():
+        stages = _parse_stages(args.stage_layers, args.stage_steps)
+        mlm_share, _, tlm_share = args.mix.partition(":")
+        mix = (int(mlm_share), int(tlm_share))
+        config = TrainConfig(
+            batch_size=args.batch_size,
+            steps=max(s.steps for s in stages),
+            learning_rate=args.lr,
+            seed=args.seed,
+        )
     vocab = _load_vocab(args.vocab)
     mono = []
     for path in args.mono or []:
         mono.extend(_read_mono(path, args.lang))
     pairs = read_pairs_tsv(args.pairs) if args.pairs else []
-    stages = _parse_stages(args.stage_layers, args.stage_steps)
-    mlm_share, _, tlm_share = args.mix.partition(":")
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        steps=max(s.steps for s in stages),
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
-    enc_config = EncoderConfig(
-        vocab_size=len(vocab),
-        hidden_dim=args.hidden_dim,
-        num_layers=stages[0].num_layers,
-        max_seq_len=args.max_seq_len,
-        embed_dim=args.embed_dim,
-    )
+    with _flag_values():
+        enc_config = EncoderConfig(
+            vocab_size=len(vocab),
+            hidden_dim=args.hidden_dim,
+            num_layers=stages[0].num_layers,
+            max_seq_len=args.max_seq_len,
+            embed_dim=args.embed_dim,
+        )
     params = init_params(enc_config, seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w", encoding="utf-8") as log:
@@ -212,7 +223,7 @@ def cmd_pretrain(args) -> None:
             vocab,
             mask_fraction=args.mask_fraction,
             mask_cap=args.mask_cap,
-            mix=(int(mlm_share), int(tlm_share)),
+            mix=mix,
             log=log,
         )
     save_checkpoint(params, None, args.out)
@@ -232,38 +243,38 @@ def cmd_train(args) -> None:
         save_checkpoint,
     )
 
+    with _flag_values():
+        config = TrainConfig(
+            batch_size=args.batch_size,
+            steps=args.steps,
+            learning_rate=args.lr,
+            margin=args.margin,
+            scale=args.scale,
+            shards=args.shards,
+            seed=args.seed,
+            weight_decay=args.weight_decay,
+        )
     vocab = _load_vocab(args.vocab)
     pairs = read_pairs_tsv(args.pairs)
     if not pairs:
         raise DataError(f"{args.pairs}: no pairs")
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        steps=args.steps,
-        learning_rate=args.lr,
-        margin=args.margin,
-        scale=args.scale,
-        shards=args.shards,
-        seed=args.seed,
-        weight_decay=args.weight_decay,
-    )
     state = None
     if args.resume:
         params, state = load_checkpoint(args.resume)
         if state is None:
             raise DataError(f"{args.resume}: checkpoint has no optimizer state to resume")
     elif args.init:
-        params = _load_params(args.init)
+        params = _load_encoder(args.init)
     else:
-        params = init_params(
-            EncoderConfig(
+        with _flag_values():
+            enc_config = EncoderConfig(
                 vocab_size=len(vocab),
                 hidden_dim=args.hidden_dim,
                 num_layers=args.layers,
                 max_seq_len=args.max_seq_len,
                 embed_dim=args.embed_dim,
-            ),
-            seed=args.seed,
-        )
+            )
+        params = init_params(enc_config, seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     mode = "a" if args.resume else "w"
     with open(log_path, mode, encoding="utf-8") as log:
@@ -288,7 +299,7 @@ def cmd_encode(args) -> None:
     from .vecindex import write_pool
 
     vocab = _load_vocab(args.vocab)
-    params = _load_params(args.ckpt)
+    params = _load_encoder(args.ckpt)
     sentences = _read_mono(args.input, args.lang)
     vectors = _encode_pool(params, vocab, sentences)
     write_pool(args.out, vectors, [s.id for s in sentences])
@@ -302,15 +313,16 @@ def cmd_index(args) -> None:
     started = time.time()
     from .vecindex import IndexConfig, build, read_pool, save_index
 
-    vectors, ids = read_pool(args.pool)
     config = None
     if args.clusters > 0:
-        config = IndexConfig(
-            clusters=args.clusters,
-            probes=args.probes,
-            kmeans_iters=args.kmeans_iters,
-            seed=args.seed,
-        )
+        with _flag_values():
+            config = IndexConfig(
+                clusters=args.clusters,
+                probes=args.probes,
+                kmeans_iters=args.kmeans_iters,
+                seed=args.seed,
+            )
+    vectors, ids = read_pool(args.pool)
     try:
         index = build(vectors, ids, config)
     except ValueError as exc:
@@ -351,24 +363,25 @@ def cmd_mine(args) -> None:
     )
     from .vecindex import IndexConfig, build
 
+    with _flag_values():
+        config = MiningConfig(
+            similarity_threshold=args.threshold,
+            neighbors_k=args.k,
+            selection_fraction=args.fraction,
+            direction=args.direction,
+        )
+        index_config = None
+        if args.clusters > 0:
+            index_config = IndexConfig(clusters=args.clusters, probes=args.probes, seed=args.seed)
     vocab = _load_vocab(args.vocab)
-    params = _load_params(args.ckpt)
+    params = _load_encoder(args.ckpt)
     side_a = _read_mono(args.src, args.src_lang)
     side_b = _read_mono(args.tgt, args.tgt_lang)
-    config = MiningConfig(
-        similarity_threshold=args.threshold,
-        neighbors_k=args.k,
-        selection_fraction=args.fraction,
-        direction=args.direction,
-    )
     if config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b":
         queries, pool = side_b, side_a
     else:
         queries, pool = side_a, side_b
     pool_vectors = _encode_pool(params, vocab, pool)
-    index_config = None
-    if args.clusters > 0:
-        index_config = IndexConfig(clusters=args.clusters, probes=args.probes, seed=args.seed)
     index = build(pool_vectors, [s.id for s in pool], index_config)
     lookup = {s.id: s for s in pool}
     mined = mine(queries, index, lookup, params, vocab, config)
@@ -537,11 +550,12 @@ def cmd_report(args) -> None:
     from .evaluation import write_metrics_report
     from .mining import MiningConfig, mining_report
 
+    with _flag_values():
+        config = MiningConfig(
+            similarity_threshold=args.threshold,
+            selection_fraction=args.fraction,
+        )
     pairs = read_pairs_tsv(args.pairs)
-    config = MiningConfig(
-        similarity_threshold=args.threshold,
-        selection_fraction=args.fraction,
-    )
     report = mining_report(pairs, config, sources_processed=args.sources_processed)
     write_metrics_report(report, args.out)
     _log(f"report: {len(pairs)} pairs -> {args.out}")

@@ -1,5 +1,5 @@
-"""Corpus ingestion: filtering, per-language-pair capping, score-based
-selection, and vocabulary-coverage diagnostics.
+"""Corpus data types, file readers and writers, and vocabulary-coverage
+diagnostics.
 
 File formats handled here:
   * monolingual corpus: one sentence per line, UTF-8, optional leading
@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-
-# Character counts below are Unicode scalar values (len of a str), not bytes.
-DEFAULT_MIN_CHARS = 10
-DEFAULT_MAX_CHARS = 5000
-DEFAULT_PAIR_CAP = 100_000_000
 
 _LANG_PREFIX_RE = re.compile(r"[a-z]{2,3}(?:[-_][a-z0-9]{2,8})?")
 
@@ -51,9 +46,6 @@ class SentencePair:
         if self.score is not None and not math.isfinite(self.score):
             raise ValueError(f"pair score must be finite, got {self.score!r}")
 
-    def lang_pair(self) -> tuple[str, str]:
-        return (self.src.lang, self.tgt.lang)
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -63,124 +55,6 @@ class CorpusStats:
     avg_token_length: float
     avg_sentence_length: float
     sentence_count: int
-
-
-def filter_monolingual(
-    lines: Sequence[Sentence],
-    min_chars: int = DEFAULT_MIN_CHARS,
-    max_chars: int = DEFAULT_MAX_CHARS,
-) -> list[Sentence]:
-    """Keep sentences whose character count lies in [min_chars, max_chars].
-
-    Bounds are inclusive; order is preserved. Idempotent.
-    """
-    if min_chars < 0 or max_chars <= min_chars:
-        raise ValueError(f"invalid bounds [{min_chars}, {max_chars}]")
-    return [s for s in lines if min_chars <= len(s.text) <= max_chars]
-
-
-def cap_pairs(
-    pairs: Sequence[SentencePair],
-    cap: int = DEFAULT_PAIR_CAP,
-    key: Callable[[SentencePair], tuple[str, str]] | None = None,
-) -> list[SentencePair]:
-    """Keep at most ``cap`` pairs per language pair.
-
-    Groups over ``cap`` retain the highest-scored pairs, ties broken by
-    input order; output keeps the original input order. Any over-cap
-    group containing unscored pairs is an error, since score-based
-    capping is then required.
-    """
-    if cap <= 0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    key = key or SentencePair.lang_pair
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, p in enumerate(pairs):
-        groups.setdefault(key(p), []).append(i)
-
-    keep: set[int] = set()
-    for group_key, idxs in groups.items():
-        if len(idxs) <= cap:
-            keep.update(idxs)
-            continue
-        missing = [i for i in idxs if pairs[i].score is None]
-        if missing:
-            raise DataError(
-                f"group {group_key} exceeds cap={cap} but has "
-                f"{len(missing)} unscored pairs; cannot rank"
-            )
-        ranked = sorted(idxs, key=lambda i: (-pairs[i].score, i))  # type: ignore[operator]
-        keep.update(ranked[:cap])
-    return [p for i, p in enumerate(pairs) if i in keep]
-
-
-def select_by_score(
-    pairs: Sequence[SentencePair],
-    scorer: Callable[[SentencePair], float],
-    *,
-    threshold: float | None = None,
-    top_fraction: float | None = None,
-) -> tuple[list[SentencePair], int]:
-    """Select pairs by an external scorer.
-
-    Exactly one of ``threshold`` (keep score >= tau) or ``top_fraction``
-    (keep the ceil(f*n) best-scored of the n successfully scored pairs)
-    must be given. Ties break by input order. Pairs on which the scorer
-    raises are skipped; the skip count is returned alongside the
-    selection.
-    """
-    if (threshold is None) == (top_fraction is None):
-        raise ValueError("exactly one of threshold or top_fraction is required")
-    if threshold is not None and not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
-    if top_fraction is not None and not (0.0 < top_fraction <= 1.0):
-        raise ValueError(f"top_fraction must be in (0, 1], got {top_fraction!r}")
-
-    scored: list[tuple[int, SentencePair, float]] = []
-    skipped = 0
-    for i, p in enumerate(pairs):
-        try:
-            s = float(scorer(p))
-        except Exception:
-            skipped += 1
-            continue
-        scored.append((i, p, s))
-
-    if threshold is not None:
-        kept = [p for _, p, s in scored if s >= threshold]
-        return kept, skipped
-
-    n = len(scored)
-    if n == 0:
-        return [], skipped
-    take = math.ceil(top_fraction * n)  # type: ignore[operator]
-    ranked = sorted(scored, key=lambda t: (-t[2], t[0]))[:take]
-    ranked.sort(key=lambda t: t[0])
-    return [p for _, p, _ in ranked], skipped
-
-
-def stored_score(pair: SentencePair) -> float:
-    """Scorer reading the score already attached to a pair."""
-    if pair.score is None:
-        raise DataError(f"pair {pair.src.id}/{pair.tgt.id} carries no score")
-    return pair.score
-
-
-def cosine_pair_scorer(
-    encode_text: Callable[[str], "object"],
-) -> Callable[[SentencePair], float]:
-    """Baseline quality scorer: cosine of the two sides under an encoder.
-
-    ``encode_text`` must map a string to a unit-norm embedding vector.
-    Stands in for an external pair-scoring model.
-    """
-
-    def score(pair: SentencePair) -> float:
-        u = encode_text(pair.src.text)
-        v = encode_text(pair.tgt.text)
-        return float(sum(a * b for a, b in zip(u, v)))
-
-    return score
 
 
 def corpus_stats(sentences: Sequence[Sentence], vocab) -> CorpusStats:

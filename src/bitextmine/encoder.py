@@ -15,12 +15,12 @@ keep the identity function reachable (zero weights), M adds no
 parameters, and everything is smooth, so analytic gradients can be
 checked against central finite differences.
 
-Checkpoint format: magic ``BXEN``, version, five little-endian uint32
-config integers (vocab_size, hidden_dim, num_layers, max_seq_len,
-embed_dim), then the parameter tensors as little-endian float64 in
-declared order. Save -> load -> save is byte-identical. Version 1 files
-hold the same tensors for blocks without neighbour mixing; they are
-refused.
+Parameter block format, the body of every trainer checkpoint: magic
+``BXEN``, version, five little-endian uint32 config integers
+(vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim), then the
+parameter tensors as little-endian float64 in declared order. Version 1
+blocks hold the same tensors for blocks without neighbour mixing; they
+are refused.
 """
 
 from __future__ import annotations
@@ -436,19 +436,6 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> TokenSequenc
     )
 
 
-def tlm_batch(
-    pairs: Sequence[SentencePair],
-    vocab: Vocab,
-    max_len: int,
-    rng: np.random.Generator,
-    fraction: float = MLM_FRACTION,
-    cap: int = MLM_CAP,
-) -> MaskedBatch:
-    """Masked batch over concatenated translation pairs."""
-    seqs = [tlm_sequence(p, vocab, max_len) for p in pairs]
-    return plan_masks(seqs, rng, fraction=fraction, cap=cap)
-
-
 def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
     """Duplicate the trained layer stack to initialize a deeper encoder.
 
@@ -473,8 +460,8 @@ def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization (parameters only; the trainer wraps this format
-# with optimizer state).
+# Parameter block serialization (the trainer's checkpoint wraps it with
+# optimizer state).
 # ---------------------------------------------------------------------------
 
 
@@ -525,8 +512,9 @@ def params_to_bytes(params: EncoderParams) -> bytes:
 
 
 def params_from_reader(reader: _Reader) -> EncoderParams:
+    start = reader.pos
     if reader.take(4) != _MAGIC:
-        raise CheckpointError(f"{reader.path}: bad magic at byte offset 0")
+        raise CheckpointError(f"{reader.path}: bad encoder magic at byte offset {start}")
     version = reader.u32()
     if version != _VERSION:
         raise CheckpointError(
@@ -553,19 +541,3 @@ def params_from_reader(reader: _Reader) -> EncoderParams:
         mlm_bias=reader.array((v,)),
     )
 
-
-def save_params(params: EncoderParams, path) -> None:
-    from .fileio import atomic_write_bytes
-
-    atomic_write_bytes(path, params_to_bytes(params))
-
-
-def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), str(path))
-    params = params_from_reader(reader)
-    if reader.pos != len(reader.data):
-        raise CheckpointError(
-            f"{path}: {len(reader.data) - reader.pos} trailing bytes at offset {reader.pos}"
-        )
-    return params

@@ -103,25 +103,3 @@ def loss_and_grad_wrt_embeddings(
     dY = dsim.T @ X
     return value, dX, dY
 
-
-def loss_grad(
-    X: np.ndarray, Y: np.ndarray, config: LossConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and gradients with respect to pre-normalization embeddings.
-
-    Inputs must already be unit-norm; the Jacobian of L2 normalization
-    at unit norm reduces to the tangent projection I - x x^T, which is
-    applied per row.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    for name, M in (("X", X), ("Y", Y)):
-        norms = np.linalg.norm(M, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-6):
-            raise ValueError(f"{name} rows must be unit-norm (max |n-1| = {abs(norms - 1).max():.2e})")
-    value, dX, dY = loss_and_grad_wrt_embeddings(X, Y, config)
-    dX = dX - (dX * X).sum(axis=1, keepdims=True) * X
-    dY = dY - (dY * Y).sum(axis=1, keepdims=True) * Y
-    if not (np.all(np.isfinite(dX)) and np.all(np.isfinite(dY))):
-        raise NumericalError("non-finite ranking-loss gradient")
-    return value, dX, dY

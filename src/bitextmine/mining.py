@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sentence, SentencePair, select_by_score, stored_score
+from .corpus import Sentence, SentencePair
 from .encoder import EncoderParams, encode
 from .vecindex import VectorIndex, search
 from .vocab import Vocab, tokenize_sentence
@@ -92,11 +92,18 @@ def dedup(pairs: Sequence[SentencePair]) -> list[SentencePair]:
 def select_top_fraction(
     pairs: Sequence[SentencePair], fraction: float
 ) -> list[SentencePair]:
-    """Keep the ceil(fraction * n) best pairs by their stored scores."""
-    kept, skipped = select_by_score(pairs, stored_score, top_fraction=fraction)
-    if skipped:
-        raise ValueError(f"{skipped} mined pairs lack scores")
-    return kept
+    """Keep the ceil(fraction * n) best pairs by their stored scores.
+
+    Ties break by input order, and the kept pairs stay in input order.
+    """
+    if not (0.0 < fraction <= 1.0):
+        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
+    unscored = sum(p.score is None for p in pairs)
+    if unscored:
+        raise ValueError(f"{unscored} mined pairs lack scores")
+    take = math.ceil(fraction * len(pairs))
+    best = sorted(range(len(pairs)), key=lambda i: (-pairs[i].score, i))[:take]
+    return [pairs[i] for i in sorted(best)]
 
 
 def score_histogram(pairs: Sequence[SentencePair]) -> dict[str, int]:

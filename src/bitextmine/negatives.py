@@ -1,5 +1,5 @@
 """Deterministic single-process simulation of cross-shard negative
-sampling, plus hard-negative mining with a weaker encoder.
+sampling.
 
 A batch of N aligned embedding pairs is split into K equal contiguous
 shards. With the broadcast, each shard ranks its own rows against the
@@ -11,13 +11,11 @@ softmax denominators and therefore the loss.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sentence, SentencePair
-from .loss import LossConfig, _rank_rows, loss_and_grad_wrt_embeddings
+from .loss import LossConfig, loss_and_grad_wrt_embeddings
 
 
 @dataclass
@@ -84,90 +82,3 @@ def sharded_bidirectional_loss(
         dY[rows] = weight * dyk
     return value, dX, dY
 
-
-@dataclass
-class HardNegativeSet:
-    """Per-source mined negatives: source id -> H (sentence, score) pairs."""
-
-    negatives: dict[str, list[tuple[Sentence, float]]]
-    count_per_source: int
-
-
-def mine_hard_negatives(
-    encode_sentence: Callable[[Sentence], np.ndarray],
-    pairs: Sequence[SentencePair],
-    pool: Sequence[Sentence],
-    count: int = 3,
-) -> HardNegativeSet:
-    """Mine the highest-cosine pool sentences per source, excluding the
-    true target, under a (typically weaker) encoder.
-
-    ``encode_sentence`` maps a sentence to a unit-norm vector. Ties break
-    by pool order.
-    """
-    if count < 1:
-        raise ValueError(f"negative count must be >= 1, got {count}")
-    if len(pool) < count + 1:
-        raise ValueError(f"pool of {len(pool)} cannot supply {count} negatives plus the target")
-    pool_vecs = np.stack([encode_sentence(s) for s in pool])
-    out: dict[str, list[tuple[Sentence, float]]] = {}
-    for pair in pairs:
-        q = encode_sentence(pair.src)
-        scores = pool_vecs @ q
-        ranked = np.argsort(-scores, kind="stable")
-        picked: list[tuple[Sentence, float]] = []
-        for idx in ranked:
-            if pool[idx].id == pair.tgt.id:
-                continue
-            picked.append((pool[idx], float(scores[idx])))
-            if len(picked) == count:
-                break
-        out[pair.src.id] = picked
-    return HardNegativeSet(negatives=out, count_per_source=count)
-
-
-@dataclass
-class AugmentedBatch:
-    """Aligned batch whose source-to-target direction gained extra columns."""
-
-    X: np.ndarray  # (N, d) source embeddings
-    Y: np.ndarray  # (N, d) positive target embeddings
-    extra_targets: np.ndarray  # (H*N, d) mined negatives, grouped by source
-
-
-def augment_batch_with_hard_negatives(
-    X: np.ndarray,
-    Y: np.ndarray,
-    src_ids: Sequence[str],
-    negset: HardNegativeSet,
-    encode_sentence: Callable[[Sentence], np.ndarray],
-) -> AugmentedBatch:
-    """Append each source's mined negatives to the target column space.
-
-    Mined targets never appear as positives; the target-to-source
-    direction is unaffected. With count_per_source == 0 this is the
-    identity extension.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if len(src_ids) != X.shape[0]:
-        raise ValueError("one source id per batch row is required")
-    h = negset.count_per_source
-    extras: list[np.ndarray] = []
-    for sid in src_ids:
-        mined = negset.negatives.get(sid)
-        if mined is None or len(mined) != h:
-            raise ValueError(f"source {sid!r} lacks its {h} mined negatives")
-        for sent, _ in mined:
-            extras.append(encode_sentence(sent))
-    extra = np.stack(extras) if extras else np.zeros((0, X.shape[1]))
-    return AugmentedBatch(X=X, Y=Y, extra_targets=extra)
-
-
-def augmented_bidirectional_loss(batch: AugmentedBatch, config: LossConfig) -> float:
-    """Bidirectional loss where forward rows rank against [Y; extras]."""
-    n = batch.X.shape[0]
-    columns = np.concatenate([batch.Y, batch.extra_targets], axis=0)
-    fwd, _ = _rank_rows(batch.X @ columns.T, config)
-    bwd, _ = _rank_rows(batch.Y @ batch.X.T, config)
-    return float(np.sum(fwd) / n + np.sum(bwd) / n)

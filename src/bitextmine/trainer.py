@@ -80,6 +80,7 @@ class TrainConfig:
             )
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        self.loss_config()  # LossConfig checks margin and scale
 
     def loss_config(self) -> LossConfig:
         return LossConfig(margin=self.margin, scale=self.scale)

@@ -74,6 +74,13 @@ def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
     return vectors
 
 
+def _id_rank(ids: list[str]) -> np.ndarray:
+    """Rank of each row's id in ascending id order (the search tie-break)."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+    return rank
+
+
 def _farthest_point_init(vectors: np.ndarray, C: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = vectors.shape[0]
@@ -104,8 +111,7 @@ def build(
 ) -> VectorIndex:
     """Build an exact index (config None) or a spherical-k-means one."""
     vectors = _validate_pool(vectors, list(ids))
-    id_rank = np.empty(len(ids), dtype=np.int64)
-    id_rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+    id_rank = _id_rank(ids)
     if config is None:
         return VectorIndex(mode=EXACT, vectors=vectors, ids=list(ids), id_rank=id_rank)
 
@@ -265,8 +271,7 @@ def load_index(directory: str | Path) -> VectorIndex:
     directory = Path(directory)
     vectors, ids = read_pool(directory / "vectors.pool")
     assert ids is not None
-    id_rank = np.empty(len(ids), dtype=np.int64)
-    id_rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+    id_rank = _id_rank(ids)
     cfg_path = directory / "index.cfg"
     if not cfg_path.exists():
         return VectorIndex(mode=EXACT, vectors=vectors, ids=ids, id_rank=id_rank)

@@ -246,20 +246,3 @@ def tokenize(text: str, vocab: Vocab, max_len: int, lang: str = "") -> TokenSequ
 def tokenize_sentence(sentence: Sentence, vocab: Vocab, max_len: int) -> TokenSequence:
     return tokenize(sentence.text, vocab, max_len, lang=sentence.lang)
 
-
-def detokenize(tokens: TokenSequence | Sequence[int], vocab: Vocab) -> str:
-    """Inverse of tokenize up to whitespace collapse, for UNK-free input."""
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else tokens
-    marker = vocab.continuation_marker
-    words: list[str] = []
-    for tid in ids:
-        if not 0 <= tid < len(vocab):
-            raise ValueError(f"token id {tid} out of range for vocab of {len(vocab)}")
-        if tid in (PAD_ID, CLS_ID, SEP_ID):
-            continue
-        piece = vocab.pieces[tid]
-        if piece.startswith(marker) and words:
-            words[-1] += piece[len(marker):]
-        else:
-            words.append(piece)
-    return " ".join(words)

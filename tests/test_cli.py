@@ -1,0 +1,86 @@
+"""``bitextmine.cli.main`` on a small toy corpus: rejected flag values
+exit 1 (usage error), and ``report`` applies the mining selection rule
+to an existing pair file."""
+
+import json
+import math
+
+import pytest
+
+from bitextmine import cli
+from bitextmine.corpus import SentencePair, format_pairs_tsv
+from bitextmine.toydata import make_toy_corpus
+
+
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A pair file, its two sides as monolingual files, and a vocab, a
+    two-step checkpoint and a target pool made from them by the CLI."""
+    d = tmp_path_factory.mktemp("cli")
+    pairs = make_toy_corpus(40, 0, seed=3, lexicon_size=20, min_words=2, max_words=4).train_pairs
+    (d / "pairs.tsv").write_text(format_pairs_tsv(pairs), encoding="utf-8")
+    (d / "src.txt").write_text("".join(p.src.text + "\n" for p in pairs), encoding="utf-8")
+    (d / "tgt.txt").write_text("".join(p.tgt.text + "\n" for p in pairs), encoding="utf-8")
+    assert run("build-vocab", "--pairs", d / "pairs.tsv", "--target-size", 200, "--out", d / "vocab.txt") == 0
+    assert (
+        run(
+            "train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", d / "model.ckpt",
+            "--steps", 2, "--batch-size", 8, "--hidden-dim", 8,
+        )
+        == 0
+    )
+    assert (
+        run("encode", "--input", d / "tgt.txt", "--vocab", d / "vocab.txt", "--ckpt", d / "model.ckpt", "--out", d / "tgt.pool")
+        == 0
+    )
+    return d
+
+
+def invalid_argv(d, case):
+    out = d / "rejected.out"
+    train = ["train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--steps", 2]
+    return out, {
+        "train-shards": train + ["--shards", 3],
+        "train-margin": train + ["--margin", 1.5],
+        "train-lr": train + ["--lr", 0],
+        "pretrain-mix": [
+            "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out,
+            "--stage-steps", "2,2", "--mix", "0:x",
+        ],
+        "mine-fraction": [
+            "mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt",
+            "--ckpt", d / "model.ckpt", "--out", out, "--fraction", 0,
+        ],
+        "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["train-shards", "train-margin", "train-lr", "pretrain-mix", "mine-fraction", "index-probes"]
+)
+def test_invalid_flag_value_is_usage_error(work, case, capsys):
+    out, argv = invalid_argv(work, case)
+    assert run(*argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_on_unscored_pairs_is_data_error(work, capsys):
+    assert run("report", "--pairs", work / "pairs.tsv", "--out", work / "unscored.report") == 2
+    assert "lack scores" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", [0.2, 0.33, 1.0])
+def test_report_selects_ceil_of_fraction(work, tmp_path, fraction):
+    pairs = make_toy_corpus(25, 0, seed=5, lexicon_size=20, min_words=2, max_words=4).train_pairs
+    scored = [SentencePair(p.src, p.tgt, score=(i % 7) / 10) for i, p in enumerate(pairs)]
+    (tmp_path / "scored.tsv").write_text(format_pairs_tsv(scored), encoding="utf-8")
+    out = tmp_path / "scored.report"
+    assert run("report", "--pairs", tmp_path / "scored.tsv", "--fraction", fraction, "--out", out) == 0
+    report = json.loads((tmp_path / "scored.report.json").read_text(encoding="utf-8"))
+    assert report["pairs_emitted"] == report["pairs_post_dedup"] == 25
+    assert report["pairs_post_selection"] == math.ceil(fraction * 25)

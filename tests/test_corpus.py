@@ -1,19 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from bitextmine.corpus import (
     CorpusStats,
     Sentence,
     SentencePair,
-    cap_pairs,
     corpus_stats,
-    filter_monolingual,
     format_pairs_tsv,
     format_stats_report,
     read_monolingual,
     read_pairs_tsv,
-    select_by_score,
-    stored_score,
 )
 from bitextmine.errors import DataError
 from bitextmine.vocab import Vocab, SPECIAL_TOKENS
@@ -29,114 +24,6 @@ def pair(src_text, tgt_text, score=None, src_lang="aa", tgt_lang="bb", n=0):
         tgt=Sentence(id=f"{n}t", lang=tgt_lang, text=tgt_text),
         score=score,
     )
-
-
-class TestFilterMonolingual:
-    def test_empty_input(self):
-        assert filter_monolingual([]) == []
-
-    def test_inclusive_bounds(self):
-        lines = [s("x" * n) for n in (9, 10, 5000, 5001)]
-        kept = filter_monolingual(lines)
-        assert [len(x.text) for x in kept] == [10, 5000]
-
-    def test_defaults_are_10_and_5000(self):
-        assert filter_monolingual([s("x" * 9)]) == []
-        assert filter_monolingual([s("x" * 10)]) != []
-        assert filter_monolingual([s("x" * 5001)]) == []
-
-    def test_unicode_scalar_counting(self):
-        # 10 scalar values, more than 10 bytes in UTF-8
-        line = s("é" * 10)
-        assert filter_monolingual([line]) == [line]
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            filter_monolingual([], min_chars=5, max_chars=5)
-
-    @given(st.lists(st.text(min_size=0, max_size=30).map(lambda t: s(t or "x"))))
-    def test_idempotent_and_order_preserving(self, lines):
-        once = filter_monolingual(lines, 2, 10)
-        assert filter_monolingual(once, 2, 10) == once
-        it = iter(lines)
-        for kept in once:
-            for cand in it:
-                if cand is kept:
-                    break
-            else:
-                pytest.fail("order not preserved")
-
-
-class TestCapPairs:
-    def test_under_cap_keeps_all(self):
-        pairs = [pair("a", "b", n=i) for i in range(3)]
-        assert cap_pairs(pairs, cap=5) == pairs
-
-    def test_highest_scored_survive(self):
-        pairs = [pair("a", "b", score=sc, n=i) for i, sc in enumerate([0.9, 0.8, 0.7, 0.6])]
-        kept = cap_pairs(pairs, cap=2)
-        assert [p.score for p in kept] == [0.9, 0.8]
-
-    def test_per_language_pair_grouping(self):
-        pairs = [pair("a", "b", 0.5, "aa", "bb", n=0), pair("c", "d", 0.4, "aa", "cc", n=1)]
-        assert cap_pairs(pairs, cap=1) == pairs  # different groups
-
-    def test_tie_break_by_input_order(self):
-        pairs = [pair(f"t{i}", "b", score=0.5, n=i) for i in range(4)]
-        kept = cap_pairs(pairs, cap=2)
-        assert [p.src.text for p in kept] == ["t0", "t1"]
-
-    def test_missing_scores_over_cap_is_error(self):
-        pairs = [pair("a", "b", n=0), pair("c", "d", n=1)]
-        with pytest.raises(DataError):
-            cap_pairs(pairs, cap=1)
-
-    def test_output_is_subset_in_input_order(self):
-        pairs = [pair(f"t{i}", "b", score=float(i % 3), n=i) for i in range(9)]
-        kept = cap_pairs(pairs, cap=4)
-        assert len(kept) <= 4
-        positions = [pairs.index(p) for p in kept]
-        assert positions == sorted(positions)
-
-
-class TestSelectByScore:
-    def test_top_fraction_identity(self):
-        pairs = [pair("a", "b", 0.5, n=i) for i in range(4)]
-        kept, skipped = select_by_score(pairs, stored_score, top_fraction=1.0)
-        assert kept == pairs and skipped == 0
-
-    def test_top_fraction_ceil(self):
-        pairs = [pair(str(i), "b", sc, n=i) for i, sc in enumerate([0.1, 0.5, 0.9])]
-        kept, _ = select_by_score(pairs, stored_score, top_fraction=1 / 3)
-        assert len(kept) == 1 and kept[0].score == 0.9
-
-    def test_threshold_mode(self):
-        pairs = [pair(str(i), "b", sc, n=i) for i, sc in enumerate([0.1, 0.6, 0.9])]
-        kept, _ = select_by_score(pairs, stored_score, threshold=0.6)
-        assert [p.score for p in kept] == [0.6, 0.9]
-
-    def test_scorer_failure_counts_skips(self):
-        pairs = [pair("ok", "b", 0.5, n=0), pair("boom", "b", 0.4, n=1)]
-
-        def scorer(p):
-            if p.src.text == "boom":
-                raise RuntimeError("no score")
-            return p.score
-
-        kept, skipped = select_by_score(pairs, scorer, threshold=0.0)
-        assert len(kept) == 1 and skipped == 1
-
-    def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            select_by_score([], stored_score)
-        with pytest.raises(ValueError):
-            select_by_score([], stored_score, threshold=0.1, top_fraction=0.5)
-
-    def test_output_size_matches_ceil(self):
-        pairs = [pair(str(i), "b", float(i), n=i) for i in range(10)]
-        for frac, want in [(0.2, 2), (0.25, 3), (0.5, 5), (1.0, 10)]:
-            kept, _ = select_by_score(pairs, stored_score, top_fraction=frac)
-            assert len(kept) == want
 
 
 def tiny_vocab(extra):

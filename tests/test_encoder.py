@@ -12,17 +12,15 @@ from bitextmine.encoder import (
     forward_batch,
     grad_through_normalization,
     init_params,
-    load_params,
     mlm_loss_and_grad,
     params_to_bytes,
     plan_masks,
-    save_params,
     stack_grow,
-    tlm_batch,
     tlm_sequence,
     zeros_like_params,
 )
 from bitextmine.errors import CheckpointError
+from bitextmine.trainer import load_checkpoint, save_checkpoint
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
 
 
@@ -282,49 +280,59 @@ class TestTlm:
         allowed = {CLS_ID, SEP_ID, vocab.piece_to_id["a"], vocab.piece_to_id["b"]}
         assert set(seq.ids) <= allowed
 
-    def test_tlm_batch_masks_across_both_segments(self):
+    def test_masks_reach_both_segments(self):
+        # pretrain's TLM batches: plan_masks over tlm_sequence layouts
         vocab = tlm_vocab()
-        pairs = [make_pair("a a a a", "b b b b") for _ in range(4)]
-        batch = tlm_batch(pairs, vocab, max_len=16, rng=np.random.default_rng(0), fraction=0.9)
+        seqs = [tlm_sequence(make_pair("a a a a", "b b b b"), vocab, 16) for _ in range(4)]
+        batch = plan_masks(seqs, np.random.default_rng(0), fraction=0.9)
         masked_targets = batch.target_ids[batch.mask_positions]
         assert vocab.piece_to_id["a"] in masked_targets
         assert vocab.piece_to_id["b"] in masked_targets
 
 
 class TestCheckpointFormat:
+    """The parameter block (``BXEN``) inside a params-only checkpoint
+    (``BXCK``, then a u32 version), as ``pretrain`` writes it."""
+
     def test_roundtrip_bytes_identical(self, tmp_path):
         p = small_params(seed=9)
         path = tmp_path / "enc.bin"
-        save_params(p, path)
-        loaded = load_params(path)
-        save_params(loaded, tmp_path / "enc2.bin")
+        save_checkpoint(p, None, path)
+        loaded, _ = load_checkpoint(path)
+        save_checkpoint(loaded, None, tmp_path / "enc2.bin")
         assert (tmp_path / "enc.bin").read_bytes() == (tmp_path / "enc2.bin").read_bytes()
         assert loaded.config == p.config
 
     def test_truncated_file_reports_offset(self, tmp_path):
         p = small_params()
         path = tmp_path / "enc.bin"
-        save_params(p, path)
+        save_checkpoint(p, None, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError, match="offset"):
-            load_params(path)
+            load_checkpoint(path)
 
     def test_version_1_file_rejected(self, tmp_path):
         # version 1 held the same tensors for position-wise blocks
-        data = bytearray(params_to_bytes(small_params()))
-        assert data[:4] == b"BXEN"
-        data[4:8] = (1).to_bytes(4, "little")
         path = tmp_path / "enc.bin"
+        save_checkpoint(small_params(), None, path)
+        data = bytearray(path.read_bytes())
+        assert data[8:12] == b"BXEN"
+        data[12:16] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="version 1"):
-            load_params(path)
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "enc.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CheckpointError):
-            load_params(path)
+        save_checkpoint(small_params(), None, path)
+        good = path.read_bytes()
+        for offset, what in ((0, "checkpoint"), (8, "encoder")):
+            data = bytearray(good)
+            data[offset : offset + 4] = b"NOPE"
+            path.write_bytes(bytes(data))
+            with pytest.raises(CheckpointError, match=f"bad {what} magic at byte offset {offset}"):
+                load_checkpoint(path)
 
 
 def test_zeros_like_params_shapes():

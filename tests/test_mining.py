@@ -122,17 +122,36 @@ class TestDedup:
 class TestSelection:
     def test_exact_ceil_count(self):
         pairs = [pair(str(i), "t", i / 10, n=i) for i in range(10)]
-        assert len(select_top_fraction(pairs, 0.2)) == 2
-        assert len(select_top_fraction(pairs, 0.21)) == 3
+        for fraction, want in [(0.2, 2), (0.21, 3), (0.25, 3), (0.5, 5), (1.0, 10)]:
+            assert len(select_top_fraction(pairs, fraction)) == want
+        assert select_top_fraction([], 0.5) == []
 
     def test_keeps_best_scores(self):
-        pairs = [pair(str(i), "t", sc, n=i) for i, sc in enumerate([0.3, 0.9, 0.1, 0.7])]
-        kept = select_top_fraction(pairs, 0.5)
-        assert sorted(p.score for p in kept) == [0.7, 0.9]
+        # (scores, fraction, kept indices): ties break by input order, and
+        # the kept pairs stay in input order
+        cases = [
+            ([0.3, 0.9, 0.1, 0.7], 0.5, [1, 3]),
+            ([0.1, 0.5, 0.9], 1 / 3, [2]),
+            ([0.7, 0.1, 0.9], 0.5, [0, 2]),
+            ([0.5, 0.5, 0.5, 0.5], 0.5, [0, 1]),
+            ([0.5, 0.5, 0.5, 0.5], 1.0, [0, 1, 2, 3]),
+            ([float(i % 3) for i in range(9)], 0.5, [1, 2, 4, 5, 8]),
+        ]
+        for scores, fraction, want in cases:
+            pairs = [pair(str(i), "t", sc, n=i) for i, sc in enumerate(scores)]
+            assert select_top_fraction(pairs, fraction) == [pairs[i] for i in want]
 
     def test_unscored_pairs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 mined pairs lack scores"):
             select_top_fraction([pair("a", "b", None)], 0.5)
+        mixed = [pair("a", "b", 0.9, n=0), pair("c", "d", None, n=1), pair("e", "f", None, n=2)]
+        with pytest.raises(ValueError, match="2 mined pairs lack scores"):
+            select_top_fraction(mixed, 1.0)
+
+    def test_fraction_outside_unit_interval_rejected(self):
+        for fraction in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                select_top_fraction([pair("a", "b", 0.5)], fraction)
 
 
 class TestReport:

@@ -287,3 +287,5 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(weight_decay=-1.0)
+    with pytest.raises(ValueError):
+        TrainConfig(margin=1.5)
