@@ -11,6 +11,7 @@ from bitextmine.corpus import (
     read_pairs_tsv,
 )
 from bitextmine.errors import DataError
+from bitextmine.mining import select_top_fraction
 from bitextmine.vocab import Vocab, SPECIAL_TOKENS
 
 
@@ -24,6 +25,43 @@ def pair(src_text, tgt_text, score=None, src_lang="aa", tgt_lang="bb", n=0):
         tgt=Sentence(id=f"{n}t", lang=tgt_lang, text=tgt_text),
         score=score,
     )
+
+
+class TestCapPairs:
+    """``select_top_fraction`` caps the pairs it keeps at the ceil(f * n) best."""
+
+    def test_highest_scored_survive(self):
+        pairs = [pair("a", "b", score=sc, n=i) for i, sc in enumerate([0.9, 0.8, 0.7, 0.6])]
+        kept = select_top_fraction(pairs, 0.5)
+        assert [p.score for p in kept] == [0.9, 0.8]
+
+    def test_tie_break_by_input_order(self):
+        pairs = [pair(f"t{i}", "b", score=0.5, n=i) for i in range(4)]
+        kept = select_top_fraction(pairs, 0.5)
+        assert [p.src.text for p in kept] == ["t0", "t1"]
+
+    def test_output_is_subset_in_input_order(self):
+        pairs = [pair(f"t{i}", "b", score=float(i % 3), n=i) for i in range(9)]
+        kept = select_top_fraction(pairs, 0.5)
+        assert [p.src.text for p in kept] == ["t1", "t2", "t4", "t5", "t8"]
+        positions = [pairs.index(p) for p in kept]
+        assert positions == sorted(positions)
+
+
+class TestSelectByScore:
+    def test_top_fraction_identity(self):
+        pairs = [pair("a", "b", 0.5, n=i) for i in range(4)]
+        assert select_top_fraction(pairs, 1.0) == pairs
+
+    def test_top_fraction_ceil(self):
+        pairs = [pair(str(i), "b", sc, n=i) for i, sc in enumerate([0.1, 0.5, 0.9])]
+        kept = select_top_fraction(pairs, 1 / 3)
+        assert len(kept) == 1 and kept[0].score == 0.9
+
+    def test_output_size_matches_ceil(self):
+        pairs = [pair(str(i), "b", float(i), n=i) for i in range(10)]
+        for frac, want in [(0.2, 2), (0.25, 3), (0.5, 5), (1.0, 10)]:
+            assert len(select_top_fraction(pairs, frac)) == want
 
 
 def tiny_vocab(extra):

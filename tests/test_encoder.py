@@ -280,7 +280,7 @@ class TestTlm:
         allowed = {CLS_ID, SEP_ID, vocab.piece_to_id["a"], vocab.piece_to_id["b"]}
         assert set(seq.ids) <= allowed
 
-    def test_masks_reach_both_segments(self):
+    def test_tlm_batch_masks_across_both_segments(self):
         # pretrain's TLM batches: plan_masks over tlm_sequence layouts
         vocab = tlm_vocab()
         seqs = [tlm_sequence(make_pair("a a a a", "b b b b"), vocab, 16) for _ in range(4)]

@@ -124,6 +124,39 @@ class TestBidirectional:
 
 
 class TestLossGrad:
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+            X, Y = unit_rows(rng, n, d), unit_rows(rng, n, d)
+            cfg = LossConfig(margin=float(rng.uniform(0, 0.5)), scale=float(rng.uniform(1, 20)))
+            value, dX, dY = loss_and_grad_wrt_embeddings(X, Y, cfg)
+            assert value == pytest.approx(bidirectional_loss(similarity_matrix(X, Y), cfg))
+            for M, dM, loss in (
+                (X, dX, lambda A: bidirectional_loss(similarity_matrix(A, Y), cfg)),
+                (Y, dY, lambda A: bidirectional_loss(similarity_matrix(X, A), cfg)),
+            ):
+                fd = np.zeros_like(M)
+                h = 1e-6
+                for idx in np.ndindex(*M.shape):
+                    Mp, Mm = M.copy(), M.copy()
+                    Mp[idx] += h
+                    Mm[idx] -= h
+                    fd[idx] = (loss(Mp) - loss(Mm)) / (2 * h)
+                rel = np.linalg.norm(fd - dM) / max(np.linalg.norm(fd), np.linalg.norm(dM))
+                assert rel <= 1e-4
+
+    def test_gradient_support_structure(self):
+        # the loss reads X and Y only through X Y^T, so each dX row lies in
+        # the span of Y's rows and each dY row in the span of X's rows
+        rng = np.random.default_rng(9)
+        X, Y = unit_rows(rng, 3, 8), unit_rows(rng, 3, 8)
+        _, dX, dY = loss_and_grad_wrt_embeddings(X, Y, LossConfig())
+        for D, basis in ((dX, Y), (dY, X)):
+            q, _ = np.linalg.qr(basis.T)
+            np.testing.assert_allclose(D - (D @ q) @ q.T, 0.0, atol=1e-12)
+            assert np.linalg.norm(D) > 1e-3
+
     def test_gradient_vanishes_when_separated_and_scale_grows(self):
         # perfectly separated batch (identity similarity): softmax saturates
         # as the scale grows, so gradient norms fall monotonically

