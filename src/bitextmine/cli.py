@@ -186,12 +186,13 @@ def cmd_pretrain(args) -> None:
     started = time.time()
     from .corpus import read_pairs_tsv
     from .encoder import EncoderConfig, init_params
-    from .trainer import TrainConfig, pretrain, save_checkpoint
+    from .trainer import TrainConfig, check_pretrain_options, pretrain, save_checkpoint
 
     with _flag_values():
         stages = _parse_stages(args.stage_layers, args.stage_steps)
         mlm_share, _, tlm_share = args.mix.partition(":")
         mix = (int(mlm_share), int(tlm_share))
+        check_pretrain_options(mix, args.mask_fraction, args.mask_cap)
         config = TrainConfig(
             batch_size=args.batch_size,
             steps=max(s.steps for s in stages),
@@ -353,14 +354,7 @@ def cmd_mine(args) -> None:
     from .corpus import format_pairs_tsv
     from .evaluation import write_metrics_report
     from .fileio import atomic_write_text
-    from .mining import (
-        MiningConfig,
-        choose_query_side,
-        dedup,
-        mine,
-        mining_report,
-        select_top_fraction,
-    )
+    from .mining import MiningConfig, choose_query_side, mine, mining_report
     from .vecindex import IndexConfig, build
 
     with _flag_values():
@@ -385,15 +379,13 @@ def cmd_mine(args) -> None:
     index = build(pool_vectors, [s.id for s in pool], index_config)
     lookup = {s.id: s for s in pool}
     mined = mine(queries, index, lookup, params, vocab, config)
-    deduped = dedup(mined)
-    selected = select_top_fraction(deduped, config.selection_fraction) if deduped else []
+    report, selected = mining_report(mined, config, sources_processed=len(queries))
     atomic_write_text(args.out, format_pairs_tsv(selected))
-    report = mining_report(mined, config, sources_processed=len(queries))
     report_path = args.report or str(args.out) + ".report"
     write_metrics_report(report, report_path)
     _log(
         f"mine: {len(queries)} sources -> {len(mined)} pairs, "
-        f"{len(deduped)} deduped, {len(selected)} selected -> {args.out}"
+        f"{report['pairs_post_dedup']} deduped, {len(selected)} selected -> {args.out}"
     )
     _write_manifest(
         "mine",
@@ -556,7 +548,7 @@ def cmd_report(args) -> None:
             selection_fraction=args.fraction,
         )
     pairs = read_pairs_tsv(args.pairs)
-    report = mining_report(pairs, config, sources_processed=args.sources_processed)
+    report, _ = mining_report(pairs, config, sources_processed=args.sources_processed)
     write_metrics_report(report, args.out)
     _log(f"report: {len(pairs)} pairs -> {args.out}")
     _write_manifest("report", args, [args.pairs], [args.out, str(args.out) + ".json"], started)

@@ -65,13 +65,12 @@ def corpus_stats(sentences: Sequence[Sentence], vocab) -> CorpusStats:
     surface and are excluded from that average. ``avg_sentence_length``
     counts tokens per sentence excluding special tokens.
     """
-    from .vocab import UNK_ID, word_tokens
+    from .vocab import CONTINUATION_MARKER, UNK_ID, word_tokens
 
     token_total = 0
     unk_total = 0
     surface_chars = 0
     matched_tokens = 0
-    marker = vocab.continuation_marker
     for sent in sentences:
         for word in sent.text.split():
             for tid in word_tokens(word, vocab):
@@ -79,10 +78,7 @@ def corpus_stats(sentences: Sequence[Sentence], vocab) -> CorpusStats:
                 if tid == UNK_ID:
                     unk_total += 1
                 else:
-                    piece = vocab.pieces[tid]
-                    if piece.startswith(marker):
-                        piece = piece[len(marker):]
-                    surface_chars += len(piece)
+                    surface_chars += len(vocab.pieces[tid].removeprefix(CONTINUATION_MARKER))
                     matched_tokens += 1
     n = len(sentences)
     if n == 0 or token_total == 0:
@@ -109,16 +105,12 @@ def format_stats_report(stats_by_lang: Mapping[str, CorpusStats]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_monolingual(
-    path: str | Path,
-    default_lang: str = "und",
-    id_prefix: str = "",
-) -> list[Sentence]:
+def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Sentence]:
     """Read a one-sentence-per-line file, honoring optional lang prefixes.
 
     A line of the form ``lang<TAB>text`` (lang matching an ISO-639-style
     tag) sets that sentence's language; other lines get ``default_lang``.
-    Sentence ids are 1-based line numbers with ``id_prefix`` prepended.
+    Sentence ids are 1-based line numbers.
     """
     out: list[Sentence] = []
     with open(path, encoding="utf-8") as fh:
@@ -131,7 +123,7 @@ def read_monolingual(
                 head, rest = line.split("\t", 1)
                 if _LANG_PREFIX_RE.fullmatch(head):
                     lang, text = head, rest
-            out.append(Sentence(id=f"{id_prefix}{lineno}", lang=lang, text=text))
+            out.append(Sentence(id=str(lineno), lang=lang, text=text))
     return out
 
 

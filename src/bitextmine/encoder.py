@@ -14,39 +14,20 @@ each masked position and applies the prediction head. Residual blocks
 keep the identity function reachable (zero weights), M adds no
 parameters, and everything is smooth, so analytic gradients can be
 checked against central finite differences.
-
-Parameter block format, the body of every trainer checkpoint: magic
-``BXEN``, version, five little-endian uint32 config integers
-(vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim), then the
-parameter tensors as little-endian float64 in declared order. Version 1
-blocks hold the same tensors for blocks without neighbour mixing; they
-are refused.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import SentencePair
-from .errors import CheckpointError, NumericalError
-from .vocab import (
-    CLS_ID,
-    MASK_ID,
-    PAD_ID,
-    SEP_ID,
-    TokenSequence,
-    Vocab,
-    word_tokens,
-)
+from .errors import NumericalError
+from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, word_tokens
 
-_MAGIC = b"BXEN"
-_VERSION = 2  # 2: blocks mix each position with its neighbours
 _NORM_EPS = 1e-12
 
 
@@ -93,16 +74,25 @@ class EncoderParams:
         yield "mlm.weight", self.mlm_weight
         yield "mlm.bias", self.mlm_bias
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            config=self.config,
-            token_embeddings=self.token_embeddings.copy(),
-            layers=[LayerParams(l.weight.copy(), l.bias.copy()) for l in self.layers],
-            output_weight=self.output_weight.copy(),
-            output_bias=self.output_bias.copy(),
-            mlm_weight=self.mlm_weight.copy(),
-            mlm_bias=self.mlm_bias.copy(),
+    @classmethod
+    def build(
+        cls, config: EncoderConfig, make: Callable[[tuple[int, ...]], np.ndarray]
+    ) -> "EncoderParams":
+        """Make each tensor from its shape, in the declared (checkpoint) order."""
+        d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
+        return cls(
+            config=config,
+            token_embeddings=make((v, d)),
+            layers=[LayerParams(make((d, d)), make((d,))) for _ in range(config.num_layers)],
+            output_weight=make((d, e)),
+            output_bias=make((e,)),
+            mlm_weight=make((e, v)),
+            mlm_bias=make((v,)),
         )
+
+    def copy(self) -> "EncoderParams":
+        arrays = (arr for _, arr in self.named_arrays())
+        return EncoderParams.build(self.config, lambda _shape: next(arrays).copy())
 
 
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
@@ -123,29 +113,17 @@ def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
 
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        config=params.config,
-        token_embeddings=np.zeros_like(params.token_embeddings),
-        layers=[
-            LayerParams(np.zeros_like(l.weight), np.zeros_like(l.bias))
-            for l in params.layers
-        ],
-        output_weight=np.zeros_like(params.output_weight),
-        output_bias=np.zeros_like(params.output_bias),
-        mlm_weight=np.zeros_like(params.mlm_weight),
-        mlm_bias=np.zeros_like(params.mlm_bias),
-    )
+    return EncoderParams.build(params.config, np.zeros)
 
 
-def _as_id_array(tokens: TokenSequence | Sequence[int]) -> np.ndarray:
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else tokens
-    arr = np.asarray(ids, dtype=np.int64)
+def _as_id_array(tokens: Sequence[int]) -> np.ndarray:
+    arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("token sequence must be a non-empty 1-D id list")
     return arr
 
 
-def encode(params: EncoderParams, tokens: TokenSequence | Sequence[int]) -> np.ndarray:
+def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
     """Embed one token sequence as a unit-norm vector."""
     return encode_batch(params, [tokens])[0]
 
@@ -154,7 +132,7 @@ _ENCODE_CHUNK = 256  # sequences per batched forward in encode_batch
 
 
 def encode_batch(
-    params: EncoderParams, batch: Sequence[TokenSequence | Sequence[int]]
+    params: EncoderParams, batch: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Unit-norm embeddings, one row per item, in input order.
 
@@ -204,7 +182,7 @@ class ForwardCache:
     norms: np.ndarray | None = None  # (B,)
 
 
-def pad_batch(batch: Sequence[TokenSequence | Sequence[int]]) -> np.ndarray:
+def pad_batch(batch: Sequence[Sequence[int]]) -> np.ndarray:
     arrs = [_as_id_array(item) for item in batch]
     width = max(a.size for a in arrs)
     ids = np.full((len(arrs), width), PAD_ID, dtype=np.int64)
@@ -266,7 +244,7 @@ def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
 
 
 def forward_batch(
-    params: EncoderParams, batch: Sequence[TokenSequence | Sequence[int]]
+    params: EncoderParams, batch: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, ForwardCache]:
     """Unit-norm embeddings for a padded batch, plus the cache for backprop."""
     cache = _forward_hiddens(params, pad_batch(batch))
@@ -340,7 +318,7 @@ class MaskedBatch:
 
 
 def plan_masks(
-    batch: Sequence[TokenSequence | Sequence[int]],
+    batch: Sequence[Sequence[int]],
     rng: np.random.Generator,
     fraction: float = MLM_FRACTION,
     cap: int = MLM_CAP,
@@ -404,7 +382,7 @@ def mlm_loss_and_grad(
     return loss, grads
 
 
-def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> TokenSequence:
+def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, ...]:
     """Concatenated translation-pair layout [CLS] src [SEP] tgt [SEP].
 
     An empty side drops its segment (and separator); no language
@@ -429,11 +407,7 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> TokenSequenc
     for seg in segments:
         ids.extend(seg)
         ids.append(SEP_ID)
-    return TokenSequence(
-        ids=tuple(ids),
-        lang=f"{pair.src.lang}+{pair.tgt.lang}",
-        surface_len=len(pair.src.text) + len(pair.tgt.text),
-    )
+    return tuple(ids)
 
 
 def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
@@ -457,87 +431,4 @@ def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
         for j in range(target_layers)
     ]
     return grown
-
-
-# ---------------------------------------------------------------------------
-# Parameter block serialization (the trainer's checkpoint wraps it with
-# optimizer state).
-# ---------------------------------------------------------------------------
-
-
-class _Reader:
-    """Byte reader that reports the offset of any truncation."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(
-                f"{self.path}: truncated at byte offset {self.pos} "
-                f"(wanted {n} more bytes, file has {len(self.data)})"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.take(n * 8), dtype="<f8").reshape(shape).copy()
-
-
-def params_to_bytes(params: EncoderParams) -> bytes:
-    cfg = params.config
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(
-        struct.pack(
-            "<6I",
-            _VERSION,
-            cfg.vocab_size,
-            cfg.hidden_dim,
-            cfg.num_layers,
-            cfg.max_seq_len,
-            cfg.embed_dim,
-        )
-    )
-    for _, arr in params.named_arrays():
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
-
-
-def params_from_reader(reader: _Reader) -> EncoderParams:
-    start = reader.pos
-    if reader.take(4) != _MAGIC:
-        raise CheckpointError(f"{reader.path}: bad encoder magic at byte offset {start}")
-    version = reader.u32()
-    if version != _VERSION:
-        raise CheckpointError(
-            f"{reader.path}: unsupported encoder version {version} (expected {_VERSION})"
-        )
-    cfg = EncoderConfig(
-        vocab_size=reader.u32(),
-        hidden_dim=reader.u32(),
-        num_layers=reader.u32(),
-        max_seq_len=reader.u32(),
-        embed_dim=reader.u32(),
-    )
-    d, e, v = cfg.hidden_dim, cfg.embed_dim, cfg.vocab_size
-    return EncoderParams(
-        config=cfg,
-        token_embeddings=reader.array((v, d)),
-        layers=[
-            LayerParams(reader.array((d, d)), reader.array((d,)))
-            for _ in range(cfg.num_layers)
-        ],
-        output_weight=reader.array((d, e)),
-        output_bias=reader.array((e,)),
-        mlm_weight=reader.array((e, v)),
-        mlm_bias=reader.array((v,)),
-    )
 

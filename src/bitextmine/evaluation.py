@@ -48,9 +48,6 @@ class GoldAlignment:
         tgts = frozenset(tgt_universe) if tgt_universe is not None else frozenset(t for _, t in pairs)
         return cls(pairs=frozenset(pairs), src_universe=srcs, tgt_universe=tgts)
 
-    def target_of(self) -> dict[str, str]:
-        return {s: t for s, t in self.pairs}
-
 
 @dataclass(frozen=True)
 class PRF:

@@ -125,11 +125,15 @@ def mining_report(
     pairs: Sequence[SentencePair],
     config: MiningConfig,
     sources_processed: int = 0,
-) -> dict[str, object]:
-    """Pipeline counts (emitted, post-dedup, post-selection) plus the
-    emitted-score histogram."""
+) -> tuple[dict[str, object], list[SentencePair]]:
+    """Dedup the emitted pairs and select the top fraction, once.
+
+    Returns the report, which holds the pipeline counts (emitted,
+    post-dedup, post-selection) plus the emitted-score histogram, and the
+    selected pairs.
+    """
     deduped = dedup(pairs)
-    selected = select_top_fraction(deduped, config.selection_fraction) if deduped else []
+    selected = select_top_fraction(deduped, config.selection_fraction)
     report: dict[str, object] = {
         "sources_processed": sources_processed,
         "pairs_emitted": len(pairs),
@@ -139,4 +143,4 @@ def mining_report(
         "selection_fraction": config.selection_fraction,
     }
     report.update(score_histogram(pairs))
-    return report
+    return report, selected

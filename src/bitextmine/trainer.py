@@ -6,18 +6,28 @@ checkpoint round-trips.
 Determinism: every step draws from a fresh generator seeded by
 (config seed, stream tag, step index), so a resumed run reproduces the
 unbroken run bit for bit. The learning rate decays linearly to zero
-over the configured step horizon.
+over the configured step horizon. The optimizer state carries the
+TrainConfig it was made under, and a run that continues a state must
+use that same config.
 
 Training log lines: ``step=<n> loss=<f> lr=<f> pairs_seen=<n>``.
+
+Checkpoint format, version 2 (all integers and floats little-endian):
+magic ``BXCK``; u32 version; five u32 EncoderConfig integers
+(vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim); u8 state
+flag; when the flag is 1, the u64 optimizer step count and the
+TrainConfig fields in declared order; then every tensor as float64 in
+``EncoderParams.named_arrays`` order: the parameters, then, with state,
+the first and the second optimizer moments. Version 1 files nested a
+separately versioned parameter block and are refused.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import TextIO
 
 import numpy as np
@@ -28,13 +38,10 @@ from .encoder import (
     EncoderParams,
     MLM_CAP,
     MLM_FRACTION,
-    _Reader,
     backward_batch,
     forward_batch,
     grad_through_normalization,
     mlm_loss_and_grad,
-    params_from_reader,
-    params_to_bytes,
     plan_masks,
     stack_grow,
     tlm_sequence,
@@ -50,7 +57,9 @@ BETA2 = 0.999
 EPS = 1e-8
 
 _CKPT_MAGIC = b"BXCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: one header, no nested parameter block; stores the TrainConfig
+_CKPT_HEAD = "<5IB"  # EncoderConfig integers, state flag
+_CKPT_STATE = "<QQQdddQqd"  # step count, then the TrainConfig fields in declared order
 
 # Stream tags keep the per-step RNG draws of different objectives disjoint.
 _STREAM_FINETUNE = 1
@@ -88,16 +97,17 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    config: TrainConfig  # the schedule and hyperparameters the moments belong to
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step_count: int = 0
 
 
-def init_optimizer_state(params: EncoderParams) -> OptimizerState:
+def init_optimizer_state(params: EncoderParams, config: TrainConfig) -> OptimizerState:
     return OptimizerState(
+        config=config,
         first_moment={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
         second_moment={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-        step_count=0,
     )
 
 
@@ -107,16 +117,15 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 def optimizer_step(
-    params: EncoderParams,
-    grads: EncoderParams,
-    state: OptimizerState,
-    config: TrainConfig,
+    params: EncoderParams, grads: EncoderParams, state: OptimizerState
 ) -> tuple[EncoderParams, OptimizerState]:
-    """One adaptive-moment update with decoupled weight decay.
+    """One adaptive-moment update with decoupled weight decay, under the
+    state's own config.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2; both bias-corrected;
     theta <- theta - lr_t (m_hat / (sqrt(v_hat) + eps) + wd * theta).
     """
+    config = state.config
     t = state.step_count + 1
     lr_t = lr_at(config, t)
     new_params = params.copy()
@@ -135,7 +144,7 @@ def optimizer_step(
         target -= update
         new_first[name] = m
         new_second[name] = v
-    return new_params, OptimizerState(new_first, new_second, t)
+    return new_params, OptimizerState(config, new_first, new_second, t)
 
 
 def _write_log(log: TextIO | None, step: int, loss: float, lr: float, pairs_seen: int) -> None:
@@ -162,11 +171,23 @@ def finetune_dual_encoder(
     ``sharded_bidirectional_loss``. Both sides are encoded with the same
     parameters. Resuming from a checkpointed (params, state) reproduces
     the unbroken run exactly; training continues from state.step_count
-    up to ``stop_step`` (default: the full configured horizon).
+    up to ``stop_step`` (default: the full configured horizon). A state
+    made under another config raises CheckpointError naming each field
+    that differs.
     """
     if not pair_corpus:
         raise ValueError("empty pair corpus")
-    state = state if state is not None else init_optimizer_state(params)
+    if state is None:
+        state = init_optimizer_state(params, config)
+    changed = [
+        f"{f.name}={getattr(state.config, f.name)!r} (this run: {getattr(config, f.name)!r})"
+        for f in fields(TrainConfig)
+        if getattr(state.config, f.name) != getattr(config, f.name)
+    ]
+    if changed:
+        raise CheckpointError(
+            "cannot resume: the optimizer state was trained with " + ", ".join(changed)
+        )
     stop = config.steps if stop_step is None else min(stop_step, config.steps)
     loss_cfg = config.loss_config()
     max_len = params.config.max_seq_len
@@ -191,7 +212,7 @@ def finetune_dual_encoder(
         backward_batch(params, cache_y, grad_through_normalization(cache_y, dvy), grads)
 
         lr_used = lr_at(config, t + 1)
-        params, state = optimizer_step(params, grads, state, config)
+        params, state = optimizer_step(params, grads, state)
         _write_log(log, state.step_count, loss_value, lr_used, state.step_count * config.batch_size)
         if (
             checkpoint_path is not None
@@ -200,6 +221,18 @@ def finetune_dual_encoder(
         ):
             save_checkpoint(params, state, checkpoint_path)
     return params, state
+
+
+def check_pretrain_options(mix: tuple[int, int], mask_fraction: float, mask_cap: int) -> None:
+    """Raise ValueError for an objective mix or a masking rule that
+    cannot make a training batch."""
+    mlm_share, tlm_share = mix
+    if mlm_share < 0 or tlm_share < 0 or mlm_share + tlm_share == 0:
+        raise ValueError(f"bad objective mix {mix!r}")
+    if not 0.0 < mask_fraction <= 1.0:
+        raise ValueError(f"mask fraction must be in (0, 1], got {mask_fraction!r}")
+    if mask_cap < 1:
+        raise ValueError(f"mask cap must be >= 1, got {mask_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +262,7 @@ def pretrain(
     one stage are duplicated to initialize the next. A fresh optimizer
     (and decay horizon) starts each stage.
     """
+    check_pretrain_options(mix, mask_fraction, mask_cap)
     if not stage_schedule:
         raise ValueError("stage schedule is empty")
     if len(params.layers) != stage_schedule[0].num_layers:
@@ -244,8 +278,6 @@ def pretrain(
     if not corpus and not pair_corpus:
         raise ValueError("pretraining needs monolingual sentences or pairs")
     mlm_share, tlm_share = mix
-    if mlm_share < 0 or tlm_share < 0 or mlm_share + tlm_share == 0:
-        raise ValueError(f"bad objective mix {mix!r}")
     if mlm_share and not corpus:
         raise ValueError("MLM batches requested but the monolingual corpus is empty")
     if tlm_share and not pair_corpus:
@@ -262,7 +294,7 @@ def pretrain(
         if len(params.layers) != stage.num_layers:
             params = stack_grow(params, stage.num_layers)
         stage_config = replace(config, steps=stage.steps)
-        state = init_optimizer_state(params)
+        state = init_optimizer_state(params, stage_config)
         for t in range(stage.steps):
             use_mlm = (t % cycle) < mlm_share
             stream = _STREAM_MLM if use_mlm else _STREAM_TLM
@@ -284,62 +316,90 @@ def pretrain(
                     f"pretraining loss diverged at stage {stage_idx} step {t + 1}"
                 )
             lr_used = lr_at(stage_config, t + 1)
-            params, state = optimizer_step(params, grads, state, stage_config)
+            params, state = optimizer_step(params, grads, state)
             global_step += 1
             _write_log(log, global_step, loss_value, lr_used, pairs_seen)
     return params
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: parameters plus optimizer state, exact round trip.
+# Checkpointing: parameters plus optimizer state, exact round trip. The
+# format is laid out in the module docstring.
 # ---------------------------------------------------------------------------
 
 
 def checkpoint_to_bytes(params: EncoderParams, state: OptimizerState | None) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(struct.pack("<I", _CKPT_VERSION))
-    buf.write(params_to_bytes(params))
-    if state is None:
-        buf.write(struct.pack("<B", 0))
-        return buf.getvalue()
-    buf.write(struct.pack("<B", 1))
-    buf.write(struct.pack("<Q", state.step_count))
-    for moments in (state.first_moment, state.second_moment):
-        for name, _ in params.named_arrays():
-            buf.write(np.ascontiguousarray(moments[name], dtype="<f8").tobytes())
-    return buf.getvalue()
+    cfg = params.config
+    dims = (cfg.vocab_size, cfg.hidden_dim, cfg.num_layers, cfg.max_seq_len, cfg.embed_dim)
+    chunks = [
+        _CKPT_MAGIC,
+        struct.pack("<I", _CKPT_VERSION),
+        struct.pack(_CKPT_HEAD, *dims, state is not None),
+    ]
+    tensors = [arr for _, arr in params.named_arrays()]
+    if state is not None:
+        chunks.append(struct.pack(_CKPT_STATE, state.step_count, *astuple(state.config)))
+        for moments in (state.first_moment, state.second_moment):
+            tensors.extend(moments[name] for name, _ in params.named_arrays())
+    chunks.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in tensors)
+    return b"".join(chunks)
 
 
 def save_checkpoint(params: EncoderParams, state: OptimizerState | None, path) -> None:
     atomic_write_bytes(path, checkpoint_to_bytes(params, state))
 
 
-def load_checkpoint(
-    path, expect_config: EncoderConfig | None = None
-) -> tuple[EncoderParams, OptimizerState | None]:
+class _Reader:
+    """Reads a checkpoint front to back. A read past the end raises
+    CheckpointError with its byte offset before anything is allocated, so
+    a corrupt header cannot ask for more memory than the file holds."""
+
+    def __init__(self, data: bytes, path: str):
+        self.data = data
+        self.pos = 0
+        self.path = path
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise CheckpointError(
+                f"{self.path}: truncated at byte offset {self.pos} "
+                f"(wanted {n} more bytes, file has {len(self.data)})"
+            )
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, layout: str) -> tuple:
+        return struct.unpack(layout, self.take(struct.calcsize(layout)))
+
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        return np.frombuffer(self.take(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+
+
+def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState | None]:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), str(path))
     if reader.take(4) != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic at byte offset 0")
-    version = reader.u32()
+    (version,) = reader.unpack("<I")
     if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    params = params_from_reader(reader)
-    if expect_config is not None and params.config != expect_config:
         raise CheckpointError(
-            f"{path}: checkpoint config {params.config} does not match expected {expect_config}"
+            f"{path}: unsupported checkpoint version {version} (expected {_CKPT_VERSION})"
         )
-    has_state = struct.unpack("<B", reader.take(1))[0]
+    *dims, has_state = reader.unpack(_CKPT_HEAD)
+    try:
+        encoder_config = EncoderConfig(*dims)
+        if has_state:
+            step_count, *train = reader.unpack(_CKPT_STATE)
+            train_config = TrainConfig(*train)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    params = EncoderParams.build(encoder_config, reader.array)
     state: OptimizerState | None = None
     if has_state:
-        step_count = struct.unpack("<Q", reader.take(8))[0]
-        first: dict[str, np.ndarray] = {}
-        second: dict[str, np.ndarray] = {}
-        for moments in (first, second):
-            for name, arr in params.named_arrays():
-                moments[name] = reader.array(arr.shape)
-        state = OptimizerState(first, second, step_count)
+        first = {name: reader.array(arr.shape) for name, arr in params.named_arrays()}
+        second = {name: reader.array(arr.shape) for name, arr in params.named_arrays()}
+        state = OptimizerState(train_config, first, second, step_count)
     if reader.pos != len(reader.data):
         raise CheckpointError(
             f"{path}: {len(reader.data) - reader.pos} trailing bytes at offset {reader.pos}"

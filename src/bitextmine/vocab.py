@@ -34,7 +34,6 @@ class Vocab:
     """Immutable-by-convention piece inventory with dense ids."""
 
     pieces: list[str]
-    continuation_marker: str = CONTINUATION_MARKER
     piece_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -60,15 +59,6 @@ class Vocab:
             return cls(pieces=pieces)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Token ids for one sentence after encoding preparation."""
-
-    ids: tuple[int, ...]
-    lang: str = ""
-    surface_len: int = 0
 
 
 def _word_symbols(word: str) -> tuple[str, ...]:
@@ -206,7 +196,6 @@ def word_tokens(word: str, vocab: Vocab) -> list[int]:
     Returns [UNK_ID] when any position fails to match.
     """
     table = vocab.piece_to_id
-    marker = vocab.continuation_marker
     ids: list[int] = []
     start = 0
     while start < len(word):
@@ -215,7 +204,7 @@ def word_tokens(word: str, vocab: Vocab) -> list[int]:
         while start < end:
             piece = word[start:end]
             if start > 0:
-                piece = marker + piece
+                piece = CONTINUATION_MARKER + piece
             tid = table.get(piece)
             if tid is not None:
                 found = tid
@@ -228,7 +217,7 @@ def word_tokens(word: str, vocab: Vocab) -> list[int]:
     return ids
 
 
-def tokenize(text: str, vocab: Vocab, max_len: int, lang: str = "") -> TokenSequence:
+def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[int, ...]:
     """Whitespace pre-split, wordpiece-match per word, wrap with CLS/SEP.
 
     Truncation keeps the first max_len-2 content tokens.
@@ -239,10 +228,9 @@ def tokenize(text: str, vocab: Vocab, max_len: int, lang: str = "") -> TokenSequ
     for word in text.split():
         content.extend(word_tokens(word, vocab))
     content = content[: max_len - 2]
-    ids = (CLS_ID, *content, SEP_ID)
-    return TokenSequence(ids=ids, lang=lang, surface_len=len(text))
+    return (CLS_ID, *content, SEP_ID)
 
 
-def tokenize_sentence(sentence: Sentence, vocab: Vocab, max_len: int) -> TokenSequence:
-    return tokenize(sentence.text, vocab, max_len, lang=sentence.lang)
+def tokenize_sentence(sentence: Sentence, vocab: Vocab, max_len: int) -> tuple[int, ...]:
+    return tokenize(sentence.text, vocab, max_len)
 

@@ -1,6 +1,6 @@
 """``bitextmine.cli.main`` on a small toy corpus: rejected flag values
-exit 1 (usage error), and ``report`` applies the mining selection rule
-to an existing pair file."""
+exit 1 (usage error), refused checkpoints exit 2 (data error), and
+``report`` applies the mining selection rule to an existing pair file."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import pytest
 from bitextmine import cli
 from bitextmine.corpus import SentencePair, format_pairs_tsv
 from bitextmine.toydata import make_toy_corpus
+from bitextmine.trainer import load_checkpoint
 
 
 def run(*argv):
@@ -43,14 +44,18 @@ def work(tmp_path_factory):
 def invalid_argv(d, case):
     out = d / "rejected.out"
     train = ["train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--steps", 2]
+    pretrain = [
+        "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--stage-steps", "2,2",
+    ]
     return out, {
         "train-shards": train + ["--shards", 3],
         "train-margin": train + ["--margin", 1.5],
         "train-lr": train + ["--lr", 0],
-        "pretrain-mix": [
-            "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out,
-            "--stage-steps", "2,2", "--mix", "0:x",
-        ],
+        "pretrain-mix": pretrain + ["--mix", "0:x"],
+        "pretrain-mix-zero": pretrain + ["--mix", "0:0"],
+        "pretrain-mask-fraction-high": pretrain + ["--mix", "0:1", "--mask-fraction", 1.5],
+        "pretrain-mask-fraction-zero": pretrain + ["--mask-fraction", 0],
+        "pretrain-mask-cap": pretrain + ["--mask-cap", 0],
         "mine-fraction": [
             "mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt",
             "--ckpt", d / "model.ckpt", "--out", out, "--fraction", 0,
@@ -60,13 +65,68 @@ def invalid_argv(d, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["train-shards", "train-margin", "train-lr", "pretrain-mix", "mine-fraction", "index-probes"]
+    "case",
+    [
+        "train-shards",
+        "train-margin",
+        "train-lr",
+        "pretrain-mix",
+        "pretrain-mix-zero",
+        "pretrain-mask-fraction-high",
+        "pretrain-mask-fraction-zero",
+        "pretrain-mask-cap",
+        "mine-fraction",
+        "index-probes",
+    ],
 )
 def test_invalid_flag_value_is_usage_error(work, case, capsys):
     out, argv = invalid_argv(work, case)
     assert run(*argv) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+    assert not (work / "rejected.out.log").exists()  # refused before the training log opens
+
+
+def test_version_1_checkpoint_is_data_error(work, capsys):
+    # version-1 files share the magic; the loader reads no further than the version
+    data = bytearray((work / "model.ckpt").read_bytes())
+    data[4:8] = (1).to_bytes(4, "little")
+    (work / "v1.ckpt").write_bytes(bytes(data))
+    argv = ["encode", "--input", work / "tgt.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "v1.ckpt"]
+    assert run(*argv, "--out", work / "v1.pool") == 2
+    assert "unsupported checkpoint version 1 (expected 2)" in capsys.readouterr().err
+    assert not (work / "v1.pool").exists()
+
+
+def resume_argv(d, *extra):
+    """Resume the fixture's checkpoint with the flags it was trained with, then ``extra``."""
+    return [
+        "train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--resume", d / "model.ckpt",
+        "--steps", 2, "--batch-size", 8, *extra, "--out", d / "resumed.ckpt",
+    ]
+
+
+def test_resume_with_the_same_flags_runs(work):
+    assert run(*resume_argv(work)) == 0
+    _, state = load_checkpoint(work / "resumed.ckpt")
+    assert state.step_count == 2
+
+
+@pytest.mark.parametrize(
+    "extra, stored",
+    [
+        (["--batch-size", 16], "batch_size=8"),
+        (["--seed", 2], "seed=0"),
+        (["--lr", 0.5], "learning_rate=0.001"),
+        (["--steps", 20], "steps=2"),
+    ],
+)
+def test_resume_with_other_training_flags_is_data_error(work, capsys, extra, stored):
+    (work / "resumed.ckpt").unlink(missing_ok=True)
+    assert run(*resume_argv(work, *extra)) == 2
+    err = capsys.readouterr().err
+    assert "cannot resume" in err and stored in err
+    assert not (work / "resumed.ckpt").exists()
 
 
 def test_report_on_unscored_pairs_is_data_error(work, capsys):

@@ -13,14 +13,12 @@ from bitextmine.encoder import (
     grad_through_normalization,
     init_params,
     mlm_loss_and_grad,
-    params_to_bytes,
     plan_masks,
     stack_grow,
     tlm_sequence,
     zeros_like_params,
 )
-from bitextmine.errors import CheckpointError
-from bitextmine.trainer import load_checkpoint, save_checkpoint
+from bitextmine.trainer import checkpoint_to_bytes
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
 
 
@@ -143,7 +141,7 @@ class TestStackGrow:
     def test_identity_when_target_equals_current(self):
         p = small_params(layers=2)
         grown = stack_grow(p, 2)
-        assert params_to_bytes(grown) == params_to_bytes(p)
+        assert checkpoint_to_bytes(grown, None) == checkpoint_to_bytes(p, None)
 
     def test_layer_cycling_order(self):
         p = small_params(layers=2)
@@ -254,13 +252,13 @@ class TestTlm:
         vocab = tlm_vocab()
         seq = tlm_sequence(make_pair("a", "b"), vocab, max_len=10)
         a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
-        assert seq.ids == (CLS_ID, a, SEP_ID, b, SEP_ID)
+        assert seq == (CLS_ID, a, SEP_ID, b, SEP_ID)
 
     def test_empty_target_reduces_to_mlm_layout(self):
         vocab = tlm_vocab()
         seq = tlm_sequence(make_pair("a a", ""), vocab, max_len=10)
         a = vocab.piece_to_id["a"]
-        assert seq.ids == (CLS_ID, a, a, SEP_ID)
+        assert seq == (CLS_ID, a, a, SEP_ID)
 
     def test_both_sides_empty_errors(self):
         with pytest.raises(ValueError):
@@ -269,16 +267,16 @@ class TestTlm:
     def test_truncation_trims_longer_segment(self):
         vocab = tlm_vocab()
         seq = tlm_sequence(make_pair("a a a a a a", "b b"), vocab, max_len=8)
-        assert len(seq.ids) == 8
+        assert len(seq) == 8
         b = vocab.piece_to_id["b"]
-        assert list(seq.ids).count(b) == 2  # short side survives
+        assert list(seq).count(b) == 2  # short side survives
 
     def test_no_language_hint_token(self):
         # every output id is CLS, SEP, or a plain content piece
         vocab = tlm_vocab()
         seq = tlm_sequence(make_pair("a b a", "b a"), vocab, max_len=16)
         allowed = {CLS_ID, SEP_ID, vocab.piece_to_id["a"], vocab.piece_to_id["b"]}
-        assert set(seq.ids) <= allowed
+        assert set(seq) <= allowed
 
     def test_tlm_batch_masks_across_both_segments(self):
         # pretrain's TLM batches: plan_masks over tlm_sequence layouts
@@ -288,51 +286,6 @@ class TestTlm:
         masked_targets = batch.target_ids[batch.mask_positions]
         assert vocab.piece_to_id["a"] in masked_targets
         assert vocab.piece_to_id["b"] in masked_targets
-
-
-class TestCheckpointFormat:
-    """The parameter block (``BXEN``) inside a params-only checkpoint
-    (``BXCK``, then a u32 version), as ``pretrain`` writes it."""
-
-    def test_roundtrip_bytes_identical(self, tmp_path):
-        p = small_params(seed=9)
-        path = tmp_path / "enc.bin"
-        save_checkpoint(p, None, path)
-        loaded, _ = load_checkpoint(path)
-        save_checkpoint(loaded, None, tmp_path / "enc2.bin")
-        assert (tmp_path / "enc.bin").read_bytes() == (tmp_path / "enc2.bin").read_bytes()
-        assert loaded.config == p.config
-
-    def test_truncated_file_reports_offset(self, tmp_path):
-        p = small_params()
-        path = tmp_path / "enc.bin"
-        save_checkpoint(p, None, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(CheckpointError, match="offset"):
-            load_checkpoint(path)
-
-    def test_version_1_file_rejected(self, tmp_path):
-        # version 1 held the same tensors for position-wise blocks
-        path = tmp_path / "enc.bin"
-        save_checkpoint(small_params(), None, path)
-        data = bytearray(path.read_bytes())
-        assert data[8:12] == b"BXEN"
-        data[12:16] = (1).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="version 1"):
-            load_checkpoint(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "enc.bin"
-        save_checkpoint(small_params(), None, path)
-        good = path.read_bytes()
-        for offset, what in ((0, "checkpoint"), (8, "encoder")):
-            data = bytearray(good)
-            data[offset : offset + 4] = b"NOPE"
-            path.write_bytes(bytes(data))
-            with pytest.raises(CheckpointError, match=f"bad {what} magic at byte offset {offset}"):
-                load_checkpoint(path)
 
 
 def test_zeros_like_params_shapes():

@@ -152,15 +152,17 @@ class TestSelection:
 
 class TestReport:
     def test_empty_run(self):
-        report = mining_report([], MiningConfig(), sources_processed=0)
+        report, selected = mining_report([], MiningConfig(), sources_processed=0)
+        assert selected == []
         assert report["pairs_emitted"] == 0
         assert report["pairs_post_dedup"] == 0
         assert report["pairs_post_selection"] == 0
 
     def test_selection_count(self):
         pairs = [pair(str(i), "t", i / 10, n=i) for i in range(10)]
-        report = mining_report(pairs, MiningConfig(selection_fraction=0.2), sources_processed=10)
+        report, selected = mining_report(pairs, MiningConfig(selection_fraction=0.2), sources_processed=10)
         assert report["pairs_post_selection"] == 2
+        assert selected == pairs[8:]
         assert report["sources_processed"] == 10
 
     def test_histogram_partitions_pairs(self):

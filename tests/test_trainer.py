@@ -1,10 +1,11 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bitextmine.encoder import EncoderConfig, encode, init_params, params_to_bytes
+from bitextmine.encoder import EncoderConfig, encode, init_params
 from bitextmine.errors import CheckpointError, NumericalError
 from bitextmine.trainer import (
     OptimizerState,
@@ -40,10 +41,9 @@ def grads_like(params, fill=0.0):
 class TestOptimizerStep:
     def test_zero_gradient_no_decay_leaves_params(self):
         p = small_setup()
-        state = init_optimizer_state(p)
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.0)
-        p2, state2 = optimizer_step(p, grads_like(p), state, cfg)
-        assert params_to_bytes(p2) == params_to_bytes(p)
+        p2, state2 = optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
+        assert checkpoint_to_bytes(p2, None) == checkpoint_to_bytes(p, None)
         assert state2.step_count == 1
 
     def test_single_step_on_quadratic_decreases_magnitude(self):
@@ -53,13 +53,13 @@ class TestOptimizerStep:
         g = grads_like(p)
         g.output_bias[:] = 1.0
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1)
-        p2, _ = optimizer_step(p, g, init_optimizer_state(p), cfg)
+        p2, _ = optimizer_step(p, g, init_optimizer_state(p, cfg))
         assert abs(p2.output_bias[0]) < 1.0
 
     def test_decoupled_decay_shrinks_params(self):
         p = small_setup()
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.5)
-        p2, _ = optimizer_step(p, grads_like(p), init_optimizer_state(p), cfg)
+        p2, _ = optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
         before = np.linalg.norm(p.token_embeddings)
         after = np.linalg.norm(p2.token_embeddings)
         assert after < before
@@ -76,7 +76,7 @@ class TestOptimizerStep:
         g = grads_like(p, fill=float("nan"))
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1)
         with pytest.raises(NumericalError):
-            optimizer_step(p, g, init_optimizer_state(p), cfg)
+            optimizer_step(p, g, init_optimizer_state(p, cfg))
 
 
 class TestFinetune:
@@ -87,7 +87,7 @@ class TestFinetune:
     def test_deterministic_trajectories(self, toy_small, toy_vocab, toy_encoder_config):
         a, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=12, seed=3)
         b, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=12, seed=3)
-        assert params_to_bytes(a) == params_to_bytes(b)
+        assert checkpoint_to_bytes(a, None) == checkpoint_to_bytes(b, None)
 
     def test_shared_encoder_same_embedding_for_both_roles(self, toy_small, toy_vocab, toy_encoder_config):
         params, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=5)
@@ -98,7 +98,7 @@ class TestFinetune:
         a, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=8, shards=1)
         b, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=8, shards=4)
         # the sharded loss equals the unsharded one, so trajectories agree
-        assert params_to_bytes(a) == params_to_bytes(b)
+        assert checkpoint_to_bytes(a, None) == checkpoint_to_bytes(b, None)
 
     def test_training_log_format(self, toy_small, toy_vocab, toy_encoder_config):
         log = io.StringIO()
@@ -203,18 +203,20 @@ class TestPretrain:
         runs = []
         for _ in range(2):
             params = init_params(toy_encoder_config, 4)
-            runs.append(
-                params_to_bytes(
-                    pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
-                )
-            )
+            trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
+            runs.append(checkpoint_to_bytes(trained, None))
         assert runs[0] == runs[1]
 
 
 class TestCheckpoint:
+    """The one checkpoint format: ``BXCK``, u32 version 2, the encoder
+    config, a state flag with the step count and TrainConfig, then the
+    float64 tensors."""
+
     def test_roundtrip_byte_identical(self, tmp_path):
         p = small_setup(seed=3)
-        state = init_optimizer_state(p)
+        cfg = TrainConfig(batch_size=16, steps=40, learning_rate=0.25, seed=-3, weight_decay=0.5)
+        state = init_optimizer_state(p, cfg)
         state.step_count = 17
         for name in state.first_moment:
             state.first_moment[name][:] = 0.5
@@ -224,35 +226,71 @@ class TestCheckpoint:
         save_checkpoint(p2, state2, tmp_path / "ck2.bin")
         assert path.read_bytes() == (tmp_path / "ck2.bin").read_bytes()
         assert state2.step_count == 17
+        assert state2.config == cfg
 
     def test_params_only_checkpoint(self, tmp_path):
         p = small_setup(seed=4)
         save_checkpoint(p, None, tmp_path / "ck.bin")
         p2, state = load_checkpoint(tmp_path / "ck.bin")
         assert state is None
-        assert params_to_bytes(p2) == params_to_bytes(p)
+        assert p2.config == p.config
+        assert checkpoint_to_bytes(p2, None) == checkpoint_to_bytes(p, None)
+        assert checkpoint_to_bytes(p2, None) == (tmp_path / "ck.bin").read_bytes()
 
-    def test_mismatched_config_rejected(self, tmp_path):
-        p = small_setup(seed=5)
-        save_checkpoint(p, None, tmp_path / "ck.bin")
-        other = EncoderConfig(vocab_size=99, hidden_dim=8, num_layers=2, max_seq_len=16)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "ck.bin", expect_config=other)
+    def test_mismatched_config_rejected(self, toy_small, toy_vocab, toy_encoder_config, tmp_path):
+        # a resumed run must use the TrainConfig its optimizer state was made under
+        cfg = TrainConfig(batch_size=16, steps=10, learning_rate=1e-3, seed=1)
+        params, state = finetune_dual_encoder(
+            init_params(toy_encoder_config, 7), toy_small.train_pairs, cfg, toy_vocab, stop_step=4
+        )
+        save_checkpoint(params, state, tmp_path / "ck.bin")
+        params, state = load_checkpoint(tmp_path / "ck.bin")
+        for field, other in (
+            ("batch_size", replace(cfg, batch_size=8)),
+            ("steps", replace(cfg, steps=20)),
+            ("seed", replace(cfg, seed=2)),
+        ):
+            with pytest.raises(CheckpointError, match=f"{field}={getattr(cfg, field)!r}"):
+                finetune_dual_encoder(params, toy_small.train_pairs, other, toy_vocab, state=state)
 
-    def test_wrapped_encoder_version_1_rejected(self, tmp_path):
-        data = bytearray(checkpoint_to_bytes(small_setup(seed=8), None))
-        assert data[8:12] == b"BXEN"
-        data[12:16] = (1).to_bytes(4, "little")
+    def test_bad_magic(self, tmp_path):
+        data = bytearray(checkpoint_to_bytes(small_setup(), None))
+        data[0:4] = b"NOPE"
         (tmp_path / "ck.bin").write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match="bad checkpoint magic at byte offset 0"):
+            load_checkpoint(tmp_path / "ck.bin")
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version-1 files share the magic; the loader reads no further than the version
+        data = bytearray(checkpoint_to_bytes(small_setup(seed=8), None))
+        data[4:8] = (1).to_bytes(4, "little")
+        (tmp_path / "ck.bin").write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 2\)"):
             load_checkpoint(tmp_path / "ck.bin")
 
     def test_truncation_reports_offset(self, tmp_path):
         p = small_setup(seed=6)
-        save_checkpoint(p, init_optimizer_state(p), tmp_path / "ck.bin")
+        save_checkpoint(p, init_optimizer_state(p, TrainConfig()), tmp_path / "ck.bin")
         raw = (tmp_path / "ck.bin").read_bytes()
-        (tmp_path / "ck.bin").write_bytes(raw[:-20])
-        with pytest.raises(CheckpointError, match="offset"):
+        for cut in (20, len(raw) // 2):
+            (tmp_path / "ck.bin").write_bytes(raw[:-cut])
+            with pytest.raises(CheckpointError, match="truncated at byte offset"):
+                load_checkpoint(tmp_path / "ck.bin")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = small_setup(seed=6)
+        for state in (None, init_optimizer_state(p, TrainConfig())):
+            raw = checkpoint_to_bytes(p, state)
+            (tmp_path / "ck.bin").write_bytes(raw + b"\0")
+            with pytest.raises(CheckpointError, match=f"1 trailing bytes at offset {len(raw)}"):
+                load_checkpoint(tmp_path / "ck.bin")
+
+    def test_oversized_header_reads_no_further_than_the_file(self, tmp_path):
+        # a header claiming 2**31 tokens must fail as truncated, not allocate
+        data = bytearray(checkpoint_to_bytes(small_setup(), None))
+        data[8:12] = (2**31).to_bytes(4, "little")
+        (tmp_path / "ck.bin").write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated at byte offset 29"):
             load_checkpoint(tmp_path / "ck.bin")
 
     def test_resume_matches_unbroken_run_step_for_step(self, toy_small, toy_vocab, toy_encoder_config, tmp_path):
@@ -261,22 +299,22 @@ class TestCheckpoint:
         params = init_params(toy_encoder_config, 7)
         state = None
         params, state = finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state, stop_step=10)
-        unbroken = [params_to_bytes(params)]
+        unbroken = [checkpoint_to_bytes(params, None)]
         ref_params, ref_state = params, state
         for stop in range(11, 21):
             ref_params, ref_state = finetune_dual_encoder(
                 ref_params, toy_small.train_pairs, cfg, toy_vocab, state=ref_state, stop_step=stop
             )
-            unbroken.append(params_to_bytes(ref_params))
+            unbroken.append(checkpoint_to_bytes(ref_params, None))
         # serialize at step 10, reload, and continue step by step
         save_checkpoint(params, state, tmp_path / "mid.bin")
         res_params, res_state = load_checkpoint(tmp_path / "mid.bin")
-        resumed = [params_to_bytes(res_params)]
+        resumed = [checkpoint_to_bytes(res_params, None)]
         for stop in range(11, 21):
             res_params, res_state = finetune_dual_encoder(
                 res_params, toy_small.train_pairs, cfg, toy_vocab, state=res_state, stop_step=stop
             )
-            resumed.append(params_to_bytes(res_params))
+            resumed.append(checkpoint_to_bytes(res_params, None))
         assert resumed == unbroken
 
 

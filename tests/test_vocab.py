@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from bitextmine.corpus import Sentence
 from bitextmine.vocab import (
     CLS_ID,
+    CONTINUATION_MARKER,
     MASK_ID,
     PAD_ID,
     SEP_ID,
@@ -113,46 +114,46 @@ class TestTokenize:
     def test_greedy_longest_match(self):
         vocab = manual_vocab(["a", "ab", "##c"])
         seq = tokenize("abc", vocab, max_len=8)
-        assert seq.ids == (CLS_ID, vocab.piece_to_id["ab"], vocab.piece_to_id["##c"], SEP_ID)
+        assert seq == (CLS_ID, vocab.piece_to_id["ab"], vocab.piece_to_id["##c"], SEP_ID)
 
     def test_empty_text(self):
         vocab = manual_vocab(["a"])
-        assert tokenize("", vocab, 8).ids == (CLS_ID, SEP_ID)
+        assert tokenize("", vocab, 8) == (CLS_ID, SEP_ID)
 
     def test_out_of_alphabet_is_unk(self):
         vocab = manual_vocab(["a"])
-        assert tokenize("☃", vocab, 8).ids == (CLS_ID, UNK_ID, SEP_ID)
+        assert tokenize("☃", vocab, 8) == (CLS_ID, UNK_ID, SEP_ID)
 
     def test_partial_match_failure_is_single_unk(self):
         vocab = manual_vocab(["a"])  # "ab" starts matching then fails on b
-        assert tokenize("ab", vocab, 8).ids == (CLS_ID, UNK_ID, SEP_ID)
+        assert tokenize("ab", vocab, 8) == (CLS_ID, UNK_ID, SEP_ID)
 
     def test_truncation_keeps_first_tokens(self):
         vocab = manual_vocab(["a"])
         seq = tokenize("a a a a a a", vocab, max_len=4)
-        assert len(seq.ids) == 4
-        assert seq.ids[0] == CLS_ID and seq.ids[-1] == SEP_ID
+        assert len(seq) == 4
+        assert seq[0] == CLS_ID and seq[-1] == SEP_ID
 
     def test_never_emits_pad_or_mask(self):
         vocab = manual_vocab(["a", "b", "##a"])
         seq = tokenize("aa bb ☃", vocab, 16)
-        assert PAD_ID not in seq.ids and MASK_ID not in seq.ids
+        assert PAD_ID not in seq and MASK_ID not in seq
 
     def test_max_len_bound(self):
         vocab = manual_vocab(["a"])
         for max_len in (3, 4, 7):
-            assert len(tokenize("a " * 30, vocab, max_len).ids) <= max_len
+            assert len(tokenize("a " * 30, vocab, max_len)) <= max_len
 
     def test_case_preserved(self):
         vocab = manual_vocab(["A", "a"])
         seq = tokenize("A a", vocab, 8)
-        assert seq.ids[1] == vocab.piece_to_id["A"]
-        assert seq.ids[2] == vocab.piece_to_id["a"]
+        assert seq[1] == vocab.piece_to_id["A"]
+        assert seq[2] == vocab.piece_to_id["a"]
 
 
 def rebuild_words(ids, vocab):
     """Join the pieces of ``ids`` between CLS and SEP back into words."""
-    marker = vocab.continuation_marker
+    marker = CONTINUATION_MARKER
     words: list[str] = []
     for tid in ids[1:-1]:
         piece = vocab.pieces[tid]
@@ -168,13 +169,13 @@ class TestDetokenize:
 
     def test_inverse_of_tokenize_example(self):
         vocab = manual_vocab(["a", "ab", "##c"])
-        assert rebuild_words(tokenize("abc", vocab, 8).ids, vocab) == ["abc"]
+        assert rebuild_words(tokenize("abc", vocab, 8), vocab) == ["abc"]
 
     def test_empty(self):
         vocab = manual_vocab(["a"])
         seq = tokenize("", vocab, 8)
-        assert list(seq.ids) == [CLS_ID, SEP_ID]
-        assert rebuild_words(seq.ids, vocab) == []
+        assert list(seq) == [CLS_ID, SEP_ID]
+        assert rebuild_words(seq, vocab) == []
 
     @given(
         st.lists(
@@ -188,8 +189,8 @@ class TestDetokenize:
         vocab = build_vocab(corp, target_size=200)
         text = " ".join(words)
         seq = tokenize(text, vocab, max_len=64)
-        assert UNK_ID not in seq.ids
-        assert rebuild_words(seq.ids, vocab) == text.split()
+        assert UNK_ID not in seq
+        assert rebuild_words(seq, vocab) == text.split()
 
 
 def test_vocab_rejects_bad_specials():
