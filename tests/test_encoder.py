@@ -18,7 +18,8 @@ from bitextmine.encoder import (
     tlm_sequence,
     zeros_like_params,
 )
-from bitextmine.trainer import checkpoint_to_bytes
+from bitextmine.errors import CheckpointError
+from bitextmine.trainer import checkpoint_to_bytes, load_checkpoint, save_checkpoint
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
 
 
@@ -286,6 +287,40 @@ class TestTlm:
         masked_targets = batch.target_ids[batch.mask_positions]
         assert vocab.piece_to_id["a"] in masked_targets
         assert vocab.piece_to_id["b"] in masked_targets
+
+
+class TestCheckpointFormat:
+    """A params-only checkpoint (``BXCK``, u32 version 2, the encoder
+    config, a zero state flag, then the float64 tensors), as ``pretrain``
+    writes it and ``encode`` reads it."""
+
+    def test_roundtrip_bytes_identical(self, tmp_path):
+        p = small_params(seed=9)
+        path = tmp_path / "enc.bin"
+        save_checkpoint(p, None, path)
+        loaded, _ = load_checkpoint(path)
+        save_checkpoint(loaded, None, tmp_path / "enc2.bin")
+        assert (tmp_path / "enc.bin").read_bytes() == (tmp_path / "enc2.bin").read_bytes()
+        assert loaded.config == p.config
+
+    def test_truncated_file_reports_offset(self, tmp_path):
+        p = small_params()
+        path = tmp_path / "enc.bin"
+        save_checkpoint(p, None, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointError, match="truncated at byte offset"):
+            load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version-1 files share the magic; the loader reads no further than the version
+        path = tmp_path / "enc.bin"
+        save_checkpoint(small_params(), None, path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 2\)"):
+            load_checkpoint(path)
 
 
 def test_zeros_like_params_shapes():
