@@ -239,6 +239,7 @@ def cmd_train(args) -> None:
     from .encoder import EncoderConfig, init_params
     from .trainer import (
         TrainConfig,
+        check_resumable,
         finetune_dual_encoder,
         load_checkpoint,
         save_checkpoint,
@@ -264,6 +265,7 @@ def cmd_train(args) -> None:
         params, state = load_checkpoint(args.resume)
         if state is None:
             raise DataError(f"{args.resume}: checkpoint has no optimizer state to resume")
+        check_resumable(state, config)  # before the log is opened
     elif args.init:
         params = _load_encoder(args.init)
     else:
@@ -336,14 +338,17 @@ def cmd_index(args) -> None:
 def cmd_search(args) -> None:
     started = time.time()
     from .fileio import atomic_write_text
-    from .vecindex import load_index, read_pool, search
+    from .vecindex import check_k, load_index, read_pool, search
 
+    with _flag_values():
+        check_k(args.k)
     index = load_index(args.index)
     queries, qids = read_pool(args.queries)
-    rows = []
-    for qid, q in zip(qids, queries):
-        for rid, score in search(index, q, k=args.k):
-            rows.append(f"{qid}\t{rid}\t{score:.6f}")
+    rows = [
+        f"{qid}\t{rid}\t{score:.6f}"
+        for qid, top in zip(qids, search(index, queries, k=args.k))
+        for rid, score in top
+    ]
     atomic_write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
     _log(f"search: {len(qids)} queries -> {args.out}")
     _write_manifest("search", args, [args.queries, str(args.queries) + ".ids"], [args.out], started)
@@ -465,8 +470,10 @@ def cmd_eval_bucc(args) -> None:
         read_gold_tsv,
         write_metrics_report,
     )
-    from .vecindex import build
+    from .vecindex import build, check_k
 
+    with _flag_values():
+        check_k(args.k)
     gold = read_gold_tsv(args.gold)
     if args.candidates:
         candidates = read_candidates_tsv(args.candidates)

@@ -65,13 +65,14 @@ def p_at_1(
     """Fraction of gold sources whose top-1 retrieved id is the gold target."""
     if not gold.pairs:
         raise ValueError("empty gold alignment")
-    hits = 0
-    for src_id, tgt_id in sorted(gold.pairs):
+    pairs = sorted(gold.pairs)
+    for src_id, _ in pairs:
         if src_id not in src_embeddings:
             raise DataError(f"no embedding for gold source {src_id!r}")
-        top_id, _ = search(tgt_index, src_embeddings[src_id], k=1)[0]
-        hits += top_id == tgt_id
-    return hits / len(gold.pairs)
+    queries = np.stack([src_embeddings[src_id] for src_id, _ in pairs])
+    tops = search(tgt_index, queries, k=1)
+    hits = sum(top[0][0] == tgt_id for top, (_, tgt_id) in zip(tops, pairs))
+    return hits / len(pairs)
 
 
 @dataclass
@@ -169,11 +170,11 @@ def bucc_candidates(
     k: int = 1,
 ) -> list[tuple[str, str, float]]:
     """Nearest-neighbor candidate generation: top-k targets per source."""
-    out: list[tuple[str, str, float]] = []
-    for src_id in sorted(src_embeddings):
-        for tgt_id, score in search(tgt_index, src_embeddings[src_id], k=k):
-            out.append((src_id, tgt_id, score))
-    return out
+    src_ids = sorted(src_embeddings)
+    if not src_ids:
+        return []
+    tops = search(tgt_index, np.stack([src_embeddings[i] for i in src_ids]), k=k)
+    return [(src_id, tgt_id, score) for src_id, top in zip(src_ids, tops) for tgt_id, score in top]
 
 
 def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -62,14 +62,16 @@ def mine(
     above the similarity threshold, in source input order."""
     if len(tgt_index) == 0:
         raise ValueError("target pool is empty")
+    if not src_sentences:
+        return []
     max_len = params.config.max_seq_len
-    out: list[SentencePair] = []
-    for sent in src_sentences:
-        vec = encode(params, tokenize_sentence(sent, vocab, max_len))
-        for tgt_id, score in search(tgt_index, vec, k=config.neighbors_k):
-            if score >= config.similarity_threshold:
-                out.append(SentencePair(src=sent, tgt=tgt_lookup[tgt_id], score=score))
-    return out
+    vectors = np.stack([encode(params, tokenize_sentence(s, vocab, max_len)) for s in src_sentences])
+    return [
+        SentencePair(src=sent, tgt=tgt_lookup[tgt_id], score=score)
+        for sent, top in zip(src_sentences, search(tgt_index, vectors, k=config.neighbors_k))
+        for tgt_id, score in top
+        if score >= config.similarity_threshold
+    ]
 
 
 def dedup(pairs: Sequence[SentencePair]) -> list[SentencePair]:

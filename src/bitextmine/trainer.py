@@ -89,6 +89,8 @@ class TrainConfig:
             )
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.loss_config()  # LossConfig checks margin and scale
 
     def loss_config(self) -> LossConfig:
@@ -152,6 +154,20 @@ def _write_log(log: TextIO | None, step: int, loss: float, lr: float, pairs_seen
         log.write(f"step={step} loss={loss:.6f} lr={lr:.8f} pairs_seen={pairs_seen}\n")
 
 
+def check_resumable(state: OptimizerState, config: TrainConfig) -> None:
+    """Raise CheckpointError naming each field in which the config the
+    state was trained with differs from ``config``."""
+    changed = [
+        f"{f.name}={getattr(state.config, f.name)!r} (this run: {getattr(config, f.name)!r})"
+        for f in fields(TrainConfig)
+        if getattr(state.config, f.name) != getattr(config, f.name)
+    ]
+    if changed:
+        raise CheckpointError(
+            "cannot resume: the optimizer state was trained with " + ", ".join(changed)
+        )
+
+
 def finetune_dual_encoder(
     params: EncoderParams,
     pair_corpus: Sequence[SentencePair],
@@ -179,15 +195,7 @@ def finetune_dual_encoder(
         raise ValueError("empty pair corpus")
     if state is None:
         state = init_optimizer_state(params, config)
-    changed = [
-        f"{f.name}={getattr(state.config, f.name)!r} (this run: {getattr(config, f.name)!r})"
-        for f in fields(TrainConfig)
-        if getattr(state.config, f.name) != getattr(config, f.name)
-    ]
-    if changed:
-        raise CheckpointError(
-            "cannot resume: the optimizer state was trained with " + ", ".join(changed)
-        )
+    check_resumable(state, config)
     stop = config.steps if stop_step is None else min(stop_step, config.steps)
     loss_cfg = config.loss_config()
     max_len = params.config.max_seq_len

@@ -1,13 +1,24 @@
 """Exact and partitioned (inverted-file) cosine-similarity search over
 unit-norm embedding pools.
 
+``search`` takes a block of queries, one per row, and returns each
+row's top-k. It scores the queries in chunks of ``QUERY_CHUNK`` rows,
+each row with one matrix-vector product against the whole pool, so a
+row's scores do not depend on the block it came in. A max (k = 1) or a
+partition finds each row's k-th best score; only the columns at or
+above it are ordered by (score descending, id ascending), so ties at
+the boundary are decided by id, never by position.
+
 Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
 initialization from a seeded start, fixed iteration count, empty
-clusters re-seeded from the largest cluster's farthest member. Searches
-probe the P clusters whose centroids best match the query and rank the
-gathered candidates by exact cosine, so approximation only ever affects
-the candidate set, never a reported score.
+clusters re-seeded from the largest cluster's farthest member. A search
+picks the P clusters whose centroids best match the query (the same
+top-k rule, ties to the lower cluster index) and masks out every row
+outside them. It scores the whole pool first, so the scores it reports
+are the exact-mode ones and approximation only ever affects the
+candidate set, never a reported score or a tie: the clusters prune
+candidates, not arithmetic.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a companion file, one per line. An
@@ -28,6 +39,7 @@ EXACT = "exact"
 PARTITIONED = "partitioned"
 
 _UNIT_ATOL = 1e-4  # float32 round-trips denormalize unit rows slightly
+QUERY_CHUNK = 256  # query rows scored at once: a 4 MB block against 2000 rows
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,8 @@ class IndexConfig:
             raise ValueError(f"probes must be in [1, {self.clusters}], got {self.probes}")
         if self.kmeans_iters < 1:
             raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -54,14 +68,21 @@ class VectorIndex:
     id_rank: np.ndarray  # rank of each row's id in ascending id order
     config: IndexConfig | None = None
     centroids: np.ndarray | None = None  # (C, d) unit-norm
-    assignments: list[np.ndarray] | None = None  # member row indices per centroid
+    cluster_of: np.ndarray | None = None  # (M,) cluster index of each row
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
+    @property
+    def assignments(self) -> list[np.ndarray] | None:
+        """Member row indices per centroid."""
+        if self.cluster_of is None:
+            return None
+        return [np.flatnonzero(self.cluster_of == c) for c in range(len(self.centroids))]
+
 
 def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError(f"pool must be a non-empty M x d matrix, got {vectors.shape}")
     if len(ids) != vectors.shape[0]:
@@ -137,7 +158,6 @@ def build(
     for c in range(config.clusters):
         if not np.any(assign == c):
             _respawn_centroid(vectors, assign, centroids, c)
-    assignments = [np.flatnonzero(assign == c) for c in range(config.clusters)]
     return VectorIndex(
         mode=PARTITIONED,
         vectors=vectors,
@@ -145,56 +165,104 @@ def build(
         id_rank=id_rank,
         config=config,
         centroids=centroids,
-        assignments=assignments,
+        cluster_of=assign,
     )
 
 
-def _rank_candidates(
-    index: VectorIndex, candidates: np.ndarray, query: np.ndarray, k: int
-) -> list[tuple[str, float]]:
-    scores = index.vectors[candidates] @ query
-    order = np.lexsort((index.id_rank[candidates], -scores))[:k]
-    return [(index.ids[candidates[i]], float(scores[i])) for i in order]
+def check_k(k: int) -> None:
+    """Raise ValueError unless k asks for at least one neighbour."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _scores(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(n, M) cosines of each block row against each matrix row.
+
+    The stacked product runs one matrix-vector product per row, so row i
+    is bit-equal to ``matrix @ block[i]`` whatever the block holds."""
+    return np.matmul(block[:, None, :], matrix.T)[:, 0, :]
+
+
+def _top_k(scores: np.ndarray, k: int, tie_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best k columns of each row of ``scores`` by (score descending,
+    tie_rank ascending), as flat (row, column) arrays in row order, each
+    row's columns best first. A score of -inf excludes its column, so a
+    row with fewer other columns returns fewer than k."""
+    k = min(k, scores.shape[1])
+    kth = scores.max(axis=1) if k == 1 else np.partition(scores, -k, axis=1)[:, -k]
+    # every column at or above the k-th best stays in, so boundary ties are
+    # settled by the tie rank; the floor keeps -inf out when kth is -inf
+    keep = scores >= np.maximum(kth, np.finfo(scores.dtype).min)[:, None]
+    rows, cols = np.nonzero(keep)
+    order = np.lexsort((tie_rank[cols], -scores[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
+    best = rank_in_row < k
+    return rows[best], cols[best]
+
+
+def _mask_unprobed(index: VectorIndex, block: np.ndarray, scores: np.ndarray, probes: int) -> None:
+    """Set to -inf, in place, the scores of the rows outside each query's
+    ``probes`` best clusters."""
+    assert index.centroids is not None and index.cluster_of is not None
+    clusters = index.centroids.shape[0]
+    rows, cols = _top_k(_scores(index.centroids, block), probes, np.arange(clusters))
+    unprobed = np.ones((block.shape[0], clusters), dtype=bool)
+    unprobed[rows, cols] = False
+    excluded = unprobed[:, index.cluster_of]
+    if excluded.all(axis=1).any():
+        raise ValueError("probed clusters are empty")
+    np.putmask(scores, excluded, -np.inf)
 
 
 def search(
-    index: VectorIndex, query: np.ndarray, k: int, probes: int | None = None
-) -> list[tuple[str, float]]:
-    """Top-k (id, cosine) by descending score, ties broken by ascending id.
+    index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None
+) -> list[list[tuple[str, float]]]:
+    """Top-k (id, cosine) of each query row, by descending score with ties
+    broken by ascending id.
 
-    Exact mode scans everything; partitioned mode scans the ``probes``
-    best-matching clusters (defaults to the build config). Returns
+    ``queries`` is an (n, d) block; pass ``q[None]`` for one query. Exact
+    mode scans everything; partitioned mode scans the ``probes``
+    best-matching clusters (defaults to the build config). Each row gets
     min(k, candidates) results; scores are exact cosines.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     if len(index) == 0:
         raise ValueError("search on an empty index")
-    query = np.asarray(query, dtype=np.float64)
-    if index.mode == EXACT:
-        return _rank_candidates(index, np.arange(len(index)), query, k)
-    assert index.centroids is not None and index.assignments is not None and index.config
-    p = index.config.probes if probes is None else probes
-    if not (1 <= p <= index.config.clusters):
-        raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
-    centroid_scores = index.centroids @ query
-    probe_order = np.lexsort((np.arange(len(centroid_scores)), -centroid_scores))[:p]
-    candidates = np.concatenate([index.assignments[c] for c in probe_order])
-    if candidates.size == 0:
-        raise ValueError("probed clusters are empty")
-    return _rank_candidates(index, candidates, query, k)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.vectors.shape[1]:
+        raise ValueError(f"queries must be an n x {index.vectors.shape[1]} block, got {queries.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")  # a NaN row would match nothing
+    p = None
+    if index.mode == PARTITIONED:
+        assert index.config is not None
+        p = index.config.probes if probes is None else probes
+        if not (1 <= p <= index.config.clusters):
+            raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
+    results: list[list[tuple[str, float]]] = []
+    for start in range(0, queries.shape[0], QUERY_CHUNK):
+        block = queries[start : start + QUERY_CHUNK]
+        scores = _scores(index.vectors, block)
+        if p is not None:
+            _mask_unprobed(index, block, scores, p)
+        rows, cols = _top_k(scores, k, index.id_rank)
+        bounds = np.searchsorted(rows, np.arange(block.shape[0] + 1)).tolist()
+        names = [index.ids[c] for c in cols.tolist()]
+        values = scores[rows, cols].tolist()
+        results.extend(
+            list(zip(names[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])
+        )
+    return results
 
 
 def recall_vs_exact(index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None) -> float:
     """Fraction of queries whose exact top-1 appears in the index's top-k."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    hits = 0
-    for q in queries:
-        scores = index.vectors @ q
-        best = int(np.lexsort((index.id_rank, -scores))[0])
-        truth = index.ids[best]
-        got = {name for name, _ in search(index, q, k, probes=probes)}
-        hits += truth in got
+    every_cluster = index.config.clusters if index.mode == PARTITIONED else None
+    truth = search(index, queries, 1, probes=every_cluster)
+    got = search(index, queries, k, probes=probes)
+    hits = sum(best[0][0] in {name for name, _ in top} for best, top in zip(truth, got))
     return hits / queries.shape[0]
 
 
@@ -250,13 +318,10 @@ def save_index(index: VectorIndex, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_pool(directory / "vectors.pool", index.vectors, index.ids)
     if index.mode == PARTITIONED:
-        assert index.centroids is not None and index.assignments is not None
+        assert index.centroids is not None and index.cluster_of is not None
         write_pool(directory / "centroids.pool", index.centroids)
-        assign = np.empty(len(index), dtype=np.int64)
-        for c, members in enumerate(index.assignments):
-            assign[members] = c
         atomic_write_text(
-            directory / "assignments.txt", "\n".join(str(c) for c in assign) + "\n"
+            directory / "assignments.txt", "\n".join(str(c) for c in index.cluster_of) + "\n"
         )
         cfg = index.config
         assert cfg is not None
@@ -285,13 +350,16 @@ def load_index(directory: str | Path) -> VectorIndex:
         seed=int(cfg_map["seed"]),
     )
     centroids, _ = read_pool(directory / "centroids.pool", with_ids=False)
+    if centroids.shape != (config.clusters, vectors.shape[1]):
+        raise DataError(f"{directory}: centroids of shape {centroids.shape} for {config.clusters} clusters")
     assign = np.array(
         [int(x) for x in (directory / "assignments.txt").read_text().split()],
         dtype=np.int64,
     )
     if assign.size != len(ids):
         raise DataError(f"{directory}: assignment count {assign.size} != pool size {len(ids)}")
-    assignments = [np.flatnonzero(assign == c) for c in range(config.clusters)]
+    if assign.size and not (0 <= assign.min() and assign.max() < config.clusters):
+        raise DataError(f"{directory}: assignments outside [0, {config.clusters})")
     return VectorIndex(
         mode=PARTITIONED,
         vectors=vectors,
@@ -299,5 +367,5 @@ def load_index(directory: str | Path) -> VectorIndex:
         id_rank=id_rank,
         config=config,
         centroids=centroids,
-        assignments=assignments,
+        cluster_of=assign,
     )

@@ -1,5 +1,6 @@
 """``bitextmine.cli.main`` on a small toy corpus: rejected flag values
-exit 1 (usage error), refused checkpoints exit 2 (data error), and
+exit 1 (usage error), refused checkpoints exit 2 (data error), ``search``
+writes the library's results for an exact and a partitioned index, and
 ``report`` applies the mining selection rule to an existing pair file."""
 
 import json
@@ -11,6 +12,7 @@ from bitextmine import cli
 from bitextmine.corpus import SentencePair, format_pairs_tsv
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
+from bitextmine.vecindex import load_index, read_pool, search
 
 
 def run(*argv):
@@ -47,20 +49,31 @@ def invalid_argv(d, case):
     pretrain = [
         "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--stage-steps", "2,2",
     ]
+    mine = [
+        "mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt",
+        "--ckpt", d / "model.ckpt", "--out", out,
+    ]
     return out, {
         "train-shards": train + ["--shards", 3],
         "train-margin": train + ["--margin", 1.5],
         "train-lr": train + ["--lr", 0],
+        "train-seed": train + ["--seed", -1],
         "pretrain-mix": pretrain + ["--mix", "0:x"],
         "pretrain-mix-zero": pretrain + ["--mix", "0:0"],
         "pretrain-mask-fraction-high": pretrain + ["--mix", "0:1", "--mask-fraction", 1.5],
         "pretrain-mask-fraction-zero": pretrain + ["--mask-fraction", 0],
         "pretrain-mask-cap": pretrain + ["--mask-cap", 0],
-        "mine-fraction": [
-            "mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt",
-            "--ckpt", d / "model.ckpt", "--out", out, "--fraction", 0,
-        ],
+        "pretrain-seed": pretrain + ["--seed", -1],
+        "mine-fraction": mine + ["--fraction", 0],
+        "mine-seed": mine + ["--clusters", 2, "--seed", -1],
         "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
+        "index-seed": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 4, "--probes", 2, "--seed", -1],
+        # inputs that do not exist: a usage error must come before any read
+        "search-k": ["search", "--index", d / "no-index", "--queries", d / "no.pool", "--out", out, "--k", 0],
+        "eval-bucc-k": [
+            "eval-bucc", "--src-pool", d / "no.pool", "--tgt-pool", d / "no.pool", "--gold", d / "no.tsv",
+            "--out", out, "--k", 0,
+        ],
     }[case]
 
 
@@ -70,13 +83,19 @@ def invalid_argv(d, case):
         "train-shards",
         "train-margin",
         "train-lr",
+        "train-seed",
         "pretrain-mix",
         "pretrain-mix-zero",
         "pretrain-mask-fraction-high",
         "pretrain-mask-fraction-zero",
         "pretrain-mask-cap",
+        "pretrain-seed",
         "mine-fraction",
+        "mine-seed",
         "index-probes",
+        "index-seed",
+        "search-k",
+        "eval-bucc-k",
     ],
 )
 def test_invalid_flag_value_is_usage_error(work, case, capsys):
@@ -127,6 +146,37 @@ def test_resume_with_other_training_flags_is_data_error(work, capsys, extra, sto
     err = capsys.readouterr().err
     assert "cannot resume" in err and stored in err
     assert not (work / "resumed.ckpt").exists()
+
+
+def test_refused_resume_leaves_the_log_alone(work, capsys):
+    log = work / "resumed.ckpt.log"
+    log.unlink(missing_ok=True)
+    assert run(*resume_argv(work, "--batch-size", 16)) == 2
+    assert not log.exists()
+    log.write_bytes(b"step=1 loss=1.0 lr=0.001 pairs_seen=8\n")
+    assert run(*resume_argv(work, "--batch-size", 16)) == 2
+    assert log.read_bytes() == b"step=1 loss=1.0 lr=0.001 pairs_seen=8\n"
+    assert capsys.readouterr().err.count("cannot resume") == 2
+
+
+@pytest.mark.parametrize("index_flags", [[], ["--clusters", 4, "--probes", 2]])
+def test_search_writes_the_per_query_results(work, tmp_path, index_flags):
+    queries = tmp_path / "src.pool"
+    assert (
+        run("encode", "--input", work / "src.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt", "--out", queries)
+        == 0
+    )
+    assert run("index", "--pool", work / "tgt.pool", "--out", tmp_path / "idx", *index_flags) == 0
+    assert run("search", "--index", tmp_path / "idx", "--queries", queries, "--k", 3, "--out", tmp_path / "hits.tsv") == 0
+    index = load_index(tmp_path / "idx")
+    vectors, qids = read_pool(queries)
+    expected = [
+        f"{qid}\t{name}\t{score:.6f}"
+        for qid, q in zip(qids, vectors)
+        for name, score in search(index, q[None], k=3)[0]
+    ]
+    assert len(expected) == 3 * len(qids)
+    assert (tmp_path / "hits.tsv").read_text(encoding="utf-8").splitlines() == expected
 
 
 def test_report_on_unscored_pairs_is_data_error(work, capsys):

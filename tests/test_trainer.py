@@ -215,7 +215,7 @@ class TestCheckpoint:
 
     def test_roundtrip_byte_identical(self, tmp_path):
         p = small_setup(seed=3)
-        cfg = TrainConfig(batch_size=16, steps=40, learning_rate=0.25, seed=-3, weight_decay=0.5)
+        cfg = TrainConfig(batch_size=16, steps=40, learning_rate=0.25, seed=2**62 + 3, weight_decay=0.5)
         state = init_optimizer_state(p, cfg)
         state.step_count = 17
         for name in state.first_moment:

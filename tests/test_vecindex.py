@@ -6,6 +6,7 @@ from bitextmine.vecindex import (
     EXACT,
     IndexConfig,
     PARTITIONED,
+    QUERY_CHUNK,
     build,
     load_index,
     read_pool,
@@ -18,16 +19,39 @@ from bitextmine.vecindex import (
 from conftest import unit_rows
 
 
-def brute_force_topk(vectors, ids, query, k):
+def brute_force_topk(vectors, ids, query, k, rows=None):
+    """Top-k of ``rows`` (default all) scored against the whole pool."""
     scores = vectors @ query
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    rows = range(len(ids)) if rows is None else rows
+    order = sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
     return [(ids[i], float(scores[i])) for i in order]
+
+
+def probed_rows(index, query, probes):
+    """Rows of the ``probes`` clusters whose centroids score best, ties to
+    the lower cluster index."""
+    scores = index.centroids @ query
+    best = sorted(range(len(scores)), key=lambda c: (-scores[c], c))[:probes]
+    return np.concatenate([index.assignments[c] for c in best]).tolist()
+
+
+def make_pool(rng, kind, m, d):
+    """Unit rows, with many exact duplicates or coarsely rounded values
+    (exact score ties), under ids whose order is not the row order."""
+    V = unit_rows(rng, m, d)
+    if kind == "duplicates":
+        V = V[rng.integers(0, max(1, m // 4), size=m)]
+    elif kind == "rounded":
+        V = np.round(V, 1)
+        V[np.all(V == 0, axis=1), 0] = 1.0
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+    return V, [f"v{i:05d}" for i in rng.permutation(m)]
 
 
 class TestExactSearch:
     def test_self_retrieval_on_orthonormal_rows(self):
         index = build(np.eye(3), ["a", "b", "c"])
-        assert search(index, np.eye(3)[1], k=1) == [("b", 1.0)]
+        assert search(index, np.eye(3)[1:2], k=1) == [[("b", 1.0)]]
 
     def test_equals_brute_force_on_random_pools(self):
         rng = np.random.default_rng(0)
@@ -38,7 +62,7 @@ class TestExactSearch:
             index = build(V, ids)
             q = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, m + 1))
-            assert search(index, q, k) == brute_force_topk(V, ids, q, k)
+            assert search(index, q[None], k)[0] == brute_force_topk(V, ids, q, k)
 
     def test_full_k_returns_everything_sorted(self):
         rng = np.random.default_rng(1)
@@ -46,7 +70,7 @@ class TestExactSearch:
         ids = [f"x{i}" for i in range(20)]
         index = build(V, ids)
         q = unit_rows(rng, 1, 6)[0]
-        got = search(index, q, k=20)
+        got = search(index, q[None], k=20)[0]
         assert len(got) == 20
         scores = [s for _, s in got]
         assert scores == sorted(scores, reverse=True)
@@ -54,14 +78,14 @@ class TestExactSearch:
     def test_tie_break_by_ascending_id(self):
         # orthogonal pool: every score is 0, so ids decide
         index = build(np.eye(4)[:3], ["c", "a", "b"])
-        got = search(index, np.eye(4)[3], k=3)
+        got = search(index, np.eye(4)[3:], k=3)[0]
         assert [name for name, _ in got] == ["a", "b", "c"]
         assert all(s == pytest.approx(0.0) for _, s in got)
 
     def test_k_must_be_positive(self):
         index = build(np.eye(2), ["a", "b"])
         with pytest.raises(ValueError):
-            search(index, np.eye(2)[0], k=0)
+            search(index, np.eye(2)[:1], k=0)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +104,7 @@ class TestPartitioned:
         exact = build(V, ids)
         part = build(V, ids, IndexConfig(clusters=1, probes=1, seed=0))
         q = unit_rows(rng, 1, 8)[0]
-        assert search(part, q, k=5) == search(exact, q, k=5)
+        assert search(part, q[None], k=5) == search(exact, q[None], k=5)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -105,7 +129,7 @@ class TestPartitioned:
         ids = [f"v{i:03d}" for i in range(120)]
         index = build(V, ids, IndexConfig(clusters=8, probes=2, seed=0))
         q = unit_rows(rng, 1, 8)[0]
-        for name, score in search(index, q, k=5):
+        for name, score in search(index, q[None], k=5)[0]:
             row = ids.index(name)
             assert score == pytest.approx(float(V[row] @ q), abs=1e-12)
 
@@ -145,6 +169,70 @@ class TestPartitioned:
         assert recall_vs_exact(index, unit_rows(rng, 20, 8), k=1) == 1.0
 
 
+class TestBlockSearch:
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "rounded"])
+    def test_block_equals_per_query_brute_force(self, kind):
+        rng = np.random.default_rng(["random", "duplicates", "rounded"].index(kind))
+        for _ in range(8):
+            m, d = int(rng.integers(8, 300)), int(rng.integers(2, 16))
+            V, ids = make_pool(rng, kind, m, d)
+            Q = np.concatenate([unit_rows(rng, 20, d), V[rng.integers(0, m, size=10)]])
+            k = int(rng.integers(1, 12))
+            got = search(build(V, ids), Q, k)
+            assert got == [brute_force_topk(V, ids, q, k) for q in Q]
+            clusters = int(rng.integers(2, 8))
+            probes = int(rng.integers(1, clusters + 1))
+            ivf = build(V, ids, IndexConfig(clusters=clusters, probes=probes, seed=3))
+            for k in (k, m):  # m exceeds the candidates of any probe short of all clusters
+                got = search(ivf, Q, k)
+                assert got == [brute_force_topk(V, ids, q, k, probed_rows(ivf, q, probes)) for q in Q]
+
+    def test_block_longer_than_one_chunk(self):
+        rng = np.random.default_rng(20)
+        V, ids = make_pool(rng, "rounded", 60, 5)
+        Q = unit_rows(rng, QUERY_CHUNK + 9, 5)
+        for config in (None, IndexConfig(clusters=4, probes=2)):
+            index = build(V, ids, config)
+            rows = [None if config is None else probed_rows(index, q, 2) for q in Q]
+            got = search(index, Q, 3)
+            assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, rows)]
+
+    def test_one_row_block_equals_that_row_of_a_larger_block(self):
+        rng = np.random.default_rng(21)
+        V, ids = make_pool(rng, "random", 500, 32)
+        Q = unit_rows(rng, 40, 32)
+        for config in (None, IndexConfig(clusters=6, probes=2)):
+            index = build(V, ids, config)
+            block = search(index, Q, 5)
+            assert [search(index, q[None], 5)[0] for q in Q] == block
+
+    def test_empty_block_gives_no_results(self):
+        index = build(np.eye(3), ["a", "b", "c"])
+        assert search(index, np.zeros((0, 3)), 2) == []
+
+    @pytest.mark.parametrize("queries", [np.eye(2), np.full((1, 3), np.nan)])
+    def test_malformed_queries_rejected(self, queries):
+        index = build(np.eye(3), ["a", "b", "c"])
+        with pytest.raises(ValueError):
+            search(index, queries, 1)
+
+    def test_partitioned_scores_and_ties_equal_exact_mode(self):
+        # every row has three exact copies under ids that do not follow the
+        # row order; a partitioned search must report the exact-mode score of
+        # each (query, id) and break ties by ascending id
+        rng = np.random.default_rng(22)
+        base = unit_rows(rng, 500, 64)
+        V = np.repeat(base, 3, axis=0)
+        ids = [f"v{i:05d}" for i in rng.permutation(len(V))]
+        exact = build(V, ids)
+        ivf = build(V, ids, IndexConfig(clusters=8, probes=3, seed=0))
+        Q = np.concatenate([unit_rows(rng, 200, 64), base[:100]])
+        exact_scores = [dict(top) for top in search(exact, Q, len(V))]
+        for scores, top in zip(exact_scores, search(ivf, Q, 12)):
+            assert [s for _, s in top] == [scores[name] for name, _ in top]
+            assert top == sorted(top, key=lambda hit: (-hit[1], hit[0]))
+
+
 class TestPersistence:
     def test_pool_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -177,7 +265,7 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         assert loaded.mode == EXACT
         q = unit_rows(rng, 1, 4)[0]
-        assert search(loaded, q, k=3) == search(index, q, k=3)
+        assert search(loaded, q[None], k=3) == search(index, q[None], k=3)
 
     def test_index_roundtrip_partitioned(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -187,4 +275,17 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         assert loaded.mode == PARTITIONED
         q = unit_rows(rng, 1, 4)[0]
-        assert search(loaded, q, k=4) == search(index, q, k=4)
+        assert search(loaded, q[None], k=4) == search(index, q[None], k=4)
+
+    @pytest.mark.parametrize("corrupt", ["assignment-out-of-range", "missing-centroid"])
+    def test_corrupt_partitioned_index_errors(self, tmp_path, corrupt):
+        rng = np.random.default_rng(15)
+        V = unit_rows(rng, 20, 4).astype(np.float32).astype(np.float64)
+        save_index(build(V, [f"v{i:02d}" for i in range(20)], IndexConfig(clusters=4, probes=2)), tmp_path)
+        if corrupt == "assignment-out-of-range":
+            (tmp_path / "assignments.txt").write_text("4\n" * 20)
+        else:
+            centroids, _ = read_pool(tmp_path / "centroids.pool", with_ids=False)
+            write_pool(tmp_path / "centroids.pool", centroids[:3])
+        with pytest.raises(DataError):
+            load_index(tmp_path)
