@@ -7,8 +7,9 @@ Architecture:
     embed -> L residual blocks h + tanh((M h) W + b)
 
 where M sums each position with its left and right neighbours, padding
-excluded, so a masked position sees its context. Sentence path:
-mean-pool the final hidden states over non-padding positions, apply the
+excluded, so a masked position sees its context. The blocks run on packed
+content positions, without padding rows ("The packed forward" below).
+Sentence path: mean-pool each sentence's final hidden states, apply the
 output projection, L2-normalize. The masked-token path instead projects
 each masked position and applies the prediction head. Residual blocks
 keep the identity function reachable (zero weights), M adds no
@@ -128,7 +129,8 @@ def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
     return encode_batch(params, [tokens])[0]
 
 
-_ENCODE_CHUNK = 256  # sequences per batched forward in encode_batch
+_ENCODE_CHUNK = 64  # sequences per packed forward in encode_batch
+_BLOCK_ROWS = 64  # row granularity of the forward's hidden-state block
 
 
 def encode_batch(
@@ -136,47 +138,45 @@ def encode_batch(
 ) -> np.ndarray:
     """Unit-norm embeddings, one row per item, in input order.
 
-    Items of equal length run through the batched forward together,
-    unpadded, in chunks of at most ``_ENCODE_CHUNK``. Every row is thus
-    bitwise equal to encode() of its item, whatever else is in the batch.
+    Items run through the packed forward in input order, in chunks of at
+    most ``_ENCODE_CHUNK``. Every row is bitwise equal to encode() of its
+    item, whatever else is in the batch, except for a bare one-token item,
+    whose lone encode() may differ in the last bits (see below).
     """
     arrs = [_as_id_array(item) for item in batch]
     out = np.empty((len(arrs), params.config.embed_dim))
-    by_length: dict[int, list[int]] = {}
-    for i, arr in enumerate(arrs):
-        by_length.setdefault(arr.size, []).append(i)
-    for rows in by_length.values():
-        for start in range(0, len(rows), _ENCODE_CHUNK):
-            chunk = rows[start : start + _ENCODE_CHUNK]
-            ids = np.stack([arrs[i] for i in chunk])
-            out[chunk] = _embed(params, _forward_hiddens(params, ids, keep=False))
+    for start in range(0, len(arrs), _ENCODE_CHUNK):
+        chunk = arrs[start : start + _ENCODE_CHUNK]
+        cache = _forward_hiddens(params, chunk, keep=False)
+        out[start : start + len(chunk)] = _embed(params, cache)
     return out
 
 
 # ---------------------------------------------------------------------------
-# The batched forward, shared by encoding, fine-tuning and the masked-token
-# objectives, and its backward. Each block reads its position and both
-# neighbours through the band matrix M (B, T, T) = I + shift(+1) + shift(-1)
-# with padding columns zeroed:
+# The packed forward, shared by encoding, fine-tuning and the masked-token
+# objectives, and its backward. A batch is one (N, d) block with a row per
+# content position, sentence after sentence. left[i] says row i - 1 holds
+# the previous position of the same sentence (a PAD inside an item breaks
+# the chain), and M adds the chained neighbours with two masked shifts:
 #
-#     x = M h;  h' = h + tanh(x W + b)
+#     y = h W;  h' = h + tanh(M y + b)      ((M h) W = M (h W))
 #
-# Every product is batched over the leading axis, so a row's arithmetic
-# does not depend on the other rows; the output projection is stacked as
-# (B, 1, d) @ (d, e) for the same reason (a 2-D product's rows change with
-# the batch size). encode_batch relies on this for bitwise-equal rows.
-# Padded batches (forward_batch) give rows mathematically equal to encode().
+# M is symmetric, so the backward's M^T da is the same shifts. Rows are
+# bitwise equal whatever else is in the block: the shifts, tanh and the
+# per-sentence sums work row by row, and a 2-D product of two or more rows
+# gives each row the same bits. A one-row product takes numpy's
+# matrix-vector path, which rounds differently, so the output projection
+# is stacked, (B, 1, d) @ (d, e), whatever B.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ForwardCache:
-    ids: np.ndarray  # (B, T) padded with PAD_ID
-    content_mask: np.ndarray  # (B, T) bool
-    counts: np.ndarray  # (B,)
-    band: np.ndarray  # (B, T, T) neighbour mixing matrix M
-    hiddens: list[np.ndarray]  # H_0 .. H_L, each (B, T, d); only H_L unless kept
-    gates: list[np.ndarray]  # tanh outputs per layer, (B, T, d); empty unless kept
+    ids: np.ndarray  # (N,) token id of each content position, sentence after sentence
+    links: np.ndarray | bool  # (N - 1, d) bool: row i + 1 chains to row i; True if all do
+    bounds: np.ndarray  # (B + 1,) sentence b is rows bounds[b]:bounds[b + 1]
+    hiddens: np.ndarray  # (L + 1, N, d) H_0 .. H_L; only H_L, (1, N, d), unless kept
+    gates: np.ndarray  # (L, N, d) tanh outputs per layer; meaningless unless kept
     pooled: np.ndarray | None = None  # (B, d)
     pre_norm: np.ndarray | None = None  # (B, e)
     norms: np.ndarray | None = None  # (B,)
@@ -191,50 +191,66 @@ def pad_batch(batch: Sequence[Sequence[int]]) -> np.ndarray:
     return ids
 
 
-def _band(mask: np.ndarray) -> np.ndarray:
-    """M[b, t, s] = 1 where |t - s| <= 1 and position s is content."""
-    pos = np.arange(mask.shape[1])
-    near = np.abs(pos[:, None] - pos[None, :]) <= 1
-    return (near[None, :, :] & mask[:, None, :]).astype(np.float64)
+def _add_neighbours(out: np.ndarray, h: np.ndarray, links: np.ndarray | bool) -> None:
+    """out += (M - I) h: add to each row its chained left and right neighbours."""
+    if links is True:  # the same adds, without the ufunc keywords' per-call cost
+        out[1:] += h[:-1]
+        out[:-1] += h[1:]
+    else:
+        np.add(out[1:], h[:-1], out=out[1:], where=links)
+        np.add(out[:-1], h[1:], out=out[:-1], where=links)
 
 
-def _forward_hiddens(params: EncoderParams, ids: np.ndarray, keep: bool = True) -> ForwardCache:
-    """Run the blocks over (B, T) ids; ``keep`` retains what backprop needs."""
-    if ids.shape[1] > params.config.max_seq_len:
+def _forward_hiddens(
+    params: EncoderParams, items: Sequence[np.ndarray], keep: bool = True
+) -> ForwardCache:
+    """Run the blocks over the packed content positions of 1-D id arrays
+    (PAD allowed anywhere); ``keep`` retains what backprop needs."""
+    sizes = [a.size for a in items]
+    if max(sizes) > params.config.max_seq_len:
         raise ValueError(
-            f"sequence length {ids.shape[1]} exceeds max_seq_len {params.config.max_seq_len}"
+            f"sequence length {max(sizes)} exceeds max_seq_len {params.config.max_seq_len}"
         )
-    if ids.min() < 0 or ids.max() >= params.config.vocab_size:
+    flat, lengths = np.concatenate(items), np.array(sizes)
+    if flat.min() < 0 or flat.max() >= params.config.vocab_size:
         raise ValueError("token id out of range")
-    mask = ids != PAD_ID
-    counts = mask.sum(axis=1)
-    if np.any(counts == 0):
+    item_starts = lengths.cumsum() - lengths
+    content = flat != PAD_ID
+    counts = np.add.reduceat(content, item_starts, dtype=np.int64)
+    if not counts.all():
         raise ValueError("sequence has no content positions (all padding)")
-    band = _band(mask)
-    h = params.token_embeddings[ids]
-    hiddens = [h]
-    gates = []
-    for layer in params.layers:
-        g = np.tanh((band @ h) @ layer.weight + layer.bias)
-        h = h + g
-        if keep:
-            gates.append(g)
-            hiddens.append(h)
+    chained = np.concatenate(([False], content[:-1]))
+    chained[item_starts] = False
+    ids, left = flat[content], chained[content]
+    n, d, depth = ids.size, params.config.hidden_dim, len(params.layers)
+    # the shifts' where-mask: a full mask runs faster than a column, True faster still
+    links = True if left[1:].all() else np.repeat(left[1:, None], d, axis=1)
+    # Hidden states and gates share one block. Its rows are rounded up to a
+    # multiple of _BLOCK_ROWS, so that batches of similar size reuse freed
+    # blocks instead of fragmenting the heap with slightly different sizes.
+    rows = -(-n // _BLOCK_ROWS) * _BLOCK_ROWS
+    block = np.empty((2 * depth + 1 if keep else 2, rows, d))[:, :n]
+    hiddens, gates = (block[: depth + 1], block[depth + 1 :]) if keep else (block[:1], block[1:])
+    h = params.token_embeddings.take(ids, axis=0, out=hiddens[0])
+    for l, layer in enumerate(params.layers):
+        y = h @ layer.weight
+        g = np.add(y, layer.bias, out=gates[l if keep else 0])
+        _add_neighbours(g, y, links)
+        np.tanh(g, out=g)
+        h = np.add(h, g, out=hiddens[l + 1 if keep else 0])
     return ForwardCache(
         ids=ids,
-        content_mask=mask,
-        counts=counts,
-        band=band,
-        hiddens=hiddens if keep else [h],
+        links=links,
+        bounds=np.concatenate(([0], counts.cumsum())),
+        hiddens=hiddens,
         gates=gates,
     )
 
 
 def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
-    """Mean-pool content positions, project, L2-normalize (fills the cache)."""
+    """Mean-pool each sentence's rows, project, L2-normalize (fills the cache)."""
     top = cache.hiddens[-1]
-    weighted = cache.content_mask[:, :, None] / cache.counts[:, None, None]
-    cache.pooled = (top * weighted).sum(axis=1)
+    cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / np.diff(cache.bounds)[:, None]
     u = (cache.pooled[:, None, :] @ params.output_weight)[:, 0, :] + params.output_bias
     cache.pre_norm = u
     cache.norms = np.linalg.norm(u, axis=1)
@@ -246,8 +262,8 @@ def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
 def forward_batch(
     params: EncoderParams, batch: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Unit-norm embeddings for a padded batch, plus the cache for backprop."""
-    cache = _forward_hiddens(params, pad_batch(batch))
+    """Unit-norm embeddings for a batch, plus the cache for backprop."""
+    cache = _forward_hiddens(params, [_as_id_array(item) for item in batch])
     return _embed(params, cache), cache
 
 
@@ -265,19 +281,27 @@ def _backward_layers(
 ) -> None:
     """Backprop from d(loss)/d(H_L) into layer and embedding gradients.
 
-    With da = dh' * (1 - g^2) and e = M^T da: dW = h^T e, db = sum(da),
-    dh = dh' + e W^T, so the mixed input M h is never stored.
+    With da = dh' * (1 - g^2) and e = M^T da = M da: dW = h^T e,
+    db = sum(da), dh = dh' + e W^T.
     """
-    d = params.config.hidden_dim
-    band_t = cache.band.transpose(0, 2, 1)
     dh = d_top
     for l in range(len(params.layers) - 1, -1, -1):
         da = dh * (1.0 - cache.gates[l] ** 2)
-        mixed = band_t @ da
-        grads.layers[l].weight += cache.hiddens[l].reshape(-1, d).T @ mixed.reshape(-1, d)
-        grads.layers[l].bias += da.sum(axis=(0, 1))
+        mixed = da.copy()
+        _add_neighbours(mixed, da, cache.links)
+        grads.layers[l].weight += cache.hiddens[l].T @ mixed
+        grads.layers[l].bias += da.sum(axis=0)
         dh = dh + mixed @ params.layers[l].weight.T
-    np.add.at(grads.token_embeddings, cache.ids.ravel(), dh.reshape(-1, d))
+    _scatter_add(grads.token_embeddings, cache.ids, dh)
+
+
+def _scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """np.add.at(target, ids, rows), several times faster: one bincount of
+    the rows over (distinct id, column) cells."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    d = rows.shape[1]
+    sums = np.bincount((inv[:, None] * d + np.arange(d)).ravel(), rows.ravel(), uniq.size * d)
+    target[uniq] += sums.reshape(uniq.size, d)
 
 
 def backward_batch(
@@ -291,8 +315,8 @@ def backward_batch(
     grads.output_weight += cache.pooled.T @ d_pre_norm
     grads.output_bias += d_pre_norm.sum(axis=0)
     dpooled = d_pre_norm @ params.output_weight.T
-    weighted = cache.content_mask[:, :, None] / cache.counts[:, None, None]
-    d_top = dpooled[:, None, :] * weighted
+    counts = np.diff(cache.bounds)
+    d_top = np.repeat(dpooled / counts[:, None], counts, axis=0)
     _backward_layers(params, cache, d_top, grads)
     return grads
 
@@ -325,20 +349,21 @@ def plan_masks(
 ) -> MaskedBatch:
     """Mask min(ceil(fraction * maskable), cap) positions per sequence.
 
-    Masked positions are replaced by the MASK id (no random/keep split).
-    Special tokens and padding are never masked.
+    The n maskable positions with the smallest uniform draws are replaced
+    by the MASK id (no random/keep split). Special tokens and padding are
+    never masked.
     """
+    if fraction > 1.0:
+        raise ValueError(f"mask fraction must be at most 1, got {fraction}")
     ids = pad_batch(batch)
-    input_ids = ids.copy()
-    positions = np.zeros_like(ids, dtype=bool)
-    for row in range(ids.shape[0]):
-        maskable = np.flatnonzero(~np.isin(ids[row], _NEVER_MASK))
-        if maskable.size == 0:
-            continue
-        n = min(math.ceil(fraction * maskable.size), cap)
-        chosen = rng.choice(maskable, size=n, replace=False)
-        positions[row, chosen] = True
-        input_ids[row, chosen] = MASK_ID
+    maskable = ~np.isin(ids, _NEVER_MASK)
+    n = np.minimum(np.ceil(fraction * maskable.sum(axis=1)), cap).astype(np.int64)
+    draws = rng.random(ids.shape)
+    draws[~maskable] = np.inf
+    positions = np.empty_like(maskable)
+    first_n = np.arange(ids.shape[1]) < n[:, None]
+    np.put_along_axis(positions, np.argsort(draws, axis=1), first_n, axis=1)
+    input_ids = np.where(positions, MASK_ID, ids)
     return MaskedBatch(input_ids=input_ids, target_ids=ids, mask_positions=positions)
 
 
@@ -349,23 +374,24 @@ def mlm_loss_and_grad(
     m_total = batch.masked_count()
     if m_total == 0:
         raise ValueError("no masked positions in batch")
-    cache = _forward_hiddens(params, batch.input_ids)
+    cache = _forward_hiddens(params, list(batch.input_ids))
+    masked = batch.mask_positions[batch.input_ids != PAD_ID]  # (N,), packed like the rows
     top = cache.hiddens[-1]
-    rows = top[batch.mask_positions]  # (M, d)
+    rows = top[masked]  # (M, d)
     proj = rows @ params.output_weight + params.output_bias  # (M, e)
     logits = proj @ params.mlm_weight + params.mlm_bias  # (M, V)
     targets = batch.target_ids[batch.mask_positions]
 
     zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    lse = zmax[:, 0] + np.log(np.exp(shifted).sum(axis=1))
+    probs = np.exp(logits - zmax)
+    sums = probs.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(sums[:, 0])
     picked = logits[np.arange(m_total), targets]
     loss = float(np.sum(lse - picked) / m_total)
     if not math.isfinite(loss):
         raise NumericalError("non-finite masked-prediction loss")
 
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= sums
     dlogits = probs
     dlogits[np.arange(m_total), targets] -= 1.0
     dlogits /= m_total
@@ -377,7 +403,7 @@ def mlm_loss_and_grad(
     grads.output_weight += rows.T @ dproj
     grads.output_bias += dproj.sum(axis=0)
     d_top = np.zeros_like(top)
-    d_top[batch.mask_positions] = dproj @ params.output_weight.T
+    d_top[masked] = dproj @ params.output_weight.T
     _backward_layers(params, cache, d_top, grads)
     return loss, grads
 

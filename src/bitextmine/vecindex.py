@@ -343,12 +343,11 @@ def load_index(directory: str | Path) -> VectorIndex:
     cfg_map = dict(
         line.split("=", 1) for line in cfg_path.read_text().splitlines() if line
     )
-    config = IndexConfig(
-        clusters=int(cfg_map["clusters"]),
-        probes=int(cfg_map["probes"]),
-        kmeans_iters=int(cfg_map["kmeans_iters"]),
-        seed=int(cfg_map["seed"]),
-    )
+    fields = ("clusters", "probes", "kmeans_iters", "seed")
+    missing = [key for key in fields if key not in cfg_map]
+    if missing:
+        raise DataError(f"{cfg_path}: missing key(s) {', '.join(missing)}")
+    config = IndexConfig(**{key: int(cfg_map[key]) for key in fields})
     centroids, _ = read_pool(directory / "centroids.pool", with_ids=False)
     if centroids.shape != (config.clusters, vectors.shape[1]):
         raise DataError(f"{directory}: centroids of shape {centroids.shape} for {config.clusters} clusters")

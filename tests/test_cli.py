@@ -1,7 +1,8 @@
 """``bitextmine.cli.main`` on a small toy corpus: rejected flag values
-exit 1 (usage error), refused checkpoints exit 2 (data error), ``search``
-writes the library's results for an exact and a partitioned index, and
-``report`` applies the mining selection rule to an existing pair file."""
+exit 1 (usage error), refused checkpoints and index configs exit 2 (data
+error), ``search`` writes the library's results for an exact and a
+partitioned index, and ``report`` applies the mining selection rule to an
+existing pair file."""
 
 import json
 import math
@@ -177,6 +178,16 @@ def test_search_writes_the_per_query_results(work, tmp_path, index_flags):
     ]
     assert len(expected) == 3 * len(qids)
     assert (tmp_path / "hits.tsv").read_text(encoding="utf-8").splitlines() == expected
+
+
+def test_index_config_without_a_key_is_data_error(work, tmp_path, capsys):
+    idx = tmp_path / "idx"
+    assert run("index", "--pool", work / "tgt.pool", "--out", idx, "--clusters", 4, "--probes", 2) == 0
+    (idx / "index.cfg").write_text("clusters=4\nprobes=2\n", encoding="utf-8")
+    out = tmp_path / "hits.tsv"
+    assert run("search", "--index", idx, "--queries", work / "tgt.pool", "--k", 1, "--out", out) == 2
+    assert "index.cfg: missing key(s) kmeans_iters, seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_on_unscored_pairs_is_data_error(work, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from bitextmine.corpus import Sentence, SentencePair
 from bitextmine.encoder import (
+    _ENCODE_CHUNK,
     EncoderConfig,
     backward_batch,
     encode,
@@ -99,9 +100,33 @@ class TestEncodeBatch:
         # changing one token moves its neighbour's hidden state, so a
         # masked position can be predicted from its context
         p = small_params()
-        a = forward_batch(p, [[CLS_ID, 6, MASK_ID, 8, SEP_ID]])[1].hiddens[-1][0, 2]
-        b = forward_batch(p, [[CLS_ID, 7, MASK_ID, 8, SEP_ID]])[1].hiddens[-1][0, 2]
+        a = forward_batch(p, [[CLS_ID, 6, MASK_ID, 8, SEP_ID]])[1].hiddens[-1][2]
+        b = forward_batch(p, [[CLS_ID, 7, MASK_ID, 8, SEP_ID]])[1].hiddens[-1][2]
         assert np.abs(a - b).max() > 1e-3
+
+    def test_padding_inside_an_item_breaks_the_chain(self):
+        # rows after a mid-item PAD never see the tokens before it
+        p = small_params(layers=3)
+        a = forward_batch(p, [[CLS_ID, 6, PAD_ID, 8, 9, SEP_ID]])[1].hiddens[-1]
+        b = forward_batch(p, [[CLS_ID, 7, PAD_ID, 8, 9, SEP_ID]])[1].hiddens[-1]
+        assert a.shape[0] == 5  # one row per content position
+        np.testing.assert_array_equal(a[2:], b[2:])
+        assert np.abs(a[:2] - b[:2]).max() > 1e-3
+
+    def test_chunked_mixed_lengths_equal_single_encode_exactly(self):
+        rng = np.random.default_rng(8)
+        p = small_params(max_len=16)
+        batch = []
+        for i in range(2 * _ENCODE_CHUNK + 7):
+            item = [CLS_ID, *rng.integers(5, 24, size=rng.integers(1, 10)), SEP_ID]
+            if i % 5 == 0:
+                item.insert(2, PAD_ID)
+            if i % 3 == 0:
+                item += [PAD_ID] * int(rng.integers(1, 4))
+            batch.append(item)
+        M = encode_batch(p, batch)
+        for i, item in enumerate(batch):
+            np.testing.assert_array_equal(M[i], encode(p, item))
 
     def test_backward_batch_matches_finite_differences(self):
         # padded batch, every parameter the sentence path reaches
@@ -128,6 +153,41 @@ class TestEncodeBatch:
                 flat[k] = orig
                 fd[k] = (lp - lm) / (2 * h)
             np.testing.assert_allclose(gmap[name].reshape(-1), fd, atol=1e-7, err_msg=name)
+
+    def test_backward_batch_with_inner_padding_matches_finite_differences(self):
+        # trailing PADs and a PAD inside an item, which splits its chain in two
+        p = small_params(vocab_size=16, d=4, layers=2)
+        batch = [
+            [CLS_ID, 6, PAD_ID, 7, 8, SEP_ID],
+            [CLS_ID, 9, 10, SEP_ID, PAD_ID, PAD_ID],
+            [CLS_ID, PAD_ID, 11, 12, SEP_ID],
+        ]
+        c = np.random.default_rng(9).normal(size=(len(batch), p.config.embed_dim))
+
+        def objective():
+            return float((forward_batch(p, batch)[0] * c).sum())
+
+        _, cache = forward_batch(p, batch)
+        grads = backward_batch(p, cache, grad_through_normalization(cache, c))
+        assert_grads_match_finite_differences(p, grads, objective, atol=1e-7)
+
+
+def assert_grads_match_finite_differences(p, grads, objective, atol):
+    """Every coordinate of every tensor against a central difference."""
+    gmap = dict(grads.named_arrays())
+    h = 1e-6
+    for name, arr in p.named_arrays():
+        flat = arr.reshape(-1)
+        fd = np.empty(flat.size)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            lp = objective()
+            flat[k] = orig - h
+            lm = objective()
+            flat[k] = orig
+            fd[k] = (lp - lm) / (2 * h)
+        np.testing.assert_allclose(gmap[name].reshape(-1), fd, atol=atol, err_msg=name)
 
 
 class TestStackGrow:
@@ -190,6 +250,18 @@ class TestMasking:
         batch = plan_masks([[CLS_ID, 6, SEP_ID]], rng, fraction=1.0)
         assert not batch.mask_positions[0, 0] and not batch.mask_positions[0, 2]
 
+    def test_mask_counts_per_row_of_a_mixed_batch(self):
+        rng = np.random.default_rng(3)
+        batch = [[CLS_ID, *range(5, 5 + n), SEP_ID] for n in (1, 4, 9, 13)] + [[CLS_ID, 6, PAD_ID, 7, SEP_ID]]
+        for _ in range(20):
+            masked = plan_masks(batch, rng, fraction=0.3, cap=3)
+            assert masked.mask_positions.sum(axis=1).tolist() == [1, 2, 3, 3, 1]
+            assert not np.isin(masked.target_ids[masked.mask_positions], (CLS_ID, SEP_ID, PAD_ID)).any()
+
+    def test_fraction_above_one_refused(self):
+        with pytest.raises(ValueError):
+            plan_masks([[CLS_ID, 6, 7, SEP_ID]], np.random.default_rng(0), fraction=1.5)
+
 
 class TestMlmLoss:
     def test_uniform_head_gives_log_vocab(self):
@@ -235,6 +307,18 @@ class TestMlmLoss:
             np.linalg.norm(fd_vals), np.linalg.norm(an_vals)
         )
         assert rel <= 1e-4
+
+    def test_gradient_with_inner_padding_matches_finite_differences(self):
+        # every coordinate, on a batch with a mid-item PAD and trailing PADs
+        p = small_params(vocab_size=14, d=3, layers=2)
+        batch = plan_masks(
+            [[CLS_ID, 6, 7, PAD_ID, 8, 9, SEP_ID], [CLS_ID, 10, 11, SEP_ID]],
+            np.random.default_rng(10),
+            fraction=0.5,
+        )
+        assert batch.masked_count() == 3  # ceil(0.5 * 4) + ceil(0.5 * 2)
+        _, grads = mlm_loss_and_grad(p, batch)
+        assert_grads_match_finite_differences(p, grads, lambda: mlm_loss_and_grad(p, batch)[0], atol=1e-8)
 
 
 def tlm_vocab():
