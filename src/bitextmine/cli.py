@@ -3,9 +3,10 @@ pipelines.
 
 Every command resolves its configuration from flags plus an optional
 INI-style config file (flat key=value under a section named after the
-subcommand; flags override file values), writes outputs atomically, and
-drops a JSON run manifest beside each output recording the resolved
-config, input digests, seed, artifact paths, and wall-clock duration.
+subcommand; flags override file values) and writes outputs atomically.
+After a command succeeds, ``main`` writes a JSON run manifest beside its
+first output recording the resolved config, input digests, seed,
+artifact paths, and wall-clock duration; a failed command writes none.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Logs go to stderr; data only ever goes to files.
@@ -56,25 +57,8 @@ def _flag_values():
 # ---------------------------------------------------------------------------
 
 
-def _digest_inputs(paths: list[str | Path]) -> dict[str, str]:
-    from .fileio import sha256_file
-
-    digests = {}
-    for p in paths:
-        p = Path(p)
-        if p.is_file():
-            digests[str(p)] = sha256_file(p)
-    return digests
-
-
-def _write_manifest(
-    command: str,
-    args: argparse.Namespace,
-    inputs: list,
-    outputs: list,
-    started: float,
-) -> None:
-    from .fileio import atomic_write_text
+def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list, started: float) -> None:
+    from .fileio import atomic_write_text, sha256_file
 
     config = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -82,9 +66,9 @@ def _write_manifest(
         if k not in ("func", "command", "config") and not k.startswith("_")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "inputs": _digest_inputs(inputs),
+        "inputs": {str(p): sha256_file(p) for p in map(Path, inputs) if p.is_file()},
         "seed": getattr(args, "seed", None),
         "outputs": [str(o) for o in outputs],
         "duration_s": round(time.time() - started, 3),
@@ -137,13 +121,40 @@ def _pool_as_map(path):
     return {i: vectors[k] for k, i in enumerate(ids)}, vectors, ids
 
 
+def _fresh_encoder(args, vocab, num_layers: int):
+    """An initialised encoder shaped by ``--hidden-dim``, ``--embed-dim`` and ``--max-seq-len``."""
+    from .encoder import EncoderConfig, init_params
+
+    with _flag_values():
+        config = EncoderConfig(
+            vocab_size=len(vocab),
+            hidden_dim=args.hidden_dim,
+            num_layers=num_layers,
+            max_seq_len=args.max_seq_len,
+            embed_dim=args.embed_dim,
+        )
+    return init_params(config, seed=args.seed)
+
+
+def _retrieval_inputs(args, gold):
+    """Source vectors by id, an exact index over the target pool, and
+    ``gold`` checked against the ids of both pools."""
+    from .evaluation import GoldAlignment
+    from .vecindex import build
+
+    src_map, _, src_ids = _pool_as_map(args.src_pool)
+    _, tgt_vectors, tgt_ids = _pool_as_map(args.tgt_pool)
+    gold = GoldAlignment.from_pairs(sorted(gold.pairs), src_ids, tgt_ids)
+    return src_map, build(tgt_vectors, tgt_ids), gold
+
+
 # ---------------------------------------------------------------------------
-# Command handlers.
+# Command handlers. Each returns (inputs, outputs): the paths it read and
+# the paths it wrote, first output first, for the run manifest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_vocab(args) -> None:
-    started = time.time()
+def cmd_build_vocab(args) -> tuple[list, list]:
     from .vocab import build_vocab
 
     corpora: dict[str, list] = {}
@@ -158,18 +169,15 @@ def cmd_build_vocab(args) -> None:
             corpora.setdefault(p.tgt.lang, []).append(p.tgt)
     if not corpora:
         raise UsageError("build-vocab needs --mono and/or --pairs")
-    try:
-        vocab = build_vocab(
-            corpora,
-            target_size=args.target_size,
-            smoothing_exponent=args.smoothing,
-            character_coverage=args.coverage,
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    vocab = build_vocab(
+        corpora,
+        target_size=args.target_size,
+        smoothing_exponent=args.smoothing,
+        character_coverage=args.coverage,
+    )
     vocab.save(args.out)
     _log(f"build-vocab: {len(vocab)} pieces -> {args.out}")
-    _write_manifest("build-vocab", args, (args.mono or []) + ([args.pairs] if args.pairs else []), [args.out], started)
+    return (args.mono or []) + ([args.pairs] if args.pairs else []), [args.out]
 
 
 def _parse_stages(layers_csv: str, steps_csv: str):
@@ -182,10 +190,8 @@ def _parse_stages(layers_csv: str, steps_csv: str):
     return [Stage(num_layers=l, steps=s) for l, s in zip(layers, steps)]
 
 
-def cmd_pretrain(args) -> None:
-    started = time.time()
+def cmd_pretrain(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
-    from .encoder import EncoderConfig, init_params
     from .trainer import TrainConfig, check_pretrain_options, pretrain, save_checkpoint
 
     with _flag_values():
@@ -204,15 +210,7 @@ def cmd_pretrain(args) -> None:
     for path in args.mono or []:
         mono.extend(_read_mono(path, args.lang))
     pairs = read_pairs_tsv(args.pairs) if args.pairs else []
-    with _flag_values():
-        enc_config = EncoderConfig(
-            vocab_size=len(vocab),
-            hidden_dim=args.hidden_dim,
-            num_layers=stages[0].num_layers,
-            max_seq_len=args.max_seq_len,
-            embed_dim=args.embed_dim,
-        )
-    params = init_params(enc_config, seed=args.seed)
+    params = _fresh_encoder(args, vocab, stages[0].num_layers)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w", encoding="utf-8") as log:
         params = pretrain(
@@ -229,14 +227,11 @@ def cmd_pretrain(args) -> None:
         )
     save_checkpoint(params, None, args.out)
     _log(f"pretrain: {sum(s.steps for s in stages)} steps -> {args.out}")
-    inputs = (args.mono or []) + ([args.pairs] if args.pairs else []) + [args.vocab]
-    _write_manifest("pretrain", args, inputs, [args.out, log_path], started)
+    return (args.mono or []) + ([args.pairs] if args.pairs else []) + [args.vocab], [args.out, log_path]
 
 
-def cmd_train(args) -> None:
-    started = time.time()
+def cmd_train(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
-    from .encoder import EncoderConfig, init_params
     from .trainer import (
         TrainConfig,
         check_resumable,
@@ -269,15 +264,7 @@ def cmd_train(args) -> None:
     elif args.init:
         params = _load_encoder(args.init)
     else:
-        with _flag_values():
-            enc_config = EncoderConfig(
-                vocab_size=len(vocab),
-                hidden_dim=args.hidden_dim,
-                num_layers=args.layers,
-                max_seq_len=args.max_seq_len,
-                embed_dim=args.embed_dim,
-            )
-        params = init_params(enc_config, seed=args.seed)
+        params = _fresh_encoder(args, vocab, args.layers)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     mode = "a" if args.resume else "w"
     with open(log_path, mode, encoding="utf-8") as log:
@@ -293,12 +280,10 @@ def cmd_train(args) -> None:
         )
     save_checkpoint(params, state, args.out)
     _log(f"train: {state.step_count} steps -> {args.out}")
-    inputs = [args.pairs, args.vocab] + [p for p in (args.init, args.resume) if p]
-    _write_manifest("train", args, inputs, [args.out, log_path], started)
+    return [args.pairs, args.vocab] + [p for p in (args.init, args.resume) if p], [args.out, log_path]
 
 
-def cmd_encode(args) -> None:
-    started = time.time()
+def cmd_encode(args) -> tuple[list, list]:
     from .vecindex import write_pool
 
     vocab = _load_vocab(args.vocab)
@@ -307,13 +292,10 @@ def cmd_encode(args) -> None:
     vectors = _encode_pool(params, vocab, sentences)
     write_pool(args.out, vectors, [s.id for s in sentences])
     _log(f"encode: {vectors.shape[0]} sentences -> {args.out}")
-    _write_manifest(
-        "encode", args, [args.input, args.vocab, args.ckpt], [args.out, str(args.out) + ".ids"], started
-    )
+    return [args.input, args.vocab, args.ckpt], [args.out, str(args.out) + ".ids"]
 
 
-def cmd_index(args) -> None:
-    started = time.time()
+def cmd_index(args) -> tuple[list, list]:
     from .vecindex import IndexConfig, build, read_pool, save_index
 
     config = None
@@ -326,17 +308,13 @@ def cmd_index(args) -> None:
                 seed=args.seed,
             )
     vectors, ids = read_pool(args.pool)
-    try:
-        index = build(vectors, ids, config)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    index = build(vectors, ids, config)
     save_index(index, args.out)
     _log(f"index: {len(index)} vectors ({index.mode}) -> {args.out}")
-    _write_manifest("index", args, [args.pool, str(args.pool) + ".ids"], [args.out], started)
+    return [args.pool, str(args.pool) + ".ids"], [args.out]
 
 
-def cmd_search(args) -> None:
-    started = time.time()
+def cmd_search(args) -> tuple[list, list]:
     from .fileio import atomic_write_text
     from .vecindex import check_k, load_index, read_pool, search
 
@@ -351,11 +329,10 @@ def cmd_search(args) -> None:
     ]
     atomic_write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
     _log(f"search: {len(qids)} queries -> {args.out}")
-    _write_manifest("search", args, [args.queries, str(args.queries) + ".ids"], [args.out], started)
+    return [args.queries, str(args.queries) + ".ids"], [args.out]
 
 
-def cmd_mine(args) -> None:
-    started = time.time()
+def cmd_mine(args) -> tuple[list, list]:
     from .corpus import format_pairs_tsv
     from .evaluation import write_metrics_report
     from .fileio import atomic_write_text
@@ -392,34 +369,20 @@ def cmd_mine(args) -> None:
         f"mine: {len(queries)} sources -> {len(mined)} pairs, "
         f"{report['pairs_post_dedup']} deduped, {len(selected)} selected -> {args.out}"
     )
-    _write_manifest(
-        "mine",
-        args,
-        [args.src, args.tgt, args.vocab, args.ckpt],
-        [args.out, report_path, str(report_path) + ".json"],
-        started,
-    )
+    return [args.src, args.tgt, args.vocab, args.ckpt], [args.out, report_path, str(report_path) + ".json"]
 
 
-def cmd_eval_p1(args) -> None:
-    started = time.time()
-    from .evaluation import GoldAlignment, p_at_1, read_gold_tsv, write_metrics_report
-    from .vecindex import build
+def cmd_eval_p1(args) -> tuple[list, list]:
+    from .evaluation import p_at_1, read_gold_tsv, write_metrics_report
 
-    src_map, _, src_ids = _pool_as_map(args.src_pool)
-    _, tgt_vectors, tgt_ids = _pool_as_map(args.tgt_pool)
-    gold = GoldAlignment.from_pairs(sorted(read_gold_tsv(args.gold).pairs), src_ids, tgt_ids)
-    index = build(tgt_vectors, tgt_ids)
+    src_map, index, gold = _retrieval_inputs(args, read_gold_tsv(args.gold))
     value = p_at_1(src_map, index, gold)
     write_metrics_report({"p_at_1": value, "gold_pairs": len(gold.pairs)}, args.out)
     _log(f"eval-p1: P@1={value:.4f} -> {args.out}")
-    _write_manifest(
-        "eval-p1", args, [args.src_pool, args.tgt_pool, args.gold], [args.out, str(args.out) + ".json"], started
-    )
+    return [args.src_pool, args.tgt_pool, args.gold], [args.out, str(args.out) + ".json"]
 
 
-def cmd_eval_tatoeba(args) -> None:
-    started = time.time()
+def cmd_eval_tatoeba(args) -> tuple[list, list]:
     from .evaluation import (
         GoldAlignment,
         LanguagePool,
@@ -428,22 +391,27 @@ def cmd_eval_tatoeba(args) -> None:
         write_metrics_report,
     )
 
-    sets = {}
-    for spec_str in args.set:
-        try:
-            lang, rest = spec_str.split("=", 1)
-            src_pool, tgt_pool, gold_path = rest.split(",")
-        except ValueError as exc:
-            raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, got {spec_str!r}") from exc
-        src_map, _, src_ids = _pool_as_map(src_pool)
-        tgt_map, _, tgt_ids = _pool_as_map(tgt_pool)
-        gold = read_gold_tsv(gold_path)
-        gold = GoldAlignment.from_pairs(sorted(gold.pairs), src_ids, tgt_ids)
-        sets[lang] = LanguagePool(src_embeddings=src_map, tgt_embeddings=tgt_map, gold=gold)
     groups = {}
     for group_str in args.group or []:
-        name, _, langs = group_str.partition("=")
+        name, sep, langs = group_str.partition("=")
+        if not (sep and name and all(langs.split("+"))):
+            raise UsageError(f"--group wants NAME=lang1+lang2+..., got {group_str!r}")
+        if name in groups:
+            raise UsageError(f"--group gives group {name!r} twice")
         groups[name] = langs.split("+")
+    sets, inputs = {}, []
+    for spec_str in args.set:
+        lang, sep, rest = spec_str.partition("=")
+        paths = rest.split(",")
+        if not (sep and lang) or len(paths) != 3:
+            raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, got {spec_str!r}")
+        if lang in sets:
+            raise UsageError(f"--set gives language {lang!r} twice")
+        src_map, _, src_ids = _pool_as_map(paths[0])
+        tgt_map, _, tgt_ids = _pool_as_map(paths[1])
+        gold = GoldAlignment.from_pairs(sorted(read_gold_tsv(paths[2]).pairs), src_ids, tgt_ids)
+        sets[lang] = LanguagePool(src_embeddings=src_map, tgt_embeddings=tgt_map, gold=gold)
+        inputs.extend(paths)
     result = tatoeba_accuracy(sets, groups)
     metrics: dict[str, object] = {}
     for lang, acc in sorted(result.per_language.items()):
@@ -454,23 +422,18 @@ def cmd_eval_tatoeba(args) -> None:
         metrics[f"missing_{name}"] = ",".join(missing)
     write_metrics_report(metrics, args.out)
     _log(f"eval-tatoeba: {len(sets)} languages -> {args.out}")
-    inputs = []
-    for spec_str in args.set:
-        inputs.extend(spec_str.split("=", 1)[1].split(","))
-    _write_manifest("eval-tatoeba", args, inputs, [args.out, str(args.out) + ".json"], started)
+    return inputs, [args.out, str(args.out) + ".json"]
 
 
-def cmd_eval_bucc(args) -> None:
-    started = time.time()
+def cmd_eval_bucc(args) -> tuple[list, list]:
     from .evaluation import (
-        GoldAlignment,
         bucc_best_f1,
         bucc_candidates,
         read_candidates_tsv,
         read_gold_tsv,
         write_metrics_report,
     )
-    from .vecindex import build, check_k
+    from .vecindex import check_k
 
     with _flag_values():
         check_k(args.k)
@@ -481,15 +444,10 @@ def cmd_eval_bucc(args) -> None:
     else:
         if not (args.src_pool and args.tgt_pool):
             raise UsageError("eval-bucc needs --candidates or both --src-pool and --tgt-pool")
-        src_map, _, src_ids = _pool_as_map(args.src_pool)
-        _, tgt_vectors, tgt_ids = _pool_as_map(args.tgt_pool)
-        gold = GoldAlignment.from_pairs(sorted(gold.pairs), src_ids, tgt_ids)
-        candidates = bucc_candidates(src_map, build(tgt_vectors, tgt_ids), k=args.k)
+        src_map, index, gold = _retrieval_inputs(args, gold)
+        candidates = bucc_candidates(src_map, index, k=args.k)
         inputs = [args.src_pool, args.tgt_pool, args.gold]
-    try:
-        prf = bucc_best_f1(candidates, gold)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    prf = bucc_best_f1(candidates, gold)
     write_metrics_report(
         {
             "precision": prf.precision,
@@ -502,33 +460,25 @@ def cmd_eval_bucc(args) -> None:
         args.out,
     )
     _log(f"eval-bucc: F1={prf.f1:.4f} @ tau={prf.threshold:.4f} -> {args.out}")
-    _write_manifest("eval-bucc", args, inputs, [args.out, str(args.out) + ".json"], started)
+    return inputs, [args.out, str(args.out) + ".json"]
 
 
-def cmd_eval_sts(args) -> None:
-    started = time.time()
-    from .evaluation import sts_pearson, write_metrics_report
+def cmd_eval_sts(args) -> tuple[list, list]:
+    from .evaluation import read_scores, sts_pearson, write_metrics_report
     from .vecindex import read_pool
 
     a_vectors, _ = read_pool(args.pool_a, with_ids=False)
     b_vectors, _ = read_pool(args.pool_b, with_ids=False)
     if a_vectors.shape != b_vectors.shape:
         raise DataError("pool-a and pool-b must hold the same number of rows")
-    with open(args.gold_scores, encoding="utf-8") as fh:
-        gold = [float(line) for line in fh if line.strip()]
-    try:
-        r = sts_pearson(list(zip(a_vectors, b_vectors)), gold)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    gold = read_scores(args.gold_scores)
+    r = sts_pearson(list(zip(a_vectors, b_vectors)), gold)
     write_metrics_report({"pearson_r": r, "pairs": len(gold)}, args.out)
     _log(f"eval-sts: r={r:.4f} -> {args.out}")
-    _write_manifest(
-        "eval-sts", args, [args.pool_a, args.pool_b, args.gold_scores], [args.out, str(args.out) + ".json"], started
-    )
+    return [args.pool_a, args.pool_b, args.gold_scores], [args.out, str(args.out) + ".json"]
 
 
-def cmd_stats(args) -> None:
-    started = time.time()
+def cmd_stats(args) -> tuple[list, list]:
     from .corpus import corpus_stats, format_stats_report
     from .fileio import atomic_write_text
 
@@ -540,11 +490,10 @@ def cmd_stats(args) -> None:
     stats = {lang: corpus_stats(sents, vocab) for lang, sents in by_lang.items()}
     atomic_write_text(args.out, format_stats_report(stats))
     _log(f"stats: {len(stats)} languages -> {args.out}")
-    _write_manifest("stats", args, list(args.mono) + [args.vocab], [args.out], started)
+    return list(args.mono) + [args.vocab], [args.out]
 
 
-def cmd_report(args) -> None:
-    started = time.time()
+def cmd_report(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
     from .evaluation import write_metrics_report
     from .mining import MiningConfig, mining_report
@@ -558,7 +507,7 @@ def cmd_report(args) -> None:
     report, _ = mining_report(pairs, config, sources_processed=args.sources_processed)
     write_metrics_report(report, args.out)
     _log(f"report: {len(pairs)} pairs -> {args.out}")
-    _write_manifest("report", args, [args.pairs], [args.out, str(args.out) + ".json"], started)
+    return [args.pairs], [args.out, str(args.out) + ".json"]
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +704,10 @@ def _apply_config_file(path: str, command: str, sp: argparse.ArgumentParser) -> 
         elif isinstance(action, argparse._AppendAction):
             overrides[key] = [v for v in raw_value.split() if v]
         elif action.type is not None:
-            overrides[key] = action.type(raw_value)
+            try:
+                overrides[key] = action.type(raw_value)
+            except ValueError as exc:
+                raise UsageError(f"config file {path!r}: bad value {raw_value!r} for key {raw_key!r}") from exc
         else:
             overrides[key] = raw_value
     sp.set_defaults(**overrides)
@@ -763,19 +715,18 @@ def _apply_config_file(path: str, command: str, sp: argparse.ArgumentParser) -> 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--deterministic" in argv:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, "1")
     parser, subs = build_parser()
     try:
-        # A config file changes subparser defaults, so resolve it first.
-        if "--config" in argv and argv and argv[0] in subs:
-            probe = argv[argv.index("--config") + 1 :]
-            if not probe:
-                parser.error("--config needs a path")
-            _apply_config_file(probe[0], argv[0], subs[argv[0]])
         args = parser.parse_args(argv)
-        args.func(args)
+        if args.config:  # file values become subparser defaults, so parse again
+            _apply_config_file(args.config, args.command, subs[args.command])
+            args = parser.parse_args(argv)
+        if args.deterministic:
+            for var in _THREAD_VARS:
+                os.environ.setdefault(var, "1")
+        started = time.time()
+        inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, started)
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -240,6 +240,23 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
     return out
 
 
+def read_scores(path: str | Path) -> list[float]:
+    """One finite score per non-blank line, e.g. STS gold similarities."""
+    scores = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                score = float(raw)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{lineno}: bad score {raw.strip()!r}")
+            scores.append(score)
+    return scores
+
+
 def format_metric_lines(metrics: Mapping[str, object]) -> str:
     lines = []
     for name, value in metrics.items():
