@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import io
 import json
 import os
 import sys
@@ -683,8 +684,26 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, subs
 
 
+def _named_config(parser: _Parser, subs: dict, argv: list[str]) -> argparse.Namespace | None:
+    """The command and ``--config`` that ``argv`` names, from a silent
+    parse in which no option is required (a config file may supply it);
+    None if even that parse fails, so the real parse reports the error."""
+    required = [a for sp in subs.values() for a in sp._actions if a.required]
+    for action in required:
+        action.required = False
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parser.parse_known_args(argv)[0]
+    except SystemExit:
+        return None
+    finally:
+        for action in required:
+            action.required = True
+
+
 def _apply_config_file(path: str, command: str, sp: argparse.ArgumentParser) -> None:
-    """Install config-file values as subparser defaults (flags still win)."""
+    """Install config-file values as subparser defaults (flags still win).
+    An option the file supplies is no longer required on the command line."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
@@ -710,6 +729,7 @@ def _apply_config_file(path: str, command: str, sp: argparse.ArgumentParser) -> 
                 raise UsageError(f"config file {path!r}: bad value {raw_value!r} for key {raw_key!r}") from exc
         else:
             overrides[key] = raw_value
+        action.required = False
     sp.set_defaults(**overrides)
 
 
@@ -717,10 +737,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
     try:
+        named = _named_config(parser, subs, argv)
+        if named is not None and named.config:  # file values become subparser defaults
+            _apply_config_file(named.config, named.command, subs[named.command])
         args = parser.parse_args(argv)
-        if args.config:  # file values become subparser defaults, so parse again
-            _apply_config_file(args.config, args.command, subs[args.command])
-            args = parser.parse_args(argv)
         if args.deterministic:
             for var in _THREAD_VARS:
                 os.environ.setdefault(var, "1")

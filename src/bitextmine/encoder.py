@@ -20,7 +20,7 @@ checked against central finite differences.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,9 +54,25 @@ class LayerParams:
     bias: np.ndarray  # (d,)
 
 
+def _shapes(config: EncoderConfig) -> list[tuple[int, ...]]:
+    """Parameter tensor shapes in the declared (checkpoint) order."""
+    d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
+    return [(v, d), *[(d, d), (d,)] * config.num_layers, (d, e), (e,), (e, v), (v,)]
+
+
+def param_count(config: EncoderConfig) -> int:
+    return sum(math.prod(shape) for shape in _shapes(config))
+
+
 @dataclass
 class EncoderParams:
+    """The encoder's parameters in one contiguous float64 vector, ``flat``.
+    Every named tensor is a view into it, laid out in ``named_arrays``
+    order, so gradients and optimizer moments can be vectors of the same
+    layout. Write into the tensors; never rebind them."""
+
     config: EncoderConfig
+    flat: np.ndarray  # (param_count(config),)
     token_embeddings: np.ndarray  # (V, d)
     layers: list[LayerParams]
     output_weight: np.ndarray  # (d, e)
@@ -76,45 +92,45 @@ class EncoderParams:
         yield "mlm.bias", self.mlm_bias
 
     @classmethod
-    def build(
-        cls, config: EncoderConfig, make: Callable[[tuple[int, ...]], np.ndarray]
-    ) -> "EncoderParams":
-        """Make each tensor from its shape, in the declared (checkpoint) order."""
-        d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
+    def from_flat(cls, config: EncoderConfig, flat: np.ndarray) -> "EncoderParams":
+        """View ``flat`` (not copied) as the tensors of ``config``."""
+        if flat.shape != (param_count(config),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit {config}")
+        views, start = [], 0
+        for shape in _shapes(config):
+            stop = start + math.prod(shape)
+            views.append(flat[start:stop].reshape(shape))
+            start = stop
+        embeddings, *layer_views, output_weight, output_bias, mlm_weight, mlm_bias = views
         return cls(
             config=config,
-            token_embeddings=make((v, d)),
-            layers=[LayerParams(make((d, d)), make((d,))) for _ in range(config.num_layers)],
-            output_weight=make((d, e)),
-            output_bias=make((e,)),
-            mlm_weight=make((e, v)),
-            mlm_bias=make((v,)),
+            flat=flat,
+            token_embeddings=embeddings,
+            layers=[LayerParams(w, b) for w, b in zip(layer_views[::2], layer_views[1::2])],
+            output_weight=output_weight,
+            output_bias=output_bias,
+            mlm_weight=mlm_weight,
+            mlm_bias=mlm_bias,
         )
 
     def copy(self) -> "EncoderParams":
-        arrays = (arr for _, arr in self.named_arrays())
-        return EncoderParams.build(self.config, lambda _shape: next(arrays).copy())
+        return EncoderParams.from_flat(self.config, self.flat.copy())
 
 
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     rng = np.random.default_rng(seed)
     d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
-    return EncoderParams(
-        config=config,
-        token_embeddings=rng.normal(0.0, 0.1, (v, d)),
-        layers=[
-            LayerParams(rng.normal(0.0, 1.0 / math.sqrt(d), (d, d)), np.zeros(d))
-            for _ in range(config.num_layers)
-        ],
-        output_weight=rng.normal(0.0, 1.0 / math.sqrt(d), (d, e)),
-        output_bias=np.zeros(e),
-        mlm_weight=rng.normal(0.0, 0.02, (e, v)),
-        mlm_bias=np.zeros(v),
-    )
+    params = EncoderParams.from_flat(config, np.zeros(param_count(config)))
+    params.token_embeddings[:] = rng.normal(0.0, 0.1, (v, d))
+    for layer in params.layers:  # biases stay zero
+        layer.weight[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
+    params.output_weight[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, e))
+    params.mlm_weight[:] = rng.normal(0.0, 0.02, (e, v))
+    return params
 
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams.build(params.config, np.zeros)
+    return EncoderParams.from_flat(params.config, np.zeros_like(params.flat))
 
 
 def _as_id_array(tokens: Sequence[int]) -> np.ndarray:
@@ -368,9 +384,10 @@ def plan_masks(
 
 
 def mlm_loss_and_grad(
-    params: EncoderParams, batch: MaskedBatch
+    params: EncoderParams, batch: MaskedBatch, grads: EncoderParams | None = None
 ) -> tuple[float, EncoderParams]:
-    """Mean cross-entropy at masked positions, with analytic gradients."""
+    """Mean cross-entropy at masked positions; its analytic gradients are
+    accumulated into ``grads`` (fresh zeros if None)."""
     m_total = batch.masked_count()
     if m_total == 0:
         raise ValueError("no masked positions in batch")
@@ -396,7 +413,7 @@ def mlm_loss_and_grad(
     dlogits[np.arange(m_total), targets] -= 1.0
     dlogits /= m_total
 
-    grads = zeros_like_params(params)
+    grads = grads if grads is not None else zeros_like_params(params)
     grads.mlm_weight += proj.T @ dlogits
     grads.mlm_bias += dlogits.sum(axis=0)
     dproj = dlogits @ params.mlm_weight.T
@@ -447,14 +464,15 @@ def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
         raise ValueError(
             f"target_layers={target_layers} must be a positive multiple of {current}"
         )
-    grown = params.copy()
-    grown.config = replace(params.config, num_layers=target_layers)
-    grown.layers = [
-        LayerParams(
-            params.layers[j % current].weight.copy(),
-            params.layers[j % current].bias.copy(),
+    # The layers lie between the embeddings and the output tensors, so
+    # tiling their block makes output layer j a copy of layer j mod L.
+    head = params.token_embeddings.size
+    tail = head + sum(layer.weight.size + layer.bias.size for layer in params.layers)
+    flat = np.concatenate(
+        (
+            params.flat[:head],
+            np.tile(params.flat[head:tail], target_layers // current),
+            params.flat[tail:],
         )
-        for j in range(target_layers)
-    ]
-    return grown
-
+    )
+    return EncoderParams.from_flat(replace(params.config, num_layers=target_layers), flat)

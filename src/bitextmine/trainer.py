@@ -3,6 +3,13 @@ stacking, dual-encoder fine-tuning with the bidirectional ranking loss,
 an adaptive-moment optimizer with decoupled weight decay, and exact
 checkpoint round-trips.
 
+Parameters, gradients and both optimizer moments are flat float64
+vectors of one layout (``EncoderParams.flat``), and ``optimizer_step``
+updates the parameters and moments in place with whole-vector
+operations. The training loops copy the caller's parameters (and a
+resumed optimizer state) once at entry, then step that copy in place,
+so a caller never sees its arguments change.
+
 Determinism: every step draws from a fresh generator seeded by
 (config seed, stream tag, step index), so a resumed run reproduces the
 unbroken run bit for bit. The learning rate decays linearly to zero
@@ -16,10 +23,10 @@ Checkpoint format, version 2 (all integers and floats little-endian):
 magic ``BXCK``; u32 version; five u32 EncoderConfig integers
 (vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim); u8 state
 flag; when the flag is 1, the u64 optimizer step count and the
-TrainConfig fields in declared order; then every tensor as float64 in
-``EncoderParams.named_arrays`` order: the parameters, then, with state,
-the first and the second optimizer moments. Version 1 files nested a
-separately versioned parameter block and are refused.
+TrainConfig fields in declared order; then the flat float64 vectors,
+each in ``EncoderParams.named_arrays`` order: the parameters, then, with
+state, the first and the second optimizer moments. Version 1 files
+nested a separately versioned parameter block and are refused.
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ from .encoder import (
     forward_batch,
     grad_through_normalization,
     mlm_loss_and_grad,
+    param_count,
     plan_masks,
     stack_grow,
     tlm_sequence,
+    zeros_like_params,
 )
 from .errors import CheckpointError, NumericalError
 from .fileio import atomic_write_bytes
@@ -100,17 +109,18 @@ class TrainConfig:
 @dataclass
 class OptimizerState:
     config: TrainConfig  # the schedule and hyperparameters the moments belong to
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: np.ndarray  # laid out like EncoderParams.flat
+    second_moment: np.ndarray
     step_count: int = 0
+
+    def copy(self) -> "OptimizerState":
+        return replace(
+            self, first_moment=self.first_moment.copy(), second_moment=self.second_moment.copy()
+        )
 
 
 def init_optimizer_state(params: EncoderParams, config: TrainConfig) -> OptimizerState:
-    return OptimizerState(
-        config=config,
-        first_moment={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-        second_moment={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-    )
+    return OptimizerState(config, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -118,35 +128,50 @@ def lr_at(config: TrainConfig, step: int) -> float:
     return config.learning_rate * max(0.0, 1.0 - (step - 1) / config.steps)
 
 
-def optimizer_step(
-    params: EncoderParams, grads: EncoderParams, state: OptimizerState
-) -> tuple[EncoderParams, OptimizerState]:
+def optimizer_step(params: EncoderParams, grads: EncoderParams, state: OptimizerState) -> None:
     """One adaptive-moment update with decoupled weight decay, under the
-    state's own config.
+    state's own config, made in place on the flat vectors of ``params``
+    and ``state``.
 
-    m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2; both bias-corrected;
+    m <- b1 m + (1-b1) g;  v <- b2 v + ((1-b2) g) g; both bias-corrected;
     theta <- theta - lr_t (m_hat / (sqrt(v_hat) + eps) + wd * theta).
+
+    A non-finite update raises NumericalError naming the first tensor it
+    hits; the parameters and the step count are then unchanged, the
+    moments are not.
     """
     config = state.config
     t = state.step_count + 1
-    lr_t = lr_at(config, t)
-    new_params = params.copy()
-    new_first: dict[str, np.ndarray] = {}
-    new_second: dict[str, np.ndarray] = {}
-    grad_map = dict(grads.named_arrays())
-    for name, target in new_params.named_arrays():
-        g = grad_map[name]
-        m = BETA1 * state.first_moment[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.second_moment[name] + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        update = lr_t * (m_hat / (np.sqrt(v_hat) + EPS) + config.weight_decay * target)
-        if not np.all(np.isfinite(update)):
-            raise NumericalError(f"non-finite optimizer update for {name!r} at step {t}")
-        target -= update
-        new_first[name] = m
-        new_second[name] = v
-    return new_params, OptimizerState(config, new_first, new_second, t)
+    theta, g, m, v = params.flat, grads.flat, state.first_moment, state.second_moment
+    update, scratch = np.empty_like(theta), np.empty_like(theta)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=scratch)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=scratch)
+    v += np.multiply(scratch, g, out=scratch)
+    np.divide(v, 1.0 - BETA2**t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += EPS
+    np.divide(m, 1.0 - BETA1**t, out=update)  # m_hat
+    update /= scratch
+    update += np.multiply(theta, config.weight_decay, out=scratch)
+    update *= lr_at(config, t)
+    if not np.isfinite(update).all():
+        bad = int(np.flatnonzero(~np.isfinite(update))[0])
+        raise NumericalError(
+            f"non-finite optimizer update for {_tensor_at(params, bad)!r} at step {t}"
+        )
+    theta -= update
+    state.step_count = t
+
+
+def _tensor_at(params: EncoderParams, index: int) -> str:
+    """The name of the tensor that holds ``params.flat[index]``."""
+    for name, arr in params.named_arrays():
+        if index < arr.size:
+            return name
+        index -= arr.size
+    raise IndexError(index)
 
 
 def _write_log(log: TextIO | None, step: int, loss: float, lr: float, pairs_seen: int) -> None:
@@ -181,7 +206,9 @@ def finetune_dual_encoder(
     checkpoint_interval: int = 0,
 ) -> tuple[EncoderParams, OptimizerState]:
     """Train the shared encoder on translation pairs with the sharded
-    bidirectional additive-margin loss.
+    bidirectional additive-margin loss, and return the trained
+    parameters and optimizer state. The caller's ``params`` and ``state``
+    are copied once and left unchanged.
 
     Each step computes the loss and its gradients once, in one call to
     ``sharded_bidirectional_loss``. Both sides are encoded with the same
@@ -193,9 +220,10 @@ def finetune_dual_encoder(
     """
     if not pair_corpus:
         raise ValueError("empty pair corpus")
-    if state is None:
-        state = init_optimizer_state(params, config)
+    state = init_optimizer_state(params, config) if state is None else state.copy()
     check_resumable(state, config)
+    params = params.copy()
+    grads = zeros_like_params(params)
     stop = config.steps if stop_step is None else min(stop_step, config.steps)
     loss_cfg = config.loss_config()
     max_len = params.config.max_seq_len
@@ -216,11 +244,12 @@ def finetune_dual_encoder(
             raise NumericalError(
                 f"ranking loss diverged at step {t + 1}; last checkpoint retained"
             )
-        grads = backward_batch(params, cache_x, grad_through_normalization(cache_x, dvx))
+        grads.flat.fill(0.0)
+        backward_batch(params, cache_x, grad_through_normalization(cache_x, dvx), grads)
         backward_batch(params, cache_y, grad_through_normalization(cache_y, dvy), grads)
 
         lr_used = lr_at(config, t + 1)
-        params, state = optimizer_step(params, grads, state)
+        optimizer_step(params, grads, state)
         _write_log(log, state.step_count, loss_value, lr_used, state.step_count * config.batch_size)
         if (
             checkpoint_path is not None
@@ -268,7 +297,8 @@ def pretrain(
 
     Stage layer counts must each divide the next; parameters learned in
     one stage are duplicated to initialize the next. A fresh optimizer
-    (and decay horizon) starts each stage.
+    (and decay horizon) starts each stage. The caller's ``params`` are
+    copied once and left unchanged.
     """
     check_pretrain_options(mix, mask_fraction, mask_cap)
     if not stage_schedule:
@@ -298,11 +328,13 @@ def pretrain(
     pairs_seen = 0
     global_step = 0
     cycle = mlm_share + tlm_share
+    params = params.copy()
     for stage_idx, stage in enumerate(stage_schedule):
         if len(params.layers) != stage.num_layers:
             params = stack_grow(params, stage.num_layers)
         stage_config = replace(config, steps=stage.steps)
         state = init_optimizer_state(params, stage_config)
+        grads = zeros_like_params(params)
         for t in range(stage.steps):
             use_mlm = (t % cycle) < mlm_share
             stream = _STREAM_MLM if use_mlm else _STREAM_TLM
@@ -318,13 +350,14 @@ def pretrain(
                     [tlm_seqs[i] for i in idx], rng, fraction=mask_fraction, cap=mask_cap
                 )
                 pairs_seen += config.batch_size
-            loss_value, grads = mlm_loss_and_grad(params, batch)
+            grads.flat.fill(0.0)
+            loss_value, _ = mlm_loss_and_grad(params, batch, grads)
             if not math.isfinite(loss_value):
                 raise NumericalError(
                     f"pretraining loss diverged at stage {stage_idx} step {t + 1}"
                 )
             lr_used = lr_at(stage_config, t + 1)
-            params, state = optimizer_step(params, grads, state)
+            optimizer_step(params, grads, state)
             global_step += 1
             _write_log(log, global_step, loss_value, lr_used, pairs_seen)
     return params
@@ -344,12 +377,11 @@ def checkpoint_to_bytes(params: EncoderParams, state: OptimizerState | None) -> 
         struct.pack("<I", _CKPT_VERSION),
         struct.pack(_CKPT_HEAD, *dims, state is not None),
     ]
-    tensors = [arr for _, arr in params.named_arrays()]
+    vectors = [params.flat]
     if state is not None:
         chunks.append(struct.pack(_CKPT_STATE, state.step_count, *astuple(state.config)))
-        for moments in (state.first_moment, state.second_moment):
-            tensors.extend(moments[name] for name, _ in params.named_arrays())
-    chunks.extend(np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in tensors)
+        vectors += [state.first_moment, state.second_moment]
+    chunks.extend(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in vectors)
     return b"".join(chunks)
 
 
@@ -380,8 +412,8 @@ class _Reader:
     def unpack(self, layout: str) -> tuple:
         return struct.unpack(layout, self.take(struct.calcsize(layout)))
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        return np.frombuffer(self.take(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+    def vector(self, n: int) -> np.ndarray:
+        return np.frombuffer(self.take(n * 8), dtype="<f8").copy()
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState | None]:
@@ -402,12 +434,11 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState | None]:
             train_config = TrainConfig(*train)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    params = EncoderParams.build(encoder_config, reader.array)
+    n = param_count(encoder_config)
+    params = EncoderParams.from_flat(encoder_config, reader.vector(n))
     state: OptimizerState | None = None
     if has_state:
-        first = {name: reader.array(arr.shape) for name, arr in params.named_arrays()}
-        second = {name: reader.array(arr.shape) for name, arr in params.named_arrays()}
-        state = OptimizerState(train_config, first, second, step_count)
+        state = OptimizerState(train_config, reader.vector(n), reader.vector(n), step_count)
     if reader.pos != len(reader.data):
         raise CheckpointError(
             f"{path}: {len(reader.data) - reader.pos} trailing bytes at offset {reader.pos}"

@@ -361,6 +361,26 @@ def test_flag_overrides_the_config_file(work, tmp_path):
     assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 8
 
 
+def test_config_file_supplies_a_required_option(work, tmp_path):
+    manifest_case(work, tmp_path, "report")  # writes scored.tsv
+    (tmp_path / "run.ini").write_text(f"[report]\npairs = {tmp_path / 'scored.tsv'}\n", encoding="utf-8")
+    assert run("report", "--out", tmp_path / "rep", "--config", tmp_path / "run.ini") == 0
+    assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 2
+    manifest = json.loads((tmp_path / "rep.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["pairs"] == str(tmp_path / "scored.tsv")
+
+
+def test_required_option_in_neither_flags_nor_config_file_is_usage_error(work, tmp_path, capsys):
+    manifest_case(work, tmp_path, "report")
+    (tmp_path / "run.ini").write_text(f"[report]\npairs = {tmp_path / 'scored.tsv'}\n", encoding="utf-8")
+    assert run("report", "--config", tmp_path / "run.ini") == 1
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --out" in err and "--pairs" not in err.splitlines()[-1]
+    assert run("report", "--out", tmp_path / "rep") == 1
+    assert "the following arguments are required: --pairs" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_config_file_value_of_the_wrong_type_is_usage_error(work, tmp_path, capsys):
     (tmp_path / "run.ini").write_text("[train]\nsteps = abc\n", encoding="utf-8")
     out = tmp_path / "m.ckpt"

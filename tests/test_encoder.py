@@ -407,6 +407,42 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
+def assert_views_tile_flat(params):
+    """Each named tensor is a view into ``params.flat`` at its offset in
+    ``named_arrays`` order, and the views cover ``flat`` exactly; a tensor
+    rebound to its own array would drop out of the optimizer's update."""
+    base = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for name, arr in params.named_arrays():
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+        assert np.shares_memory(arr, params.flat), name
+        assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += arr.size
+    assert params.flat.shape == (offset,)
+
+
+def test_every_tensor_is_a_view_into_flat(tmp_path):
+    p = small_params(layers=2)
+    grown = stack_grow(p, 4)
+    save_checkpoint(grown, None, tmp_path / "ck.bin")
+    loaded, _ = load_checkpoint(tmp_path / "ck.bin")
+    copied = p.copy()
+    assert not np.shares_memory(copied.flat, p.flat)
+    for params in (p, copied, zeros_like_params(p), grown, loaded):
+        assert_views_tile_flat(params)
+
+
+def test_mlm_gradient_accumulates_into_given_grads():
+    p = small_params()
+    batch = plan_masks([[CLS_ID, 6, 7, 8, SEP_ID]], np.random.default_rng(1), fraction=0.5)
+    loss, fresh = mlm_loss_and_grad(p, batch)
+    grads = zeros_like_params(p)
+    grads.flat[:] = 1.0
+    again, out = mlm_loss_and_grad(p, batch, grads)
+    assert out is grads and again == loss
+    np.testing.assert_array_equal(grads.flat, 1.0 + fresh.flat)
+
+
 def test_zeros_like_params_shapes():
     p = small_params()
     z = zeros_like_params(p)

@@ -1,12 +1,19 @@
 """The benchmark's traced run times the functions named in
 ``bench/tracing.py``; a name that no longer resolves drops its metrics
 from the benchmark. The list is read from the file's source, so the
-benchmark code itself is not imported here.
+benchmark code itself is not imported here. The benchmark's per-step
+latency is timed between calls to ``trainer.optimizer_step``, so each
+training step must make exactly one.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from bitextmine import trainer
+from bitextmine.encoder import EncoderConfig, init_params
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -28,3 +35,23 @@ def test_every_traced_layer_resolves_to_a_function():
         if not callable(getattr(importlib.import_module(f"bitextmine.{module}"), function, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("run", ["finetune", "pretrain"])
+def test_each_training_step_makes_one_optimizer_step(monkeypatch, toy_small, toy_vocab, run):
+    calls = []
+    step = trainer.optimizer_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(trainer, "optimizer_step", counted)
+    config = trainer.TrainConfig(batch_size=8, steps=12, learning_rate=1e-3)
+    params = init_params(EncoderConfig(len(toy_vocab), hidden_dim=8, num_layers=1, max_seq_len=16))
+    if run == "finetune":
+        trainer.finetune_dual_encoder(params, toy_small.train_pairs, config, toy_vocab)
+    else:
+        stages = [trainer.Stage(1, 6), trainer.Stage(2, 6)]
+        trainer.pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, config, stages, toy_vocab)
+    assert len(calls) == 12

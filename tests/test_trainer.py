@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bitextmine.encoder import EncoderConfig, encode, init_params
+from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params
 from bitextmine.errors import CheckpointError, NumericalError
 from bitextmine.trainer import (
+    BETA1,
+    BETA2,
+    EPS,
     OptimizerState,
     Stage,
     TrainConfig,
@@ -38,13 +41,76 @@ def grads_like(params, fill=0.0):
     return g
 
 
+def reference_step(theta, grads, first, second, t, config):
+    """The per-tensor update that the flat one replaced, written out on
+    dicts of named tensors: the new parameters and both new moments."""
+    lr_t = lr_at(config, t)
+    new_theta, new_first, new_second = {}, {}, {}
+    for name, target in theta.items():
+        g = grads[name]
+        m = BETA1 * first[name] + (1.0 - BETA1) * g
+        v = BETA2 * second[name] + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        update = lr_t * (m_hat / (np.sqrt(v_hat) + EPS) + config.weight_decay * target)
+        new_theta[name], new_first[name], new_second[name] = target - update, m, v
+    return new_theta, new_first, new_second
+
+
+def named(params, flat=None):
+    """Copies of the named tensors of ``params``, or of ``flat`` laid out like them."""
+    view = params if flat is None else EncoderParams.from_flat(params.config, flat)
+    return {name: arr.copy() for name, arr in view.named_arrays()}
+
+
 class TestOptimizerStep:
+    # 1 - BETA1**t rounds to exactly 1.0 from t = 356 on, so steps 354-358
+    # cross the point where the first moment's bias correction vanishes.
+    @pytest.mark.parametrize("start", [0, 353])
+    def test_matches_the_per_tensor_reference_bit_for_bit(self, start):
+        assert 1.0 - BETA1 ** (start + 1) < 1.0
+        rng = np.random.default_rng(start)
+        p = small_setup(seed=5)
+        cfg = TrainConfig(batch_size=4, steps=1000, learning_rate=0.01, weight_decay=0.5)
+        state = init_optimizer_state(p, cfg)
+        if start:
+            state.step_count = start
+            state.first_moment[:] = rng.normal(0.0, 1e-2, p.flat.size)
+            state.second_moment[:] = rng.random(p.flat.size) * 1e-4
+        theta, first, second = named(p), named(p, state.first_moment), named(p, state.second_moment)
+        for t in range(start + 1, start + 6):
+            g = grads_like(p)
+            g.flat[:] = rng.normal(0.0, 1.0, p.flat.size)
+            theta, first, second = reference_step(theta, named(g), first, second, t, cfg)
+            optimizer_step(p, g, state)
+            assert state.step_count == t
+            for name, arr in p.named_arrays():
+                assert np.array_equal(arr, theta[name]), (t, name)
+            for moment, ref in ((state.first_moment, first), (state.second_moment, second)):
+                for name, arr in EncoderParams.from_flat(p.config, moment).named_arrays():
+                    assert np.array_equal(arr, ref[name]), (t, name)
+        if start:
+            assert 1.0 - BETA1**t == 1.0
+
+    def test_nan_gradient_names_its_tensor_and_leaves_params(self):
+        p = small_setup()
+        before = checkpoint_to_bytes(p, None)
+        g = grads_like(p)
+        g.layers[1].bias[2] = np.nan
+        state = init_optimizer_state(p, TrainConfig(batch_size=4, steps=10, learning_rate=0.1))
+        with pytest.raises(NumericalError, match=r"'layers\.1\.bias' at step 1"):
+            optimizer_step(p, g, state)
+        assert checkpoint_to_bytes(p, None) == before
+        assert state.step_count == 0
+
     def test_zero_gradient_no_decay_leaves_params(self):
         p = small_setup()
+        before = p.copy()
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.0)
-        p2, state2 = optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
-        assert checkpoint_to_bytes(p2, None) == checkpoint_to_bytes(p, None)
-        assert state2.step_count == 1
+        state = init_optimizer_state(p, cfg)
+        optimizer_step(p, grads_like(p), state)
+        assert checkpoint_to_bytes(p, None) == checkpoint_to_bytes(before, None)
+        assert state.step_count == 1
 
     def test_single_step_on_quadratic_decreases_magnitude(self):
         # f(theta) = theta^2 / 2, gradient = theta, from theta = 1
@@ -52,18 +118,20 @@ class TestOptimizerStep:
         p.output_bias[:] = 1.0
         g = grads_like(p)
         g.output_bias[:] = 1.0
+        before = p.copy()
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1)
-        p2, _ = optimizer_step(p, g, init_optimizer_state(p, cfg))
-        assert abs(p2.output_bias[0]) < 1.0
+        optimizer_step(p, g, init_optimizer_state(p, cfg))
+        assert abs(p.output_bias[0]) < abs(before.output_bias[0])
 
     def test_decoupled_decay_shrinks_params(self):
         p = small_setup()
+        p0 = p.copy()
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.5)
-        p2, _ = optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
-        before = np.linalg.norm(p.token_embeddings)
-        after = np.linalg.norm(p2.token_embeddings)
+        optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
+        before = np.linalg.norm(p0.token_embeddings)
+        after = np.linalg.norm(p.token_embeddings)
         assert after < before
-        np.testing.assert_allclose(p2.token_embeddings, p.token_embeddings * (1 - 0.1 * 0.5))
+        np.testing.assert_allclose(p.token_embeddings, p0.token_embeddings * (1 - 0.1 * 0.5))
 
     def test_linear_decay_schedule(self):
         cfg = TrainConfig(batch_size=4, steps=100, learning_rate=1.0)
@@ -146,6 +214,17 @@ class TestFinetune:
         assert losses[-1] <= 0.5 * losses[0], losses
         assert losses[-1] <= 1.1 * min(losses), losses
 
+    def test_caller_params_and_resumed_state_left_unchanged(self, toy_small, toy_vocab, toy_encoder_config):
+        cfg = TrainConfig(batch_size=8, steps=8, learning_rate=1e-3, seed=2, weight_decay=0.1)
+        params, state = finetune_dual_encoder(
+            init_params(toy_encoder_config, 1), toy_small.train_pairs, cfg, toy_vocab, stop_step=4
+        )
+        before = checkpoint_to_bytes(params, state)
+        trained, trained_state = finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state)
+        assert checkpoint_to_bytes(params, state) == before
+        assert trained_state.step_count == 8
+        assert checkpoint_to_bytes(trained, None) != checkpoint_to_bytes(params, None)
+
     def test_empty_corpus_rejected(self, toy_vocab, toy_encoder_config):
         cfg = TrainConfig(batch_size=4, steps=2, learning_rate=1e-3)
         with pytest.raises(ValueError):
@@ -198,6 +277,14 @@ class TestPretrain:
         tail = sum(losses[-10:]) / 10
         assert tail <= 0.8 * losses[0]
 
+    def test_caller_params_left_unchanged(self, toy_small, toy_vocab, toy_encoder_config):
+        params = init_params(toy_encoder_config, 4)
+        before = checkpoint_to_bytes(params, None)
+        cfg = TrainConfig(batch_size=8, steps=6, learning_rate=1e-3, seed=5)
+        trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
+        assert checkpoint_to_bytes(params, None) == before
+        assert checkpoint_to_bytes(trained, None) != before
+
     def test_deterministic(self, toy_small, toy_vocab, toy_encoder_config):
         cfg = TrainConfig(batch_size=8, steps=6, learning_rate=1e-3, seed=5)
         runs = []
@@ -218,8 +305,7 @@ class TestCheckpoint:
         cfg = TrainConfig(batch_size=16, steps=40, learning_rate=0.25, seed=2**62 + 3, weight_decay=0.5)
         state = init_optimizer_state(p, cfg)
         state.step_count = 17
-        for name in state.first_moment:
-            state.first_moment[name][:] = 0.5
+        state.first_moment[:] = 0.5
         path = tmp_path / "ck.bin"
         save_checkpoint(p, state, path)
         p2, state2 = load_checkpoint(path)
