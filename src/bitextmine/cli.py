@@ -33,8 +33,23 @@ from .errors import DataError, NumericalError, UsageError
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+class _Repeatable(argparse._AppendAction):
+    """``append`` whose first flag replaces the default list (a config
+    file's values) instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 1 instead of 2."""
+    """argparse with usage errors on exit code 1 instead of 2, and
+    repeatable flags that override a config file's list."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("action", "append", _Repeatable)
 
     def error(self, message: str) -> "None":
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -4,9 +4,19 @@ longest-match tokenization.
 Induction is merge-based: per-language token counts are reweighted by
 (p_l**alpha)/p_l (alpha = smoothing exponent, upweighting low-resource
 languages), then the most frequent adjacent piece pair is merged until
-the target size is reached. The tokenizer side is greedy
-longest-match-first within whitespace-split words, with ``##`` marking
-word-internal continuation pieces.
+the target size is reached; ties go to the lexicographically smallest
+pair. The merge statistics are incremental (as in Sennrich et al.,
+arXiv 1508.07909): an index from each pair to the words containing it
+lets a merge rewrite only those words and recount only the pairs they
+held before or after. Each recount sums in word order, one addition per
+occurrence, so frequencies and the vocabulary are exactly those of a
+full rescan of every word at every merge.
+
+The tokenizer side is greedy longest-match-first within whitespace-split
+words, with ``##`` marking word-internal continuation pieces. Each
+``Vocab`` remembers the pieces of up to ``WORD_CACHE_LIMIT`` distinct
+words, so a word is matched once per vocabulary, not once per
+occurrence.
 
 Vocab file format: one piece per line, line number = id, first five
 lines are the special tokens.
@@ -14,6 +24,7 @@ lines are the special tokens.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,13 +39,22 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 
 CONTINUATION_MARKER = "##"
 
+# Distinct words whose tokenization a Vocab remembers. Real corpora have
+# millions of word types; past this many, further words are matched on
+# every call instead of growing the cache without bound.
+WORD_CACHE_LIMIT = 1 << 16
+
 
 @dataclass
 class Vocab:
-    """Immutable-by-convention piece inventory with dense ids."""
+    """Immutable-by-convention piece inventory with dense ids, and the
+    pieces of the words it has tokenized (``word_tokens``)."""
 
     pieces: list[str]
     piece_to_id: dict[str, int] = field(init=False, repr=False)
+    word_cache: dict[str, tuple[int, ...]] = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if tuple(self.pieces[:5]) != SPECIAL_TOKENS:
@@ -64,6 +84,46 @@ class Vocab:
 def _word_symbols(word: str) -> tuple[str, ...]:
     """Split a word into its initial character and ## continuations."""
     return (word[0],) + tuple(CONTINUATION_MARKER + c for c in word[1:])
+
+
+def _merge_pair(seq: list[str], a: str, b: str, merged: str) -> list[str]:
+    """Replace each ``a b`` in ``seq`` by ``merged``, greedily left to right."""
+    out: list[str] = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def _pair_frequency(occ: Mapping[int, int], freqs: Sequence[float]) -> float:
+    """A pair's frequency from its occurrences, summed as a rescan of all
+    words would: in word order, one addition per occurrence. Summing in
+    any other order (or by deltas) can change the last bits and flip a
+    near-tie between merges."""
+    total = 0.0
+    for w in sorted(occ):
+        f = freqs[w]
+        for _ in range(occ[w]):
+            total += f
+    return total
+
+
+def _pop_best(
+    heap: list[tuple[float, str, str]], pair_freq: Mapping[tuple[str, str], float]
+) -> tuple[str, str] | None:
+    """Pop the most frequent pair, ties to the smallest, skipping entries
+    whose frequency is no longer the pair's current one; None when no
+    pair is left."""
+    while heap:
+        neg_f, a, b = heapq.heappop(heap)
+        if pair_freq.get((a, b)) == -neg_f:
+            return a, b
+    return None
 
 
 def language_weights(
@@ -158,44 +218,66 @@ def build_vocab(
 
     pieces = list(SPECIAL_TOKENS) + alphabet
     known = set(pieces)
-    work = dict(sequences)
+    words = [list(seq) for seq in sequences]
+    freqs = list(sequences.values())
+    # Occurrences of each adjacent pair: word index -> count in that word.
+    where: dict[tuple[str, str], dict[int, int]] = {}
+    for w, seq in enumerate(words):
+        for pair in zip(seq, seq[1:]):
+            occ = where.setdefault(pair, {})
+            occ[w] = occ.get(w, 0) + 1
+    pair_freq = {pair: _pair_frequency(occ, freqs) for pair, occ in where.items()}
+    heap = [(-f, a, b) for (a, b), f in pair_freq.items()]
+    heapq.heapify(heap)
     while len(pieces) < target_size:
-        pair_freq: dict[tuple[str, str], float] = {}
-        for seq, f in work.items():
-            for a, b in zip(seq, seq[1:]):
-                pair_freq[(a, b)] = pair_freq.get((a, b), 0.0) + f
-        if not pair_freq:
+        best = _pop_best(heap, pair_freq)
+        if best is None:
             break
-        best = min(pair_freq, key=lambda p: (-pair_freq[p], p))
         a, b = best
         merged = a + b.removeprefix(CONTINUATION_MARKER)
         if merged not in known:
             pieces.append(merged)
             known.add(merged)
-        new_work: dict[tuple[str, ...], float] = {}
-        for seq, f in work.items():
-            out: list[str] = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            key = tuple(out)
-            new_work[key] = new_work.get(key, 0.0) + f
-        work = new_work
+        touched: set[tuple[str, str]] = set()
+        for w in list(where[best]):
+            old = words[w]
+            new = _merge_pair(old, a, b, merged)
+            for pair in zip(old, old[1:]):
+                where[pair].pop(w, None)
+                touched.add(pair)
+            for pair in zip(new, new[1:]):
+                occ = where.setdefault(pair, {})
+                occ[w] = occ.get(w, 0) + 1
+                touched.add(pair)
+            words[w] = new
+        for pair in touched:
+            occ = where[pair]
+            if not occ:
+                del where[pair], pair_freq[pair]
+                continue
+            f = _pair_frequency(occ, freqs)
+            if pair_freq.get(pair) != f:
+                pair_freq[pair] = f
+                heapq.heappush(heap, (-f, *pair))
 
     return Vocab(pieces=pieces)
 
 
-def word_tokens(word: str, vocab: Vocab) -> list[int]:
-    """Greedy longest-match-first tokenization of a single word.
+def word_tokens(word: str, vocab: Vocab) -> tuple[int, ...]:
+    """Greedy longest-match-first tokenization of a single word,
+    remembered per vocabulary (up to ``WORD_CACHE_LIMIT`` words).
 
-    Returns [UNK_ID] when any position fails to match.
+    Returns (UNK_ID,) when any position fails to match.
     """
-    table = vocab.piece_to_id
+    ids = vocab.word_cache.get(word)
+    if ids is None:
+        ids = _match_word(word, vocab.piece_to_id)
+        if len(vocab.word_cache) < WORD_CACHE_LIMIT:
+            vocab.word_cache[word] = ids
+    return ids
+
+
+def _match_word(word: str, table: Mapping[str, int]) -> tuple[int, ...]:
     ids: list[int] = []
     start = 0
     while start < len(word):
@@ -211,10 +293,10 @@ def word_tokens(word: str, vocab: Vocab) -> list[int]:
                 break
             end -= 1
         if found is None:
-            return [UNK_ID]
+            return (UNK_ID,)
         ids.append(found)
         start = end
-    return ids
+    return tuple(ids)
 
 
 def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[int, ...]:

@@ -361,6 +361,17 @@ def test_flag_overrides_the_config_file(work, tmp_path):
     assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 8
 
 
+def test_repeatable_flag_replaces_the_config_file_list(work, tmp_path):
+    (tmp_path / "run.ini").write_text(f"[stats]\nmono = {work / 'src.txt'}\n", encoding="utf-8")
+    argv = ["stats", "--vocab", work / "vocab.txt", "--out", tmp_path / "st", "--config", tmp_path / "run.ini"]
+    assert run(*argv, "--mono", work / "tgt.txt", "--mono", work / "tgt.txt") == 0
+    manifest = json.loads((tmp_path / "st.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["mono"] == [str(work / "tgt.txt")] * 2
+    assert run(*argv) == 0
+    manifest = json.loads((tmp_path / "st.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["mono"] == [str(work / "src.txt")]
+
+
 def test_config_file_supplies_a_required_option(work, tmp_path):
     manifest_case(work, tmp_path, "report")  # writes scored.tsv
     (tmp_path / "run.ini").write_text(f"[report]\npairs = {tmp_path / 'scored.tsv'}\n", encoding="utf-8")

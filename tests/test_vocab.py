@@ -1,8 +1,9 @@
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bitextmine import vocab as vocab_module
 from bitextmine.corpus import Sentence
 from bitextmine.vocab import (
     CLS_ID,
@@ -16,6 +17,7 @@ from bitextmine.vocab import (
     build_vocab,
     language_weights,
     tokenize,
+    word_tokens,
 )
 
 
@@ -110,6 +112,109 @@ class TestBuildVocab:
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
+def full_rescan_build_vocab(corpora, target_size, smoothing_exponent=0.3, character_coverage=1.0):
+    """The builder before incremental merge statistics: every merge round
+    recounts all pair frequencies over every word and rewrites every
+    symbol sequence. The reference that ``build_vocab`` must match piece
+    for piece."""
+    word_counts, token_totals = {}, {}
+    for lang, sentences in corpora.items():
+        counts, n = {}, 0
+        for sent in sentences:
+            for word in sent.text.split():
+                counts[word] = counts.get(word, 0) + 1
+                n += 1
+        word_counts[lang], token_totals[lang] = counts, n
+    weights = language_weights(token_totals, smoothing_exponent)
+    weighted = {}
+    for lang, counts in word_counts.items():
+        for word, c in counts.items():
+            weighted[word] = weighted.get(word, 0.0) + c * weights[lang]
+    char_occ = {}
+    for word, f in weighted.items():
+        for ch in word:
+            char_occ[ch] = char_occ.get(ch, 0.0) + f
+    covered, running, total_occ = set(), 0.0, sum(char_occ.values())
+    for ch in sorted(char_occ, key=lambda c: (-char_occ[c], c)):
+        if running >= character_coverage * total_occ and covered:
+            break
+        covered.add(ch)
+        running += char_occ[ch]
+    work = {}
+    for word, f in weighted.items():
+        if all(ch in covered for ch in word):
+            seq = (word[0],) + tuple(CONTINUATION_MARKER + c for c in word[1:])
+            work[seq] = work.get(seq, 0.0) + f
+    alphabet = sorted({sym for seq in work for sym in seq})
+    if target_size <= len(SPECIAL_TOKENS) + len(alphabet):
+        raise ValueError("target_size too small")
+    pieces = list(SPECIAL_TOKENS) + alphabet
+    while len(pieces) < target_size:
+        pair_freq = {}
+        for seq, f in work.items():
+            for a, b in zip(seq, seq[1:]):
+                pair_freq[(a, b)] = pair_freq.get((a, b), 0.0) + f
+        if not pair_freq:
+            break
+        a, b = min(pair_freq, key=lambda p: (-pair_freq[p], p))
+        merged = a + b.removeprefix(CONTINUATION_MARKER)
+        if merged not in pieces:
+            pieces.append(merged)
+        new_work = {}
+        for seq, f in work.items():
+            out, i = [], 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            new_work[tuple(out)] = new_work.get(tuple(out), 0.0) + f
+        work = new_work
+    return pieces
+
+
+@st.composite
+def smoothed_corpora(draw):
+    """1-3 languages, each over its own 2-6 letter alphabet (letters may be
+    shared), with words of 1-8 characters."""
+    corpora = {}
+    for lang in ("aa", "bb", "cc")[: draw(st.integers(1, 3))]:
+        letters = draw(st.text(alphabet="abcdefghij", min_size=2, max_size=6))
+        word = st.text(alphabet=letters, min_size=1, max_size=8)
+        lines = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=12))
+        corpora[lang] = sents(lang, *(" ".join(words) for words in lines))
+    return corpora
+
+
+def alphabet_size(pieces):
+    return sum(len(p.removeprefix(CONTINUATION_MARKER)) == 1 for p in pieces[len(SPECIAL_TOKENS):])
+
+
+class TestIncrementalMerges:
+    """``build_vocab`` recounts only the pairs a merge touches; it must
+    produce exactly the pieces of the full rescan, near-ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        smoothed_corpora(),
+        st.sampled_from([1.0, 0.9, 0.6]),
+        st.sampled_from([0.3, 1.0]),
+        st.integers(1, 40) | st.just(10_000),
+    )
+    def test_matches_the_full_rescan(self, corpora, coverage, alpha, extra):
+        exhausted = full_rescan_build_vocab(corpora, 10_000, alpha, coverage)
+        target = len(SPECIAL_TOKENS) + alphabet_size(exhausted) + extra
+        expected = full_rescan_build_vocab(corpora, target, alpha, coverage)
+        assert build_vocab(corpora, target, alpha, coverage).pieces == expected
+
+    def test_matches_the_full_rescan_on_the_toy_corpus(self, toy_small):
+        corpora = {"aa": [p.src for p in toy_small.train_pairs], "bb": [p.tgt for p in toy_small.train_pairs]}
+        for target in (120, 600, 5000):
+            assert build_vocab(corpora, target).pieces == full_rescan_build_vocab(corpora, target)
+
+
 class TestTokenize:
     def test_greedy_longest_match(self):
         vocab = manual_vocab(["a", "ab", "##c"])
@@ -149,6 +254,49 @@ class TestTokenize:
         seq = tokenize("A a", vocab, 8)
         assert seq[1] == vocab.piece_to_id["A"]
         assert seq[2] == vocab.piece_to_id["a"]
+
+
+class TestWordCache:
+    """Each ``Vocab`` remembers the pieces of the words it has tokenized."""
+
+    @staticmethod
+    def tokenize_all(vocab, toy_small):
+        return [tokenize(s.text, vocab, 16) for p in toy_small.train_pairs for s in (p.src, p.tgt)]
+
+    def test_warm_cache_gives_the_cold_output(self, toy_small, toy_vocab, monkeypatch):
+        vocab = Vocab(pieces=list(toy_vocab.pieces))
+        with monkeypatch.context() as m:
+            m.setattr(vocab_module, "WORD_CACHE_LIMIT", 0)
+            uncached = self.tokenize_all(vocab, toy_small)
+            assert vocab.word_cache == {}
+        cold = self.tokenize_all(vocab, toy_small)
+        assert vocab.word_cache
+        assert self.tokenize_all(vocab, toy_small) == cold == uncached
+
+    def test_word_tokens_returns_a_tuple(self):
+        vocab = manual_vocab(["a", "ab", "##c"])
+        for _ in range(2):
+            assert word_tokens("abc", vocab) == (vocab.piece_to_id["ab"], vocab.piece_to_id["##c"])
+        assert word_tokens("☃", vocab) == (UNK_ID,)
+        assert all(isinstance(ids, tuple) for ids in vocab.word_cache.values())
+
+    def test_cache_stops_growing_at_the_limit(self, toy_small, toy_vocab, monkeypatch):
+        expected = self.tokenize_all(Vocab(pieces=list(toy_vocab.pieces)), toy_small)
+        monkeypatch.setattr(vocab_module, "WORD_CACHE_LIMIT", 2)
+        vocab = Vocab(pieces=list(toy_vocab.pieces))
+        for p in toy_small.train_pairs:
+            for s in (p.src, p.tgt):
+                tokenize(s.text, vocab, 16)
+                assert len(vocab.word_cache) <= 2
+        assert len(vocab.word_cache) == 2
+        assert self.tokenize_all(vocab, toy_small) == expected
+
+    def test_equality_ignores_the_cache(self):
+        a, b = manual_vocab(["a", "b"]), manual_vocab(["a", "b"])
+        tokenize("ab a b", a, 8)
+        assert a.word_cache and not b.word_cache
+        assert a == b
+        assert a != manual_vocab(["a", "c"])
 
 
 def rebuild_words(ids, vocab):
