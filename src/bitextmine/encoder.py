@@ -6,9 +6,10 @@ Architecture:
 
     embed -> L residual blocks h + tanh((M h) W + b)
 
-where M sums each position with its left and right neighbours, padding
-excluded, so a masked position sees its context. The blocks run on packed
-content positions, without padding rows ("The packed forward" below).
+where M sums each position with its left and right neighbours in the same
+sentence, so a masked position sees its context. A batch is packed: its
+sentences' ids one after another, with their bounds ("The packed forward"
+below).
 Sentence path: mean-pool each sentence's final hidden states, apply the
 output projection, L2-normalize. The masked-token path instead projects
 each masked position and applies the prediction head. Residual blocks
@@ -140,6 +141,13 @@ def _as_id_array(tokens: Sequence[int]) -> np.ndarray:
     return arr
 
 
+def _pack(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's ids, sentence after sentence, (N,), and its bounds,
+    (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]."""
+    arrs = [_as_id_array(item) for item in batch]
+    return np.concatenate(arrs), np.cumsum([0] + [a.size for a in arrs])
+
+
 def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
     """Embed one token sequence as a unit-norm vector."""
     return encode_batch(params, [tokens])[0]
@@ -159,21 +167,19 @@ def encode_batch(
     item, whatever else is in the batch, except for a bare one-token item,
     whose lone encode() may differ in the last bits (see below).
     """
-    arrs = [_as_id_array(item) for item in batch]
-    out = np.empty((len(arrs), params.config.embed_dim))
-    for start in range(0, len(arrs), _ENCODE_CHUNK):
-        chunk = arrs[start : start + _ENCODE_CHUNK]
-        cache = _forward_hiddens(params, chunk, keep=False)
-        out[start : start + len(chunk)] = _embed(params, cache)
+    out = np.empty((len(batch), params.config.embed_dim))
+    for start in range(0, len(batch), _ENCODE_CHUNK):
+        cache = _forward_hiddens(params, *_pack(batch[start : start + _ENCODE_CHUNK]), keep=False)
+        out[start : start + _ENCODE_CHUNK] = _embed(params, cache)
     return out
 
 
 # ---------------------------------------------------------------------------
 # The packed forward, shared by encoding, fine-tuning and the masked-token
 # objectives, and its backward. A batch is one (N, d) block with a row per
-# content position, sentence after sentence. left[i] says row i - 1 holds
-# the previous position of the same sentence (a PAD inside an item breaks
-# the chain), and M adds the chained neighbours with two masked shifts:
+# position, sentence after sentence; sentence b is rows bounds[b]:bounds[b + 1].
+# M adds each row's neighbours in its sentence: two shifts over the whole
+# block, each followed by restoring the rows that it fed across a boundary:
 #
 #     y = h W;  h' = h + tanh(M y + b)      ((M h) W = M (h W))
 #
@@ -188,8 +194,7 @@ def encode_batch(
 
 @dataclass
 class ForwardCache:
-    ids: np.ndarray  # (N,) token id of each content position, sentence after sentence
-    links: np.ndarray | bool  # (N - 1, d) bool: row i + 1 chains to row i; True if all do
+    ids: np.ndarray  # (N,) token id of each position, sentence after sentence
     bounds: np.ndarray  # (B + 1,) sentence b is rows bounds[b]:bounds[b + 1]
     hiddens: np.ndarray  # (L + 1, N, d) H_0 .. H_L; only H_L, (1, N, d), unless kept
     gates: np.ndarray  # (L, N, d) tanh outputs per layer; meaningless unless kept
@@ -198,49 +203,38 @@ class ForwardCache:
     norms: np.ndarray | None = None  # (B,)
 
 
-def pad_batch(batch: Sequence[Sequence[int]]) -> np.ndarray:
-    arrs = [_as_id_array(item) for item in batch]
-    width = max(a.size for a in arrs)
-    ids = np.full((len(arrs), width), PAD_ID, dtype=np.int64)
-    for i, a in enumerate(arrs):
-        ids[i, : a.size] = a
-    return ids
-
-
-def _add_neighbours(out: np.ndarray, h: np.ndarray, links: np.ndarray | bool) -> None:
-    """out += (M - I) h: add to each row its chained left and right neighbours."""
-    if links is True:  # the same adds, without the ufunc keywords' per-call cost
+def _add_neighbours(out: np.ndarray, h: np.ndarray, bounds: np.ndarray) -> None:
+    """out += (M - I) h: add to each row its left and right neighbours in
+    the same sentence."""
+    # One sentence has no boundary rows. mining.mine encodes one sentence
+    # per call, and there their copies took about a fifth of the forward.
+    if bounds.size == 2:
         out[1:] += h[:-1]
         out[:-1] += h[1:]
-    else:
-        np.add(out[1:], h[:-1], out=out[1:], where=links)
-        np.add(out[:-1], h[1:], out=out[:-1], where=links)
+        return
+    starts = bounds[1:-1]  # first rows of all sentences but the first
+    ends = starts - 1  # last rows of all sentences but the last
+    kept = out[starts]
+    out[1:] += h[:-1]
+    out[starts] = kept
+    kept = out[ends]
+    out[:-1] += h[1:]
+    out[ends] = kept
 
 
 def _forward_hiddens(
-    params: EncoderParams, items: Sequence[np.ndarray], keep: bool = True
+    params: EncoderParams, ids: np.ndarray, bounds: np.ndarray, keep: bool = True
 ) -> ForwardCache:
-    """Run the blocks over the packed content positions of 1-D id arrays
-    (PAD allowed anywhere); ``keep`` retains what backprop needs."""
-    sizes = [a.size for a in items]
-    if max(sizes) > params.config.max_seq_len:
+    """Run the blocks over packed ids, (N,), with sentence bounds, (B + 1,),
+    every sentence non-empty; ``keep`` retains what backprop needs."""
+    longest = np.diff(bounds).max()
+    if longest > params.config.max_seq_len:
         raise ValueError(
-            f"sequence length {max(sizes)} exceeds max_seq_len {params.config.max_seq_len}"
+            f"sequence length {longest} exceeds max_seq_len {params.config.max_seq_len}"
         )
-    flat, lengths = np.concatenate(items), np.array(sizes)
-    if flat.min() < 0 or flat.max() >= params.config.vocab_size:
-        raise ValueError("token id out of range")
-    item_starts = lengths.cumsum() - lengths
-    content = flat != PAD_ID
-    counts = np.add.reduceat(content, item_starts, dtype=np.int64)
-    if not counts.all():
-        raise ValueError("sequence has no content positions (all padding)")
-    chained = np.concatenate(([False], content[:-1]))
-    chained[item_starts] = False
-    ids, left = flat[content], chained[content]
+    if PAD_ID in ids or ids.min() < 0 or ids.max() >= params.config.vocab_size:
+        raise ValueError("token id out of range or PAD")
     n, d, depth = ids.size, params.config.hidden_dim, len(params.layers)
-    # the shifts' where-mask: a full mask runs faster than a column, True faster still
-    links = True if left[1:].all() else np.repeat(left[1:, None], d, axis=1)
     # Hidden states and gates share one block. Its rows are rounded up to a
     # multiple of _BLOCK_ROWS, so that batches of similar size reuse freed
     # blocks instead of fragmenting the heap with slightly different sizes.
@@ -251,16 +245,10 @@ def _forward_hiddens(
     for l, layer in enumerate(params.layers):
         y = h @ layer.weight
         g = np.add(y, layer.bias, out=gates[l if keep else 0])
-        _add_neighbours(g, y, links)
+        _add_neighbours(g, y, bounds)
         np.tanh(g, out=g)
         h = np.add(h, g, out=hiddens[l + 1 if keep else 0])
-    return ForwardCache(
-        ids=ids,
-        links=links,
-        bounds=np.concatenate(([0], counts.cumsum())),
-        hiddens=hiddens,
-        gates=gates,
-    )
+    return ForwardCache(ids=ids, bounds=bounds, hiddens=hiddens, gates=gates)
 
 
 def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
@@ -279,7 +267,7 @@ def forward_batch(
     params: EncoderParams, batch: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, ForwardCache]:
     """Unit-norm embeddings for a batch, plus the cache for backprop."""
-    cache = _forward_hiddens(params, [_as_id_array(item) for item in batch])
+    cache = _forward_hiddens(params, *_pack(batch))
     return _embed(params, cache), cache
 
 
@@ -304,7 +292,7 @@ def _backward_layers(
     for l in range(len(params.layers) - 1, -1, -1):
         da = dh * (1.0 - cache.gates[l] ** 2)
         mixed = da.copy()
-        _add_neighbours(mixed, da, cache.links)
+        _add_neighbours(mixed, da, cache.bounds)
         grads.layers[l].weight += cache.hiddens[l].T @ mixed
         grads.layers[l].bias += da.sum(axis=0)
         dh = dh + mixed @ params.layers[l].weight.T
@@ -344,14 +332,15 @@ def backward_batch(
 MLM_FRACTION = 0.2
 MLM_CAP = 80
 
-_NEVER_MASK = (PAD_ID, CLS_ID, SEP_ID)
+_NEVER_MASK = (CLS_ID, SEP_ID)
 
 
 @dataclass
 class MaskedBatch:
-    input_ids: np.ndarray  # (B, T), masked positions replaced by MASK
-    target_ids: np.ndarray  # (B, T), original ids
-    mask_positions: np.ndarray  # (B, T) bool
+    input_ids: np.ndarray  # (N,), masked positions replaced by MASK
+    target_ids: np.ndarray  # (N,), original ids
+    mask_positions: np.ndarray  # (N,) bool
+    bounds: np.ndarray  # (B + 1,) sequence b is positions bounds[b]:bounds[b + 1]
 
     def masked_count(self) -> int:
         return int(self.mask_positions.sum())
@@ -366,21 +355,27 @@ def plan_masks(
     """Mask min(ceil(fraction * maskable), cap) positions per sequence.
 
     The n maskable positions with the smallest uniform draws are replaced
-    by the MASK id (no random/keep split). Special tokens and padding are
-    never masked.
+    by the MASK id (no random/keep split). Special tokens are never
+    masked. The draws come from one (B, longest) uniform matrix, whose
+    row b gives sequence b's positions their draws in order.
     """
     if fraction > 1.0:
         raise ValueError(f"mask fraction must be at most 1, got {fraction}")
-    ids = pad_batch(batch)
+    ids, bounds = _pack(batch)
+    lengths = np.diff(bounds)
+    seq = np.repeat(np.arange(lengths.size), lengths)  # sequence of each position
+    offset = np.arange(ids.size) - bounds[seq]  # position within its sequence
     maskable = ~np.isin(ids, _NEVER_MASK)
-    n = np.minimum(np.ceil(fraction * maskable.sum(axis=1)), cap).astype(np.int64)
-    draws = rng.random(ids.shape)
+    counts = np.add.reduceat(maskable, bounds[:-1], dtype=np.int64)
+    n = np.minimum(np.ceil(fraction * counts), cap).astype(np.int64)
+    draws = rng.random((lengths.size, lengths.max()))[seq, offset]
     draws[~maskable] = np.inf
+    # Sorted by (sequence, draw), sequence b still fills bounds[b]:bounds[b + 1],
+    # so offset gives each position's rank among its sequence's draws.
     positions = np.empty_like(maskable)
-    first_n = np.arange(ids.shape[1]) < n[:, None]
-    np.put_along_axis(positions, np.argsort(draws, axis=1), first_n, axis=1)
+    positions[np.lexsort((draws, seq))] = offset < n[seq]
     input_ids = np.where(positions, MASK_ID, ids)
-    return MaskedBatch(input_ids=input_ids, target_ids=ids, mask_positions=positions)
+    return MaskedBatch(input_ids=input_ids, target_ids=ids, mask_positions=positions, bounds=bounds)
 
 
 def mlm_loss_and_grad(
@@ -391,13 +386,13 @@ def mlm_loss_and_grad(
     m_total = batch.masked_count()
     if m_total == 0:
         raise ValueError("no masked positions in batch")
-    cache = _forward_hiddens(params, list(batch.input_ids))
-    masked = batch.mask_positions[batch.input_ids != PAD_ID]  # (N,), packed like the rows
+    cache = _forward_hiddens(params, batch.input_ids, batch.bounds)
+    masked = batch.mask_positions
     top = cache.hiddens[-1]
     rows = top[masked]  # (M, d)
     proj = rows @ params.output_weight + params.output_bias  # (M, e)
     logits = proj @ params.mlm_weight + params.mlm_bias  # (M, V)
-    targets = batch.target_ids[batch.mask_positions]
+    targets = batch.target_ids[masked]
 
     zmax = logits.max(axis=1, keepdims=True)
     probs = np.exp(logits - zmax)
@@ -430,7 +425,8 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, .
 
     An empty side drops its segment (and separator); no language
     identifier token is inserted. Truncation trims the longer segment
-    token by token until the layout fits max_len.
+    token by token until the layout fits max_len; a max_len that cannot
+    keep a token of each non-empty side is refused.
     """
     segments = []
     for side in (pair.src, pair.tgt):
@@ -442,6 +438,10 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, .
     total = 1 + sum(len(s) + 1 for s in segments)
     if total < 3:
         raise ValueError("translation-pair sequence shorter than 3 tokens")
+    if max_len < 1 + 2 * len(segments):
+        raise ValueError(
+            f"max_len {max_len} cannot hold [CLS] and, per non-empty side, a token and [SEP]"
+        )
     budget = max_len - 1 - len(segments)
     while sum(len(s) for s in segments) > budget:
         longest = max(segments, key=len)

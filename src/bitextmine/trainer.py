@@ -337,18 +337,11 @@ def pretrain(
         grads = zeros_like_params(params)
         for t in range(stage.steps):
             use_mlm = (t % cycle) < mlm_share
-            stream = _STREAM_MLM if use_mlm else _STREAM_TLM
+            stream, seqs = (_STREAM_MLM, mono_seqs) if use_mlm else (_STREAM_TLM, tlm_seqs)
             rng = np.random.default_rng([config.seed, stream, stage_idx, t])
-            if use_mlm:
-                idx = rng.integers(0, len(mono_seqs), size=config.batch_size)
-                batch = plan_masks(
-                    [mono_seqs[i] for i in idx], rng, fraction=mask_fraction, cap=mask_cap
-                )
-            else:
-                idx = rng.integers(0, len(tlm_seqs), size=config.batch_size)
-                batch = plan_masks(
-                    [tlm_seqs[i] for i in idx], rng, fraction=mask_fraction, cap=mask_cap
-                )
+            idx = rng.integers(0, len(seqs), size=config.batch_size)
+            batch = plan_masks([seqs[i] for i in idx], rng, fraction=mask_fraction, cap=mask_cap)
+            if not use_mlm:
                 pairs_seen += config.batch_size
             grads.flat.fill(0.0)
             loss_value, _ = mlm_loss_and_grad(params, batch, grads)

@@ -412,12 +412,15 @@ def library_error_case(d, t, command):
     if command == "eval-bucc":
         (t / "cands.tsv").write_text("1\t1\t0.5\n1\t1\t0.4\n", encoding="utf-8")
         return ["--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"], "duplicate candidate ('1', '1')"
+    if command == "pretrain":
+        argv = ["--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--mix", "0:1", "--max-seq-len", 2]
+        return argv, "max_len 2 cannot hold [CLS] and, per non-empty side, a token and [SEP]"
     (t / "flat.txt").write_text("1\n" * 40, encoding="utf-8")
     argv = ["--pool-a", d / "src.pool", "--pool-b", d / "tgt.pool", "--gold-scores", t / "flat.txt"]
     return argv, "gold scores are constant; correlation undefined"
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "index", "eval-bucc", "eval-sts"])
+@pytest.mark.parametrize("command", ["build-vocab", "index", "eval-bucc", "eval-sts", "pretrain"])
 def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path, capsys, command):
     argv, message = library_error_case(work, tmp_path, command)
     out = tmp_path / "out"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextmine.corpus import Sentence, SentencePair
 from bitextmine.encoder import (
@@ -51,10 +53,25 @@ class TestEncode:
         np.testing.assert_allclose(encode(p, [7]), row / np.linalg.norm(row), atol=1e-12)
 
     def test_padding_beyond_sep_is_ignored(self):
+        # a packed batch holds no PAD: the rows beyond an item's SEP are the
+        # next item's, and they leave the item's vector as it is alone
         p = small_params()
-        base = encode(p, [CLS_ID, 7, SEP_ID])
-        padded = encode(p, [CLS_ID, 7, SEP_ID, PAD_ID, PAD_ID])
-        np.testing.assert_allclose(padded, base, atol=1e-12)
+        item = [CLS_ID, 7, SEP_ID]
+        base = encode(p, item)
+        for after in ([CLS_ID, 8, 9, 10, SEP_ID], [11], [SEP_ID, SEP_ID]):
+            np.testing.assert_array_equal(encode_batch(p, [item, after])[0], base)
+            np.testing.assert_array_equal(forward_batch(p, [item, after])[0][0], base)
+
+    def test_pad_id_is_refused(self):
+        p = small_params()
+        other, item = [CLS_ID, 6, SEP_ID], [CLS_ID, 7, SEP_ID, PAD_ID]
+        for call in (
+            lambda: encode(p, item),
+            lambda: encode_batch(p, [other, item]),
+            lambda: forward_batch(p, [other, item]),
+        ):
+            with pytest.raises(ValueError, match="out of range or PAD"):
+                call()
 
     def test_out_of_range_id(self):
         p = small_params(vocab_size=10)
@@ -105,33 +122,30 @@ class TestEncodeBatch:
         assert np.abs(a - b).max() > 1e-3
 
     def test_padding_inside_an_item_breaks_the_chain(self):
-        # rows after a mid-item PAD never see the tokens before it
+        # PAD is refused, so the one break in the chain is a sentence
+        # boundary: rows of the second item never see the first item's tokens
         p = small_params(layers=3)
-        a = forward_batch(p, [[CLS_ID, 6, PAD_ID, 8, 9, SEP_ID]])[1].hiddens[-1]
-        b = forward_batch(p, [[CLS_ID, 7, PAD_ID, 8, 9, SEP_ID]])[1].hiddens[-1]
-        assert a.shape[0] == 5  # one row per content position
+        a = forward_batch(p, [[CLS_ID, 6], [8, 9, SEP_ID]])[1].hiddens[-1]
+        b = forward_batch(p, [[CLS_ID, 7], [8, 9, SEP_ID]])[1].hiddens[-1]
+        assert a.shape[0] == 5  # one row per packed position
         np.testing.assert_array_equal(a[2:], b[2:])
         assert np.abs(a[:2] - b[:2]).max() > 1e-3
 
     def test_chunked_mixed_lengths_equal_single_encode_exactly(self):
         rng = np.random.default_rng(8)
         p = small_params(max_len=16)
-        batch = []
-        for i in range(2 * _ENCODE_CHUNK + 7):
-            item = [CLS_ID, *rng.integers(5, 24, size=rng.integers(1, 10)), SEP_ID]
-            if i % 5 == 0:
-                item.insert(2, PAD_ID)
-            if i % 3 == 0:
-                item += [PAD_ID] * int(rng.integers(1, 4))
-            batch.append(item)
+        batch = [
+            [CLS_ID, *rng.integers(5, 24, size=rng.integers(1, 10)), SEP_ID]
+            for _ in range(2 * _ENCODE_CHUNK + 7)
+        ]
         M = encode_batch(p, batch)
         for i, item in enumerate(batch):
             np.testing.assert_array_equal(M[i], encode(p, item))
 
     def test_backward_batch_matches_finite_differences(self):
-        # padded batch, every parameter the sentence path reaches
+        # mixed lengths, every parameter the sentence path reaches
         p = small_params(vocab_size=16, d=4, layers=2)
-        batch = [[CLS_ID, 6, 7, SEP_ID], [CLS_ID, 8, 9, 10, 11, SEP_ID], [CLS_ID, 12, SEP_ID, PAD_ID]]
+        batch = [[CLS_ID, 6, 7, SEP_ID], [CLS_ID, 8, 9, 10, 11, SEP_ID], [CLS_ID, 12, SEP_ID]]
         c = np.random.default_rng(7).normal(size=(len(batch), p.config.embed_dim))
 
         def objective():
@@ -139,29 +153,14 @@ class TestEncodeBatch:
 
         _, cache = forward_batch(p, batch)
         grads = backward_batch(p, cache, grad_through_normalization(cache, c))
-        gmap = dict(grads.named_arrays())
-        h = 1e-6
-        for name, arr in p.named_arrays():
-            flat = arr.reshape(-1)
-            fd = np.empty(flat.size)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                lp = objective()
-                flat[k] = orig - h
-                lm = objective()
-                flat[k] = orig
-                fd[k] = (lp - lm) / (2 * h)
-            np.testing.assert_allclose(gmap[name].reshape(-1), fd, atol=1e-7, err_msg=name)
+        assert_grads_match_finite_differences(p, grads, objective, atol=1e-7)
 
     def test_backward_batch_with_inner_padding_matches_finite_differences(self):
-        # trailing PADs and a PAD inside an item, which splits its chain in two
+        # where a PAD once split a chain, sentence boundaries now do: the
+        # one-token item's row both starts and ends a sentence, next to a
+        # two-token item
         p = small_params(vocab_size=16, d=4, layers=2)
-        batch = [
-            [CLS_ID, 6, PAD_ID, 7, 8, SEP_ID],
-            [CLS_ID, 9, 10, SEP_ID, PAD_ID, PAD_ID],
-            [CLS_ID, PAD_ID, 11, 12, SEP_ID],
-        ]
+        batch = [[CLS_ID, 6, 7, SEP_ID], [CLS_ID, 8, 9, 10, 11, SEP_ID], [13], [CLS_ID, 12], [CLS_ID, 14, SEP_ID]]
         c = np.random.default_rng(9).normal(size=(len(batch), p.config.embed_dim))
 
         def objective():
@@ -230,6 +229,22 @@ class TestStackGrow:
         np.testing.assert_array_equal(grown.mlm_weight, p.mlm_weight)
 
 
+def padded_plan_masks(batch, rng, fraction, cap):
+    """Reference planner on (B, T) ids padded with PAD: argsort each row's
+    draws, maskable positions first, and mask the row's first n."""
+    ids = np.full((len(batch), max(len(s) for s in batch)), PAD_ID, dtype=np.int64)
+    for i, seq in enumerate(batch):
+        ids[i, : len(seq)] = seq
+    maskable = ~np.isin(ids, (PAD_ID, CLS_ID, SEP_ID))
+    n = np.minimum(np.ceil(fraction * maskable.sum(axis=1)), cap).astype(np.int64)
+    draws = rng.random(ids.shape)
+    draws[~maskable] = np.inf
+    positions = np.empty_like(maskable)
+    first_n = np.arange(ids.shape[1]) < n[:, None]
+    np.put_along_axis(positions, np.argsort(draws, axis=1), first_n, axis=1)
+    return np.where(positions, MASK_ID, ids), ids, positions
+
+
 class TestMasking:
     def test_mask_count_respects_fraction_and_cap(self):
         rng = np.random.default_rng(0)
@@ -247,16 +262,41 @@ class TestMasking:
 
     def test_specials_never_masked(self):
         rng = np.random.default_rng(2)
-        batch = plan_masks([[CLS_ID, 6, SEP_ID]], rng, fraction=1.0)
-        assert not batch.mask_positions[0, 0] and not batch.mask_positions[0, 2]
+        batch = plan_masks([[CLS_ID, 6, SEP_ID], [CLS_ID, 7, 8, SEP_ID]], rng, fraction=1.0)
+        assert not batch.mask_positions[batch.bounds[:-1]].any()  # CLS
+        assert not batch.mask_positions[batch.bounds[1:] - 1].any()  # SEP
+        assert batch.masked_count() == 3
 
     def test_mask_counts_per_row_of_a_mixed_batch(self):
         rng = np.random.default_rng(3)
-        batch = [[CLS_ID, *range(5, 5 + n), SEP_ID] for n in (1, 4, 9, 13)] + [[CLS_ID, 6, PAD_ID, 7, SEP_ID]]
+        batch = [[CLS_ID, *range(5, 5 + n), SEP_ID] for n in (1, 4, 9, 13)] + [[CLS_ID, 6, SEP_ID, 7, SEP_ID]]
         for _ in range(20):
             masked = plan_masks(batch, rng, fraction=0.3, cap=3)
-            assert masked.mask_positions.sum(axis=1).tolist() == [1, 2, 3, 3, 1]
-            assert not np.isin(masked.target_ids[masked.mask_positions], (CLS_ID, SEP_ID, PAD_ID)).any()
+            counts = np.add.reduceat(masked.mask_positions, masked.bounds[:-1], dtype=np.int64)
+            assert counts.tolist() == [1, 2, 3, 3, 1]
+            assert not np.isin(masked.target_ids[masked.mask_positions], (CLS_ID, SEP_ID)).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=st.lists(
+            st.lists(st.sampled_from([CLS_ID, SEP_ID, *range(5, 30)]), min_size=1, max_size=14),
+            min_size=1,
+            max_size=9,
+        ),
+        fraction=st.floats(min_value=0.01, max_value=1.0),
+        cap=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_packed_plan_matches_the_padded_reference(self, batch, fraction, cap, seed):
+        packed = plan_masks(batch, np.random.default_rng(seed), fraction=fraction, cap=cap)
+        inputs, targets, positions = padded_plan_masks(batch, np.random.default_rng(seed), fraction, cap)
+        assert packed.bounds.tolist() == np.cumsum([0] + [len(s) for s in batch]).tolist()
+        for b, seq in enumerate(batch):
+            rows = slice(packed.bounds[b], packed.bounds[b + 1])
+            np.testing.assert_array_equal(packed.input_ids[rows], inputs[b, : len(seq)])
+            np.testing.assert_array_equal(packed.target_ids[rows], targets[b, : len(seq)])
+            np.testing.assert_array_equal(packed.mask_positions[rows], positions[b, : len(seq)])
+            assert not positions[b, len(seq) :].any()
 
     def test_fraction_above_one_refused(self):
         with pytest.raises(ValueError):
@@ -309,14 +349,15 @@ class TestMlmLoss:
         assert rel <= 1e-4
 
     def test_gradient_with_inner_padding_matches_finite_differences(self):
-        # every coordinate, on a batch with a mid-item PAD and trailing PADs
+        # every coordinate; where a PAD once split a chain, sentence
+        # boundaries now do: a one-token and a two-token item sit side by side
         p = small_params(vocab_size=14, d=3, layers=2)
         batch = plan_masks(
-            [[CLS_ID, 6, 7, PAD_ID, 8, 9, SEP_ID], [CLS_ID, 10, 11, SEP_ID]],
+            [[CLS_ID, 6, 7, 8, 9, SEP_ID], [12], [CLS_ID, 13], [CLS_ID, 10, 11, SEP_ID]],
             np.random.default_rng(10),
             fraction=0.5,
         )
-        assert batch.masked_count() == 3  # ceil(0.5 * 4) + ceil(0.5 * 2)
+        assert batch.masked_count() == 5  # ceil(0.5 * 4) + 1 + 1 + ceil(0.5 * 2)
         _, grads = mlm_loss_and_grad(p, batch)
         assert_grads_match_finite_differences(p, grads, lambda: mlm_loss_and_grad(p, batch)[0], atol=1e-8)
 
@@ -355,6 +396,20 @@ class TestTlm:
         assert len(seq) == 8
         b = vocab.piece_to_id["b"]
         assert list(seq).count(b) == 2  # short side survives
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    def test_max_len_too_short_for_both_sides_errors(self, max_len):
+        # [CLS] a [SEP] b [SEP] needs 5; nothing is silently emptied or popped
+        with pytest.raises(ValueError, match=f"max_len {max_len} cannot hold"):
+            tlm_sequence(make_pair("a a", "b b b"), tlm_vocab(), max_len=max_len)
+
+    def test_max_len_fits_one_token_per_side(self):
+        vocab = tlm_vocab()
+        a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
+        assert tlm_sequence(make_pair("a a", "b b b"), vocab, max_len=5) == (CLS_ID, a, SEP_ID, b, SEP_ID)
+        assert tlm_sequence(make_pair("a a", ""), vocab, max_len=3) == (CLS_ID, a, SEP_ID)
+        with pytest.raises(ValueError, match="max_len 2 cannot hold"):
+            tlm_sequence(make_pair("a a", ""), vocab, max_len=2)
 
     def test_no_language_hint_token(self):
         # every output id is CLS, SEP, or a plain content piece
