@@ -129,14 +129,6 @@ def _encode_pool(params, vocab, sentences):
     return encode_batch(params, seqs)
 
 
-def _pool_as_map(path):
-    from .vecindex import read_pool
-
-    vectors, ids = read_pool(path)
-    assert ids is not None
-    return {i: vectors[k] for k, i in enumerate(ids)}, vectors, ids
-
-
 def _fresh_encoder(args, vocab, num_layers: int):
     """An initialised encoder shaped by ``--hidden-dim``, ``--embed-dim`` and ``--max-seq-len``."""
     from .encoder import EncoderConfig, init_params
@@ -152,16 +144,14 @@ def _fresh_encoder(args, vocab, num_layers: int):
     return init_params(config, seed=args.seed)
 
 
-def _retrieval_inputs(args, gold):
-    """Source vectors by id, an exact index over the target pool, and
-    ``gold`` checked against the ids of both pools."""
+def _retrieval_inputs(src_pool, tgt_pool, gold):
+    """Exact indexes over the source and target pools, and ``gold``
+    checked against the ids of both."""
     from .evaluation import GoldAlignment
-    from .vecindex import build
+    from .vecindex import build, read_pool
 
-    src_map, _, src_ids = _pool_as_map(args.src_pool)
-    _, tgt_vectors, tgt_ids = _pool_as_map(args.tgt_pool)
-    gold = GoldAlignment.from_pairs(sorted(gold.pairs), src_ids, tgt_ids)
-    return src_map, build(tgt_vectors, tgt_ids), gold
+    src, tgt = build(*read_pool(src_pool)), build(*read_pool(tgt_pool))
+    return src, tgt, GoldAlignment.from_pairs(sorted(gold.pairs), src.ids, tgt.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +381,15 @@ def cmd_mine(args) -> tuple[list, list]:
 def cmd_eval_p1(args) -> tuple[list, list]:
     from .evaluation import p_at_1, read_gold_tsv, write_metrics_report
 
-    src_map, index, gold = _retrieval_inputs(args, read_gold_tsv(args.gold))
-    value = p_at_1(src_map, index, gold)
+    src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, read_gold_tsv(args.gold))
+    value = p_at_1(src, tgt, gold)
     write_metrics_report({"p_at_1": value, "gold_pairs": len(gold.pairs)}, args.out)
     _log(f"eval-p1: P@1={value:.4f} -> {args.out}")
     return [args.src_pool, args.tgt_pool, args.gold], [args.out, str(args.out) + ".json"]
 
 
 def cmd_eval_tatoeba(args) -> tuple[list, list]:
-    from .evaluation import (
-        GoldAlignment,
-        LanguagePool,
-        read_gold_tsv,
-        tatoeba_accuracy,
-        write_metrics_report,
-    )
+    from .evaluation import read_gold_tsv, tatoeba_accuracy, write_metrics_report
 
     groups = {}
     for group_str in args.group or []:
@@ -423,10 +407,7 @@ def cmd_eval_tatoeba(args) -> tuple[list, list]:
             raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, got {spec_str!r}")
         if lang in sets:
             raise UsageError(f"--set gives language {lang!r} twice")
-        src_map, _, src_ids = _pool_as_map(paths[0])
-        tgt_map, _, tgt_ids = _pool_as_map(paths[1])
-        gold = GoldAlignment.from_pairs(sorted(read_gold_tsv(paths[2]).pairs), src_ids, tgt_ids)
-        sets[lang] = LanguagePool(src_embeddings=src_map, tgt_embeddings=tgt_map, gold=gold)
+        sets[lang] = _retrieval_inputs(paths[0], paths[1], read_gold_tsv(paths[2]))
         inputs.extend(paths)
     result = tatoeba_accuracy(sets, groups)
     metrics: dict[str, object] = {}
@@ -460,8 +441,8 @@ def cmd_eval_bucc(args) -> tuple[list, list]:
     else:
         if not (args.src_pool and args.tgt_pool):
             raise UsageError("eval-bucc needs --candidates or both --src-pool and --tgt-pool")
-        src_map, index, gold = _retrieval_inputs(args, gold)
-        candidates = bucc_candidates(src_map, index, k=args.k)
+        src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, gold)
+        candidates = bucc_candidates(src, tgt, k=args.k)
         inputs = [args.src_pool, args.tgt_pool, args.gold]
     prf = bucc_best_f1(candidates, gold)
     write_metrics_report(

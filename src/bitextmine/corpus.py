@@ -65,21 +65,20 @@ def corpus_stats(sentences: Sequence[Sentence], vocab) -> CorpusStats:
     surface and are excluded from that average. ``avg_sentence_length``
     counts tokens per sentence excluding special tokens.
     """
-    from .vocab import CONTINUATION_MARKER, UNK_ID, word_tokens
+    from .vocab import CONTINUATION_MARKER, UNK_ID, content_ids
 
     token_total = 0
     unk_total = 0
     surface_chars = 0
     matched_tokens = 0
     for sent in sentences:
-        for word in sent.text.split():
-            for tid in word_tokens(word, vocab):
-                token_total += 1
-                if tid == UNK_ID:
-                    unk_total += 1
-                else:
-                    surface_chars += len(vocab.pieces[tid].removeprefix(CONTINUATION_MARKER))
-                    matched_tokens += 1
+        for tid in content_ids(sent.text, vocab):
+            token_total += 1
+            if tid == UNK_ID:
+                unk_total += 1
+            else:
+                surface_chars += len(vocab.pieces[tid].removeprefix(CONTINUATION_MARKER))
+                matched_tokens += 1
     n = len(sentences)
     if n == 0 or token_total == 0:
         return CorpusStats(0.0, 0.0, 0.0, n)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import SentencePair
 from .errors import NumericalError
-from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, word_tokens
+from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
 
 _NORM_EPS = 1e-12
 
@@ -271,7 +271,7 @@ def forward_batch(
     return _embed(params, cache), cache
 
 
-def grad_through_normalization(cache: ForwardCache, d_normalized: np.ndarray) -> np.ndarray:
+def _grad_through_normalization(cache: ForwardCache, d_normalized: np.ndarray) -> np.ndarray:
     """Map d(loss)/d(normalized) to d(loss)/d(pre-norm) via the L2 Jacobian."""
     u = cache.pre_norm
     norms = cache.norms[:, None]
@@ -311,11 +311,13 @@ def _scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
 def backward_batch(
     params: EncoderParams,
     cache: ForwardCache,
-    d_pre_norm: np.ndarray,
+    d_embeddings: np.ndarray,
     grads: EncoderParams | None = None,
 ) -> EncoderParams:
-    """Accumulate parameter gradients from d(loss)/d(pre-norm embeddings)."""
+    """Accumulate parameter gradients from d(loss)/d(the unit-norm
+    embeddings ``forward_batch`` returned with ``cache``)."""
     grads = grads if grads is not None else zeros_like_params(params)
+    d_pre_norm = _grad_through_normalization(cache, d_embeddings)
     grads.output_weight += cache.pooled.T @ d_pre_norm
     grads.output_bias += d_pre_norm.sum(axis=0)
     dpooled = d_pre_norm @ params.output_weight.T
@@ -428,13 +430,8 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, .
     token by token until the layout fits max_len; a max_len that cannot
     keep a token of each non-empty side is refused.
     """
-    segments = []
-    for side in (pair.src, pair.tgt):
-        toks: list[int] = []
-        for word in side.text.split():
-            toks.extend(word_tokens(word, vocab))
-        if toks:
-            segments.append(toks)
+    sides = (content_ids(pair.src.text, vocab), content_ids(pair.tgt.text, vocab))
+    segments = [toks for toks in sides if toks]
     total = 1 + sum(len(s) + 1 for s in segments)
     if total < 3:
         raise ValueError("translation-pair sequence shorter than 3 tokens")

@@ -1,6 +1,12 @@
-"""Retrieval evaluation: precision-at-1 over a pooled index, per-language
-retrieval accuracy with grouped macro-averages, best-F1 threshold sweeps
-over candidate pair lists, and arccos-similarity Pearson correlation.
+"""Retrieval evaluation: precision-at-1 from one pool into another,
+per-language retrieval accuracy with grouped macro-averages, best-F1
+threshold sweeps over candidate pair lists, and arccos-similarity Pearson
+correlation.
+
+Both sides of a retrieval are exact indexes (``vecindex.build``) over
+validated pools: unique ids and unit-norm rows, whichever side a pool is
+on. The source index's rows are the queries of one ``vecindex.search``
+into the target index.
 
 Gold files are TSV ``src_id<TAB>tgt_id``; candidate files add a third
 score column. Reports are line-delimited ``metric=value`` records plus a
@@ -18,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .vecindex import VectorIndex, build, search
+from .vecindex import VectorIndex, search
 
 
 @dataclass(frozen=True)
@@ -57,31 +63,18 @@ class PRF:
     threshold: float
 
 
-def p_at_1(
-    src_embeddings: Mapping[str, np.ndarray],
-    tgt_index: VectorIndex,
-    gold: GoldAlignment,
-) -> float:
+def p_at_1(src: VectorIndex, tgt: VectorIndex, gold: GoldAlignment) -> float:
     """Fraction of gold sources whose top-1 retrieved id is the gold target."""
     if not gold.pairs:
         raise ValueError("empty gold alignment")
     pairs = sorted(gold.pairs)
+    row_of = {src_id: row for row, src_id in enumerate(src.ids)}
     for src_id, _ in pairs:
-        if src_id not in src_embeddings:
+        if src_id not in row_of:
             raise DataError(f"no embedding for gold source {src_id!r}")
-    queries = np.stack([src_embeddings[src_id] for src_id, _ in pairs])
-    tops = search(tgt_index, queries, k=1)
+    tops = search(tgt, src.vectors[[row_of[src_id] for src_id, _ in pairs]], k=1)
     hits = sum(top[0][0] == tgt_id for top, (_, tgt_id) in zip(tops, pairs))
     return hits / len(pairs)
-
-
-@dataclass
-class LanguagePool:
-    """One language's aligned evaluation pool."""
-
-    src_embeddings: dict[str, np.ndarray]
-    tgt_embeddings: dict[str, np.ndarray]
-    gold: GoldAlignment
 
 
 @dataclass
@@ -92,21 +85,16 @@ class RetrievalGroupResult:
 
 
 def tatoeba_accuracy(
-    per_language_sets: Mapping[str, LanguagePool],
+    per_language_sets: Mapping[str, tuple[VectorIndex, VectorIndex, GoldAlignment]],
     groups: Mapping[str, Sequence[str]] | None = None,
 ) -> RetrievalGroupResult:
-    """Per-language P@1 within each language's own pool, plus unweighted
-    macro-averages over named language groups.
+    """Per-language P@1 within each language's own (src, tgt, gold) pools,
+    plus unweighted macro-averages over named language groups.
 
     Languages referenced by a group but absent from the evaluation sets
     are excluded from the mean and reported under ``missing``.
     """
-    per_language: dict[str, float] = {}
-    for lang in sorted(per_language_sets):
-        pool = per_language_sets[lang]
-        ids = sorted(pool.tgt_embeddings)
-        index = build(np.stack([pool.tgt_embeddings[i] for i in ids]), ids)
-        per_language[lang] = p_at_1(pool.src_embeddings, index, pool.gold)
+    per_language = {lang: p_at_1(*per_language_sets[lang]) for lang in sorted(per_language_sets)}
 
     group_means: dict[str, float | None] = {}
     missing: dict[str, list[str]] = {}
@@ -164,17 +152,14 @@ def bucc_best_f1(
     return best
 
 
-def bucc_candidates(
-    src_embeddings: Mapping[str, np.ndarray],
-    tgt_index: VectorIndex,
-    k: int = 1,
-) -> list[tuple[str, str, float]]:
-    """Nearest-neighbor candidate generation: top-k targets per source."""
-    src_ids = sorted(src_embeddings)
-    if not src_ids:
-        return []
-    tops = search(tgt_index, np.stack([src_embeddings[i] for i in src_ids]), k=k)
-    return [(src_id, tgt_id, score) for src_id, top in zip(src_ids, tops) for tgt_id, score in top]
+def bucc_candidates(src: VectorIndex, tgt: VectorIndex, k: int = 1) -> list[tuple[str, str, float]]:
+    """Nearest-neighbor candidate generation: top-k targets per source,
+    sources in ascending id order."""
+    rows = np.argsort(src.id_rank)
+    tops = search(tgt, src.vectors[rows], k=k)
+    return [
+        (src.ids[row], tgt_id, score) for row, top in zip(rows.tolist(), tops) for tgt_id, score in top
+    ]
 
 
 def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:

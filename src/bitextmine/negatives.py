@@ -2,11 +2,9 @@
 sampling.
 
 A batch of N aligned embedding pairs is split into K equal contiguous
-shards. With the broadcast, each shard ranks its own rows against the
-column space gathered from every shard, so the sharded loss and its
-gradients equal the unsharded ones bit for bit. Disabling the broadcast
-restricts each row to its local shard's columns, which can only shrink
-softmax denominators and therefore the loss.
+shards. Each shard ranks its own rows against the column space gathered
+from every shard, so the sharded loss and its gradients equal the
+unsharded ones bit for bit.
 """
 
 from __future__ import annotations
@@ -55,30 +53,13 @@ def shard_batch(X: np.ndarray, Y: np.ndarray, K: int) -> ShardedBatch:
 
 
 def sharded_bidirectional_loss(
-    sharded: ShardedBatch, config: LossConfig, broadcast: bool = True
+    sharded: ShardedBatch, config: LossConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional ranking loss and its gradients with respect to the
-    (normalized) embeddings, computed shard by shard.
+    (normalized) embeddings of a sharded batch.
 
-    Returns ``(loss, dX, dY)`` with gradient rows in global order. With
-    the broadcast every shard's rows see the full gathered column space,
-    and the result is the unsharded ``loss_and_grad_wrt_embeddings``
-    bit for bit. Without it each row competes only against its local
-    shard (the ablation setting), and each shard's loss and gradients
-    are weighted by its share of the rows.
+    Returns ``(loss, dX, dY)`` with gradient rows in global order. Every
+    shard's rows see the full gathered column space, so the result is the
+    unsharded ``loss_and_grad_wrt_embeddings`` bit for bit.
     """
-    if broadcast:
-        return loss_and_grad_wrt_embeddings(*sharded.reconstruct(), config)
-    n = sharded.global_order.size
-    d = sharded.shards[0][0].shape[1]
-    value = 0.0
-    dX = np.empty((n, d))
-    dY = np.empty((n, d))
-    for (xk, yk), rows in zip(sharded.shards, sharded.global_order):
-        weight = rows.size / n
-        loss_k, dxk, dyk = loss_and_grad_wrt_embeddings(xk, yk, config)
-        value += weight * loss_k
-        dX[rows] = weight * dxk
-        dY[rows] = weight * dyk
-    return value, dX, dY
-
+    return loss_and_grad_wrt_embeddings(*sharded.reconstruct(), config)

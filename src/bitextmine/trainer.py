@@ -47,7 +47,6 @@ from .encoder import (
     MLM_FRACTION,
     backward_batch,
     forward_batch,
-    grad_through_normalization,
     mlm_loss_and_grad,
     param_count,
     plan_masks,
@@ -245,8 +244,8 @@ def finetune_dual_encoder(
                 f"ranking loss diverged at step {t + 1}; last checkpoint retained"
             )
         grads.flat.fill(0.0)
-        backward_batch(params, cache_x, grad_through_normalization(cache_x, dvx), grads)
-        backward_batch(params, cache_y, grad_through_normalization(cache_y, dvy), grads)
+        backward_batch(params, cache_x, dvx, grads)
+        backward_batch(params, cache_y, dvy, grads)
 
         lr_used = lr_at(config, t + 1)
         optimizer_step(params, grads, state)
@@ -345,10 +344,6 @@ def pretrain(
                 pairs_seen += config.batch_size
             grads.flat.fill(0.0)
             loss_value, _ = mlm_loss_and_grad(params, batch, grads)
-            if not math.isfinite(loss_value):
-                raise NumericalError(
-                    f"pretraining loss diverged at stage {stage_idx} step {t + 1}"
-                )
             lr_used = lr_at(stage_config, t + 1)
             optimizer_step(params, grads, state)
             global_step += 1

@@ -299,18 +299,22 @@ def _match_word(word: str, table: Mapping[str, int]) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def content_ids(text: str, vocab: Vocab) -> list[int]:
+    """Whitespace pre-split, then the wordpiece ids of each word in turn."""
+    ids: list[int] = []
+    for word in text.split():
+        ids.extend(word_tokens(word, vocab))
+    return ids
+
+
 def tokenize(text: str, vocab: Vocab, max_len: int) -> tuple[int, ...]:
-    """Whitespace pre-split, wordpiece-match per word, wrap with CLS/SEP.
+    """Content ids wrapped with CLS/SEP.
 
     Truncation keeps the first max_len-2 content tokens.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3, got {max_len}")
-    content: list[int] = []
-    for word in text.split():
-        content.extend(word_tokens(word, vocab))
-    content = content[: max_len - 2]
-    return (CLS_ID, *content, SEP_ID)
+    return (CLS_ID, *content_ids(text, vocab)[: max_len - 2], SEP_ID)
 
 
 def tokenize_sentence(sentence: Sentence, vocab: Vocab, max_len: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from bitextmine.corpus import SentencePair, format_pairs_tsv, read_pairs_tsv
 from bitextmine.fileio import sha256_file
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
-from bitextmine.vecindex import load_index, read_pool, search
+from bitextmine.vecindex import load_index, read_pool, search, write_pool
 
 
 def run(*argv):
@@ -427,6 +427,36 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
     assert run(command, *argv, "--out", out) == 2
     err = capsys.readouterr().err
     assert f"bitextmine: data error: {message}" in err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+
+
+def bad_source_pool(d, t, defect):
+    """A copy of the source pool with duplicate ids or non-unit rows, and a
+    gold file that names only ids it holds."""
+    vectors, ids = read_pool(d / "src.pool")
+    if defect == "duplicate-ids":
+        ids[1] = ids[0]
+    else:
+        vectors = 2.0 * vectors
+    write_pool(t / "bad.pool", vectors, ids)
+    (t / "bad_gold.tsv").write_text("".join(f"{i}\t{i}\n" for i in dict.fromkeys(ids)), encoding="utf-8")
+    return t / "bad.pool", t / "bad_gold.tsv"
+
+
+@pytest.mark.parametrize(
+    "defect, message", [("duplicate-ids", "pool ids must be unique"), ("non-unit", "pool rows must be unit-norm")]
+)
+@pytest.mark.parametrize("command", ["eval-p1", "eval-bucc", "eval-tatoeba"])
+def test_source_pool_is_checked_like_the_target_pool(work, tmp_path, capsys, command, defect, message):
+    pool, gold = bad_source_pool(work, tmp_path, defect)
+    if command == "eval-tatoeba":
+        argv = ["--set", f"xx={pool},{work / 'tgt.pool'},{gold}"]
+    else:
+        argv = ["--src-pool", pool, "--tgt-pool", work / "tgt.pool", "--gold", gold]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", out) == 2
+    assert f"bitextmine: data error: {message}" in capsys.readouterr().err
     assert not out.exists()
     assert not manifest_path(out).exists()
 

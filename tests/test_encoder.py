@@ -13,7 +13,6 @@ from bitextmine.encoder import (
     encode,
     encode_batch,
     forward_batch,
-    grad_through_normalization,
     init_params,
     mlm_loss_and_grad,
     plan_masks,
@@ -152,7 +151,7 @@ class TestEncodeBatch:
             return float((forward_batch(p, batch)[0] * c).sum())
 
         _, cache = forward_batch(p, batch)
-        grads = backward_batch(p, cache, grad_through_normalization(cache, c))
+        grads = backward_batch(p, cache, c)
         assert_grads_match_finite_differences(p, grads, objective, atol=1e-7)
 
     def test_backward_batch_with_inner_padding_matches_finite_differences(self):
@@ -167,7 +166,7 @@ class TestEncodeBatch:
             return float((forward_batch(p, batch)[0] * c).sum())
 
         _, cache = forward_batch(p, batch)
-        grads = backward_batch(p, cache, grad_through_normalization(cache, c))
+        grads = backward_batch(p, cache, c)
         assert_grads_match_finite_differences(p, grads, objective, atol=1e-7)
 
 

@@ -6,7 +6,6 @@ import pytest
 from bitextmine.errors import DataError
 from bitextmine.evaluation import (
     GoldAlignment,
-    LanguagePool,
     PRF,
     arccos_similarity,
     bucc_best_f1,
@@ -19,7 +18,7 @@ from bitextmine.evaluation import (
     tatoeba_accuracy,
     write_metrics_report,
 )
-from bitextmine.vecindex import build
+from bitextmine.vecindex import build, search
 
 from conftest import unit_rows
 
@@ -43,9 +42,9 @@ class TestPAt1:
         V = np.eye(4)
         ids = [f"t{i}" for i in range(4)]
         index = build(V, ids)
-        embeddings = {f"s{i}": V[i] for i in range(4)}
+        src = build(V, [f"s{i}" for i in range(4)])
         gold = gold_of(*[(f"s{i}", f"t{i}") for i in range(4)])
-        assert p_at_1(embeddings, index, gold) == 1.0
+        assert p_at_1(src, index, gold) == 1.0
 
     def test_adversarial_pool_scores_zero(self):
         d = 6
@@ -56,9 +55,9 @@ class TestPAt1:
         pool /= np.linalg.norm(pool, axis=1, keepdims=True)
         ids = [f"d{i}" for i in range(3)] + [f"t{i}" for i in range(3)]
         index = build(pool, ids)
-        embeddings = {f"s{i}": q[i] for i in range(3)}
+        src = build(q, [f"s{i}" for i in range(3)])
         gold = gold_of(*[(f"s{i}", f"t{i}") for i in range(3)])
-        assert p_at_1(embeddings, index, gold) == 0.0
+        assert p_at_1(src, index, gold) == 0.0
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(1)
@@ -69,9 +68,9 @@ class TestPAt1:
         pool /= np.linalg.norm(pool, axis=1, keepdims=True)
         ids = [f"t{i:03d}" for i in range(100)]
         index = build(pool, ids)
-        embeddings = {f"s{i}": queries[i] for i in range(10)}
+        src = build(queries, [f"s{i}" for i in range(10)])
         gold = gold_of(*[(f"s{i}", f"t{i:03d}") for i in range(10)])
-        got = p_at_1(embeddings, index, gold)
+        got = p_at_1(src, index, gold)
         hits = 0
         for i in range(10):
             scores = pool @ queries[i]
@@ -83,30 +82,30 @@ class TestPAt1:
         index = build(np.eye(2), ["t0", "t1"])
         gold = gold_of(("s0", "t0"))
         with pytest.raises(DataError):
-            p_at_1({}, index, gold)
+            p_at_1(build(np.eye(2), ["s1", "s2"]), index, gold)
 
     def test_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(2)
         pool = unit_rows(rng, 30, 6)
         ids = [f"t{i}" for i in range(30)]
-        queries = {f"s{i}": pool[i] + rng.normal(0, 0.05, 6) for i in range(5)}
+        queries = pool[:5] + rng.normal(0, 0.05, (5, 6))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         gold = gold_of(*[(f"s{i}", f"t{i}") for i in range(5)])
         index = build(pool, ids)
-        base = p_at_1(queries, index, gold)
-        scaled = {k: 7.3 * v for k, v in queries.items()}
-        assert p_at_1(scaled, index, gold) == base
+        base = p_at_1(build(queries, [f"s{i}" for i in range(5)]), index, gold)
+        # a source pool is unit-norm, so the rescaling goes to the rows
+        # that p_at_1 hands to search
+        tops = search(index, 7.3 * queries, k=1)
+        assert sum(top[0][0] == f"t{i}" for i, top in enumerate(tops)) / 5 == base
 
 
 class TestTatoeba:
     def pool_for(self, accuracy_one: bool, seed: int):
         rng = np.random.default_rng(seed)
         V = np.eye(4)
-        src = {f"s{i}": V[i] for i in range(4)}
-        if not accuracy_one:
-            src = {f"s{i}": V[(i + 1) % 4] for i in range(4)}  # every query retrieves a decoy
-        tgt = {f"t{i}": V[i] for i in range(4)}
+        src = V if accuracy_one else V[[1, 2, 3, 0]]  # else every query retrieves a decoy
         gold = gold_of(*[(f"s{i}", f"t{i}") for i in range(4)])
-        return LanguagePool(src_embeddings=src, tgt_embeddings=tgt, gold=gold)
+        return build(src, [f"s{i}" for i in range(4)]), build(V, [f"t{i}" for i in range(4)]), gold
 
     def test_single_language_group(self):
         result = tatoeba_accuracy({"de": self.pool_for(True, 0)}, {"g": ["de"]})
@@ -219,13 +218,13 @@ class TestBuccCandidates:
     def test_top1_per_source(self):
         V = np.eye(3)
         index = build(V, ["t0", "t1", "t2"])
-        out = bucc_candidates({"s0": V[0], "s1": V[2]}, index, k=1)
+        out = bucc_candidates(build(V[[2, 0]], ["s1", "s0"]), index, k=1)
         assert out == [("s0", "t0", 1.0), ("s1", "t2", 1.0)]
 
     def test_configurable_k(self):
         V = np.eye(3)
         index = build(V, ["t0", "t1", "t2"])
-        out = bucc_candidates({"s0": V[0]}, index, k=3)
+        out = bucc_candidates(build(V[:1], ["s0"]), index, k=3)
         assert len(out) == 3
 
 
