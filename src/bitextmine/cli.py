@@ -148,9 +148,9 @@ def _retrieval_inputs(src_pool, tgt_pool, gold):
     """Exact indexes over the source and target pools, and ``gold``
     checked against the ids of both."""
     from .evaluation import GoldAlignment
-    from .vecindex import build, read_pool
+    from .vecindex import read_pool
 
-    src, tgt = build(*read_pool(src_pool)), build(*read_pool(tgt_pool))
+    src, tgt = read_pool(src_pool), read_pool(tgt_pool)
     return src, tgt, GoldAlignment.from_pairs(sorted(gold.pairs), src.ids, tgt.ids)
 
 
@@ -246,6 +246,8 @@ def cmd_train(args) -> tuple[list, list]:
         save_checkpoint,
     )
 
+    if args.init and args.resume:
+        raise UsageError("train takes --init or --resume, not both")
     with _flag_values():
         config = TrainConfig(
             batch_size=args.batch_size,
@@ -313,8 +315,8 @@ def cmd_index(args) -> tuple[list, list]:
                 kmeans_iters=args.kmeans_iters,
                 seed=args.seed,
             )
-    vectors, ids = read_pool(args.pool)
-    index = build(vectors, ids, config)
+    pool = read_pool(args.pool)
+    index = pool if config is None else build(pool.vectors, pool.ids, config)
     save_index(index, args.out)
     _log(f"index: {len(index)} vectors ({index.mode}) -> {args.out}")
     return [args.pool, str(args.pool) + ".ids"], [args.out]
@@ -327,14 +329,14 @@ def cmd_search(args) -> tuple[list, list]:
     with _flag_values():
         check_k(args.k)
     index = load_index(args.index)
-    queries, qids = read_pool(args.queries)
+    queries = read_pool(args.queries)
     rows = [
         f"{qid}\t{rid}\t{score:.6f}"
-        for qid, top in zip(qids, search(index, queries, k=args.k))
+        for qid, top in zip(queries.ids, search(index, queries.vectors, k=args.k))
         for rid, score in top
     ]
     atomic_write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
-    _log(f"search: {len(qids)} queries -> {args.out}")
+    _log(f"search: {len(queries)} queries -> {args.out}")
     return [args.queries, str(args.queries) + ".ids"], [args.out]
 
 
@@ -434,13 +436,15 @@ def cmd_eval_bucc(args) -> tuple[list, list]:
 
     with _flag_values():
         check_k(args.k)
+    if args.candidates and (args.src_pool or args.tgt_pool):
+        raise UsageError("eval-bucc takes --candidates or --src-pool and --tgt-pool, not both")
+    if not (args.candidates or (args.src_pool and args.tgt_pool)):
+        raise UsageError("eval-bucc needs --candidates or both --src-pool and --tgt-pool")
     gold = read_gold_tsv(args.gold)
     if args.candidates:
         candidates = read_candidates_tsv(args.candidates)
         inputs = [args.candidates, args.gold]
     else:
-        if not (args.src_pool and args.tgt_pool):
-            raise UsageError("eval-bucc needs --candidates or both --src-pool and --tgt-pool")
         src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, gold)
         candidates = bucc_candidates(src, tgt, k=args.k)
         inputs = [args.src_pool, args.tgt_pool, args.gold]
@@ -464,12 +468,11 @@ def cmd_eval_sts(args) -> tuple[list, list]:
     from .evaluation import read_scores, sts_pearson, write_metrics_report
     from .vecindex import read_pool
 
-    a_vectors, _ = read_pool(args.pool_a, with_ids=False)
-    b_vectors, _ = read_pool(args.pool_b, with_ids=False)
-    if a_vectors.shape != b_vectors.shape:
-        raise DataError("pool-a and pool-b must hold the same number of rows")
+    a, b = read_pool(args.pool_a), read_pool(args.pool_b)
+    if a.ids != b.ids or a.vectors.shape != b.vectors.shape:
+        raise DataError("pool-a and pool-b must hold vectors of one dimension with the same ids, row for row")
     gold = read_scores(args.gold_scores)
-    r = sts_pearson(list(zip(a_vectors, b_vectors)), gold)
+    r = sts_pearson(list(zip(a.vectors, b.vectors)), gold)
     write_metrics_report({"pearson_r": r, "pairs": len(gold)}, args.out)
     _log(f"eval-sts: r={r:.4f} -> {args.out}")
     return [args.pool_a, args.pool_b, args.gold_scores], [args.out, str(args.out) + ".json"]
@@ -660,7 +663,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     sp = add("eval-sts", cmd_eval_sts, "Pearson correlation of arccos similarities")
     sp.add_argument("--pool-a", required=True, help="first side pool")
-    sp.add_argument("--pool-b", required=True, help="second side pool (aligned rows)")
+    sp.add_argument("--pool-b", required=True, help="second side pool (same ids, row for row)")
     sp.add_argument("--gold-scores", required=True, help="one gold score per line")
     sp.add_argument("--out", required=True, help="report path")
 

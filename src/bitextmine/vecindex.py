@@ -21,14 +21,15 @@ candidate set, never a reported score or a tie: the clusters prune
 candidates, not arithmetic.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
-little-endian float32; ids live in a companion file, one per line. An
-index directory persists the pool, the centroids (same format), and a
-one-line-per-row assignment file.
+little-endian float32; ids live in a required companion file, one per
+line. ``read_pool`` is the one pool reader: every pool it reads is checked
+by ``build``. An index directory persists the pool, the centroids (same
+rows, no ids), and a one-line-per-row assignment file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -271,24 +272,17 @@ def recall_vs_exact(index: VectorIndex, queries: np.ndarray, k: int, probes: int
 # ---------------------------------------------------------------------------
 
 
-def write_pool(path: str | Path, vectors: np.ndarray, ids: list[str] | None = None) -> None:
-    """Write ``M d`` header plus little-endian float32 rows; ids go to
-    ``<path>.ids`` when given."""
-    from .fileio import atomic_write_bytes, atomic_write_text
+def _write_rows(path: str | Path, rows: np.ndarray) -> None:
+    """Write the ``M d`` header line, then the rows as little-endian float32."""
+    from .fileio import atomic_write_bytes
 
-    vectors = np.asarray(vectors)
-    m, d = vectors.shape
-    payload = f"{m} {d}\n".encode("ascii") + np.ascontiguousarray(
-        vectors, dtype="<f4"
-    ).tobytes()
-    atomic_write_bytes(path, payload)
-    if ids is not None:
-        if len(ids) != m:
-            raise ValueError(f"{len(ids)} ids for {m} vectors")
-        atomic_write_text(str(path) + ".ids", "\n".join(ids) + ("\n" if ids else ""))
+    rows = np.asarray(rows)
+    m, d = rows.shape
+    atomic_write_bytes(path, f"{m} {d}\n".encode("ascii") + np.ascontiguousarray(rows, dtype="<f4").tobytes())
 
 
-def read_pool(path: str | Path, with_ids: bool = True) -> tuple[np.ndarray, list[str] | None]:
+def _read_rows(path: str | Path) -> np.ndarray:
+    """The (M, d) float64 rows of a file written by ``_write_rows``."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
@@ -299,16 +293,29 @@ def read_pool(path: str | Path, with_ids: bool = True) -> tuple[np.ndarray, list
     expected = m * d * 4
     if len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    vectors = np.frombuffer(body, dtype="<f4").reshape(m, d).astype(np.float64)
-    ids = None
-    if with_ids:
-        ids_path = Path(str(path) + ".ids")
-        if not ids_path.exists():
-            raise DataError(f"{ids_path}: companion id file missing")
-        ids = [line.rstrip("\n") for line in ids_path.read_text(encoding="utf-8").splitlines()]
-        if len(ids) != m:
-            raise DataError(f"{ids_path}: {len(ids)} ids for {m} vectors")
-    return vectors, ids
+    return np.frombuffer(body, dtype="<f4").reshape(m, d).astype(np.float64)
+
+
+def write_pool(path: str | Path, vectors: np.ndarray, ids: list[str]) -> None:
+    """Write the rows to ``path`` and their ids to ``<path>.ids``, one per line."""
+    from .fileio import atomic_write_text
+
+    if len(ids) != len(vectors):
+        raise ValueError(f"{len(ids)} ids for {len(vectors)} vectors")
+    _write_rows(path, vectors)
+    atomic_write_text(str(path) + ".ids", "\n".join(ids) + ("\n" if ids else ""))
+
+
+def read_pool(path: str | Path) -> VectorIndex:
+    """The pool at ``path`` and its ids in ``<path>.ids``, as a validated exact index."""
+    vectors = _read_rows(path)
+    ids_path = Path(str(path) + ".ids")
+    if not ids_path.exists():
+        raise DataError(f"{ids_path}: companion id file missing")
+    ids = [line.rstrip("\n") for line in ids_path.read_text(encoding="utf-8").splitlines()]
+    if len(ids) != len(vectors):
+        raise DataError(f"{ids_path}: {len(ids)} ids for {len(vectors)} vectors")
+    return build(vectors, ids)
 
 
 def save_index(index: VectorIndex, directory: str | Path) -> None:
@@ -319,7 +326,7 @@ def save_index(index: VectorIndex, directory: str | Path) -> None:
     write_pool(directory / "vectors.pool", index.vectors, index.ids)
     if index.mode == PARTITIONED:
         assert index.centroids is not None and index.cluster_of is not None
-        write_pool(directory / "centroids.pool", index.centroids)
+        _write_rows(directory / "centroids.pool", index.centroids)
         atomic_write_text(
             directory / "assignments.txt", "\n".join(str(c) for c in index.cluster_of) + "\n"
         )
@@ -334,37 +341,34 @@ def save_index(index: VectorIndex, directory: str | Path) -> None:
 
 def load_index(directory: str | Path) -> VectorIndex:
     directory = Path(directory)
-    vectors, ids = read_pool(directory / "vectors.pool")
-    assert ids is not None
-    id_rank = _id_rank(ids)
+    index = read_pool(directory / "vectors.pool")
     cfg_path = directory / "index.cfg"
     if not cfg_path.exists():
-        return VectorIndex(mode=EXACT, vectors=vectors, ids=ids, id_rank=id_rank)
-    cfg_map = dict(
-        line.split("=", 1) for line in cfg_path.read_text().splitlines() if line
-    )
+        return index
+    cfg_map = {}
+    for line in filter(None, cfg_path.read_text().splitlines()):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataError(f"{cfg_path}: line {line!r} is not key=value")
+        cfg_map[key] = value
     fields = ("clusters", "probes", "kmeans_iters", "seed")
     missing = [key for key in fields if key not in cfg_map]
     if missing:
         raise DataError(f"{cfg_path}: missing key(s) {', '.join(missing)}")
-    config = IndexConfig(**{key: int(cfg_map[key]) for key in fields})
-    centroids, _ = read_pool(directory / "centroids.pool", with_ids=False)
-    if centroids.shape != (config.clusters, vectors.shape[1]):
+    try:
+        config = IndexConfig(**{key: int(cfg_map[key]) for key in fields})
+    except ValueError as exc:
+        raise DataError(f"{cfg_path}: {exc}") from exc
+    centroids = _read_rows(directory / "centroids.pool")
+    if centroids.shape != (config.clusters, index.vectors.shape[1]):
         raise DataError(f"{directory}: centroids of shape {centroids.shape} for {config.clusters} clusters")
-    assign = np.array(
-        [int(x) for x in (directory / "assignments.txt").read_text().split()],
-        dtype=np.int64,
-    )
-    if assign.size != len(ids):
-        raise DataError(f"{directory}: assignment count {assign.size} != pool size {len(ids)}")
+    assign_path = directory / "assignments.txt"
+    try:
+        assign = np.array([int(x) for x in assign_path.read_text().split()], dtype=np.int64)
+    except ValueError as exc:
+        raise DataError(f"{assign_path}: {exc}") from exc
+    if assign.size != len(index):
+        raise DataError(f"{directory}: assignment count {assign.size} != pool size {len(index)}")
     if assign.size and not (0 <= assign.min() and assign.max() < config.clusters):
         raise DataError(f"{directory}: assignments outside [0, {config.clusters})")
-    return VectorIndex(
-        mode=PARTITIONED,
-        vectors=vectors,
-        ids=ids,
-        id_rank=id_rank,
-        config=config,
-        centroids=centroids,
-        cluster_of=assign,
-    )
+    return replace(index, mode=PARTITIONED, config=config, centroids=centroids, cluster_of=assign)

@@ -84,6 +84,12 @@ def invalid_argv(d, case):
             "eval-bucc", "--src-pool", d / "no.pool", "--tgt-pool", d / "no.pool", "--gold", d / "no.tsv",
             "--out", out, "--k", 0,
         ],
+        "train-init-and-resume": train + ["--init", d / "no.ckpt", "--resume", d / "no.ckpt"],
+        "train-init-from-config-and-resume": train + ["--config", init_config(d), "--resume", d / "no.ckpt"],
+        "eval-bucc-candidates-and-pools": [
+            "eval-bucc", "--candidates", d / "no.tsv", "--src-pool", d / "no.pool", "--tgt-pool", d / "no.pool",
+            "--gold", d / "no.tsv", "--out", out,
+        ],
         "eval-tatoeba-group": ["eval-tatoeba", "--set", tatoeba_set(d), "--group", "foo", "--out", out],
         "eval-tatoeba-set-no-lang": ["eval-tatoeba", "--set", tatoeba_set(d, lang=""), "--out", out],
         "eval-tatoeba-set-twice": ["eval-tatoeba", "--set", tatoeba_set(d), "--set", tatoeba_set(d), "--out", out],
@@ -91,6 +97,12 @@ def invalid_argv(d, case):
             "eval-tatoeba", "--set", tatoeba_set(d), "--group", "g=xx", "--group", "g=yy", "--out", out,
         ],
     }[case]
+
+
+def init_config(d):
+    """A config file whose ``train`` section names an ``--init`` checkpoint."""
+    (d / "init.ini").write_text(f"[train]\ninit = {d / 'no.ckpt'}\n", encoding="utf-8")
+    return d / "init.ini"
 
 
 def tatoeba_set(d, lang="xx"):
@@ -120,6 +132,9 @@ def tatoeba_set(d, lang="xx"):
         "eval-tatoeba-set-no-lang",
         "eval-tatoeba-set-twice",
         "eval-tatoeba-group-twice",
+        "train-init-and-resume",
+        "train-init-from-config-and-resume",
+        "eval-bucc-candidates-and-pools",
     ],
 )
 def test_invalid_flag_value_is_usage_error(work, case, capsys):
@@ -194,24 +209,43 @@ def test_search_writes_the_per_query_results(work, tmp_path, index_flags):
     assert run("index", "--pool", work / "tgt.pool", "--out", tmp_path / "idx", *index_flags) == 0
     assert run("search", "--index", tmp_path / "idx", "--queries", queries, "--k", 3, "--out", tmp_path / "hits.tsv") == 0
     index = load_index(tmp_path / "idx")
-    vectors, qids = read_pool(queries)
+    pool = read_pool(queries)
     expected = [
         f"{qid}\t{name}\t{score:.6f}"
-        for qid, q in zip(qids, vectors)
+        for qid, q in zip(pool.ids, pool.vectors)
         for name, score in search(index, q[None], k=3)[0]
     ]
-    assert len(expected) == 3 * len(qids)
+    assert len(expected) == 3 * len(pool.ids)
     assert (tmp_path / "hits.tsv").read_text(encoding="utf-8").splitlines() == expected
 
 
+def search_with_index_file(d, t, name, text):
+    """Exit code of ``search`` over a partitioned index of the target pool
+    whose file ``name`` now holds ``text``; results go to ``t/hits.tsv``."""
+    idx = t / "idx"
+    assert run("index", "--pool", d / "tgt.pool", "--out", idx, "--clusters", 4, "--probes", 2) == 0
+    (idx / name).write_text(text, encoding="utf-8")
+    return run("search", "--index", idx, "--queries", d / "tgt.pool", "--k", 1, "--out", t / "hits.tsv")
+
+
 def test_index_config_without_a_key_is_data_error(work, tmp_path, capsys):
-    idx = tmp_path / "idx"
-    assert run("index", "--pool", work / "tgt.pool", "--out", idx, "--clusters", 4, "--probes", 2) == 0
-    (idx / "index.cfg").write_text("clusters=4\nprobes=2\n", encoding="utf-8")
-    out = tmp_path / "hits.tsv"
-    assert run("search", "--index", idx, "--queries", work / "tgt.pool", "--k", 1, "--out", out) == 2
+    assert search_with_index_file(work, tmp_path, "index.cfg", "clusters=4\nprobes=2\n") == 2
     assert "index.cfg: missing key(s) kmeans_iters, seed" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "hits.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("index.cfg", "clusters=4\nprobes\nkmeans_iters=10\nseed=0\n", "index.cfg: line 'probes' is not key=value"),
+        ("assignments.txt", "x\n" * 40, "assignments.txt: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["cfg-line-without-equals", "non-integer-assignment"],
+)
+def test_index_file_that_does_not_parse_is_data_error_naming_it(work, tmp_path, capsys, name, text, message):
+    assert search_with_index_file(work, tmp_path, name, text) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "hits.tsv").exists()
 
 
 def test_report_on_unscored_pairs_is_data_error(work, capsys):
@@ -434,7 +468,8 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
 def bad_source_pool(d, t, defect):
     """A copy of the source pool with duplicate ids or non-unit rows, and a
     gold file that names only ids it holds."""
-    vectors, ids = read_pool(d / "src.pool")
+    pool = read_pool(d / "src.pool")
+    vectors, ids = pool.vectors, list(pool.ids)
     if defect == "duplicate-ids":
         ids[1] = ids[0]
     else:
@@ -444,19 +479,53 @@ def bad_source_pool(d, t, defect):
     return t / "bad.pool", t / "bad_gold.tsv"
 
 
+def sts_scores(t):
+    """Gold scores for the fixture's 40 pairs, not all equal."""
+    (t / "scores.txt").write_text("".join(f"{i % 5}\n" for i in range(40)), encoding="utf-8")
+    return t / "scores.txt"
+
+
+def bad_pool_argv(d, t, command, pool, gold):
+    """The command and its flags, with ``pool`` in the place of one pool it reads."""
+    if command == "eval-tatoeba":
+        return [command, "--set", f"xx={pool},{d / 'tgt.pool'},{gold}"]
+    if command == "eval-sts":
+        return [command, "--pool-a", pool, "--pool-b", d / "tgt.pool", "--gold-scores", sts_scores(t)]
+    if command == "index":
+        return [command, "--pool", pool]
+    if command == "search-queries":
+        assert run("index", "--pool", d / "tgt.pool", "--out", t / "idx") == 0
+        return ["search", "--index", t / "idx", "--queries", pool]
+    if command == "search-index":
+        assert run("index", "--pool", d / "tgt.pool", "--out", t / "idx") == 0
+        for suffix in ("", ".ids"):
+            (t / "idx" / f"vectors.pool{suffix}").write_bytes((t / f"bad.pool{suffix}").read_bytes())
+        return ["search", "--index", t / "idx", "--queries", d / "tgt.pool"]
+    return [command, "--src-pool", pool, "--tgt-pool", d / "tgt.pool", "--gold", gold]
+
+
 @pytest.mark.parametrize(
     "defect, message", [("duplicate-ids", "pool ids must be unique"), ("non-unit", "pool rows must be unit-norm")]
 )
-@pytest.mark.parametrize("command", ["eval-p1", "eval-bucc", "eval-tatoeba"])
+@pytest.mark.parametrize(
+    "command", ["eval-p1", "eval-bucc", "eval-tatoeba", "eval-sts", "search-queries", "search-index", "index"]
+)
 def test_source_pool_is_checked_like_the_target_pool(work, tmp_path, capsys, command, defect, message):
     pool, gold = bad_source_pool(work, tmp_path, defect)
-    if command == "eval-tatoeba":
-        argv = ["--set", f"xx={pool},{work / 'tgt.pool'},{gold}"]
-    else:
-        argv = ["--src-pool", pool, "--tgt-pool", work / "tgt.pool", "--gold", gold]
     out = tmp_path / "out"
-    assert run(command, *argv, "--out", out) == 2
+    assert run(*bad_pool_argv(work, tmp_path, command, pool, gold), "--out", out) == 2
     assert f"bitextmine: data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+
+
+def test_sts_pools_with_other_ids_are_data_error(work, tmp_path, capsys):
+    pool = read_pool(work / "tgt.pool")
+    write_pool(tmp_path / "reordered.pool", pool.vectors, pool.ids[::-1])
+    argv = ["--pool-a", work / "src.pool", "--pool-b", tmp_path / "reordered.pool", "--gold-scores", sts_scores(tmp_path)]
+    out = tmp_path / "sts"
+    assert run("eval-sts", *argv, "--out", out) == 2
+    assert "pool-a and pool-b must hold vectors of one dimension with the same ids, row for row" in capsys.readouterr().err
     assert not out.exists()
     assert not manifest_path(out).exists()
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from bitextmine.vecindex import (
     IndexConfig,
     PARTITIONED,
     QUERY_CHUNK,
+    _read_rows,
+    _write_rows,
     build,
     load_index,
     read_pool,
@@ -17,6 +22,8 @@ from bitextmine.vecindex import (
 )
 
 from conftest import unit_rows
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bitextmine"
 
 
 def brute_force_topk(vectors, ids, query, k, rows=None):
@@ -239,9 +246,9 @@ class TestPersistence:
         V = unit_rows(rng, 10, 4).astype(np.float32).astype(np.float64)
         ids = [f"v{i}" for i in range(10)]
         write_pool(tmp_path / "p.pool", V, ids)
-        V2, ids2 = read_pool(tmp_path / "p.pool")
-        np.testing.assert_array_equal(V2, V)
-        assert ids2 == ids
+        pool = read_pool(tmp_path / "p.pool")
+        np.testing.assert_array_equal(pool.vectors, V)
+        assert pool.ids == ids
 
     def test_pool_header_and_payload_sizes(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -255,7 +262,7 @@ class TestPersistence:
     def test_truncated_pool_errors(self, tmp_path):
         (tmp_path / "bad.pool").write_bytes(b"4 4\n\x00\x00")
         with pytest.raises(DataError):
-            read_pool(tmp_path / "bad.pool", with_ids=False)
+            _read_rows(tmp_path / "bad.pool")
 
     def test_index_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -285,7 +292,36 @@ class TestPersistence:
         if corrupt == "assignment-out-of-range":
             (tmp_path / "assignments.txt").write_text("4\n" * 20)
         else:
-            centroids, _ = read_pool(tmp_path / "centroids.pool", with_ids=False)
-            write_pool(tmp_path / "centroids.pool", centroids[:3])
+            centroids = _read_rows(tmp_path / "centroids.pool")
+            _write_rows(tmp_path / "centroids.pool", centroids[:3])
         with pytest.raises(DataError):
             load_index(tmp_path)
+
+    @pytest.mark.parametrize("defect", ["duplicate-ids", "non-unit"])
+    def test_pool_is_validated_on_read(self, tmp_path, defect):
+        rng = np.random.default_rng(16)
+        V = unit_rows(rng, 5, 4)
+        ids = [f"v{i}" for i in range(5)]
+        if defect == "duplicate-ids":
+            ids[1] = ids[0]
+        else:
+            V = 2.0 * V
+        write_pool(tmp_path / "p.pool", V, ids)
+        with pytest.raises(ValueError, match="unique" if defect == "duplicate-ids" else "unit-norm"):
+            read_pool(tmp_path / "p.pool")
+
+
+def test_vector_index_is_constructed_only_by_build():
+    """Every ``VectorIndex(...)`` call in the package, as (module, the
+    top-level function or class it is in): ``build`` alone makes one, so
+    every index passes its checks."""
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "VectorIndex" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    calls.add((path.stem, getattr(top, "name", "<module>")))
+    assert calls == {("vecindex", "build")}
