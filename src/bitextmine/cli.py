@@ -144,14 +144,18 @@ def _fresh_encoder(args, vocab, num_layers: int):
     return init_params(config, seed=args.seed)
 
 
-def _retrieval_inputs(src_pool, tgt_pool, gold):
-    """Exact indexes over the source and target pools, and ``gold``
-    checked against the ids of both."""
-    from .evaluation import GoldAlignment
+def _retrieval_inputs(src_pool, tgt_pool, gold_path):
+    """Exact indexes over the source and target pools, and the gold
+    alignment at ``gold_path`` checked against the ids of both."""
+    from .evaluation import GoldAlignment, read_gold_tsv
     from .vecindex import read_pool
 
+    gold = read_gold_tsv(gold_path)
     src, tgt = read_pool(src_pool), read_pool(tgt_pool)
-    return src, tgt, GoldAlignment.from_pairs(sorted(gold.pairs), src.ids, tgt.ids)
+    try:
+        return src, tgt, GoldAlignment.from_pairs(sorted(gold.pairs), src.ids, tgt.ids)
+    except ValueError as exc:
+        raise DataError(f"{gold_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +385,9 @@ def cmd_mine(args) -> tuple[list, list]:
 
 
 def cmd_eval_p1(args) -> tuple[list, list]:
-    from .evaluation import p_at_1, read_gold_tsv, write_metrics_report
+    from .evaluation import p_at_1, write_metrics_report
 
-    src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, read_gold_tsv(args.gold))
+    src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, args.gold)
     value = p_at_1(src, tgt, gold)
     write_metrics_report({"p_at_1": value, "gold_pairs": len(gold.pairs)}, args.out)
     _log(f"eval-p1: P@1={value:.4f} -> {args.out}")
@@ -391,7 +395,7 @@ def cmd_eval_p1(args) -> tuple[list, list]:
 
 
 def cmd_eval_tatoeba(args) -> tuple[list, list]:
-    from .evaluation import read_gold_tsv, tatoeba_accuracy, write_metrics_report
+    from .evaluation import tatoeba_accuracy, write_metrics_report
 
     groups = {}
     for group_str in args.group or []:
@@ -409,7 +413,7 @@ def cmd_eval_tatoeba(args) -> tuple[list, list]:
             raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, got {spec_str!r}")
         if lang in sets:
             raise UsageError(f"--set gives language {lang!r} twice")
-        sets[lang] = _retrieval_inputs(paths[0], paths[1], read_gold_tsv(paths[2]))
+        sets[lang] = _retrieval_inputs(*paths)
         inputs.extend(paths)
     result = tatoeba_accuracy(sets, groups)
     metrics: dict[str, object] = {}
@@ -440,12 +444,12 @@ def cmd_eval_bucc(args) -> tuple[list, list]:
         raise UsageError("eval-bucc takes --candidates or --src-pool and --tgt-pool, not both")
     if not (args.candidates or (args.src_pool and args.tgt_pool)):
         raise UsageError("eval-bucc needs --candidates or both --src-pool and --tgt-pool")
-    gold = read_gold_tsv(args.gold)
     if args.candidates:
+        gold = read_gold_tsv(args.gold)
         candidates = read_candidates_tsv(args.candidates)
         inputs = [args.candidates, args.gold]
     else:
-        src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, gold)
+        src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, args.gold)
         candidates = bucc_candidates(src, tgt, k=args.k)
         inputs = [args.src_pool, args.tgt_pool, args.gold]
     prf = bucc_best_f1(candidates, gold)

@@ -209,7 +209,8 @@ def read_gold_tsv(path: str | Path) -> GoldAlignment:
 
 
 def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
-    out = []
+    """Candidate triples with finite scores, each (src_id, tgt_id) once."""
+    out, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -218,10 +219,17 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
             cols = line.split("\t")
             if len(cols) != 3:
                 raise DataError(f"{path}:{lineno}: expected src_id<TAB>tgt_id<TAB>score")
+            s, t, raw_score = cols
             try:
-                out.append((cols[0], cols[1], float(cols[2])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score {cols[2]!r}") from exc
+                score = float(raw_score)
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{lineno}: bad score {raw_score!r}")
+            if (s, t) in seen:
+                raise DataError(f"{path}:{lineno}: duplicate candidate ({s!r}, {t!r})")
+            seen.add((s, t))
+            out.append((s, t, score))
     return out
 
 

@@ -12,24 +12,27 @@ the boundary are decided by id, never by position.
 Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
 initialization from a seeded start, fixed iteration count, empty
-clusters re-seeded from the largest cluster's farthest member. A search
-picks the P clusters whose centroids best match the query (the same
-top-k rule, ties to the lower cluster index) and masks out every row
-outside them. It scores the whole pool first, so the scores it reports
-are the exact-mode ones and approximation only ever affects the
-candidate set, never a reported score or a tie: the clusters prune
-candidates, not arithmetic.
+clusters re-seeded from the largest cluster's farthest member during the
+iterations only, final centroids rounded through float32 as stored. Each
+row belongs to its best-scoring centroid, ties to the lower index, so a
+pool row probes its own cluster first; a cluster may be empty. A search
+picks the P non-empty clusters whose centroids best match the query (the
+same top-k rule, ties to the lower index) and masks out every row
+outside them. It scores the whole pool first, so every reported score
+and tie is the exact-mode one: the clusters prune candidates, not
+arithmetic.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a required companion file, one per
 line. ``read_pool`` is the one pool reader: every pool it reads is checked
-by ``build``. An index directory persists the pool, the centroids (same
-rows, no ids), and a one-line-per-row assignment file.
+by ``build``. An index directory holds the pool (``vectors.pool``) and,
+if partitioned, the centroids (``centroids.pool``, same rows, no ids)
+and the config (``index.cfg``); the partition is derived on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +72,7 @@ class VectorIndex:
     id_rank: np.ndarray  # rank of each row's id in ascending id order
     config: IndexConfig | None = None
     centroids: np.ndarray | None = None  # (C, d) unit-norm
-    cluster_of: np.ndarray | None = None  # (M,) cluster index of each row
+    cluster_of: np.ndarray | None = None  # (M,) each row's best-scoring centroid, from ``_cluster_of``
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -90,10 +93,15 @@ def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
         raise ValueError(f"{len(ids)} ids for {vectors.shape[0]} vectors")
     if len(set(ids)) != len(ids):
         raise ValueError("pool ids must be unique")
-    norms = np.linalg.norm(vectors, axis=1)
-    if not np.allclose(norms, 1.0, atol=_UNIT_ATOL):
-        raise ValueError(f"pool rows must be unit-norm (max |n-1| = {abs(norms - 1).max():.2e})")
+    _check_unit_rows(vectors, "pool")
     return vectors
+
+
+def _check_unit_rows(rows: np.ndarray, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless every row is a finite unit vector."""
+    norms = np.linalg.norm(rows, axis=1)
+    if not np.allclose(norms, 1.0, atol=_UNIT_ATOL):  # a NaN or inf norm is not close
+        raise error(f"{what} rows must be unit-norm (max |n-1| = {abs(norms - 1).max():.2e})")
 
 
 def _id_rank(ids: list[str]) -> np.ndarray:
@@ -101,6 +109,20 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     rank = np.empty(len(ids), dtype=np.int64)
     rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
     return rank
+
+
+def _scores(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """(n, M) cosines of each block row against each matrix row.
+
+    The stacked product runs one matrix-vector product per row, so row i
+    is bit-equal to ``matrix @ block[i]`` whatever the block holds."""
+    return np.matmul(block[:, None, :], matrix.T)[:, 0, :]
+
+
+def _cluster_of(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row's best-scoring centroid, ties to the lower index: with the
+    search's own scores, the cluster that row probes first as a query."""
+    return np.argmax(_scores(centroids, vectors), axis=1)
 
 
 def _farthest_point_init(vectors: np.ndarray, C: int, seed: int) -> np.ndarray:
@@ -141,8 +163,8 @@ def build(
     if m < config.clusters:
         raise ValueError(f"pool of {m} rows cannot form {config.clusters} clusters")
     centroids = _farthest_point_init(vectors, config.clusters, config.seed)
-    assign = np.zeros(m, dtype=np.int64)
     for _ in range(config.kmeans_iters):
+        # working labels: one product is twice as fast, and only the partition must match search
         assign = np.argmax(vectors @ centroids.T, axis=1)
         for c in range(config.clusters):
             if not np.any(assign == c):
@@ -155,10 +177,7 @@ def build(
                 _respawn_centroid(vectors, assign, centroids, c)
             else:
                 centroids[c] = mean / norm
-    assign = np.argmax(vectors @ centroids.T, axis=1)
-    for c in range(config.clusters):
-        if not np.any(assign == c):
-            _respawn_centroid(vectors, assign, centroids, c)
+    centroids = centroids.astype(np.float32).astype(np.float64)  # as ``centroids.pool`` stores them
     return VectorIndex(
         mode=PARTITIONED,
         vectors=vectors,
@@ -166,7 +185,7 @@ def build(
         id_rank=id_rank,
         config=config,
         centroids=centroids,
-        cluster_of=assign,
+        cluster_of=_cluster_of(vectors, centroids),
     )
 
 
@@ -174,14 +193,6 @@ def check_k(k: int) -> None:
     """Raise ValueError unless k asks for at least one neighbour."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-
-def _scores(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(n, M) cosines of each block row against each matrix row.
-
-    The stacked product runs one matrix-vector product per row, so row i
-    is bit-equal to ``matrix @ block[i]`` whatever the block holds."""
-    return np.matmul(block[:, None, :], matrix.T)[:, 0, :]
 
 
 def _top_k(scores: np.ndarray, k: int, tie_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,16 +215,15 @@ def _top_k(scores: np.ndarray, k: int, tie_rank: np.ndarray) -> tuple[np.ndarray
 
 def _mask_unprobed(index: VectorIndex, block: np.ndarray, scores: np.ndarray, probes: int) -> None:
     """Set to -inf, in place, the scores of the rows outside each query's
-    ``probes`` best clusters."""
+    ``probes`` best non-empty clusters."""
     assert index.centroids is not None and index.cluster_of is not None
     clusters = index.centroids.shape[0]
-    rows, cols = _top_k(_scores(index.centroids, block), probes, np.arange(clusters))
+    centroid_scores = _scores(index.centroids, block)
+    centroid_scores[:, np.bincount(index.cluster_of, minlength=clusters) == 0] = -np.inf
+    rows, cols = _top_k(centroid_scores, probes, np.arange(clusters))
     unprobed = np.ones((block.shape[0], clusters), dtype=bool)
     unprobed[rows, cols] = False
-    excluded = unprobed[:, index.cluster_of]
-    if excluded.all(axis=1).any():
-        raise ValueError("probed clusters are empty")
-    np.putmask(scores, excluded, -np.inf)
+    np.putmask(scores, unprobed[:, index.cluster_of], -np.inf)
 
 
 def search(
@@ -224,8 +234,8 @@ def search(
 
     ``queries`` is an (n, d) block; pass ``q[None]`` for one query. Exact
     mode scans everything; partitioned mode scans the ``probes``
-    best-matching clusters (defaults to the build config). Each row gets
-    min(k, candidates) results; scores are exact cosines.
+    best-matching non-empty clusters (defaults to the build config). Each
+    row gets min(k, candidates) results; scores are exact cosines.
     """
     check_k(k)
     if len(index) == 0:
@@ -319,24 +329,19 @@ def read_pool(path: str | Path) -> VectorIndex:
 
 
 def save_index(index: VectorIndex, directory: str | Path) -> None:
+    """Write the index into ``directory``, with no partition files if it is exact."""
     from .fileio import atomic_write_text
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    cfg_path, centroids_path = directory / "index.cfg", directory / "centroids.pool"
+    cfg_path.unlink(missing_ok=True)  # first, so a rewrite cut short leaves an exact index, not a stale partition
+    centroids_path.unlink(missing_ok=True)
     write_pool(directory / "vectors.pool", index.vectors, index.ids)
     if index.mode == PARTITIONED:
-        assert index.centroids is not None and index.cluster_of is not None
-        _write_rows(directory / "centroids.pool", index.centroids)
-        atomic_write_text(
-            directory / "assignments.txt", "\n".join(str(c) for c in index.cluster_of) + "\n"
-        )
-        cfg = index.config
-        assert cfg is not None
-        atomic_write_text(
-            directory / "index.cfg",
-            f"clusters={cfg.clusters}\nprobes={cfg.probes}\n"
-            f"kmeans_iters={cfg.kmeans_iters}\nseed={cfg.seed}\n",
-        )
+        assert index.centroids is not None and index.config is not None
+        _write_rows(centroids_path, index.centroids)
+        atomic_write_text(cfg_path, "".join(f"{key}={value}\n" for key, value in asdict(index.config).items()))
 
 
 def load_index(directory: str | Path) -> VectorIndex:
@@ -351,24 +356,18 @@ def load_index(directory: str | Path) -> VectorIndex:
         if not sep:
             raise DataError(f"{cfg_path}: line {line!r} is not key=value")
         cfg_map[key] = value
-    fields = ("clusters", "probes", "kmeans_iters", "seed")
-    missing = [key for key in fields if key not in cfg_map]
+    keys = [field.name for field in fields(IndexConfig)]
+    missing = [key for key in keys if key not in cfg_map]
     if missing:
         raise DataError(f"{cfg_path}: missing key(s) {', '.join(missing)}")
     try:
-        config = IndexConfig(**{key: int(cfg_map[key]) for key in fields})
+        config = IndexConfig(**{key: int(cfg_map[key]) for key in keys})
     except ValueError as exc:
         raise DataError(f"{cfg_path}: {exc}") from exc
-    centroids = _read_rows(directory / "centroids.pool")
+    centroids_path = directory / "centroids.pool"
+    centroids = _read_rows(centroids_path)
     if centroids.shape != (config.clusters, index.vectors.shape[1]):
-        raise DataError(f"{directory}: centroids of shape {centroids.shape} for {config.clusters} clusters")
-    assign_path = directory / "assignments.txt"
-    try:
-        assign = np.array([int(x) for x in assign_path.read_text().split()], dtype=np.int64)
-    except ValueError as exc:
-        raise DataError(f"{assign_path}: {exc}") from exc
-    if assign.size != len(index):
-        raise DataError(f"{directory}: assignment count {assign.size} != pool size {len(index)}")
-    if assign.size and not (0 <= assign.min() and assign.max() < config.clusters):
-        raise DataError(f"{directory}: assignments outside [0, {config.clusters})")
-    return replace(index, mode=PARTITIONED, config=config, centroids=centroids, cluster_of=assign)
+        raise DataError(f"{centroids_path}: centroids of shape {centroids.shape} for {config.clusters} clusters")
+    _check_unit_rows(centroids, f"{centroids_path}: centroid", DataError)
+    cluster_of = _cluster_of(index.vectors, centroids)
+    return replace(index, mode=PARTITIONED, config=config, centroids=centroids, cluster_of=cluster_of)

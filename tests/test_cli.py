@@ -10,6 +10,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bitextmine import cli
@@ -17,7 +18,7 @@ from bitextmine.corpus import SentencePair, format_pairs_tsv, read_pairs_tsv
 from bitextmine.fileio import sha256_file
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
-from bitextmine.vecindex import load_index, read_pool, search, write_pool
+from bitextmine.vecindex import EXACT, _read_rows, _write_rows, load_index, read_pool, search, write_pool
 
 
 def run(*argv):
@@ -236,16 +237,42 @@ def test_index_config_without_a_key_is_data_error(work, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, text, message",
-    [
-        ("index.cfg", "clusters=4\nprobes\nkmeans_iters=10\nseed=0\n", "index.cfg: line 'probes' is not key=value"),
-        ("assignments.txt", "x\n" * 40, "assignments.txt: invalid literal for int() with base 10: 'x'"),
-    ],
-    ids=["cfg-line-without-equals", "non-integer-assignment"],
+    [("index.cfg", "clusters=4\nprobes\nkmeans_iters=10\nseed=0\n", "index.cfg: line 'probes' is not key=value")],
+    ids=["cfg-line-without-equals"],
 )
 def test_index_file_that_does_not_parse_is_data_error_naming_it(work, tmp_path, capsys, name, text, message):
     assert search_with_index_file(work, tmp_path, name, text) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "hits.tsv").exists()
+
+
+@pytest.mark.parametrize("defect", ["nan", "non-unit"])
+def test_centroids_that_are_not_unit_rows_are_data_error_naming_the_file(work, tmp_path, capsys, defect):
+    idx, hits = tmp_path / "idx", tmp_path / "hits.tsv"
+    assert run("index", "--pool", work / "tgt.pool", "--out", idx, "--clusters", 4, "--probes", 1) == 0
+    centroids = _read_rows(idx / "centroids.pool")
+    centroids[2] = np.nan if defect == "nan" else 0.5 * centroids[2]
+    _write_rows(idx / "centroids.pool", centroids)
+    assert run("search", "--index", idx, "--queries", work / "tgt.pool", "--k", 1, "--out", hits) == 2
+    assert f"{idx / 'centroids.pool'}: centroid rows must be unit-norm" in capsys.readouterr().err
+    assert not hits.exists()
+    assert not manifest_path(hits).exists()
+
+
+def test_exact_index_written_over_a_partitioned_one_leaves_no_partition(work, tmp_path):
+    idx, hits = tmp_path / "idx", tmp_path / "hits.tsv"
+    assert run("index", "--pool", work / "tgt.pool", "--out", idx, "--clusters", 6, "--probes", 1) == 0
+    assert run("index", "--pool", work / "src.pool", "--out", idx) == 0
+    assert not (idx / "index.cfg").exists() and not (idx / "centroids.pool").exists()
+    assert load_index(idx).mode == EXACT
+    assert run("search", "--index", idx, "--queries", work / "tgt.pool", "--k", 1, "--out", hits) == 0
+    pool, queries = read_pool(work / "src.pool"), read_pool(work / "tgt.pool")
+    expected = [
+        f"{qid}\t{name}\t{score:.6f}"
+        for qid, top in zip(queries.ids, search(pool, queries.vectors, k=1))
+        for name, score in top
+    ]
+    assert hits.read_text(encoding="utf-8").splitlines() == expected
 
 
 def test_report_on_unscored_pairs_is_data_error(work, capsys):
@@ -444,8 +471,9 @@ def library_error_case(d, t, command):
     if command == "index":
         return ["--pool", d / "tgt.pool", "--clusters", 50], "pool of 40 rows cannot form 50 clusters"
     if command == "eval-bucc":
-        (t / "cands.tsv").write_text("1\t1\t0.5\n1\t1\t0.4\n", encoding="utf-8")
-        return ["--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"], "duplicate candidate ('1', '1')"
+        (t / "cands.tsv").write_text("1\t1\t0.5\n", encoding="utf-8")
+        (t / "empty_gold.tsv").write_text("", encoding="utf-8")
+        return ["--candidates", t / "cands.tsv", "--gold", t / "empty_gold.tsv"], "empty gold alignment"
     if command == "pretrain":
         argv = ["--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--mix", "0:1", "--max-seq-len", 2]
         return argv, "max_len 2 cannot hold [CLS] and, per non-empty side, a token and [SEP]"
@@ -461,6 +489,30 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
     assert run(command, *argv, "--out", out) == 2
     err = capsys.readouterr().err
     assert f"bitextmine: data error: {message}" in err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+
+
+def eval_data_error_case(d, t, case):
+    """``(argv, message)``: an ``eval-bucc`` or ``eval-p1`` run whose gold or
+    candidate file holds a bad entry, and the error that names its place."""
+    if case == "gold-id-outside-pool":
+        (t / "gold.tsv").write_text("1\t1\n2\tzz\n", encoding="utf-8")
+        argv = ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", t / "gold.tsv"]
+        return argv, f"{t / 'gold.tsv'}: gold pair ('2', 'zz') outside its universe"
+    line = {"nan-score": "2\t2\tnan", "inf-score": "2\t2\tinf", "duplicate-candidate": "1\t1\t0.4"}[case]
+    (t / "cands.tsv").write_text(f"1\t1\t0.5\n{line}\n", encoding="utf-8")
+    argv = ["eval-bucc", "--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"]
+    message = "duplicate candidate ('1', '1')" if case == "duplicate-candidate" else f"bad score {line.split()[2]!r}"
+    return argv, f"{t / 'cands.tsv'}:2: {message}"
+
+
+@pytest.mark.parametrize("case", ["gold-id-outside-pool", "nan-score", "inf-score", "duplicate-candidate"])
+def test_eval_data_error_names_its_file(work, tmp_path, capsys, case):
+    argv, message = eval_data_error_case(work, tmp_path, case)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    assert f"bitextmine: data error: {message}" in capsys.readouterr().err
     assert not out.exists()
     assert not manifest_path(out).exists()
 

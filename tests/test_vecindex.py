@@ -35,11 +35,21 @@ def brute_force_topk(vectors, ids, query, k, rows=None):
 
 
 def probed_rows(index, query, probes):
-    """Rows of the ``probes`` clusters whose centroids score best, ties to
-    the lower cluster index."""
+    """Rows of the ``probes`` non-empty clusters whose centroids score
+    best, ties to the lower cluster index."""
     scores = index.centroids @ query
-    best = sorted(range(len(scores)), key=lambda c: (-scores[c], c))[:probes]
+    filled = [c for c, members in enumerate(index.assignments) if len(members)]
+    best = sorted(filled, key=lambda c: (-scores[c], c))[:probes]
     return np.concatenate([index.assignments[c] for c in best]).tolist()
+
+
+def duplicate_heavy_pool(rng):
+    """A few distinct unit rows, each repeated, and a cluster count that
+    leaves some clusters with only copies of one row or with none."""
+    distinct = int(rng.integers(3, 10))
+    m = int(rng.integers(max(5, distinct), 40))
+    V = unit_rows(rng, distinct, 8)[rng.integers(0, distinct, size=m)]
+    return V, [f"v{i:02d}" for i in rng.permutation(m)], int(rng.integers(2, min(12, m) + 1))
 
 
 def make_pool(rng, kind, m, d):
@@ -164,6 +174,15 @@ class TestPartitioned:
         sizes = sorted((len(m) for m in index.assignments), reverse=True)
         assert sum(sizes[:3]) < 300  # probing 3 clusters cannot scan the pool
 
+    def test_every_pool_row_is_found_with_one_probe_on_duplicate_heavy_pools(self):
+        # a row is in the cluster it probes first, so its own copies are
+        # always candidates and exact top-1 is never missed
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            V, ids, clusters = duplicate_heavy_pool(rng)
+            index = build(V, ids, IndexConfig(clusters=clusters, probes=1, seed=int(rng.integers(100))))
+            assert recall_vs_exact(index, index.vectors, k=1) == 1.0
+
     def test_fewer_rows_than_clusters_errors(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
@@ -275,26 +294,45 @@ class TestPersistence:
         assert search(loaded, q[None], k=3) == search(index, q[None], k=3)
 
     def test_index_roundtrip_partitioned(self, tmp_path):
+        # a saved index loads as exactly the index that was built
         rng = np.random.default_rng(14)
-        V = unit_rows(rng, 60, 4).astype(np.float32).astype(np.float64)
-        index = build(V, [f"v{i:02d}" for i in range(60)], IndexConfig(clusters=4, probes=2, seed=1))
-        save_index(index, tmp_path / "idx")
-        loaded = load_index(tmp_path / "idx")
-        assert loaded.mode == PARTITIONED
-        q = unit_rows(rng, 1, 4)[0]
-        assert search(loaded, q[None], k=4) == search(index, q[None], k=4)
+        for seed, d in [(1, 4), (2, 8), (3, 16), (4, 32), (5, 3)]:
+            V, ids = make_pool(rng, "random", int(rng.integers(40, 300)), d)
+            V = V.astype(np.float32).astype(np.float64)
+            index = build(V, ids, IndexConfig(clusters=int(rng.integers(2, 12)), probes=2, seed=seed))
+            save_index(index, tmp_path / f"idx{seed}")
+            loaded = load_index(tmp_path / f"idx{seed}")
+            assert loaded.mode == PARTITIONED and loaded.config == index.config
+            np.testing.assert_array_equal(loaded.centroids, index.centroids)
+            np.testing.assert_array_equal(loaded.cluster_of, index.cluster_of)
+            Q = np.concatenate([unit_rows(rng, 30, d), V[:30]])
+            assert search(loaded, Q, k=4) == search(index, Q, k=4)
 
-    @pytest.mark.parametrize("corrupt", ["assignment-out-of-range", "missing-centroid"])
+    def test_stale_assignment_file_is_ignored(self, tmp_path):
+        # an older index directory also held each row's cluster label in
+        # assignments.txt; the partition comes from the centroids alone
+        rng = np.random.default_rng(17)
+        V = unit_rows(rng, 50, 6).astype(np.float32).astype(np.float64)
+        ids = [f"v{i:02d}" for i in range(50)]
+        index = build(V, ids, IndexConfig(clusters=4, probes=1, seed=2))
+        save_index(index, tmp_path)
+        (tmp_path / "assignments.txt").write_text("".join(f"{(c + 1) % 4}\n" for c in index.cluster_of))
+        loaded = load_index(tmp_path)
+        np.testing.assert_array_equal(loaded.cluster_of, index.cluster_of)
+        assert [top[0][0] for top in search(loaded, V, k=1)] == ids
+
+    @pytest.mark.parametrize("corrupt", ["missing-centroid", "nan-centroid", "non-unit-centroid"])
     def test_corrupt_partitioned_index_errors(self, tmp_path, corrupt):
         rng = np.random.default_rng(15)
         V = unit_rows(rng, 20, 4).astype(np.float32).astype(np.float64)
         save_index(build(V, [f"v{i:02d}" for i in range(20)], IndexConfig(clusters=4, probes=2)), tmp_path)
-        if corrupt == "assignment-out-of-range":
-            (tmp_path / "assignments.txt").write_text("4\n" * 20)
+        centroids = _read_rows(tmp_path / "centroids.pool")
+        if corrupt == "missing-centroid":
+            centroids = centroids[:3]
         else:
-            centroids = _read_rows(tmp_path / "centroids.pool")
-            _write_rows(tmp_path / "centroids.pool", centroids[:3])
-        with pytest.raises(DataError):
+            centroids[1] = np.nan if corrupt == "nan-centroid" else 2.0 * centroids[1]
+        _write_rows(tmp_path / "centroids.pool", centroids)
+        with pytest.raises(DataError, match="centroids.pool"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize("defect", ["duplicate-ids", "non-unit"])
