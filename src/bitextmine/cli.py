@@ -190,53 +190,36 @@ def cmd_build_vocab(args) -> tuple[list, list]:
     return (args.mono or []) + ([args.pairs] if args.pairs else []), [args.out]
 
 
-def _parse_stages(layers_csv: str, steps_csv: str):
-    from .trainer import Stage
-
-    layers = [int(x) for x in layers_csv.split(",") if x]
-    steps = [int(x) for x in steps_csv.split(",") if x]
-    if len(layers) != len(steps) or not layers:
-        raise UsageError("--stage-layers and --stage-steps must list the same count")
-    return [Stage(num_layers=l, steps=s) for l, s in zip(layers, steps)]
-
-
 def cmd_pretrain(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
-    from .trainer import TrainConfig, check_pretrain_options, pretrain, save_checkpoint
+    from .trainer import PretrainConfig, Stage, pretrain, save_checkpoint
 
     with _flag_values():
-        stages = _parse_stages(args.stage_layers, args.stage_steps)
+        layers = [int(x) for x in args.stage_layers.split(",") if x]
+        steps = [int(x) for x in args.stage_steps.split(",") if x]
+        if len(layers) != len(steps):
+            raise ValueError("--stage-layers and --stage-steps must list the same count")
         mlm_share, _, tlm_share = args.mix.partition(":")
-        mix = (int(mlm_share), int(tlm_share))
-        check_pretrain_options(mix, args.mask_fraction, args.mask_cap)
-        config = TrainConfig(
+        config = PretrainConfig(
+            stages=tuple(map(Stage, layers, steps)),
             batch_size=args.batch_size,
-            steps=max(s.steps for s in stages),
             learning_rate=args.lr,
             seed=args.seed,
+            mix=(int(mlm_share), int(tlm_share)),
+            mask_fraction=args.mask_fraction,
+            mask_cap=args.mask_cap,
         )
     vocab = _load_vocab(args.vocab)
     mono = []
     for path in args.mono or []:
         mono.extend(_read_mono(path, args.lang))
     pairs = read_pairs_tsv(args.pairs) if args.pairs else []
-    params = _fresh_encoder(args, vocab, stages[0].num_layers)
+    params = _fresh_encoder(args, vocab, config.stages[0].num_layers)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w", encoding="utf-8") as log:
-        params = pretrain(
-            params,
-            mono,
-            pairs,
-            config,
-            stages,
-            vocab,
-            mask_fraction=args.mask_fraction,
-            mask_cap=args.mask_cap,
-            mix=mix,
-            log=log,
-        )
+        params = pretrain(params, mono, pairs, config, vocab, log=log)
     save_checkpoint(params, None, args.out)
-    _log(f"pretrain: {sum(s.steps for s in stages)} steps -> {args.out}")
+    _log(f"pretrain: {sum(s.steps for s in config.stages)} steps -> {args.out}")
     return (args.mono or []) + ([args.pairs] if args.pairs else []) + [args.vocab], [args.out, log_path]
 
 
@@ -252,6 +235,8 @@ def cmd_train(args) -> tuple[list, list]:
 
     if args.init and args.resume:
         raise UsageError("train takes --init or --resume, not both")
+    if args.checkpoint_interval < 0:
+        raise UsageError(f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}")
     with _flag_values():
         config = TrainConfig(
             batch_size=args.batch_size,
@@ -561,7 +546,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
     sp.add_argument("--embed-dim", type=int, default=0, help="output dim (0 = hidden)")
     sp.add_argument("--max-seq-len", type=int, default=16, help="max tokens per sequence")
-    sp.add_argument("--stage-layers", default="1,2", help="layers per stage, CSV")
+    sp.add_argument("--stage-layers", default="1,2", help="layers per stage, CSV; each count must divide the next")
     sp.add_argument("--stage-steps", default="300,300", help="steps per stage, CSV")
     sp.add_argument("--batch-size", type=int, default=32, help="sequences per step")
     sp.add_argument("--lr", type=float, default=3e-3, help="initial learning rate")

@@ -202,6 +202,8 @@ def read_gold_tsv(path: str | Path) -> GoldAlignment:
             if len(cols) != 2:
                 raise DataError(f"{path}:{lineno}: expected src_id<TAB>tgt_id")
             pairs.append((cols[0], cols[1]))
+    if not pairs:
+        raise DataError(f"{path}: no gold pairs")
     try:
         return GoldAlignment.from_pairs(pairs)
     except ValueError as exc:

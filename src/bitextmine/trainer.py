@@ -1,6 +1,7 @@
 """Training drivers: masked-token pretraining with progressive layer
-stacking, dual-encoder fine-tuning with the bidirectional ranking loss,
-an adaptive-moment optimizer with decoupled weight decay, and exact
+stacking under one PretrainConfig, checked when it is built; dual-encoder
+fine-tuning with the bidirectional ranking loss under a TrainConfig; an
+adaptive-moment optimizer with decoupled weight decay; and exact
 checkpoint round-trips.
 
 Parameters, gradients and both optimizer moments are flat float64
@@ -259,62 +260,73 @@ def finetune_dual_encoder(
     return params, state
 
 
-def check_pretrain_options(mix: tuple[int, int], mask_fraction: float, mask_cap: int) -> None:
-    """Raise ValueError for an objective mix or a masking rule that
-    cannot make a training batch."""
-    mlm_share, tlm_share = mix
-    if mlm_share < 0 or tlm_share < 0 or mlm_share + tlm_share == 0:
-        raise ValueError(f"bad objective mix {mix!r}")
-    if not 0.0 < mask_fraction <= 1.0:
-        raise ValueError(f"mask fraction must be in (0, 1], got {mask_fraction!r}")
-    if mask_cap < 1:
-        raise ValueError(f"mask cap must be >= 1, got {mask_cap!r}")
-
-
 @dataclass(frozen=True)
 class Stage:
     num_layers: int
     steps: int
 
 
+@dataclass(frozen=True)
+class PretrainConfig:
+    """Every pretraining option, checked on construction: the stacking
+    schedule (positive layer counts, each dividing the next), the batch
+    size, learning rate and seed that every stage's optimizer shares, the
+    (mlm, tlm) step mix per cycle and the masking rule."""
+
+    stages: tuple[Stage, ...]
+    batch_size: int = 64
+    learning_rate: float = 1e-3
+    seed: int = 0
+    mix: tuple[int, int] = (1, 1)
+    mask_fraction: float = MLM_FRACTION
+    mask_cap: int = MLM_CAP
+
+    def __post_init__(self) -> None:
+        if not self.stages:
+            raise ValueError("stage schedule is empty")
+        for stage in self.stages:
+            if stage.num_layers < 1:
+                raise ValueError(f"stage layers must be positive, got {stage.num_layers}")
+            self.stage_config(stage)  # TrainConfig checks batch size, steps, learning rate and seed
+        for a, b in zip(self.stages, self.stages[1:]):
+            if b.num_layers < a.num_layers:
+                raise ValueError(f"stage schedule shrinks from {a.num_layers} to {b.num_layers} layers")
+            if b.num_layers % a.num_layers != 0:
+                raise ValueError(f"stage layers {b.num_layers} must be a multiple of {a.num_layers}")
+        if min(self.mix) < 0 or sum(self.mix) == 0:
+            raise ValueError(f"bad objective mix {self.mix!r}")
+        if not 0.0 < self.mask_fraction <= 1.0:
+            raise ValueError(f"mask fraction must be in (0, 1], got {self.mask_fraction!r}")
+        if self.mask_cap < 1:
+            raise ValueError(f"mask cap must be >= 1, got {self.mask_cap!r}")
+
+    def stage_config(self, stage: Stage) -> TrainConfig:
+        """The optimizer config of one stage, whose decay horizon is its own step count."""
+        return TrainConfig(self.batch_size, stage.steps, self.learning_rate, seed=self.seed)
+
+
 def pretrain(
     params: EncoderParams,
     corpus: Sequence[Sentence],
     pair_corpus: Sequence[SentencePair],
-    config: TrainConfig,
-    stage_schedule: Sequence[Stage],
+    config: PretrainConfig,
     vocab: Vocab,
     *,
-    mask_fraction: float = MLM_FRACTION,
-    mask_cap: int = MLM_CAP,
-    mix: tuple[int, int] = (1, 1),
     log: TextIO | None = None,
 ) -> EncoderParams:
     """Masked-token pretraining over monolingual and translation-pair
-    batches, alternating at ``mix`` = (mlm, tlm) within each cycle, with
-    progressive layer stacking between stages.
+    batches, alternating at ``config.mix`` = (mlm, tlm) within each cycle,
+    with progressive layer stacking between stages.
 
-    Stage layer counts must each divide the next; parameters learned in
-    one stage are duplicated to initialize the next. A fresh optimizer
-    (and decay horizon) starts each stage. The caller's ``params`` are
-    copied once and left unchanged.
+    ``params`` must have the first stage's depth, and each objective the
+    mix asks for a non-empty corpus. Parameters learned in one stage are
+    duplicated to initialize the next, and a fresh optimizer (and decay
+    horizon) starts each stage. The caller's ``params`` are copied once.
     """
-    check_pretrain_options(mix, mask_fraction, mask_cap)
-    if not stage_schedule:
-        raise ValueError("stage schedule is empty")
-    if len(params.layers) != stage_schedule[0].num_layers:
-        raise ValueError(
-            f"params have {len(params.layers)} layers but the first stage wants "
-            f"{stage_schedule[0].num_layers}"
-        )
-    for a, b in zip(stage_schedule, stage_schedule[1:]):
-        if b.num_layers % a.num_layers != 0 or b.num_layers < a.num_layers:
-            raise ValueError(
-                f"stage layers {b.num_layers} must be a multiple of {a.num_layers}"
-            )
-    if not corpus and not pair_corpus:
-        raise ValueError("pretraining needs monolingual sentences or pairs")
-    mlm_share, tlm_share = mix
+    first_layers = config.stages[0].num_layers
+    if len(params.layers) != first_layers:
+        raise ValueError(f"params have {len(params.layers)} layers, the first stage wants {first_layers}")
+    mlm_share, tlm_share = config.mix
     if mlm_share and not corpus:
         raise ValueError("MLM batches requested but the monolingual corpus is empty")
     if tlm_share and not pair_corpus:
@@ -328,10 +340,10 @@ def pretrain(
     global_step = 0
     cycle = mlm_share + tlm_share
     params = params.copy()
-    for stage_idx, stage in enumerate(stage_schedule):
+    for stage_idx, stage in enumerate(config.stages):
         if len(params.layers) != stage.num_layers:
             params = stack_grow(params, stage.num_layers)
-        stage_config = replace(config, steps=stage.steps)
+        stage_config = config.stage_config(stage)
         state = init_optimizer_state(params, stage_config)
         grads = zeros_like_params(params)
         for t in range(stage.steps):
@@ -339,7 +351,7 @@ def pretrain(
             stream, seqs = (_STREAM_MLM, mono_seqs) if use_mlm else (_STREAM_TLM, tlm_seqs)
             rng = np.random.default_rng([config.seed, stream, stage_idx, t])
             idx = rng.integers(0, len(seqs), size=config.batch_size)
-            batch = plan_masks([seqs[i] for i in idx], rng, fraction=mask_fraction, cap=mask_cap)
+            batch = plan_masks([seqs[i] for i in idx], rng, config.mask_fraction, config.mask_cap)
             if not use_mlm:
                 pairs_seen += config.batch_size
             grads.flat.fill(0.0)

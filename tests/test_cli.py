@@ -69,12 +69,17 @@ def invalid_argv(d, case):
         "train-margin": train + ["--margin", 1.5],
         "train-lr": train + ["--lr", 0],
         "train-seed": train + ["--seed", -1],
+        "train-checkpoint-interval": train + ["--checkpoint-interval", -1],
         "pretrain-mix": pretrain + ["--mix", "0:x"],
         "pretrain-mix-zero": pretrain + ["--mix", "0:0"],
         "pretrain-mask-fraction-high": pretrain + ["--mix", "0:1", "--mask-fraction", 1.5],
         "pretrain-mask-fraction-zero": pretrain + ["--mask-fraction", 0],
         "pretrain-mask-cap": pretrain + ["--mask-cap", 0],
         "pretrain-seed": pretrain + ["--seed", -1],
+        "pretrain-stage-layers-not-dividing": pretrain + ["--stage-layers", "2,3"],
+        "pretrain-stage-layers-shrinking": pretrain + ["--stage-layers", "2,1"],
+        # with pairs for every step, a zero-step second stage is the only fault
+        "pretrain-stage-steps-zero": pretrain + ["--mix", "0:1", "--stage-steps", "2,0"],
         "mine-fraction": mine + ["--fraction", 0],
         "mine-seed": mine + ["--clusters", 2, "--seed", -1],
         "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
@@ -117,12 +122,16 @@ def tatoeba_set(d, lang="xx"):
         "train-margin",
         "train-lr",
         "train-seed",
+        "train-checkpoint-interval",
         "pretrain-mix",
         "pretrain-mix-zero",
         "pretrain-mask-fraction-high",
         "pretrain-mask-fraction-zero",
         "pretrain-mask-cap",
         "pretrain-seed",
+        "pretrain-stage-layers-not-dividing",
+        "pretrain-stage-layers-shrinking",
+        "pretrain-stage-steps-zero",
         "mine-fraction",
         "mine-seed",
         "index-probes",
@@ -471,9 +480,8 @@ def library_error_case(d, t, command):
     if command == "index":
         return ["--pool", d / "tgt.pool", "--clusters", 50], "pool of 40 rows cannot form 50 clusters"
     if command == "eval-bucc":
-        (t / "cands.tsv").write_text("1\t1\t0.5\n", encoding="utf-8")
-        (t / "empty_gold.tsv").write_text("", encoding="utf-8")
-        return ["--candidates", t / "cands.tsv", "--gold", t / "empty_gold.tsv"], "empty gold alignment"
+        pool, gold = bad_source_pool(d, t, "non-unit")
+        return ["--src-pool", pool, "--tgt-pool", d / "tgt.pool", "--gold", gold], "pool rows must be unit-norm"
     if command == "pretrain":
         argv = ["--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--mix", "0:1", "--max-seq-len", 2]
         return argv, "max_len 2 cannot hold [CLS] and, per non-empty side, a token and [SEP]"
@@ -495,11 +503,17 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
 
 def eval_data_error_case(d, t, case):
     """``(argv, message)``: an ``eval-bucc`` or ``eval-p1`` run whose gold or
-    candidate file holds a bad entry, and the error that names its place."""
+    candidate file holds a bad entry or no entry, and the error that names
+    its place."""
     if case == "gold-id-outside-pool":
         (t / "gold.tsv").write_text("1\t1\n2\tzz\n", encoding="utf-8")
         argv = ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", t / "gold.tsv"]
         return argv, f"{t / 'gold.tsv'}: gold pair ('2', 'zz') outside its universe"
+    if case == "empty-gold":
+        (t / "gold.tsv").write_text("\n", encoding="utf-8")
+        (t / "cands.tsv").write_text("1\t1\t0.5\n", encoding="utf-8")
+        argv = ["eval-bucc", "--candidates", t / "cands.tsv", "--gold", t / "gold.tsv"]
+        return argv, f"{t / 'gold.tsv'}: no gold pairs"
     line = {"nan-score": "2\t2\tnan", "inf-score": "2\t2\tinf", "duplicate-candidate": "1\t1\t0.4"}[case]
     (t / "cands.tsv").write_text(f"1\t1\t0.5\n{line}\n", encoding="utf-8")
     argv = ["eval-bucc", "--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"]
@@ -507,7 +521,9 @@ def eval_data_error_case(d, t, case):
     return argv, f"{t / 'cands.tsv'}:2: {message}"
 
 
-@pytest.mark.parametrize("case", ["gold-id-outside-pool", "nan-score", "inf-score", "duplicate-candidate"])
+@pytest.mark.parametrize(
+    "case", ["gold-id-outside-pool", "empty-gold", "nan-score", "inf-score", "duplicate-candidate"]
+)
 def test_eval_data_error_names_its_file(work, tmp_path, capsys, case):
     argv, message = eval_data_error_case(work, tmp_path, case)
     out = tmp_path / "out"

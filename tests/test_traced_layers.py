@@ -52,6 +52,7 @@ def test_each_training_step_makes_one_optimizer_step(monkeypatch, toy_small, toy
     if run == "finetune":
         trainer.finetune_dual_encoder(params, toy_small.train_pairs, config, toy_vocab)
     else:
-        stages = [trainer.Stage(1, 6), trainer.Stage(2, 6)]
-        trainer.pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, config, stages, toy_vocab)
+        stages = (trainer.Stage(1, 6), trainer.Stage(2, 6))
+        pretrain_config = trainer.PretrainConfig(stages, batch_size=8, learning_rate=1e-3)
+        trainer.pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, pretrain_config, toy_vocab)
     assert len(calls) == 12

@@ -12,6 +12,7 @@ from bitextmine.trainer import (
     BETA2,
     EPS,
     OptimizerState,
+    PretrainConfig,
     Stage,
     TrainConfig,
     checkpoint_to_bytes,
@@ -234,44 +235,64 @@ class TestFinetune:
 class TestPretrain:
     def test_single_stage_runs_and_returns_same_depth(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 2)
-        cfg = TrainConfig(batch_size=8, steps=6, learning_rate=1e-3, seed=1)
-        out = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
+        cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=1)
+        out = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
         assert len(out.layers) == 2
 
     def test_stage_schedule_grows_layers(self, toy_small, toy_vocab):
         cfg0 = EncoderConfig(vocab_size=600, hidden_dim=8, num_layers=1, max_seq_len=16)
         params = init_params(cfg0, 2)
-        cfg = TrainConfig(batch_size=8, steps=4, learning_rate=1e-3, seed=1)
-        out = pretrain(
-            params,
-            toy_small.mono_sentences,
-            toy_small.train_pairs,
-            cfg,
-            [Stage(1, 4), Stage(2, 4), Stage(4, 4)],
-            toy_vocab,
-        )
+        cfg = PretrainConfig((Stage(1, 4), Stage(2, 4), Stage(4, 4)), batch_size=8, learning_rate=1e-3, seed=1)
+        out = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
         assert len(out.layers) == 4
 
     def test_wrong_initial_depth_rejected(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 2)  # 2 layers
-        cfg = TrainConfig(batch_size=8, steps=4, learning_rate=1e-3)
-        with pytest.raises(ValueError):
-            pretrain(params, toy_small.mono_sentences, [], cfg, [Stage(1, 4)], toy_vocab)
+        cfg = PretrainConfig((Stage(1, 4),), batch_size=8, learning_rate=1e-3)
+        with pytest.raises(ValueError, match="params have 2 layers, the first stage wants 1"):
+            pretrain(params, toy_small.mono_sentences, [], cfg, toy_vocab)
 
-    def test_non_dividing_schedule_rejected(self, toy_small, toy_vocab):
-        cfg0 = EncoderConfig(vocab_size=600, hidden_dim=8, num_layers=2, max_seq_len=16)
-        params = init_params(cfg0, 2)
-        cfg = TrainConfig(batch_size=8, steps=4, learning_rate=1e-3)
-        with pytest.raises(ValueError):
-            pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 4), Stage(3, 4)], toy_vocab)
+    def test_non_dividing_schedule_rejected(self):
+        with pytest.raises(ValueError, match="stage layers 3 must be a multiple of 2"):
+            PretrainConfig((Stage(2, 4), Stage(3, 4)), batch_size=8, learning_rate=1e-3)
+
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            ((), "stage schedule is empty"),
+            ((Stage(0, 4), Stage(2, 4)), "stage layers must be positive, got 0"),
+            ((Stage(-2, 4), Stage(4, 4)), "stage layers must be positive, got -2"),
+            ((Stage(2, 4), Stage(1, 4)), "stage schedule shrinks from 2 to 1 layers"),
+            ((Stage(2, 4), Stage(4, 0)), "batch_size and steps must be positive"),
+        ],
+    )
+    def test_bad_schedule_rejected_at_construction(self, stages, message):
+        with pytest.raises(ValueError, match=message):
+            PretrainConfig(stages)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"mix": (-1, 2)}, "bad objective mix"),
+            ({"batch_size": 0}, "batch_size and steps must be positive"),
+            ({"learning_rate": 0.0}, "learning_rate must be positive"),
+        ],
+    )
+    def test_bad_option_rejected_at_construction(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            PretrainConfig((Stage(1, 4), Stage(2, 4)), **options)
+
+    def test_stage_config_is_the_stage_optimizer_config(self):
+        cfg = PretrainConfig((Stage(1, 3), Stage(2, 7)), batch_size=8, learning_rate=2e-3, seed=5)
+        assert cfg.stage_config(cfg.stages[1]) == TrainConfig(batch_size=8, steps=7, learning_rate=2e-3, seed=5)
 
     def test_mlm_loss_starts_near_log_vocab_and_drops(self, toy_small, toy_vocab, toy_encoder_config):
         log = io.StringIO()
         params = init_params(toy_encoder_config, 3)
         params.mlm_weight[:] = 0.0
         params.mlm_bias[:] = 0.0
-        cfg = TrainConfig(batch_size=16, steps=500, learning_rate=3e-3, seed=2)
-        pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 500)], toy_vocab, log=log)
+        cfg = PretrainConfig((Stage(2, 500),), batch_size=16, learning_rate=3e-3, seed=2)
+        pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab, log=log)
         losses = [float(line.split()[1].split("=")[1]) for line in log.getvalue().splitlines()]
         assert losses[0] == pytest.approx(math.log(len(toy_vocab)), rel=0.02)
         tail = sum(losses[-10:]) / 10
@@ -280,17 +301,17 @@ class TestPretrain:
     def test_caller_params_left_unchanged(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 4)
         before = checkpoint_to_bytes(params, None)
-        cfg = TrainConfig(batch_size=8, steps=6, learning_rate=1e-3, seed=5)
-        trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
+        cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=5)
+        trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
         assert checkpoint_to_bytes(params, None) == before
         assert checkpoint_to_bytes(trained, None) != before
 
     def test_deterministic(self, toy_small, toy_vocab, toy_encoder_config):
-        cfg = TrainConfig(batch_size=8, steps=6, learning_rate=1e-3, seed=5)
+        cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=5)
         runs = []
         for _ in range(2):
             params = init_params(toy_encoder_config, 4)
-            trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, [Stage(2, 6)], toy_vocab)
+            trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
             runs.append(checkpoint_to_bytes(trained, None))
         assert runs[0] == runs[1]
 
