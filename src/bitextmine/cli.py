@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -112,7 +113,7 @@ def _load_encoder(path):
     return params
 
 
-def _read_mono(path, lang):
+def _read_mono(path, lang="und"):
     from .corpus import read_monolingual
 
     sentences = read_monolingual(path, default_lang=lang)
@@ -129,19 +130,13 @@ def _encode_pool(params, vocab, sentences):
     return encode_batch(params, seqs)
 
 
-def _fresh_encoder(args, vocab, num_layers: int):
-    """An initialised encoder shaped by ``--hidden-dim``, ``--embed-dim`` and ``--max-seq-len``."""
-    from .encoder import EncoderConfig, init_params
+def _encoder_shape(args, num_layers: int):
+    """The ``EncoderConfig`` of ``--hidden-dim``, ``--embed-dim`` and
+    ``--max-seq-len``, checked before any input is read. Its vocab size
+    is a placeholder 1; the caller sets the real one with ``replace``."""
+    from .encoder import EncoderConfig
 
-    with _flag_values():
-        config = EncoderConfig(
-            vocab_size=len(vocab),
-            hidden_dim=args.hidden_dim,
-            num_layers=num_layers,
-            max_seq_len=args.max_seq_len,
-            embed_dim=args.embed_dim,
-        )
-    return init_params(config, seed=args.seed)
+    return EncoderConfig(1, args.hidden_dim, num_layers, args.max_seq_len, args.embed_dim)
 
 
 def _retrieval_inputs(src_pool, tgt_pool, gold_path):
@@ -192,6 +187,7 @@ def cmd_build_vocab(args) -> tuple[list, list]:
 
 def cmd_pretrain(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
+    from .encoder import init_params
     from .trainer import PretrainConfig, Stage, pretrain, save_checkpoint
 
     with _flag_values():
@@ -209,12 +205,13 @@ def cmd_pretrain(args) -> tuple[list, list]:
             mask_fraction=args.mask_fraction,
             mask_cap=args.mask_cap,
         )
+        shape = _encoder_shape(args, config.stages[0].num_layers)
     vocab = _load_vocab(args.vocab)
     mono = []
     for path in args.mono or []:
-        mono.extend(_read_mono(path, args.lang))
+        mono.extend(_read_mono(path))
     pairs = read_pairs_tsv(args.pairs) if args.pairs else []
-    params = _fresh_encoder(args, vocab, config.stages[0].num_layers)
+    params = init_params(replace(shape, vocab_size=len(vocab)), seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w", encoding="utf-8") as log:
         params = pretrain(params, mono, pairs, config, vocab, log=log)
@@ -225,6 +222,7 @@ def cmd_pretrain(args) -> tuple[list, list]:
 
 def cmd_train(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
+    from .encoder import init_params
     from .trainer import (
         TrainConfig,
         check_resumable,
@@ -248,6 +246,7 @@ def cmd_train(args) -> tuple[list, list]:
             seed=args.seed,
             weight_decay=args.weight_decay,
         )
+        shape = None if args.init or args.resume else _encoder_shape(args, args.layers)
     vocab = _load_vocab(args.vocab)
     pairs = read_pairs_tsv(args.pairs)
     if not pairs:
@@ -261,7 +260,7 @@ def cmd_train(args) -> tuple[list, list]:
     elif args.init:
         params = _load_encoder(args.init)
     else:
-        params = _fresh_encoder(args, vocab, args.layers)
+        params = init_params(replace(shape, vocab_size=len(vocab)), seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     mode = "a" if args.resume else "w"
     with open(log_path, mode, encoding="utf-8") as log:
@@ -285,7 +284,7 @@ def cmd_encode(args) -> tuple[list, list]:
 
     vocab = _load_vocab(args.vocab)
     params = _load_encoder(args.ckpt)
-    sentences = _read_mono(args.input, args.lang)
+    sentences = _read_mono(args.input)
     vectors = _encode_pool(params, vocab, sentences)
     write_pool(args.out, vectors, [s.id for s in sentences])
     _log(f"encode: {vectors.shape[0]} sentences -> {args.out}")
@@ -330,7 +329,7 @@ def cmd_search(args) -> tuple[list, list]:
 
 
 def cmd_mine(args) -> tuple[list, list]:
-    from .corpus import format_pairs_tsv
+    from .corpus import SentencePair, format_pairs_tsv
     from .evaluation import write_metrics_report
     from .fileio import atomic_write_text
     from .mining import MiningConfig, choose_query_side, mine, mining_report
@@ -350,14 +349,14 @@ def cmd_mine(args) -> tuple[list, list]:
     params = _load_encoder(args.ckpt)
     side_a = _read_mono(args.src, args.src_lang)
     side_b = _read_mono(args.tgt, args.tgt_lang)
-    if config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b":
-        queries, pool = side_b, side_a
-    else:
-        queries, pool = side_a, side_b
+    swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
+    queries, pool = (side_b, side_a) if swapped else (side_a, side_b)
     pool_vectors = _encode_pool(params, vocab, pool)
     index = build(pool_vectors, [s.id for s in pool], index_config)
     lookup = {s.id: s for s in pool}
     mined = mine(queries, index, lookup, params, vocab, config)
+    if swapped:  # --src stays in the source columns
+        mined = [SentencePair(p.tgt, p.src, p.score) for p in mined]
     report, selected = mining_report(mined, config, sources_processed=len(queries))
     atomic_write_text(args.out, format_pairs_tsv(selected))
     report_path = args.report or str(args.out) + ".report"
@@ -540,7 +539,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp = add("pretrain", cmd_pretrain, "masked-token pretraining with stacking")
     sp.add_argument("--mono", action="append", help="monolingual file (repeatable)")
     sp.add_argument("--pairs", help="bilingual TSV for translation-pair batches")
-    sp.add_argument("--lang", default="und", help="language for unprefixed lines")
     sp.add_argument("--vocab", required=True, help="vocab file")
     sp.add_argument("--out", required=True, help="checkpoint to write")
     sp.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
@@ -585,7 +583,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     sp = add("encode", cmd_encode, "encode sentences into an embedding pool")
     sp.add_argument("--input", required=True, help="monolingual file")
-    sp.add_argument("--lang", default="und", help="language for unprefixed lines")
     sp.add_argument("--vocab", required=True, help="vocab file")
     sp.add_argument("--ckpt", required=True, help="encoder checkpoint")
     sp.add_argument("--out", required=True, help="pool file to write (ids -> <out>.ids)")
@@ -618,7 +615,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
         "--direction",
         default="auto",
         choices=("auto", "forward"),
-        help="auto: smaller side queries the larger; forward: --src queries --tgt",
+        help="auto: smaller side queries the larger; forward: --src queries --tgt; --src fills the source columns",
     )
     sp.add_argument("--clusters", type=int, default=0, help="ANN clusters (0 = exact)")
     sp.add_argument("--probes", type=int, default=1, help="ANN probes")

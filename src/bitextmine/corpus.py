@@ -1,8 +1,10 @@
 """Corpus data types, file readers and writers, and vocabulary-coverage
 diagnostics.
 
-File formats handled here:
-  * monolingual corpus: one sentence per line, UTF-8, optional leading
+File formats handled here, each read by the one line rule of
+``fileio.read_lines`` (UTF-8, empty lines skipped but counted, errors
+name ``path:line``):
+  * monolingual corpus: one sentence per line, optional leading
     ``lang<TAB>`` prefix;
   * bilingual pairs: headerless TSV with columns src_lang, tgt_lang,
     src_text, tgt_text and an optional fifth score column.
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
+from .fileio import parse_score, read_lines, read_rows
 
 _LANG_PREFIX_RE = re.compile(r"[a-z]{2,3}(?:[-_][a-z0-9]{2,8})?")
 
@@ -112,51 +115,31 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
     Sentence ids are 1-based line numbers.
     """
     out: list[Sentence] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            lang, text = default_lang, line
-            if "\t" in line:
-                head, rest = line.split("\t", 1)
-                if _LANG_PREFIX_RE.fullmatch(head):
-                    lang, text = head, rest
-            out.append(Sentence(id=str(lineno), lang=lang, text=text))
+    for lineno, line in read_lines(path):
+        lang, text = default_lang, line
+        head, tab, rest = line.partition("\t")
+        if tab and _LANG_PREFIX_RE.fullmatch(head):
+            lang, text = head, rest
+        out.append(Sentence(id=str(lineno), lang=lang, text=text))
     return out
 
 
 def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
-    """Read headerless TSV pairs: src_lang, tgt_lang, src_text, tgt_text[, score]."""
+    """Read headerless TSV pairs: src_lang, tgt_lang, src_text, tgt_text[, score or empty]."""
     out: list[SentencePair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (4, 5):
-                raise DataError(
-                    f"{path}:{lineno}: expected 4 or 5 tab-separated columns, "
-                    f"got {len(cols)}"
+    for lineno, cols in read_rows(path, (4, 5), "4 or 5 tab-separated columns"):
+        src_lang, tgt_lang, src_text, tgt_text = cols[:4]
+        score = parse_score(cols[4], path, lineno) if len(cols) == 5 and cols[4] else None
+        try:
+            out.append(
+                SentencePair(
+                    src=Sentence(id=f"{lineno}:src", lang=src_lang, text=src_text),
+                    tgt=Sentence(id=f"{lineno}:tgt", lang=tgt_lang, text=tgt_text),
+                    score=score,
                 )
-            src_lang, tgt_lang, src_text, tgt_text = cols[:4]
-            score = None
-            if len(cols) == 5 and cols[4] != "":
-                try:
-                    score = float(cols[4])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad score {cols[4]!r}") from exc
-            try:
-                out.append(
-                    SentencePair(
-                        src=Sentence(id=f"{lineno}:src", lang=src_lang, text=src_text),
-                        tgt=Sentence(id=f"{lineno}:tgt", lang=tgt_lang, text=tgt_text),
-                        score=score,
-                    )
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

@@ -9,8 +9,9 @@ on. The source index's rows are the queries of one ``vecindex.search``
 into the target index.
 
 Gold files are TSV ``src_id<TAB>tgt_id``; candidate files add a third
-score column. Reports are line-delimited ``metric=value`` records plus a
-JSON summary.
+score column; score files hold one score per line. All three are read by
+the line rule of ``fileio.read_lines``, scores by ``fileio.parse_score``.
+Reports are line-delimited ``metric=value`` records plus a JSON summary.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .fileio import atomic_write_text, parse_score, read_lines, read_rows
 from .vecindex import VectorIndex, search
 
 
@@ -192,16 +194,7 @@ def sts_pearson(
 
 
 def read_gold_tsv(path: str | Path) -> GoldAlignment:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"{path}:{lineno}: expected src_id<TAB>tgt_id")
-            pairs.append((cols[0], cols[1]))
+    pairs = [(cols[0], cols[1]) for _, cols in read_rows(path, (2,), "src_id<TAB>tgt_id")]
     if not pairs:
         raise DataError(f"{path}: no gold pairs")
     try:
@@ -213,42 +206,23 @@ def read_gold_tsv(path: str | Path) -> GoldAlignment:
 def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
     """Candidate triples with finite scores, each (src_id, tgt_id) once."""
     out, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise DataError(f"{path}:{lineno}: expected src_id<TAB>tgt_id<TAB>score")
-            s, t, raw_score = cols
-            try:
-                score = float(raw_score)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{lineno}: bad score {raw_score!r}")
-            if (s, t) in seen:
-                raise DataError(f"{path}:{lineno}: duplicate candidate ({s!r}, {t!r})")
-            seen.add((s, t))
-            out.append((s, t, score))
+    for lineno, (s, t, raw_score) in read_rows(path, (3,), "src_id<TAB>tgt_id<TAB>score"):
+        score = parse_score(raw_score, path, lineno)
+        if (s, t) in seen:
+            raise DataError(f"{path}:{lineno}: duplicate candidate ({s!r}, {t!r})")
+        seen.add((s, t))
+        out.append((s, t, score))
     return out
 
 
 def read_scores(path: str | Path) -> list[float]:
-    """One finite score per non-blank line, e.g. STS gold similarities."""
+    """One finite score per line, e.g. STS gold similarities; lines of
+    whitespace only are skipped too."""
     scores = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                score = float(raw)
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{lineno}: bad score {raw.strip()!r}")
-            scores.append(score)
+    for lineno, line in read_lines(path):
+        text = line.strip()
+        if text:
+            scores.append(parse_score(text, path, lineno))
     return scores
 
 
@@ -264,8 +238,6 @@ def format_metric_lines(metrics: Mapping[str, object]) -> str:
 
 def write_metrics_report(metrics: Mapping[str, object], path: str | Path) -> None:
     """Write metric=value lines plus a machine-readable JSON summary."""
-    from .fileio import atomic_write_text
-
     atomic_write_text(path, format_metric_lines(metrics))
     atomic_write_text(
         str(path) + ".json", json.dumps(dict(metrics), indent=2, sort_keys=True) + "\n"

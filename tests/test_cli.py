@@ -55,7 +55,7 @@ def manifest_path(output):
 
 
 def invalid_argv(d, case):
-    out = d / "rejected.out"
+    out = d / f"rejected-{case}.out"
     train = ["train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--steps", 2]
     pretrain = [
         "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--stage-steps", "2,2",
@@ -80,6 +80,9 @@ def invalid_argv(d, case):
         "pretrain-stage-layers-shrinking": pretrain + ["--stage-layers", "2,1"],
         # with pairs for every step, a zero-step second stage is the only fault
         "pretrain-stage-steps-zero": pretrain + ["--mix", "0:1", "--stage-steps", "2,0"],
+        # a vocab that does not exist: the encoder shape is checked before any read
+        "pretrain-hidden-dim": pretrain + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
+        "train-hidden-dim": train + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
         "mine-fraction": mine + ["--fraction", 0],
         "mine-seed": mine + ["--clusters", 2, "--seed", -1],
         "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
@@ -132,6 +135,8 @@ def tatoeba_set(d, lang="xx"):
         "pretrain-stage-layers-not-dividing",
         "pretrain-stage-layers-shrinking",
         "pretrain-stage-steps-zero",
+        "pretrain-hidden-dim",
+        "train-hidden-dim",
         "mine-fraction",
         "mine-seed",
         "index-probes",
@@ -153,7 +158,7 @@ def test_invalid_flag_value_is_usage_error(work, case, capsys):
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
     assert not manifest_path(out).exists()
-    assert not (work / "rejected.out.log").exists()  # refused before the training log opens
+    assert not out.with_name(out.name + ".log").exists()  # refused before the training log opens
 
 
 def test_version_1_checkpoint_is_data_error(work, capsys):
@@ -299,6 +304,31 @@ def test_report_selects_ceil_of_fraction(work, tmp_path, fraction):
     report = json.loads((tmp_path / "scored.report.json").read_text(encoding="utf-8"))
     assert report["pairs_emitted"] == report["pairs_post_dedup"] == 25
     assert report["pairs_post_selection"] == math.ceil(fraction * 25)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_pair_score_that_is_not_finite_names_its_line(tmp_path, capsys, bad):
+    (tmp_path / "scored.tsv").write_text(f"aa\tbb\tx\ty\t0.5\n\naa\tbb\tz\tw\t{bad}\n", encoding="utf-8")
+    out = tmp_path / "scored.report"
+    assert run("report", "--pairs", tmp_path / "scored.tsv", "--out", out) == 2
+    assert f"{tmp_path / 'scored.tsv'}:3: bad score {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_auto_direction_keeps_src_in_the_source_columns(work, tmp_path):
+    """A smaller ``--tgt`` queries ``--src``, and each mined row still
+    starts with ``--src``'s language and text."""
+    src = (work / "src.txt").read_text(encoding="utf-8").splitlines()
+    tgt = (work / "tgt.txt").read_text(encoding="utf-8").splitlines()[:10]
+    (tmp_path / "tgt.txt").write_text("".join(line + "\n" for line in tgt), encoding="utf-8")
+    argv = [
+        "mine", "--src", work / "src.txt", "--tgt", tmp_path / "tgt.txt", "--src-lang", "aa", "--tgt-lang", "bb",
+        "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt", "--threshold", -0.5, "--fraction", 1.0,
+    ]
+    assert run(*argv, "--out", tmp_path / "mined.tsv") == 0
+    rows = [line.split("\t") for line in (tmp_path / "mined.tsv").read_text(encoding="utf-8").splitlines()]
+    assert rows
+    assert all(row[:2] == ["aa", "bb"] and row[2] in src and row[3] in tgt for row in rows)
 
 
 def manifest_case(d, t, command):

@@ -132,6 +132,12 @@ class TestFiles:
         assert back[0].score == pytest.approx(0.5)
         assert back[1].score is None
 
+    def test_pairs_tsv_ids_count_empty_lines_and_an_empty_fifth_column_is_no_score(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("\naa\tbb\tx\ty\t\n", encoding="utf-8")
+        (back,) = read_pairs_tsv(path)
+        assert (back.src.id, back.tgt.id, back.score) == ("2:src", "2:tgt", None)
+
     def test_pairs_tsv_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("only\tthree\tcolumns\n", encoding="utf-8")

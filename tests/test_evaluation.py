@@ -285,7 +285,7 @@ class TestFilesAndReports:
     def test_gold_tsv_bad_columns(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("s1\tt1\textra\n", encoding="utf-8")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"gold\.tsv:1: expected src_id<TAB>tgt_id, got 3$"):
             read_gold_tsv(path)
 
     def test_candidates_tsv(self, tmp_path):
