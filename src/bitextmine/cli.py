@@ -153,6 +153,13 @@ def _retrieval_inputs(src_pool, tgt_pool, gold_path):
         raise DataError(f"{gold_path}: {exc}") from exc
 
 
+def _retrieval_files(src_pool, tgt_pool, gold_path) -> list:
+    """The files that ``_retrieval_inputs`` reads: each pool with its ids, and the gold file."""
+    from .vecindex import pool_files
+
+    return pool_files(src_pool) + pool_files(tgt_pool) + [gold_path]
+
+
 # ---------------------------------------------------------------------------
 # Command handlers. Each returns (inputs, outputs): the paths it read and
 # the paths it wrote, first output first, for the run manifest.
@@ -223,13 +230,7 @@ def cmd_pretrain(args) -> tuple[list, list]:
 def cmd_train(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
     from .encoder import init_params
-    from .trainer import (
-        TrainConfig,
-        check_resumable,
-        finetune_dual_encoder,
-        load_checkpoint,
-        save_checkpoint,
-    )
+    from .trainer import TrainConfig, check_resumable, finetune_dual_encoder, load_checkpoint
 
     if args.init and args.resume:
         raise UsageError("train takes --init or --resume, not both")
@@ -274,13 +275,12 @@ def cmd_train(args) -> tuple[list, list]:
             checkpoint_path=args.out,
             checkpoint_interval=args.checkpoint_interval,
         )
-    save_checkpoint(params, state, args.out)
     _log(f"train: {state.step_count} steps -> {args.out}")
     return [args.pairs, args.vocab] + [p for p in (args.init, args.resume) if p], [args.out, log_path]
 
 
 def cmd_encode(args) -> tuple[list, list]:
-    from .vecindex import write_pool
+    from .vecindex import pool_files, write_pool
 
     vocab = _load_vocab(args.vocab)
     params = _load_encoder(args.ckpt)
@@ -288,11 +288,11 @@ def cmd_encode(args) -> tuple[list, list]:
     vectors = _encode_pool(params, vocab, sentences)
     write_pool(args.out, vectors, [s.id for s in sentences])
     _log(f"encode: {vectors.shape[0]} sentences -> {args.out}")
-    return [args.input, args.vocab, args.ckpt], [args.out, str(args.out) + ".ids"]
+    return [args.input, args.vocab, args.ckpt], pool_files(args.out)
 
 
 def cmd_index(args) -> tuple[list, list]:
-    from .vecindex import IndexConfig, build, read_pool, save_index
+    from .vecindex import IndexConfig, build, pool_files, read_pool, save_index
 
     config = None
     if args.clusters > 0:
@@ -307,12 +307,12 @@ def cmd_index(args) -> tuple[list, list]:
     index = pool if config is None else build(pool.vectors, pool.ids, config)
     save_index(index, args.out)
     _log(f"index: {len(index)} vectors ({index.mode}) -> {args.out}")
-    return [args.pool, str(args.pool) + ".ids"], [args.out]
+    return pool_files(args.pool), [args.out]
 
 
 def cmd_search(args) -> tuple[list, list]:
     from .fileio import atomic_write_text
-    from .vecindex import check_k, load_index, read_pool, search
+    from .vecindex import check_k, index_files, load_index, pool_files, read_pool, search
 
     with _flag_values():
         check_k(args.k)
@@ -325,7 +325,7 @@ def cmd_search(args) -> tuple[list, list]:
     ]
     atomic_write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
     _log(f"search: {len(queries)} queries -> {args.out}")
-    return [args.queries, str(args.queries) + ".ids"], [args.out]
+    return pool_files(args.queries) + index_files(args.index), [args.out]
 
 
 def cmd_mine(args) -> tuple[list, list]:
@@ -375,7 +375,7 @@ def cmd_eval_p1(args) -> tuple[list, list]:
     value = p_at_1(src, tgt, gold)
     write_metrics_report({"p_at_1": value, "gold_pairs": len(gold.pairs)}, args.out)
     _log(f"eval-p1: P@1={value:.4f} -> {args.out}")
-    return [args.src_pool, args.tgt_pool, args.gold], [args.out, str(args.out) + ".json"]
+    return _retrieval_files(args.src_pool, args.tgt_pool, args.gold), [args.out, str(args.out) + ".json"]
 
 
 def cmd_eval_tatoeba(args) -> tuple[list, list]:
@@ -398,7 +398,7 @@ def cmd_eval_tatoeba(args) -> tuple[list, list]:
         if lang in sets:
             raise UsageError(f"--set gives language {lang!r} twice")
         sets[lang] = _retrieval_inputs(*paths)
-        inputs.extend(paths)
+        inputs += _retrieval_files(*paths)
     result = tatoeba_accuracy(sets, groups)
     metrics: dict[str, object] = {}
     for lang, acc in sorted(result.per_language.items()):
@@ -435,7 +435,7 @@ def cmd_eval_bucc(args) -> tuple[list, list]:
     else:
         src, tgt, gold = _retrieval_inputs(args.src_pool, args.tgt_pool, args.gold)
         candidates = bucc_candidates(src, tgt, k=args.k)
-        inputs = [args.src_pool, args.tgt_pool, args.gold]
+        inputs = _retrieval_files(args.src_pool, args.tgt_pool, args.gold)
     prf = bucc_best_f1(candidates, gold)
     write_metrics_report(
         {
@@ -454,7 +454,7 @@ def cmd_eval_bucc(args) -> tuple[list, list]:
 
 def cmd_eval_sts(args) -> tuple[list, list]:
     from .evaluation import read_scores, sts_pearson, write_metrics_report
-    from .vecindex import read_pool
+    from .vecindex import pool_files, read_pool
 
     a, b = read_pool(args.pool_a), read_pool(args.pool_b)
     if a.ids != b.ids or a.vectors.shape != b.vectors.shape:
@@ -463,7 +463,7 @@ def cmd_eval_sts(args) -> tuple[list, list]:
     r = sts_pearson(list(zip(a.vectors, b.vectors)), gold)
     write_metrics_report({"pearson_r": r, "pairs": len(gold)}, args.out)
     _log(f"eval-sts: r={r:.4f} -> {args.out}")
-    return [args.pool_a, args.pool_b, args.gold_scores], [args.out, str(args.out) + ".json"]
+    return pool_files(args.pool_a) + pool_files(args.pool_b) + [args.gold_scores], [args.out, str(args.out) + ".json"]
 
 
 def cmd_stats(args) -> tuple[list, list]:

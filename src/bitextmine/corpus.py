@@ -2,8 +2,8 @@
 diagnostics.
 
 File formats handled here, each read by the one line rule of
-``fileio.read_lines`` (UTF-8, empty lines skipped but counted, errors
-name ``path:line``):
+``fileio.read_lines`` (UTF-8, lines that are empty or whitespace only
+skipped but counted, errors name ``path:line``):
   * monolingual corpus: one sentence per line, optional leading
     ``lang<TAB>`` prefix;
   * bilingual pairs: headerless TSV with columns src_lang, tgt_lang,

@@ -12,10 +12,13 @@ sentences' ids one after another, with their bounds ("The packed forward"
 below).
 Sentence path: mean-pool each sentence's final hidden states, apply the
 output projection, L2-normalize. The masked-token path instead projects
-each masked position and applies the prediction head. Residual blocks
-keep the identity function reachable (zero weights), M adds no
-parameters, and everything is smooth, so analytic gradients can be
-checked against central finite differences.
+each masked position and applies the prediction head. Its logits over
+the vocabulary, with the original token ids as targets, go through the
+softmax cross-entropy kernel that the ranking loss also uses
+(``loss.softmax_cross_entropy``), and the loss is its mean over the
+masked positions. Residual blocks keep the identity function reachable
+(zero weights), M adds no parameters, and everything is smooth, so
+analytic gradients can be checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from .corpus import SentencePair
 from .errors import NumericalError
+from .loss import softmax_cross_entropy
 from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
 
 _NORM_EPS = 1e-12
@@ -383,8 +387,9 @@ def plan_masks(
 def mlm_loss_and_grad(
     params: EncoderParams, batch: MaskedBatch, grads: EncoderParams | None = None
 ) -> tuple[float, EncoderParams]:
-    """Mean cross-entropy at masked positions; its analytic gradients are
-    accumulated into ``grads`` (fresh zeros if None)."""
+    """Mean cross-entropy at masked positions (``softmax_cross_entropy``
+    of their vocabulary logits); its analytic gradients are accumulated
+    into ``grads`` (fresh zeros if None)."""
     m_total = batch.masked_count()
     if m_total == 0:
         raise ValueError("no masked positions in batch")
@@ -394,20 +399,8 @@ def mlm_loss_and_grad(
     rows = top[masked]  # (M, d)
     proj = rows @ params.output_weight + params.output_bias  # (M, e)
     logits = proj @ params.mlm_weight + params.mlm_bias  # (M, V)
-    targets = batch.target_ids[masked]
-
-    zmax = logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits - zmax)
-    sums = probs.sum(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(sums[:, 0])
-    picked = logits[np.arange(m_total), targets]
-    loss = float(np.sum(lse - picked) / m_total)
-    if not math.isfinite(loss):
-        raise NumericalError("non-finite masked-prediction loss")
-
-    probs /= sums
-    dlogits = probs
-    dlogits[np.arange(m_total), targets] -= 1.0
+    terms, dlogits = softmax_cross_entropy(logits, batch.target_ids[masked])
+    loss = float(np.sum(terms) / m_total)
     dlogits /= m_total
 
     grads = grads if grads is not None else zeros_like_params(params)

@@ -216,14 +216,8 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
 
 
 def read_scores(path: str | Path) -> list[float]:
-    """One finite score per line, e.g. STS gold similarities; lines of
-    whitespace only are skipped too."""
-    scores = []
-    for lineno, line in read_lines(path):
-        text = line.strip()
-        if text:
-            scores.append(parse_score(text, path, lineno))
-    return scores
+    """One finite score per line, e.g. STS gold similarities."""
+    return [parse_score(line, path, lineno) for lineno, line in read_lines(path)]
 
 
 def format_metric_lines(metrics: Mapping[str, object]) -> str:

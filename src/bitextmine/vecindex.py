@@ -306,20 +306,26 @@ def _read_rows(path: str | Path) -> np.ndarray:
     return np.frombuffer(body, dtype="<f4").reshape(m, d).astype(np.float64)
 
 
+def pool_files(path: str | Path) -> list[Path]:
+    """The two files of the pool at ``path``: its rows and its ids (``<path>.ids``)."""
+    return [Path(path), Path(str(path) + ".ids")]
+
+
 def write_pool(path: str | Path, vectors: np.ndarray, ids: list[str]) -> None:
     """Write the rows to ``path`` and their ids to ``<path>.ids``, one per line."""
     from .fileio import atomic_write_text
 
     if len(ids) != len(vectors):
         raise ValueError(f"{len(ids)} ids for {len(vectors)} vectors")
-    _write_rows(path, vectors)
-    atomic_write_text(str(path) + ".ids", "\n".join(ids) + ("\n" if ids else ""))
+    rows_path, ids_path = pool_files(path)
+    _write_rows(rows_path, vectors)
+    atomic_write_text(ids_path, "\n".join(ids) + ("\n" if ids else ""))
 
 
 def read_pool(path: str | Path) -> VectorIndex:
     """The pool at ``path`` and its ids in ``<path>.ids``, as a validated exact index."""
-    vectors = _read_rows(path)
-    ids_path = Path(str(path) + ".ids")
+    rows_path, ids_path = pool_files(path)
+    vectors = _read_rows(rows_path)
     if not ids_path.exists():
         raise DataError(f"{ids_path}: companion id file missing")
     ids = [line.rstrip("\n") for line in ids_path.read_text(encoding="utf-8").splitlines()]
@@ -328,16 +334,22 @@ def read_pool(path: str | Path) -> VectorIndex:
     return build(vectors, ids)
 
 
+def index_files(directory: str | Path) -> list[Path]:
+    """The files of the index in ``directory``: its pool's two, then the
+    centroids and the config, which exist only for a partitioned index."""
+    directory = Path(directory)
+    return [*pool_files(directory / "vectors.pool"), directory / "centroids.pool", directory / "index.cfg"]
+
+
 def save_index(index: VectorIndex, directory: str | Path) -> None:
     """Write the index into ``directory``, with no partition files if it is exact."""
     from .fileio import atomic_write_text
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    cfg_path, centroids_path = directory / "index.cfg", directory / "centroids.pool"
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    pool_path, _, centroids_path, cfg_path = index_files(directory)
     cfg_path.unlink(missing_ok=True)  # first, so a rewrite cut short leaves an exact index, not a stale partition
     centroids_path.unlink(missing_ok=True)
-    write_pool(directory / "vectors.pool", index.vectors, index.ids)
+    write_pool(pool_path, index.vectors, index.ids)
     if index.mode == PARTITIONED:
         assert index.centroids is not None and index.config is not None
         _write_rows(centroids_path, index.centroids)
@@ -345,9 +357,8 @@ def save_index(index: VectorIndex, directory: str | Path) -> None:
 
 
 def load_index(directory: str | Path) -> VectorIndex:
-    directory = Path(directory)
-    index = read_pool(directory / "vectors.pool")
-    cfg_path = directory / "index.cfg"
+    pool_path, _, centroids_path, cfg_path = index_files(directory)
+    index = read_pool(pool_path)
     if not cfg_path.exists():
         return index
     cfg_map = {}
@@ -364,7 +375,6 @@ def load_index(directory: str | Path) -> VectorIndex:
         config = IndexConfig(**{key: int(cfg_map[key]) for key in keys})
     except ValueError as exc:
         raise DataError(f"{cfg_path}: {exc}") from exc
-    centroids_path = directory / "centroids.pool"
     centroids = _read_rows(centroids_path)
     if centroids.shape != (config.clusters, index.vectors.shape[1]):
         raise DataError(f"{centroids_path}: centroids of shape {centroids.shape} for {config.clusters} clusters")

@@ -336,7 +336,7 @@ def manifest_case(d, t, command):
     inputs, one run of it, the files its manifest digests and the paths it
     lists as outputs, first output first."""
     pools = ["--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", d / "gold.tsv"]
-    pool_inputs = [d / "src.pool", d / "tgt.pool", d / "gold.tsv"]
+    pool_inputs = [d / "src.pool", d / "src.pool.ids", d / "tgt.pool", d / "tgt.pool.ids", d / "gold.tsv"]
     model = ["--vocab", d / "vocab.txt", "--ckpt", d / "model.ckpt"]
 
     def report(name):
@@ -345,7 +345,7 @@ def manifest_case(d, t, command):
     (t / "scores.txt").write_text("".join(f"{i % 5}\n" for i in range(40)), encoding="utf-8")
     scored = [SentencePair(p.src, p.tgt, score=i / 10) for i, p in enumerate(read_pairs_tsv(d / "pairs.tsv")[:8])]
     (t / "scored.tsv").write_text(format_pairs_tsv(scored), encoding="utf-8")
-    index = ["index", "--pool", d / "tgt.pool", "--out", t / "idx"]
+    index = ["index", "--pool", d / "tgt.pool", "--out", t / "idx", "--clusters", 4, "--probes", 2]
     return {
         "build-vocab": (
             [],
@@ -377,11 +377,12 @@ def manifest_case(d, t, command):
             [d / "src.txt", d / "vocab.txt", d / "model.ckpt"],
             [t / "s.pool", t / "s.pool.ids"],
         ),
-        "index": ([], index[1:] + ["--clusters", 4, "--probes", 2], [d / "tgt.pool", d / "tgt.pool.ids"], [t / "idx"]),
+        "index": ([], index[1:], [d / "tgt.pool", d / "tgt.pool.ids"], [t / "idx"]),
         "search": (
             [index],
             ["--index", t / "idx", "--queries", d / "src.pool", "--k", 2, "--out", t / "hits.tsv"],
-            [d / "src.pool", d / "src.pool.ids"],
+            [d / "src.pool", d / "src.pool.ids"]
+            + [t / "idx" / name for name in ("vectors.pool", "vectors.pool.ids", "centroids.pool", "index.cfg")],
             [t / "hits.tsv"],
         ),
         "mine": (
@@ -401,7 +402,7 @@ def manifest_case(d, t, command):
         "eval-sts": (
             [],
             ["--pool-a", d / "src.pool", "--pool-b", d / "tgt.pool", "--gold-scores", t / "scores.txt", "--out", t / "sts"],
-            [d / "src.pool", d / "tgt.pool", t / "scores.txt"],
+            [d / "src.pool", d / "src.pool.ids", d / "tgt.pool", d / "tgt.pool.ids", t / "scores.txt"],
             report("sts"),
         ),
         "stats": (
@@ -433,6 +434,36 @@ def test_manifest_records_config_inputs_and_outputs(work, tmp_path, command):
     assert manifest["outputs"] == [str(p) for p in outputs]
     assert all(p.exists() for p in outputs)
     assert manifest["duration_s"] >= 0
+
+
+@pytest.mark.parametrize("steps, interval, saved_at", [(4, 2, [2, 4]), (5, 2, [2, 4, 5]), (3, 0, [3])])
+def test_train_writes_each_checkpoint_once(work, tmp_path, monkeypatch, steps, interval, saved_at):
+    """``train`` saves every ``--checkpoint-interval`` steps and after the
+    last step, each step's state once, also when the interval divides
+    ``--steps``."""
+    from bitextmine import trainer
+
+    saves = []
+    save = trainer.save_checkpoint
+
+    def counted(params, state, path):
+        saves.append(state.step_count)
+        save(params, state, path)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counted)
+    out = tmp_path / "m.ckpt"
+    argv = ["train", "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt", "--out", out]
+    assert run(*argv, "--batch-size", 8, "--hidden-dim", 8, "--steps", steps, "--checkpoint-interval", interval) == 0
+    assert saves == saved_at
+    assert load_checkpoint(out)[1].step_count == steps
+
+
+def test_whitespace_only_monolingual_file_has_no_sentences(work, tmp_path, capsys):
+    (tmp_path / "blank.txt").write_text(" \n\t\n", encoding="utf-8")
+    argv = ["encode", "--input", tmp_path / "blank.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt"]
+    assert run(*argv, "--out", tmp_path / "blank.pool") == 2
+    assert f"{tmp_path / 'blank.txt'}: no sentences" in capsys.readouterr().err
+    assert not (tmp_path / "blank.pool").exists()
 
 
 @pytest.mark.parametrize("spelling", ["--config PATH", "--config=PATH", "--conf PATH"])
@@ -505,8 +536,8 @@ def test_config_file_value_of_the_wrong_type_is_usage_error(work, tmp_path, caps
 def library_error_case(d, t, command):
     """``(argv, message)``: a run whose inputs the library refuses with a ValueError."""
     if command == "build-vocab":
-        (t / "blank.txt").write_text(" \n", encoding="utf-8")
-        return ["--mono", t / "blank.txt", "--target-size", 50], "no tokens in corpus"
+        (t / "blank.tsv").write_text("aa\tbb\t \t \n", encoding="utf-8")
+        return ["--pairs", t / "blank.tsv", "--target-size", 50], "no tokens in corpus"
     if command == "index":
         return ["--pool", d / "tgt.pool", "--clusters", 50], "pool of 40 rows cannot form 50 clusters"
     if command == "eval-bucc":

@@ -117,6 +117,12 @@ class TestFiles:
         assert sentences[0].text == "hallo welt"
         assert sentences[1].id == "2"
 
+    def test_monolingual_whitespace_only_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "mono.txt"
+        path.write_text("first\n   \n\t \nlast line \n", encoding="utf-8")
+        sentences = read_monolingual(path)
+        assert [(x.id, x.text) for x in sentences] == [("1", "first"), ("4", "last line ")]
+
     def test_tab_without_lang_prefix_stays_text(self, tmp_path):
         path = tmp_path / "mono.txt"
         path.write_text("NOTLANG\tkeeps the tab\n", encoding="utf-8")
@@ -137,6 +143,12 @@ class TestFiles:
         path.write_text("\naa\tbb\tx\ty\t\n", encoding="utf-8")
         (back,) = read_pairs_tsv(path)
         assert (back.src.id, back.tgt.id, back.score) == ("2:src", "2:tgt", None)
+
+    def test_pairs_tsv_row_of_blank_fields_is_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(" \t \t \t \naa\tbb\tx\ty\n", encoding="utf-8")
+        (back,) = read_pairs_tsv(path)
+        assert (back.src.id, back.src.lang, back.tgt.lang) == ("2:src", "aa", "bb")
 
     def test_pairs_tsv_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"

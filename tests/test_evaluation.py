@@ -14,6 +14,7 @@ from bitextmine.evaluation import (
     p_at_1,
     read_candidates_tsv,
     read_gold_tsv,
+    read_scores,
     sts_pearson,
     tatoeba_accuracy,
     write_metrics_report,
@@ -292,6 +293,14 @@ class TestFilesAndReports:
         path = tmp_path / "cand.tsv"
         path.write_text("s1\tt1\t0.75\n", encoding="utf-8")
         assert read_candidates_tsv(path) == [("s1", "t1", 0.75)]
+
+    def test_scores_skip_whitespace_only_lines_and_name_the_counted_line(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("0.5\n  \n 1.5 \n\t\nx\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"scores\.txt:5: bad score 'x'$"):
+            read_scores(path)
+        path.write_text("0.5\n  \n 1.5 \n\t\n", encoding="utf-8")
+        assert read_scores(path) == [0.5, 1.5]
 
     def test_metric_lines_format(self):
         text = format_metric_lines({"p_at_1": 0.5, "count": 7})

@@ -181,7 +181,7 @@ class TestFinetune:
 
     def test_loss_decreases_on_eval_batch(self, toy_small, toy_vocab, toy_encoder_config):
         from bitextmine.encoder import encode_batch
-        from bitextmine.loss import LossConfig, bidirectional_loss, similarity_matrix
+        from bitextmine.loss import LossConfig, loss_and_grad_wrt_embeddings
 
         eval_pairs = toy_small.test_pairs[:16]
         src = [tokenize_sentence(p.src, toy_vocab, 16) for p in eval_pairs]
@@ -190,7 +190,7 @@ class TestFinetune:
 
         def eval_loss(params):
             X, Y = encode_batch(params, src), encode_batch(params, tgt)
-            return bidirectional_loss(similarity_matrix(X, Y), lcfg)
+            return loss_and_grad_wrt_embeddings(X, Y, lcfg)[0]
 
         cfg = TrainConfig(batch_size=16, steps=200, learning_rate=3e-3, seed=0)
         params = init_params(toy_encoder_config, 1)
