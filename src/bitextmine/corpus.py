@@ -125,10 +125,18 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
 
 
 def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
-    """Read headerless TSV pairs: src_lang, tgt_lang, src_text, tgt_text[, score or empty]."""
+    """Read headerless TSV pairs: src_lang, tgt_lang, src_text, tgt_text[, score or empty].
+
+    A row whose src_text or tgt_text is empty or whitespace only raises
+    ``DataError`` naming ``path:line``: it would give a sentence with no
+    content token.
+    """
     out: list[SentencePair] = []
     for lineno, cols in read_rows(path, (4, 5), "4 or 5 tab-separated columns"):
         src_lang, tgt_lang, src_text, tgt_text = cols[:4]
+        for side, text in (("src", src_text), ("tgt", tgt_text)):
+            if not text.strip():
+                raise DataError(f"{path}:{lineno}: blank {side}_text")
         score = parse_score(cols[4], path, lineno) if len(cols) == 5 and cols[4] else None
         try:
             out.append(

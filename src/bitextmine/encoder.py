@@ -19,6 +19,13 @@ softmax cross-entropy kernel that the ranking loss also uses
 masked positions. Residual blocks keep the identity function reachable
 (zero weights), M adds no parameters, and everything is smooth, so
 analytic gradients can be checked against central finite differences.
+
+Parameters are float32 (``PARAM_DTYPE``), as ``init_params`` makes them
+and checkpoints store them. Every kernel computes in the dtype of
+``params.flat``, so float64 parameters run the same forward, backward and
+masked-token head in float64; the finite-difference checks rely on that.
+``encode_batch`` rows come out in that dtype too, and ``vecindex`` widens
+pools and queries to float64, so every reported score is a float64 cosine.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .loss import softmax_cross_entropy
 from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
 
 _NORM_EPS = 1e-12
+PARAM_DTYPE = np.float32  # of init_params and of every checkpoint
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,11 @@ def param_count(config: EncoderConfig) -> int:
 
 @dataclass
 class EncoderParams:
-    """The encoder's parameters in one contiguous float64 vector, ``flat``.
-    Every named tensor is a view into it, laid out in ``named_arrays``
-    order, so gradients and optimizer moments can be vectors of the same
-    layout. Write into the tensors; never rebind them."""
+    """The encoder's parameters in one contiguous vector, ``flat``
+    (float32 from ``init_params`` and checkpoints). Every named tensor is
+    a view into it, laid out in ``named_arrays`` order, so gradients and
+    optimizer moments can be vectors of the same layout. Write into the
+    tensors; never rebind them."""
 
     config: EncoderConfig
     flat: np.ndarray  # (param_count(config),)
@@ -125,7 +134,7 @@ class EncoderParams:
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     rng = np.random.default_rng(seed)
     d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
-    params = EncoderParams.from_flat(config, np.zeros(param_count(config)))
+    params = EncoderParams.from_flat(config, np.zeros(param_count(config), dtype=PARAM_DTYPE))
     params.token_embeddings[:] = rng.normal(0.0, 0.1, (v, d))
     for layer in params.layers:  # biases stay zero
         layer.weight[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
@@ -171,7 +180,7 @@ def encode_batch(
     item, whatever else is in the batch, except for a bare one-token item,
     whose lone encode() may differ in the last bits (see below).
     """
-    out = np.empty((len(batch), params.config.embed_dim))
+    out = np.empty((len(batch), params.config.embed_dim), dtype=params.flat.dtype)
     for start in range(0, len(batch), _ENCODE_CHUNK):
         cache = _forward_hiddens(params, *_pack(batch[start : start + _ENCODE_CHUNK]), keep=False)
         out[start : start + _ENCODE_CHUNK] = _embed(params, cache)
@@ -243,7 +252,7 @@ def _forward_hiddens(
     # multiple of _BLOCK_ROWS, so that batches of similar size reuse freed
     # blocks instead of fragmenting the heap with slightly different sizes.
     rows = -(-n // _BLOCK_ROWS) * _BLOCK_ROWS
-    block = np.empty((2 * depth + 1 if keep else 2, rows, d))[:, :n]
+    block = np.empty((2 * depth + 1 if keep else 2, rows, d), dtype=params.flat.dtype)[:, :n]
     hiddens, gates = (block[: depth + 1], block[depth + 1 :]) if keep else (block[:1], block[1:])
     h = params.token_embeddings.take(ids, axis=0, out=hiddens[0])
     for l, layer in enumerate(params.layers):
@@ -258,7 +267,8 @@ def _forward_hiddens(
 def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
     """Mean-pool each sentence's rows, project, L2-normalize (fills the cache)."""
     top = cache.hiddens[-1]
-    cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / np.diff(cache.bounds)[:, None]
+    counts = np.diff(cache.bounds).astype(top.dtype)
+    cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / counts[:, None]
     u = (cache.pooled[:, None, :] @ params.output_weight)[:, 0, :] + params.output_bias
     cache.pre_norm = u
     cache.norms = np.linalg.norm(u, axis=1)
@@ -304,12 +314,12 @@ def _backward_layers(
 
 
 def _scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """np.add.at(target, ids, rows), several times faster: one bincount of
-    the rows over (distinct id, column) cells."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    d = rows.shape[1]
-    sums = np.bincount((inv[:, None] * d + np.arange(d)).ravel(), rows.ravel(), uniq.size * d)
-    target[uniq] += sums.reshape(uniq.size, d)
+    """np.add.at(target, ids, rows), several times faster and in the rows'
+    dtype: sort the rows by id, then sum each id's run with one reduceat."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    target[sorted_ids[starts]] += np.add.reduceat(rows.take(order, axis=0), starts, axis=0)
 
 
 def backward_batch(
@@ -326,7 +336,7 @@ def backward_batch(
     grads.output_bias += d_pre_norm.sum(axis=0)
     dpooled = d_pre_norm @ params.output_weight.T
     counts = np.diff(cache.bounds)
-    d_top = np.repeat(dpooled / counts[:, None], counts, axis=0)
+    d_top = np.repeat(dpooled / counts[:, None].astype(dpooled.dtype), counts, axis=0)
     _backward_layers(params, cache, d_top, grads)
     return grads
 

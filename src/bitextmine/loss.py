@@ -64,7 +64,7 @@ def _rank_rows(sim: np.ndarray, config: LossConfig) -> tuple[np.ndarray, np.ndar
     """The kernel over an (n, c >= n) similarity block whose positive for
     row i is column i, with the margin and scale applied. The derivative
     with respect to ``sim`` is ``config.scale`` times the returned one."""
-    z = config.scale * (sim - config.margin * np.eye(*sim.shape))
+    z = config.scale * (sim - config.margin * np.eye(*sim.shape, dtype=sim.dtype))
     return softmax_cross_entropy(z, np.arange(sim.shape[0]))
 
 
@@ -72,9 +72,8 @@ def loss_and_grad_wrt_embeddings(
     X: np.ndarray, Y: np.ndarray, config: LossConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Bidirectional loss plus gradients with respect to the (normalized)
-    embeddings, two matching N x d matrices."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    embeddings, two matching N x d matrices, computed in their dtype."""
+    X, Y = np.asarray(X), np.asarray(Y)
     if X.ndim != 2 or X.shape != Y.shape:
         raise ValueError(f"expected matching N x d matrices, got {X.shape} and {Y.shape}")
     sim = X @ Y.T

@@ -29,8 +29,8 @@ class ShardedBatch:
         """Concatenate shards back into the original batch, bit-identical."""
         n = self.global_order.size
         d = self.shards[0][0].shape[1]
-        X = np.empty((n, d))
-        Y = np.empty((n, d))
+        X = np.empty((n, d), dtype=self.shards[0][0].dtype)
+        Y = np.empty((n, d), dtype=self.shards[0][1].dtype)
         for (xk, yk), order in zip(self.shards, self.global_order):
             X[order] = xk
             Y[order] = yk
@@ -39,8 +39,7 @@ class ShardedBatch:
 
 def shard_batch(X: np.ndarray, Y: np.ndarray, K: int) -> ShardedBatch:
     """Contiguous equal partition of an aligned batch into K shards."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    X, Y = np.asarray(X), np.asarray(Y)
     if X.shape != Y.shape or X.ndim != 2:
         raise ValueError(f"X and Y must be matching N x d matrices, got {X.shape}, {Y.shape}")
     n = X.shape[0]

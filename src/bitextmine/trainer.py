@@ -4,10 +4,11 @@ fine-tuning with the bidirectional ranking loss under a TrainConfig; an
 adaptive-moment optimizer with decoupled weight decay; and exact
 checkpoint round-trips.
 
-Parameters, gradients and both optimizer moments are flat float64
-vectors of one layout (``EncoderParams.flat``), and ``optimizer_step``
-updates the parameters and moments in place with whole-vector
-operations. The training loops copy the caller's parameters (and a
+Parameters, gradients and both optimizer moments are flat vectors of
+one layout and one dtype (``EncoderParams.flat``: float32, unless a
+caller builds float64 parameters), and ``optimizer_step`` updates the
+parameters and moments in place with whole-vector operations, in that
+dtype. The training loops copy the caller's parameters (and a
 resumed optimizer state) once at entry, then step that copy in place,
 so a caller never sees its arguments change.
 
@@ -20,14 +21,16 @@ use that same config.
 
 Training log lines: ``step=<n> loss=<f> lr=<f> pairs_seen=<n>``.
 
-Checkpoint format, version 2 (all integers and floats little-endian):
+Checkpoint format, version 3 (all integers and floats little-endian):
 magic ``BXCK``; u32 version; five u32 EncoderConfig integers
 (vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim); u8 state
 flag; when the flag is 1, the u64 optimizer step count and the
-TrainConfig fields in declared order; then the flat float64 vectors,
-each in ``EncoderParams.named_arrays`` order: the parameters, then, with
-state, the first and the second optimizer moments. Version 1 files
-nested a separately versioned parameter block and are refused.
+TrainConfig fields in declared order (float fields as f64); then the
+flat float32 (``<f4``) vectors, each in ``EncoderParams.named_arrays``
+order: the parameters, then, with state, the first and the second
+optimizer moments. Saving refuses vectors that are not float32 rather
+than round them. Older versions are refused: version 2 stored float64
+vectors, and version 1 nested a separately versioned parameter block.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .encoder import (
     EncoderParams,
     MLM_CAP,
     MLM_FRACTION,
+    PARAM_DTYPE,
     backward_batch,
     forward_batch,
     mlm_loss_and_grad,
@@ -65,7 +69,7 @@ BETA2 = 0.999
 EPS = 1e-8
 
 _CKPT_MAGIC = b"BXCK"
-_CKPT_VERSION = 2  # 2: one header, no nested parameter block; stores the TrainConfig
+_CKPT_VERSION = 3  # 3: float32 vectors (2 stored float64 ones)
 _CKPT_HEAD = "<5IB"  # EncoderConfig integers, state flag
 _CKPT_STATE = "<QQQdddQqd"  # step count, then the TrainConfig fields in declared order
 
@@ -382,7 +386,10 @@ def checkpoint_to_bytes(params: EncoderParams, state: OptimizerState | None) -> 
     if state is not None:
         chunks.append(struct.pack(_CKPT_STATE, state.step_count, *astuple(state.config)))
         vectors += [state.first_moment, state.second_moment]
-    chunks.extend(np.ascontiguousarray(vec, dtype="<f8").tobytes() for vec in vectors)
+    for vec in vectors:
+        if vec.dtype != PARAM_DTYPE:
+            raise ValueError(f"a checkpoint stores {np.dtype(PARAM_DTYPE)} vectors, got {vec.dtype}")
+    chunks.extend(np.ascontiguousarray(vec, dtype="<f4").tobytes() for vec in vectors)
     return b"".join(chunks)
 
 
@@ -414,7 +421,7 @@ class _Reader:
         return struct.unpack(layout, self.take(struct.calcsize(layout)))
 
     def vector(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(n * 8), dtype="<f8").copy()
+        return np.frombuffer(self.take(n * 4), dtype="<f4").astype(PARAM_DTYPE)
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState | None]:

@@ -20,6 +20,8 @@ from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
 from bitextmine.vecindex import EXACT, _read_rows, _write_rows, load_index, read_pool, search, write_pool
 
+from conftest import version_2_bytes
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -168,8 +170,42 @@ def test_version_1_checkpoint_is_data_error(work, capsys):
     (work / "v1.ckpt").write_bytes(bytes(data))
     argv = ["encode", "--input", work / "tgt.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "v1.ckpt"]
     assert run(*argv, "--out", work / "v1.pool") == 2
-    assert "unsupported checkpoint version 1 (expected 2)" in capsys.readouterr().err
+    assert "unsupported checkpoint version 1 (expected 3)" in capsys.readouterr().err
     assert not (work / "v1.pool").exists()
+
+
+def test_version_2_checkpoint_of_float64_vectors_is_data_error(work, capsys):
+    (work / "v2.ckpt").write_bytes(version_2_bytes(*load_checkpoint(work / "model.ckpt")))
+    argv = ["train", "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt", "--resume", work / "v2.ckpt"]
+    assert run(*argv, "--steps", 4, "--batch-size", 8, "--out", work / "v2-resumed.ckpt") == 2
+    assert "unsupported checkpoint version 2 (expected 3)" in capsys.readouterr().err
+    assert not (work / "v2-resumed.ckpt").exists()
+
+
+def test_blank_pair_text_is_data_error_naming_its_line(work, tmp_path, capsys):
+    pairs = (work / "pairs.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "pairs.tsv").write_text("".join(pairs[:2]) + "aa\tbb\t \tx\n", encoding="utf-8")
+    argv = ["train", "--pairs", tmp_path / "pairs.tsv", "--vocab", work / "vocab.txt", "--steps", 2]
+    assert run(*argv, "--out", tmp_path / "model.ckpt") == 2
+    assert f"{tmp_path / 'pairs.tsv'}:3: blank src_text" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_same_seed_runs_write_identical_checkpoints_and_logs(work, tmp_path, command):
+    argv = [command, "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt", "--hidden-dim", 8, "--seed", 5]
+    if command == "train":
+        argv += ["--steps", 3, "--batch-size", 8]
+    else:
+        argv += ["--mono", work / "src.txt", "--stage-steps", "2,2", "--batch-size", 8]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.ckpt"
+        assert run(*argv, "--out", out) == 0
+        runs.append((out.read_bytes(), (tmp_path / f"{name}.ckpt.log").read_bytes()))
+    assert runs[0] == runs[1]
+    params, _ = load_checkpoint(tmp_path / "a.ckpt")
+    assert params.flat.dtype == np.float32
 
 
 def resume_argv(d, *extra):
@@ -536,8 +572,8 @@ def test_config_file_value_of_the_wrong_type_is_usage_error(work, tmp_path, caps
 def library_error_case(d, t, command):
     """``(argv, message)``: a run whose inputs the library refuses with a ValueError."""
     if command == "build-vocab":
-        (t / "blank.tsv").write_text("aa\tbb\t \t \n", encoding="utf-8")
-        return ["--pairs", t / "blank.tsv", "--target-size", 50], "no tokens in corpus"
+        # the pairs' alphabet alone outnumbers the pieces asked for
+        return ["--pairs", d / "pairs.tsv", "--target-size", 6], "target_size=6 must exceed specials+alphabet="
     if command == "index":
         return ["--pool", d / "tgt.pool", "--clusters", 50], "pool of 40 rows cannot form 50 clusters"
     if command == "eval-bucc":

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bitextmine.corpus import (
@@ -149,6 +151,16 @@ class TestFiles:
         path.write_text(" \t \t \t \naa\tbb\tx\ty\n", encoding="utf-8")
         (back,) = read_pairs_tsv(path)
         assert (back.src.id, back.src.lang, back.tgt.lang) == ("2:src", "aa", "bb")
+
+    @pytest.mark.parametrize(
+        "row, side",
+        [("aa\tbb\t \tx", "src"), ("aa\tbb\tx\t\t0.5", "tgt"), ("aa\tbb\t\t \t", "src")],
+    )
+    def test_pairs_tsv_blank_text_field_names_its_line(self, tmp_path, row, side):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"aa\tbb\tx\ty\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: blank {side}_text$"):
+            read_pairs_tsv(path)
 
     def test_pairs_tsv_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -24,6 +24,8 @@ from bitextmine.errors import CheckpointError
 from bitextmine.trainer import checkpoint_to_bytes, load_checkpoint, save_checkpoint
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
 
+from conftest import float64_params
+
 
 def small_params(vocab_size=24, d=6, layers=2, max_len=12, seed=0):
     cfg = EncoderConfig(vocab_size=vocab_size, hidden_dim=d, num_layers=layers, max_seq_len=max_len)
@@ -143,7 +145,7 @@ class TestEncodeBatch:
 
     def test_backward_batch_matches_finite_differences(self):
         # mixed lengths, every parameter the sentence path reaches
-        p = small_params(vocab_size=16, d=4, layers=2)
+        p = float64_params(small_params(vocab_size=16, d=4, layers=2))
         batch = [[CLS_ID, 6, 7, SEP_ID], [CLS_ID, 8, 9, 10, 11, SEP_ID], [CLS_ID, 12, SEP_ID]]
         c = np.random.default_rng(7).normal(size=(len(batch), p.config.embed_dim))
 
@@ -158,7 +160,7 @@ class TestEncodeBatch:
         # where a PAD once split a chain, sentence boundaries now do: the
         # one-token item's row both starts and ends a sentence, next to a
         # two-token item
-        p = small_params(vocab_size=16, d=4, layers=2)
+        p = float64_params(small_params(vocab_size=16, d=4, layers=2))
         batch = [[CLS_ID, 6, 7, SEP_ID], [CLS_ID, 8, 9, 10, 11, SEP_ID], [13], [CLS_ID, 12], [CLS_ID, 14, SEP_ID]]
         c = np.random.default_rng(9).normal(size=(len(batch), p.config.embed_dim))
 
@@ -304,7 +306,7 @@ class TestMasking:
 
 class TestMlmLoss:
     def test_uniform_head_gives_log_vocab(self):
-        p = small_params(vocab_size=64)
+        p = float64_params(small_params(vocab_size=64))
         p.mlm_weight[:] = 0.0
         p.mlm_bias[:] = 0.0
         rng = np.random.default_rng(3)
@@ -320,7 +322,7 @@ class TestMlmLoss:
             mlm_loss_and_grad(p, batch)
 
     def test_gradient_matches_finite_differences(self):
-        p = small_params(vocab_size=20, d=5, layers=2)
+        p = float64_params(small_params(vocab_size=20, d=5, layers=2))
         rng = np.random.default_rng(5)
         batch = plan_masks(
             [[CLS_ID, 6, 7, 8, SEP_ID], [CLS_ID, 9, 10, 11, 12, SEP_ID]], rng, fraction=0.5
@@ -350,7 +352,7 @@ class TestMlmLoss:
     def test_gradient_with_inner_padding_matches_finite_differences(self):
         # every coordinate; where a PAD once split a chain, sentence
         # boundaries now do: a one-token and a two-token item sit side by side
-        p = small_params(vocab_size=14, d=3, layers=2)
+        p = float64_params(small_params(vocab_size=14, d=3, layers=2))
         batch = plan_masks(
             [[CLS_ID, 6, 7, 8, 9, SEP_ID], [12], [CLS_ID, 13], [CLS_ID, 10, 11, SEP_ID]],
             np.random.default_rng(10),
@@ -428,8 +430,8 @@ class TestTlm:
 
 
 class TestCheckpointFormat:
-    """A params-only checkpoint (``BXCK``, u32 version 2, the encoder
-    config, a zero state flag, then the float64 tensors), as ``pretrain``
+    """A params-only checkpoint (``BXCK``, u32 version 3, the encoder
+    config, a zero state flag, then the ``<f4`` tensors), as ``pretrain``
     writes it and ``encode`` reads it."""
 
     def test_roundtrip_bytes_identical(self, tmp_path):
@@ -440,6 +442,8 @@ class TestCheckpointFormat:
         save_checkpoint(loaded, None, tmp_path / "enc2.bin")
         assert (tmp_path / "enc.bin").read_bytes() == (tmp_path / "enc2.bin").read_bytes()
         assert loaded.config == p.config
+        assert loaded.flat.dtype == np.float32
+        np.testing.assert_array_equal(loaded.flat.view(np.uint32), p.flat.view(np.uint32))
 
     def test_truncated_file_reports_offset(self, tmp_path):
         p = small_params()
@@ -457,7 +461,7 @@ class TestCheckpointFormat:
         data = bytearray(path.read_bytes())
         data[4:8] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 2\)"):
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 3\)"):
             load_checkpoint(path)
 
 
@@ -468,22 +472,25 @@ def assert_views_tile_flat(params):
     base = params.flat.__array_interface__["data"][0]
     offset = 0
     for name, arr in params.named_arrays():
-        assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+        assert arr.dtype == params.flat.dtype and arr.flags.c_contiguous, name
         assert np.shares_memory(arr, params.flat), name
-        assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        assert arr.__array_interface__["data"][0] == base + params.flat.itemsize * offset, name
         offset += arr.size
     assert params.flat.shape == (offset,)
 
 
 def test_every_tensor_is_a_view_into_flat(tmp_path):
-    p = small_params(layers=2)
+    # float64 params as the gradient checks build them, and float32 ones
+    # as init_params and load_checkpoint make them
+    p = float64_params(small_params(layers=2))
     grown = stack_grow(p, 4)
-    save_checkpoint(grown, None, tmp_path / "ck.bin")
+    save_checkpoint(stack_grow(small_params(layers=2), 4), None, tmp_path / "ck.bin")
     loaded, _ = load_checkpoint(tmp_path / "ck.bin")
     copied = p.copy()
     assert not np.shares_memory(copied.flat, p.flat)
-    for params in (p, copied, zeros_like_params(p), grown, loaded):
+    for params in (p, copied, zeros_like_params(p), grown, loaded, small_params(layers=2)):
         assert_views_tile_flat(params)
+    assert loaded.flat.dtype == np.float32 and grown.flat.dtype == np.float64
 
 
 def test_mlm_gradient_accumulates_into_given_grads():

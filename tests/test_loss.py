@@ -271,3 +271,22 @@ def test_softmax_cross_entropy_is_the_only_exponential():
                 ):
                     calls.add((path.stem, getattr(top, "name", "<module>")))
     assert calls == {("loss", "softmax_cross_entropy")}
+
+
+def test_array_constructors_of_the_training_path_name_their_dtype():
+    """``np.empty``, ``np.zeros``, ``np.ones`` and ``np.eye`` make float64
+    arrays unless told otherwise. In the modules that encode and train,
+    each call names its dtype, so that no kernel falls back to float64
+    when the parameters are float32."""
+    bare = []
+    for stem in ("encoder", "loss", "trainer", "negatives"):
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "np"
+                and node.func.attr in ("empty", "zeros", "ones", "eye")
+                and not any(keyword.arg == "dtype" for keyword in node.keywords)
+            ):
+                bare.append(f"{stem}.py:{node.lineno}: np.{node.func.attr}")
+    assert bare == []

@@ -16,6 +16,8 @@ from bitextmine.mining import (
 from bitextmine.vecindex import build
 from bitextmine.vocab import tokenize_sentence
 
+from conftest import float64_params
+
 
 def pair(src_text, tgt_text, score=None, n=0):
     return SentencePair(
@@ -67,10 +69,11 @@ class TestMine:
         }
 
     def test_identical_embedding_scores_one(self, toy_small, toy_vocab, toy_params):
+        params = float64_params(toy_params)
         sent = toy_small.test_pairs[0].src
-        vec = encode(toy_params, tokenize_sentence(sent, toy_vocab, 16))
+        vec = encode(params, tokenize_sentence(sent, toy_vocab, 16))
         index = build(vec[None, :], ["only"])
-        got = mine([sent], index, {"only": sent}, toy_params, toy_vocab, MiningConfig())
+        got = mine([sent], index, {"only": sent}, params, toy_vocab, MiningConfig())
         assert len(got) == 1
         assert got[0].score == pytest.approx(1.0, abs=1e-9)
 

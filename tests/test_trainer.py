@@ -1,6 +1,7 @@
 import io
 import math
-from dataclasses import replace
+import struct
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from bitextmine.trainer import (
     save_checkpoint,
 )
 from bitextmine.vocab import CLS_ID, SEP_ID, tokenize_sentence
+
+from conftest import float64_params, version_2_bytes
 
 
 def small_setup(layers=2, d=8, seed=0, vocab_size=40):
@@ -125,7 +128,7 @@ class TestOptimizerStep:
         assert abs(p.output_bias[0]) < abs(before.output_bias[0])
 
     def test_decoupled_decay_shrinks_params(self):
-        p = small_setup()
+        p = float64_params(small_setup())
         p0 = p.copy()
         cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.5)
         optimizer_step(p, grads_like(p), init_optimizer_state(p, cfg))
@@ -317,9 +320,47 @@ class TestPretrain:
 
 
 class TestCheckpoint:
-    """The one checkpoint format: ``BXCK``, u32 version 2, the encoder
+    """The one checkpoint format: ``BXCK``, u32 version 3, the encoder
     config, a state flag with the step count and TrainConfig, then the
-    float64 tensors."""
+    ``<f4`` tensors."""
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_layout_is_the_header_then_little_endian_float32_vectors(self, with_state):
+        p = small_setup(seed=3)
+        c = p.config
+        dims = (c.vocab_size, c.hidden_dim, c.num_layers, c.max_seq_len, c.embed_dim)
+        head = b"BXCK" + struct.pack("<I5IB", 3, *dims, with_state)
+        vectors = [p.flat]
+        state = None
+        if with_state:
+            cfg = TrainConfig(batch_size=16, steps=40, learning_rate=0.25, seed=7, weight_decay=0.5)
+            state = init_optimizer_state(p, cfg)
+            state.step_count = 5
+            state.first_moment[:] = np.linspace(-1.0, 1.0, p.flat.size)
+            state.second_moment[:] = np.linspace(0.0, 2.0, p.flat.size)
+            head += struct.pack("<QQQdddQqd", 5, *astuple(cfg))
+            vectors += [state.first_moment, state.second_moment]
+        assert checkpoint_to_bytes(p, state) == head + b"".join(v.astype("<f4").tobytes() for v in vectors)
+
+    @pytest.mark.parametrize("vector", ["params", "second_moment"])
+    def test_float64_vectors_are_refused_not_rounded(self, tmp_path, vector):
+        p = small_setup()
+        state = init_optimizer_state(p, TrainConfig())
+        if vector == "params":
+            p = float64_params(p)
+        else:
+            state.second_moment = state.second_moment.astype(np.float64)
+        with pytest.raises(ValueError, match="a checkpoint stores float32 vectors, got float64"):
+            save_checkpoint(p, state, tmp_path / "ck.bin")
+        assert not (tmp_path / "ck.bin").exists()
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_version_2_checkpoint_of_float64_vectors_rejected(self, tmp_path, with_state):
+        p = small_setup(seed=8)
+        state = init_optimizer_state(p, TrainConfig()) if with_state else None
+        (tmp_path / "ck.bin").write_bytes(version_2_bytes(p, state))
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 2 \(expected 3\)"):
+            load_checkpoint(tmp_path / "ck.bin")
 
     def test_roundtrip_byte_identical(self, tmp_path):
         p = small_setup(seed=3)
@@ -373,7 +414,7 @@ class TestCheckpoint:
         data[4:8] = (1).to_bytes(4, "little")
         data[8:8] = b"BXEN" + (2).to_bytes(4, "little")
         (tmp_path / "ck.bin").write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 2\)"):
+        with pytest.raises(CheckpointError, match=r"unsupported checkpoint version 1 \(expected 3\)"):
             load_checkpoint(tmp_path / "ck.bin")
 
     def test_truncation_reports_offset(self, tmp_path):
@@ -416,6 +457,7 @@ class TestCheckpoint:
         # serialize at step 10, reload, and continue step by step
         save_checkpoint(params, state, tmp_path / "mid.bin")
         res_params, res_state = load_checkpoint(tmp_path / "mid.bin")
+        assert res_params.flat.dtype == res_state.first_moment.dtype == np.float32
         resumed = [checkpoint_to_bytes(res_params, None)]
         for stop in range(11, 21):
             res_params, res_state = finetune_dual_encoder(
