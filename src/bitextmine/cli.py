@@ -167,8 +167,10 @@ def _retrieval_files(src_pool, tgt_pool, gold_path) -> list:
 
 
 def cmd_build_vocab(args) -> tuple[list, list]:
-    from .vocab import build_vocab
+    from .vocab import build_vocab, check_build_options
 
+    with _flag_values():
+        check_build_options(args.smoothing, args.coverage)
     corpora: dict[str, list] = {}
     for path in args.mono or []:
         for s in _read_mono(path, args.lang):

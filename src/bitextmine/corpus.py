@@ -112,7 +112,9 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
 
     A line of the form ``lang<TAB>text`` (lang matching an ISO-639-style
     tag) sets that sentence's language; other lines get ``default_lang``.
-    Sentence ids are 1-based line numbers.
+    Sentence ids are 1-based line numbers. A prefixed line whose text is
+    empty or whitespace only raises ``DataError`` naming ``path:line``, as
+    a blank text field of ``read_pairs_tsv`` does.
     """
     out: list[Sentence] = []
     for lineno, line in read_lines(path):
@@ -120,6 +122,8 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
         head, tab, rest = line.partition("\t")
         if tab and _LANG_PREFIX_RE.fullmatch(head):
             lang, text = head, rest
+        if not text.strip():
+            raise DataError(f"{path}:{lineno}: blank text")
         out.append(Sentence(id=str(lineno), lang=lang, text=text))
     return out
 

@@ -8,18 +8,23 @@ Parameters, gradients and both optimizer moments are flat vectors of
 one layout and one dtype (``EncoderParams.flat``: float32, unless a
 caller builds float64 parameters), and ``optimizer_step`` updates the
 parameters and moments in place with whole-vector operations, in that
-dtype. The training loops copy the caller's parameters (and a
-resumed optimizer state) once at entry, then step that copy in place,
-so a caller never sees its arguments change.
+dtype. Both drivers copy the caller's parameters (and a resumed
+optimizer state) once, then step the copy in place through one step
+runner, each with its own per-step objective: ranking pairs, or one
+pretraining stage's masked-token batches. Only fine-tuning saves
+checkpoints on the way; a stopped pretraining run starts over.
 
-Determinism: every step draws from a fresh generator seeded by
-(config seed, stream tag, step index), so a resumed run reproduces the
-unbroken run bit for bit. The learning rate decays linearly to zero
-over the configured step horizon. The optimizer state carries the
-TrainConfig it was made under, and a run that continues a state must
-use that same config.
+Determinism: every step draws from a fresh generator seeded by (config
+seed, stream tag, step index), with the stage index before the step in
+pretraining, so a resumed run reproduces the unbroken run bit for bit.
+The learning rate decays linearly to zero over the configured step
+horizon. The optimizer state carries the TrainConfig it was made under,
+and a run that continues a state must use that same config.
 
-Training log lines: ``step=<n> loss=<f> lr=<f> pairs_seen=<n>``.
+Training log lines: ``step=<n> loss=<f> lr=<f> pairs_seen=<n>``, with the
+rate the step used. Pretraining numbers steps 1..N across its stages, each
+stage's rate starting again at the configured one. ``pairs_seen`` counts
+translation pairs: B per ranking or TLM step, none per MLM step.
 
 Checkpoint format, version 3 (all integers and floats little-endian):
 magic ``BXCK``; u32 version; five u32 EncoderConfig integers
@@ -36,7 +41,7 @@ vectors, and version 1 nested a separately versioned parameter block.
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 from typing import TextIO
 
@@ -44,19 +49,8 @@ import numpy as np
 
 from .corpus import Sentence, SentencePair
 from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    MLM_CAP,
-    MLM_FRACTION,
-    PARAM_DTYPE,
-    backward_batch,
-    forward_batch,
-    mlm_loss_and_grad,
-    param_count,
-    plan_masks,
-    stack_grow,
-    tlm_sequence,
-    zeros_like_params,
+    MLM_CAP, MLM_FRACTION, PARAM_DTYPE, EncoderConfig, EncoderParams, backward_batch, forward_batch,
+    mlm_loss_and_grad, param_count, plan_masks, stack_grow, tlm_sequence, zeros_like_params,
 )
 from .errors import CheckpointError, NumericalError
 from .fileio import atomic_write_bytes
@@ -96,9 +90,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.shards < 1 or self.batch_size % self.shards != 0:
-            raise ValueError(
-                f"shards={self.shards} must divide batch_size={self.batch_size}"
-            )
+            raise ValueError(f"shards={self.shards} must divide batch_size={self.batch_size}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
@@ -177,11 +169,6 @@ def _tensor_at(params: EncoderParams, index: int) -> str:
     raise IndexError(index)
 
 
-def _write_log(log: TextIO | None, step: int, loss: float, lr: float, pairs_seen: int) -> None:
-    if log is not None:
-        log.write(f"step={step} loss={loss:.6f} lr={lr:.8f} pairs_seen={pairs_seen}\n")
-
-
 def check_resumable(state: OptimizerState, config: TrainConfig) -> None:
     """Raise CheckpointError naming each field in which the config the
     state was trained with differs from ``config``."""
@@ -194,6 +181,38 @@ def check_resumable(state: OptimizerState, config: TrainConfig) -> None:
         raise CheckpointError(
             "cannot resume: the optimizer state was trained with " + ", ".join(changed)
         )
+
+
+def _draw(key: list[int], population: int, batch_size: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Step ``key[-1]``'s generator, seeded by ``key``, and its batch of corpus indices."""
+    rng = np.random.default_rng(key)
+    return rng, rng.integers(0, population, size=batch_size)
+
+
+def _run_steps(
+    params: EncoderParams, state: OptimizerState, objective: Callable[..., tuple[float, int]],
+    stop: int, log: TextIO | None, *, step_offset: int = 0, pairs_seen: int = 0,
+    checkpoint_path=None, checkpoint_interval: int = 0,
+) -> int:
+    """Step ``params`` and ``state`` in place up to step ``stop`` and return
+    ``pairs_seen``. ``objective(params, grads, t)`` adds step t's gradient to
+    the zeroed ``grads`` and returns (loss, pairs). Checkpoints are saved as
+    ``finetune_dual_encoder`` says."""
+    grads, saved_at = zeros_like_params(params), None
+    while state.step_count < stop:
+        grads.flat.fill(0.0)
+        loss, pairs = objective(params, grads, state.step_count)
+        optimizer_step(params, grads, state)
+        pairs_seen, t = pairs_seen + pairs, state.step_count
+        if log is not None:
+            lr = lr_at(state.config, t)
+            log.write(f"step={step_offset + t} loss={loss:.6f} lr={lr:.8f} pairs_seen={pairs_seen}\n")
+        if checkpoint_path is not None and checkpoint_interval > 0 and t % checkpoint_interval == 0:
+            save_checkpoint(params, state, checkpoint_path)
+            saved_at = t
+    if checkpoint_path is not None and saved_at != state.step_count:
+        save_checkpoint(params, state, checkpoint_path)
+    return pairs_seen
 
 
 def finetune_dual_encoder(
@@ -228,40 +247,25 @@ def finetune_dual_encoder(
     state = init_optimizer_state(params, config) if state is None else state.copy()
     check_resumable(state, config)
     params = params.copy()
-    grads = zeros_like_params(params)
     stop = config.steps if stop_step is None else min(stop_step, config.steps)
     loss_cfg = config.loss_config()
     max_len = params.config.max_seq_len
     src_seqs = [tokenize_sentence(p.src, vocab, max_len) for p in pair_corpus]
     tgt_seqs = [tokenize_sentence(p.tgt, vocab, max_len) for p in pair_corpus]
 
-    saved_at = None
-    while state.step_count < stop:
-        t = state.step_count
-        rng = np.random.default_rng([config.seed, _STREAM_FINETUNE, t])
-        idx = rng.integers(0, len(pair_corpus), size=config.batch_size)
+    def ranking_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
+        _, idx = _draw([config.seed, _STREAM_FINETUNE, t], len(pair_corpus), config.batch_size)
         vx, cache_x = forward_batch(params, [src_seqs[i] for i in idx])
         vy, cache_y = forward_batch(params, [tgt_seqs[i] for i in idx])
-
-        loss_value, dvx, dvy = sharded_bidirectional_loss(
-            shard_batch(vx, vy, config.shards), loss_cfg
-        )
-        grads.flat.fill(0.0)
+        loss_value, dvx, dvy = sharded_bidirectional_loss(shard_batch(vx, vy, config.shards), loss_cfg)
         backward_batch(params, cache_x, dvx, grads)
         backward_batch(params, cache_y, dvy, grads)
+        return loss_value, config.batch_size
 
-        lr_used = lr_at(config, t + 1)
-        optimizer_step(params, grads, state)
-        _write_log(log, state.step_count, loss_value, lr_used, state.step_count * config.batch_size)
-        if (
-            checkpoint_path is not None
-            and checkpoint_interval > 0
-            and state.step_count % checkpoint_interval == 0
-        ):
-            save_checkpoint(params, state, checkpoint_path)
-            saved_at = state.step_count
-    if checkpoint_path is not None and saved_at != state.step_count:
-        save_checkpoint(params, state, checkpoint_path)
+    _run_steps(
+        params, state, ranking_step, stop, log, pairs_seen=state.step_count * config.batch_size,
+        checkpoint_path=checkpoint_path, checkpoint_interval=checkpoint_interval,
+    )
     return params, state
 
 
@@ -326,7 +330,8 @@ def pretrain(
     ``params`` must have the first stage's depth, and each objective the
     mix asks for a non-empty corpus. Parameters learned in one stage are
     duplicated to initialize the next, and a fresh optimizer (and decay
-    horizon) starts each stage. The caller's ``params`` are copied once.
+    horizon) starts each stage, while the log's step numbers run on. No
+    checkpoint is written. The caller's ``params`` are copied once.
     """
     first_layers = config.stages[0].num_layers
     if len(params.layers) != first_layers:
@@ -340,31 +345,26 @@ def pretrain(
     max_len = params.config.max_seq_len
     mono_seqs = [tokenize_sentence(s, vocab, max_len) for s in corpus]
     tlm_seqs = [tlm_sequence(p, vocab, max_len) for p in pair_corpus]
-
-    pairs_seen = 0
-    global_step = 0
     cycle = mlm_share + tlm_share
+    pairs_seen = steps_done = 0
     params = params.copy()
     for stage_idx, stage in enumerate(config.stages):
         if len(params.layers) != stage.num_layers:
             params = stack_grow(params, stage.num_layers)
-        stage_config = config.stage_config(stage)
-        state = init_optimizer_state(params, stage_config)
-        grads = zeros_like_params(params)
-        for t in range(stage.steps):
+
+        def masked_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
             use_mlm = (t % cycle) < mlm_share
             stream, seqs = (_STREAM_MLM, mono_seqs) if use_mlm else (_STREAM_TLM, tlm_seqs)
-            rng = np.random.default_rng([config.seed, stream, stage_idx, t])
-            idx = rng.integers(0, len(seqs), size=config.batch_size)
+            rng, idx = _draw([config.seed, stream, stage_idx, t], len(seqs), config.batch_size)
             batch = plan_masks([seqs[i] for i in idx], rng, config.mask_fraction, config.mask_cap)
-            if not use_mlm:
-                pairs_seen += config.batch_size
-            grads.flat.fill(0.0)
             loss_value, _ = mlm_loss_and_grad(params, batch, grads)
-            lr_used = lr_at(stage_config, t + 1)
-            optimizer_step(params, grads, state)
-            global_step += 1
-            _write_log(log, global_step, loss_value, lr_used, pairs_seen)
+            return loss_value, 0 if use_mlm else config.batch_size
+
+        state = init_optimizer_state(params, config.stage_config(stage))
+        pairs_seen = _run_steps(
+            params, state, masked_step, stage.steps, log, step_offset=steps_done, pairs_seen=pairs_seen
+        )
+        steps_done += stage.steps
     return params
 
 

@@ -126,6 +126,15 @@ def _pop_best(
     return None
 
 
+def check_build_options(smoothing_exponent: float, character_coverage: float = 1.0) -> None:
+    """Raise ValueError unless the language smoothing exponent and the
+    character coverage of ``build_vocab`` are both in (0, 1]."""
+    if not (0.0 < smoothing_exponent <= 1.0):
+        raise ValueError(f"smoothing exponent must be in (0, 1], got {smoothing_exponent}")
+    if not (0.0 < character_coverage <= 1.0):
+        raise ValueError(f"character_coverage must be in (0, 1], got {character_coverage}")
+
+
 def language_weights(
     token_counts: Mapping[str, int], smoothing_exponent: float
 ) -> dict[str, float]:
@@ -134,8 +143,7 @@ def language_weights(
     With alpha < 1 this upweights low-resource languages; alpha = 1 is
     the identity.
     """
-    if not (0.0 < smoothing_exponent <= 1.0):
-        raise ValueError(f"smoothing exponent must be in (0, 1], got {smoothing_exponent}")
+    check_build_options(smoothing_exponent)
     total = sum(token_counts.values())
     if total == 0:
         raise ValueError("no tokens in corpus")
@@ -160,10 +168,10 @@ def build_vocab(
 
     Word counts are whitespace-based and case-preserving. Merge ties
     break on the lexicographically smallest symbol pair, so the build is
-    deterministic for a given input.
+    deterministic for a given input. Both options are checked, by
+    ``check_build_options``, before the corpora are counted.
     """
-    if not (0.0 < character_coverage <= 1.0):
-        raise ValueError(f"character_coverage must be in (0, 1], got {character_coverage}")
+    check_build_options(smoothing_exponent, character_coverage)
 
     word_counts: dict[str, dict[str, int]] = {}
     token_totals: dict[str, int] = {}

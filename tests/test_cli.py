@@ -62,6 +62,7 @@ def invalid_argv(d, case):
     pretrain = [
         "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--stage-steps", "2,2",
     ]
+    build_vocab = ["build-vocab", "--pairs", d / "no-pairs.tsv", "--target-size", 50, "--out", out]
     mine = [
         "mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt",
         "--ckpt", d / "model.ckpt", "--out", out,
@@ -85,6 +86,9 @@ def invalid_argv(d, case):
         # a vocab that does not exist: the encoder shape is checked before any read
         "pretrain-hidden-dim": pretrain + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
         "train-hidden-dim": train + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
+        # pairs that do not exist: the build options are checked before any read
+        "build-vocab-smoothing": build_vocab + ["--smoothing", 1.5],
+        "build-vocab-coverage": build_vocab + ["--coverage", 0],
         "mine-fraction": mine + ["--fraction", 0],
         "mine-seed": mine + ["--clusters", 2, "--seed", -1],
         "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
@@ -139,6 +143,8 @@ def tatoeba_set(d, lang="xx"):
         "pretrain-stage-steps-zero",
         "pretrain-hidden-dim",
         "train-hidden-dim",
+        "build-vocab-smoothing",
+        "build-vocab-coverage",
         "mine-fraction",
         "mine-seed",
         "index-probes",
@@ -189,6 +195,25 @@ def test_blank_pair_text_is_data_error_naming_its_line(work, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "model.ckpt") == 2
     assert f"{tmp_path / 'pairs.tsv'}:3: blank src_text" in capsys.readouterr().err
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "mine", "pretrain", "build-vocab"])
+def test_blank_monolingual_text_is_data_error_naming_its_line(work, tmp_path, command, capsys):
+    lines = (work / "src.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    mono = tmp_path / "mono.txt"
+    mono.write_text("".join(lines[:2]) + "aa\t \n", encoding="utf-8")
+    out = tmp_path / "out"
+    vocab, ckpt = work / "vocab.txt", work / "model.ckpt"
+    argv = {
+        "encode": ["encode", "--input", mono, "--vocab", vocab, "--ckpt", ckpt],
+        "mine": ["mine", "--src", mono, "--tgt", work / "tgt.txt", "--vocab", vocab, "--ckpt", ckpt],
+        "pretrain": ["pretrain", "--mono", mono, "--vocab", vocab, "--stage-steps", "2,2", "--mix", "1:0"],
+        "build-vocab": ["build-vocab", "--mono", mono, "--target-size", 50],
+    }[command]
+    assert run(*argv, "--out", out) == 2
+    assert f"{mono}:3: blank text" in capsys.readouterr().err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
 
 
 @pytest.mark.parametrize("command", ["train", "pretrain"])

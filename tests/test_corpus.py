@@ -162,6 +162,13 @@ class TestFiles:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: blank {side}_text$"):
             read_pairs_tsv(path)
 
+    @pytest.mark.parametrize("row", ["aa\t ", "aa\t\t", "de-ch\t \t "])
+    def test_monolingual_blank_text_after_lang_prefix_names_its_line(self, tmp_path, row):
+        path = tmp_path / "mono.txt"
+        path.write_text(f"aa\tx\n\n{row}\nbb\ty\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: blank text$"):
+            read_monolingual(path)
+
     def test_pairs_tsv_bad_column_count(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("only\tthree\tcolumns\n", encoding="utf-8")

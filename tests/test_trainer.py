@@ -1,11 +1,14 @@
+import ast
 import io
 import math
 import struct
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bitextmine import trainer as trainer_module
 from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params
 from bitextmine.errors import CheckpointError, NumericalError
 from bitextmine.trainer import (
@@ -181,6 +184,13 @@ class TestFinetune:
         assert lines[0].startswith("step=1 loss=")
         assert "pairs_seen=8" in lines[0]
         assert "pairs_seen=24" in lines[2]
+        # a resumed run writes the unbroken run's line: its steps and pairs continue
+        params, state = finetune_dual_encoder(
+            init_params(toy_encoder_config, 1), toy_small.train_pairs, cfg, toy_vocab, stop_step=2
+        )
+        resumed = io.StringIO()
+        finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state, log=resumed)
+        assert resumed.getvalue() == lines[2] + "\n"
 
     def test_loss_decreases_on_eval_batch(self, toy_small, toy_vocab, toy_encoder_config):
         from bitextmine.encoder import encode_batch
@@ -301,6 +311,21 @@ class TestPretrain:
         tail = sum(losses[-10:]) / 10
         assert tail <= 0.8 * losses[0]
 
+    def test_training_log_numbers_steps_across_stages(self, toy_small, toy_vocab):
+        log = io.StringIO()
+        params = init_params(EncoderConfig(len(toy_vocab), hidden_dim=8, num_layers=1, max_seq_len=16), 2)
+        stages = (Stage(1, 3), Stage(2, 4))
+        cfg = PretrainConfig(stages, batch_size=8, learning_rate=2e-3, seed=1, mix=(1, 1))
+        pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab, log=log)
+        fields = [dict(f.split("=") for f in line.split()) for line in log.getvalue().splitlines()]
+        assert [int(f["step"]) for f in fields] == [1, 2, 3, 4, 5, 6, 7]
+        # each stage starts its (mlm, tlm) cycle again with MLM; only TLM steps see pairs
+        assert [int(f["pairs_seen"]) for f in fields] == [0, 8, 8, 8, 16, 16, 24]
+        lrs = [float(f["lr"]) for f in fields]
+        stage_lrs = [lr_at(cfg.stage_config(s), t) for s in stages for t in range(1, s.steps + 1)]
+        assert lrs == pytest.approx(stage_lrs, abs=1e-8)
+        assert lrs[3] == pytest.approx(cfg.learning_rate) and lrs[2] < lrs[3]
+
     def test_caller_params_left_unchanged(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 4)
         before = checkpoint_to_bytes(params, None)
@@ -317,6 +342,29 @@ class TestPretrain:
             trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
             runs.append(checkpoint_to_bytes(trained, None))
         assert runs[0] == runs[1]
+
+
+def test_one_step_loop_for_both_objectives():
+    """Both training drivers step through one runner: ``trainer.py`` holds
+    one optimizer-step call, one batch-index draw, one zeroing of the
+    gradient and one ``step=`` log line, and the optimizer step, the
+    zeroing, the log line and every checkpoint save sit in one function."""
+    sites = {"optimizer_step": [], "integers": [], "fill": [], "step=": [], "save_checkpoint": []}
+    for top in ast.parse(Path(trainer_module.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            elif isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+                name = "step=" if node.values[0].value.startswith("step=") else None
+            else:
+                continue
+            if name in sites:
+                sites[name].append(getattr(top, "name", "<module>"))
+    assert {name: len(found) for name, found in sites.items() if name != "save_checkpoint"} == {
+        "optimizer_step": 1, "integers": 1, "fill": 1, "step=": 1,
+    }
+    holders = {sites[name][0] for name in ("optimizer_step", "fill", "step=")}
+    assert len(holders) == 1 and set(sites["save_checkpoint"]) <= holders
 
 
 class TestCheckpoint:
