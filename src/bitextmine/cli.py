@@ -100,17 +100,34 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list, start
 # ---------------------------------------------------------------------------
 
 
-def _load_vocab(path):
+def _load_model(vocab_path, ckpt_path):
+    """The vocab, and the checkpoint's params and optimizer state. A
+    checkpoint made for a vocab of another size is refused: its token ids
+    would select the wrong embedding rows."""
+    from .trainer import load_checkpoint
     from .vocab import Vocab
 
-    return Vocab.load(path)
+    vocab = Vocab.load(vocab_path)
+    params, state = load_checkpoint(ckpt_path)
+    if params.config.vocab_size != len(vocab):
+        raise DataError(
+            f"{ckpt_path}: checkpoint has vocab_size {params.config.vocab_size}, "
+            f"but {vocab_path} holds {len(vocab)} pieces"
+        )
+    return vocab, params, state
 
 
-def _load_encoder(path):
-    from .trainer import load_checkpoint
-
-    params, _ = load_checkpoint(path)
-    return params
+def _int_list(flag: str, value: str, form: str, sep: str = ",", count: int | None = None) -> list[int]:
+    """The integers of a ``sep``-separated flag value. An empty or
+    non-integer entry, or a count other than ``count``, is a usage error
+    naming the flag and its ``form``."""
+    try:
+        numbers = [int(x) for x in value.split(sep)]
+    except ValueError:
+        numbers = None
+    if numbers is None or count not in (None, len(numbers)):
+        raise UsageError(f"{flag} wants {form}, got {value!r}")
+    return numbers
 
 
 def _read_mono(path, lang="und"):
@@ -198,24 +215,25 @@ def cmd_pretrain(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
     from .encoder import init_params
     from .trainer import PretrainConfig, Stage, pretrain, save_checkpoint
+    from .vocab import Vocab
 
+    layers = _int_list("--stage-layers", args.stage_layers, "comma-separated layer counts such as 1,2")
+    steps = _int_list("--stage-steps", args.stage_steps, "comma-separated step counts such as 300,300")
+    mix = _int_list("--mix", args.mix, "MLM:TLM, two integers such as 1:1", sep=":", count=2)
     with _flag_values():
-        layers = [int(x) for x in args.stage_layers.split(",") if x]
-        steps = [int(x) for x in args.stage_steps.split(",") if x]
         if len(layers) != len(steps):
             raise ValueError("--stage-layers and --stage-steps must list the same count")
-        mlm_share, _, tlm_share = args.mix.partition(":")
         config = PretrainConfig(
             stages=tuple(map(Stage, layers, steps)),
             batch_size=args.batch_size,
             learning_rate=args.lr,
             seed=args.seed,
-            mix=(int(mlm_share), int(tlm_share)),
+            mix=tuple(mix),
             mask_fraction=args.mask_fraction,
             mask_cap=args.mask_cap,
         )
         shape = _encoder_shape(args, config.stages[0].num_layers)
-    vocab = _load_vocab(args.vocab)
+    vocab = Vocab.load(args.vocab)
     mono = []
     for path in args.mono or []:
         mono.extend(_read_mono(path))
@@ -232,7 +250,8 @@ def cmd_pretrain(args) -> tuple[list, list]:
 def cmd_train(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
     from .encoder import init_params
-    from .trainer import TrainConfig, check_resumable, finetune_dual_encoder, load_checkpoint
+    from .trainer import TrainConfig, check_resumable, finetune_dual_encoder
+    from .vocab import Vocab
 
     if args.init and args.resume:
         raise UsageError("train takes --init or --resume, not both")
@@ -250,18 +269,19 @@ def cmd_train(args) -> tuple[list, list]:
             weight_decay=args.weight_decay,
         )
         shape = None if args.init or args.resume else _encoder_shape(args, args.layers)
-    vocab = _load_vocab(args.vocab)
+    if args.init or args.resume:
+        vocab, params, state = _load_model(args.vocab, args.init or args.resume)
+    else:
+        vocab, state = Vocab.load(args.vocab), None
     pairs = read_pairs_tsv(args.pairs)
     if not pairs:
         raise DataError(f"{args.pairs}: no pairs")
-    state = None
     if args.resume:
-        params, state = load_checkpoint(args.resume)
         if state is None:
             raise DataError(f"{args.resume}: checkpoint has no optimizer state to resume")
         check_resumable(state, config)  # before the log is opened
     elif args.init:
-        params = _load_encoder(args.init)
+        state = None
     else:
         params = init_params(replace(shape, vocab_size=len(vocab)), seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
@@ -284,8 +304,7 @@ def cmd_train(args) -> tuple[list, list]:
 def cmd_encode(args) -> tuple[list, list]:
     from .vecindex import pool_files, write_pool
 
-    vocab = _load_vocab(args.vocab)
-    params = _load_encoder(args.ckpt)
+    vocab, params, _ = _load_model(args.vocab, args.ckpt)
     sentences = _read_mono(args.input)
     vectors = _encode_pool(params, vocab, sentences)
     write_pool(args.out, vectors, [s.id for s in sentences])
@@ -347,8 +366,7 @@ def cmd_mine(args) -> tuple[list, list]:
         index_config = None
         if args.clusters > 0:
             index_config = IndexConfig(clusters=args.clusters, probes=args.probes, seed=args.seed)
-    vocab = _load_vocab(args.vocab)
-    params = _load_encoder(args.ckpt)
+    vocab, params, _ = _load_model(args.vocab, args.ckpt)
     side_a = _read_mono(args.src, args.src_lang)
     side_b = _read_mono(args.tgt, args.tgt_lang)
     swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
@@ -466,38 +484,6 @@ def cmd_eval_sts(args) -> tuple[list, list]:
     write_metrics_report({"pearson_r": r, "pairs": len(gold)}, args.out)
     _log(f"eval-sts: r={r:.4f} -> {args.out}")
     return pool_files(args.pool_a) + pool_files(args.pool_b) + [args.gold_scores], [args.out, str(args.out) + ".json"]
-
-
-def cmd_stats(args) -> tuple[list, list]:
-    from .corpus import corpus_stats, format_stats_report
-    from .fileio import atomic_write_text
-
-    vocab = _load_vocab(args.vocab)
-    by_lang: dict[str, list] = {}
-    for path in args.mono:
-        for s in _read_mono(path, args.lang):
-            by_lang.setdefault(s.lang, []).append(s)
-    stats = {lang: corpus_stats(sents, vocab) for lang, sents in by_lang.items()}
-    atomic_write_text(args.out, format_stats_report(stats))
-    _log(f"stats: {len(stats)} languages -> {args.out}")
-    return list(args.mono) + [args.vocab], [args.out]
-
-
-def cmd_report(args) -> tuple[list, list]:
-    from .corpus import read_pairs_tsv
-    from .evaluation import write_metrics_report
-    from .mining import MiningConfig, mining_report
-
-    with _flag_values():
-        config = MiningConfig(
-            similarity_threshold=args.threshold,
-            selection_fraction=args.fraction,
-        )
-    pairs = read_pairs_tsv(args.pairs)
-    report, _ = mining_report(pairs, config, sources_processed=args.sources_processed)
-    write_metrics_report(report, args.out)
-    _log(f"report: {len(pairs)} pairs -> {args.out}")
-    return [args.pairs], [args.out, str(args.out) + ".json"]
 
 
 # ---------------------------------------------------------------------------
@@ -653,19 +639,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp.add_argument("--pool-a", required=True, help="first side pool")
     sp.add_argument("--pool-b", required=True, help="second side pool (same ids, row for row)")
     sp.add_argument("--gold-scores", required=True, help="one gold score per line")
-    sp.add_argument("--out", required=True, help="report path")
-
-    sp = add("stats", cmd_stats, "vocabulary diagnostics per language")
-    sp.add_argument("--mono", action="append", required=True, help="monolingual file (repeatable)")
-    sp.add_argument("--lang", default="und", help="language for unprefixed lines")
-    sp.add_argument("--vocab", required=True, help="vocab file")
-    sp.add_argument("--out", required=True, help="report path")
-
-    sp = add("report", cmd_report, "mining report for an existing pairs TSV")
-    sp.add_argument("--pairs", required=True, help="mined pairs TSV with scores")
-    sp.add_argument("--threshold", type=float, default=0.6, help="threshold recorded in the report")
-    sp.add_argument("--fraction", type=float, default=0.2, help="selection fraction")
-    sp.add_argument("--sources-processed", type=int, default=0, help="source count for the report")
     sp.add_argument("--out", required=True, help="report path")
 
     return parser, subs

@@ -1,5 +1,4 @@
-"""Corpus data types, file readers and writers, and vocabulary-coverage
-diagnostics.
+"""Corpus data types, file readers and writers.
 
 File formats handled here, each read by the one line rule of
 ``fileio.read_lines`` (UTF-8, lines that are empty or whitespace only
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,63 +47,6 @@ class SentencePair:
     def __post_init__(self) -> None:
         if self.score is not None and not math.isfinite(self.score):
             raise ValueError(f"pair score must be finite, got {self.score!r}")
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Tokenization diagnostics for one corpus slice."""
-
-    unknown_token_rate: float
-    avg_token_length: float
-    avg_sentence_length: float
-    sentence_count: int
-
-
-def corpus_stats(sentences: Sequence[Sentence], vocab) -> CorpusStats:
-    """Tokenize a corpus and report unknown-token rate and length averages.
-
-    ``avg_token_length`` counts characters of matched surface pieces with
-    the continuation marker stripped; unknown tokens have no matched
-    surface and are excluded from that average. ``avg_sentence_length``
-    counts tokens per sentence excluding special tokens.
-    """
-    from .vocab import CONTINUATION_MARKER, UNK_ID, content_ids
-
-    token_total = 0
-    unk_total = 0
-    surface_chars = 0
-    matched_tokens = 0
-    for sent in sentences:
-        for tid in content_ids(sent.text, vocab):
-            token_total += 1
-            if tid == UNK_ID:
-                unk_total += 1
-            else:
-                surface_chars += len(vocab.pieces[tid].removeprefix(CONTINUATION_MARKER))
-                matched_tokens += 1
-    n = len(sentences)
-    if n == 0 or token_total == 0:
-        return CorpusStats(0.0, 0.0, 0.0, n)
-    return CorpusStats(
-        unknown_token_rate=unk_total / token_total,
-        avg_token_length=surface_chars / matched_tokens if matched_tokens else 0.0,
-        avg_sentence_length=token_total / n,
-        sentence_count=n,
-    )
-
-
-def format_stats_report(stats_by_lang: Mapping[str, CorpusStats]) -> str:
-    """One line per language, space-separated name=value fields."""
-    lines = []
-    for lang in sorted(stats_by_lang):
-        st = stats_by_lang[lang]
-        lines.append(
-            f"lang={lang} sentence_count={st.sentence_count}"
-            f" unknown_token_rate={st.unknown_token_rate:.6f}"
-            f" avg_token_length={st.avg_token_length:.6f}"
-            f" avg_sentence_length={st.avg_sentence_length:.6f}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Sentence]:

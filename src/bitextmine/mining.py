@@ -126,7 +126,7 @@ def score_histogram(pairs: Sequence[SentencePair]) -> dict[str, int]:
 def mining_report(
     pairs: Sequence[SentencePair],
     config: MiningConfig,
-    sources_processed: int = 0,
+    sources_processed: int,
 ) -> tuple[dict[str, object], list[SentencePair]]:
     """Dedup the emitted pairs and select the top fraction, once.
 

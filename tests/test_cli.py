@@ -3,22 +3,21 @@ a manifest of its config, input digests and outputs, and a failed run
 writes none; rejected flag values and config-file values exit 1 (usage
 error), refused checkpoints, index configs and malformed inputs exit 2
 (data error), divergent training exits 3 (numerical failure); ``search``
-writes the library's results for an exact and a partitioned index, and
-``report`` applies the mining selection rule to an existing pair file."""
+writes the library's results for an exact and a partitioned index."""
 
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 
 from bitextmine import cli
-from bitextmine.corpus import SentencePair, format_pairs_tsv, read_pairs_tsv
+from bitextmine.corpus import format_pairs_tsv
 from bitextmine.fileio import sha256_file
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
 from bitextmine.vecindex import EXACT, _read_rows, _write_rows, load_index, read_pool, search, write_pool
+from bitextmine.vocab import Vocab
 
 from conftest import version_2_bytes
 
@@ -75,6 +74,9 @@ def invalid_argv(d, case):
         "train-checkpoint-interval": train + ["--checkpoint-interval", -1],
         "pretrain-mix": pretrain + ["--mix", "0:x"],
         "pretrain-mix-zero": pretrain + ["--mix", "0:0"],
+        "pretrain-mix-one-share": pretrain + ["--mix", "1"],
+        "pretrain-stage-layers-empty-entry": pretrain + ["--stage-layers", "1,,2"],
+        "pretrain-stage-steps-empty-entry": pretrain + ["--stage-steps", "2,2,"],
         "pretrain-mask-fraction-high": pretrain + ["--mix", "0:1", "--mask-fraction", 1.5],
         "pretrain-mask-fraction-zero": pretrain + ["--mask-fraction", 0],
         "pretrain-mask-cap": pretrain + ["--mask-cap", 0],
@@ -124,6 +126,15 @@ def tatoeba_set(d, lang="xx"):
     return f"{lang}={d / 'src.pool'},{d / 'tgt.pool'},{d / 'gold.tsv'}"
 
 
+# Cases of a malformed list flag, and the flag their message must name.
+LIST_FLAG = {
+    "pretrain-mix": "--mix",
+    "pretrain-mix-one-share": "--mix",
+    "pretrain-stage-layers-empty-entry": "--stage-layers",
+    "pretrain-stage-steps-empty-entry": "--stage-steps",
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -134,6 +145,9 @@ def tatoeba_set(d, lang="xx"):
         "train-checkpoint-interval",
         "pretrain-mix",
         "pretrain-mix-zero",
+        "pretrain-mix-one-share",
+        "pretrain-stage-layers-empty-entry",
+        "pretrain-stage-steps-empty-entry",
         "pretrain-mask-fraction-high",
         "pretrain-mask-fraction-zero",
         "pretrain-mask-cap",
@@ -163,7 +177,9 @@ def tatoeba_set(d, lang="xx"):
 def test_invalid_flag_value_is_usage_error(work, case, capsys):
     out, argv = invalid_argv(work, case)
     assert run(*argv) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert case not in LIST_FLAG or f"usage error: {LIST_FLAG[case]} wants " in err
     assert not out.exists()
     assert not manifest_path(out).exists()
     assert not out.with_name(out.name + ".log").exists()  # refused before the training log opens
@@ -275,6 +291,41 @@ def test_refused_resume_leaves_the_log_alone(work, capsys):
     assert capsys.readouterr().err.count("cannot resume") == 2
 
 
+@pytest.fixture(scope="module")
+def small_model(work):
+    """A vocab with fewer pieces than the fixture's, and a two-step
+    checkpoint trained with it."""
+    vocab, ckpt = work / "small-vocab.txt", work / "small.ckpt"
+    assert run("build-vocab", "--pairs", work / "pairs.tsv", "--target-size", 60, "--out", vocab) == 0
+    argv = ["train", "--pairs", work / "pairs.tsv", "--vocab", vocab, "--out", ckpt]
+    assert run(*argv, "--steps", 2, "--batch-size", 8, "--hidden-dim", 8) == 0
+    return vocab, ckpt
+
+
+@pytest.mark.parametrize("vocab_is", ["smaller", "larger"])
+@pytest.mark.parametrize("command", ["encode", "mine", "train-init", "train-resume"])
+def test_checkpoint_for_a_vocab_of_another_size_is_data_error(work, small_model, tmp_path, capsys, command, vocab_is):
+    """Token ids of another vocab would select the wrong embedding rows;
+    the refusal names both files and both sizes, before the log opens."""
+    vocab, ckpt = (small_model[0], work / "model.ckpt") if vocab_is == "smaller" else (work / "vocab.txt", small_model[1])
+    vocab_size, ckpt_size = len(Vocab.load(vocab)), load_checkpoint(ckpt)[0].config.vocab_size
+    assert (vocab_size < ckpt_size) == (vocab_is == "smaller")
+    train = ["train", "--pairs", work / "pairs.tsv", "--steps", 2, "--batch-size", 8]
+    argv = {
+        "encode": ["encode", "--input", work / "src.txt", "--ckpt", ckpt],
+        "mine": ["mine", "--src", work / "src.txt", "--tgt", work / "tgt.txt", "--ckpt", ckpt],
+        "train-init": train + ["--init", ckpt],
+        "train-resume": train + ["--resume", ckpt],
+    }[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--vocab", vocab, "--out", out) == 2
+    message = f"{ckpt}: checkpoint has vocab_size {ckpt_size}, but {vocab} holds {vocab_size} pieces"
+    assert f"bitextmine: data error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+    assert not (tmp_path / "out.log").exists()
+
+
 @pytest.mark.parametrize("index_flags", [[], ["--clusters", 4, "--probes", 2]])
 def test_search_writes_the_per_query_results(work, tmp_path, index_flags):
     queries = tmp_path / "src.pool"
@@ -350,28 +401,11 @@ def test_exact_index_written_over_a_partitioned_one_leaves_no_partition(work, tm
     assert hits.read_text(encoding="utf-8").splitlines() == expected
 
 
-def test_report_on_unscored_pairs_is_data_error(work, capsys):
-    assert run("report", "--pairs", work / "pairs.tsv", "--out", work / "unscored.report") == 2
-    assert "lack scores" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("fraction", [0.2, 0.33, 1.0])
-def test_report_selects_ceil_of_fraction(work, tmp_path, fraction):
-    pairs = make_toy_corpus(25, 0, seed=5, lexicon_size=20, min_words=2, max_words=4).train_pairs
-    scored = [SentencePair(p.src, p.tgt, score=(i % 7) / 10) for i, p in enumerate(pairs)]
-    (tmp_path / "scored.tsv").write_text(format_pairs_tsv(scored), encoding="utf-8")
-    out = tmp_path / "scored.report"
-    assert run("report", "--pairs", tmp_path / "scored.tsv", "--fraction", fraction, "--out", out) == 0
-    report = json.loads((tmp_path / "scored.report.json").read_text(encoding="utf-8"))
-    assert report["pairs_emitted"] == report["pairs_post_dedup"] == 25
-    assert report["pairs_post_selection"] == math.ceil(fraction * 25)
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_pair_score_that_is_not_finite_names_its_line(tmp_path, capsys, bad):
     (tmp_path / "scored.tsv").write_text(f"aa\tbb\tx\ty\t0.5\n\naa\tbb\tz\tw\t{bad}\n", encoding="utf-8")
-    out = tmp_path / "scored.report"
-    assert run("report", "--pairs", tmp_path / "scored.tsv", "--out", out) == 2
+    out = tmp_path / "vocab.txt"
+    assert run("build-vocab", "--pairs", tmp_path / "scored.tsv", "--target-size", 50, "--out", out) == 2
     assert f"{tmp_path / 'scored.tsv'}:3: bad score {bad!r}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -404,8 +438,6 @@ def manifest_case(d, t, command):
         return [t / name, t / f"{name}.json"]
 
     (t / "scores.txt").write_text("".join(f"{i % 5}\n" for i in range(40)), encoding="utf-8")
-    scored = [SentencePair(p.src, p.tgt, score=i / 10) for i, p in enumerate(read_pairs_tsv(d / "pairs.tsv")[:8])]
-    (t / "scored.tsv").write_text(format_pairs_tsv(scored), encoding="utf-8")
     index = ["index", "--pool", d / "tgt.pool", "--out", t / "idx", "--clusters", 4, "--probes", 2]
     return {
         "build-vocab": (
@@ -466,13 +498,6 @@ def manifest_case(d, t, command):
             [d / "src.pool", d / "src.pool.ids", d / "tgt.pool", d / "tgt.pool.ids", t / "scores.txt"],
             report("sts"),
         ),
-        "stats": (
-            [],
-            ["--mono", d / "src.txt", "--mono", d / "tgt.txt", "--vocab", d / "vocab.txt", "--out", t / "stats"],
-            [d / "src.txt", d / "tgt.txt", d / "vocab.txt"],
-            [t / "stats"],
-        ),
-        "report": ([], ["--pairs", t / "scored.tsv", "--out", t / "rep"], [t / "scored.tsv"], report("rep")),
     }[command]
 
 
@@ -527,61 +552,67 @@ def test_whitespace_only_monolingual_file_has_no_sentences(work, tmp_path, capsy
     assert not (tmp_path / "blank.pool").exists()
 
 
+def bucc_argv(d, t):
+    """``eval-bucc`` over the fixture's pools without ``--k``, its report at ``t/bucc``."""
+    pools = ["--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool"]
+    return ["eval-bucc", *pools, "--gold", d / "gold.tsv", "--out", t / "bucc"]
+
+
+def p1_pools(d):
+    return ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool"]
+
+
+def read_json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("spelling", ["--config PATH", "--config=PATH", "--conf PATH"])
 def test_config_file_value_becomes_the_default(work, tmp_path, spelling):
-    _, argv, _, _ = manifest_case(work, tmp_path, "report")
-    (tmp_path / "run.ini").write_text("[report]\nfraction = 0.5\n", encoding="utf-8")
-    assert run("report", *argv, *spelling.replace("PATH", str(tmp_path / "run.ini")).split()) == 0
-    assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 4
-    assert json.loads((tmp_path / "rep.manifest.json").read_text(encoding="utf-8"))["config"]["fraction"] == 0.5
+    (tmp_path / "run.ini").write_text("[eval-bucc]\nk = 2\n", encoding="utf-8")
+    assert run(*bucc_argv(work, tmp_path), *spelling.replace("PATH", str(tmp_path / "run.ini")).split()) == 0
+    assert read_json(tmp_path / "bucc.json")["candidates"] == 80
+    assert read_json(tmp_path / "bucc.manifest.json")["config"]["k"] == 2
 
 
 @pytest.mark.parametrize("flag", ["--config", "--determ"])
 def test_deterministic_from_any_spelling_pins_blas_threads(work, tmp_path, monkeypatch, flag):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    _, argv, _, _ = manifest_case(work, tmp_path, "report")
-    (tmp_path / "run.ini").write_text("[report]\ndeterministic = true\n", encoding="utf-8")
-    assert run("report", *argv, *([flag, tmp_path / "run.ini"] if flag == "--config" else [flag])) == 0
+    (tmp_path / "run.ini").write_text("[eval-bucc]\ndeterministic = true\n", encoding="utf-8")
+    assert run(*bucc_argv(work, tmp_path), *([flag, tmp_path / "run.ini"] if flag == "--config" else [flag])) == 0
     assert all(os.environ[var] == "1" for var in cli._THREAD_VARS)
 
 
 def test_flag_overrides_the_config_file(work, tmp_path):
-    _, argv, _, _ = manifest_case(work, tmp_path, "report")
-    (tmp_path / "run.ini").write_text("[report]\nfraction = 0.5\n", encoding="utf-8")
-    assert run("report", *argv, "--config", tmp_path / "run.ini", "--fraction", 1.0) == 0
-    assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 8
+    (tmp_path / "run.ini").write_text("[eval-bucc]\nk = 2\n", encoding="utf-8")
+    assert run(*bucc_argv(work, tmp_path), "--config", tmp_path / "run.ini", "--k", 3) == 0
+    assert read_json(tmp_path / "bucc.json")["candidates"] == 120
 
 
 def test_repeatable_flag_replaces_the_config_file_list(work, tmp_path):
-    (tmp_path / "run.ini").write_text(f"[stats]\nmono = {work / 'src.txt'}\n", encoding="utf-8")
-    argv = ["stats", "--vocab", work / "vocab.txt", "--out", tmp_path / "st", "--config", tmp_path / "run.ini"]
+    (tmp_path / "run.ini").write_text(f"[build-vocab]\nmono = {work / 'src.txt'}\n", encoding="utf-8")
+    argv = ["build-vocab", "--target-size", 200, "--out", tmp_path / "v.txt", "--config", tmp_path / "run.ini"]
     assert run(*argv, "--mono", work / "tgt.txt", "--mono", work / "tgt.txt") == 0
-    manifest = json.loads((tmp_path / "st.manifest.json").read_text(encoding="utf-8"))
-    assert manifest["config"]["mono"] == [str(work / "tgt.txt")] * 2
+    assert read_json(tmp_path / "v.txt.manifest.json")["config"]["mono"] == [str(work / "tgt.txt")] * 2
     assert run(*argv) == 0
-    manifest = json.loads((tmp_path / "st.manifest.json").read_text(encoding="utf-8"))
-    assert manifest["config"]["mono"] == [str(work / "src.txt")]
+    assert read_json(tmp_path / "v.txt.manifest.json")["config"]["mono"] == [str(work / "src.txt")]
 
 
 def test_config_file_supplies_a_required_option(work, tmp_path):
-    manifest_case(work, tmp_path, "report")  # writes scored.tsv
-    (tmp_path / "run.ini").write_text(f"[report]\npairs = {tmp_path / 'scored.tsv'}\n", encoding="utf-8")
-    assert run("report", "--out", tmp_path / "rep", "--config", tmp_path / "run.ini") == 0
-    assert json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["pairs_post_selection"] == 2
-    manifest = json.loads((tmp_path / "rep.manifest.json").read_text(encoding="utf-8"))
-    assert manifest["config"]["pairs"] == str(tmp_path / "scored.tsv")
+    (tmp_path / "run.ini").write_text(f"[eval-p1]\ngold = {work / 'gold.tsv'}\n", encoding="utf-8")
+    assert run(*p1_pools(work), "--out", tmp_path / "p1", "--config", tmp_path / "run.ini") == 0
+    assert read_json(tmp_path / "p1.json")["gold_pairs"] == 40
+    assert read_json(tmp_path / "p1.manifest.json")["config"]["gold"] == str(work / "gold.tsv")
 
 
 def test_required_option_in_neither_flags_nor_config_file_is_usage_error(work, tmp_path, capsys):
-    manifest_case(work, tmp_path, "report")
-    (tmp_path / "run.ini").write_text(f"[report]\npairs = {tmp_path / 'scored.tsv'}\n", encoding="utf-8")
-    assert run("report", "--config", tmp_path / "run.ini") == 1
+    (tmp_path / "run.ini").write_text(f"[eval-p1]\ngold = {work / 'gold.tsv'}\n", encoding="utf-8")
+    assert run(*p1_pools(work), "--config", tmp_path / "run.ini") == 1
     err = capsys.readouterr().err
-    assert "the following arguments are required: --out" in err and "--pairs" not in err.splitlines()[-1]
-    assert run("report", "--out", tmp_path / "rep") == 1
-    assert "the following arguments are required: --pairs" in capsys.readouterr().err
-    assert not (tmp_path / "rep").exists()
+    assert "the following arguments are required: --out" in err and "--gold" not in err.splitlines()[-1]
+    assert run(*p1_pools(work), "--out", tmp_path / "p1") == 1
+    assert "the following arguments are required: --gold" in capsys.readouterr().err
+    assert not (tmp_path / "p1").exists()
 
 
 def test_config_file_value_of_the_wrong_type_is_usage_error(work, tmp_path, capsys):

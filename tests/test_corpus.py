@@ -3,22 +3,14 @@ import re
 import pytest
 
 from bitextmine.corpus import (
-    CorpusStats,
     Sentence,
     SentencePair,
-    corpus_stats,
     format_pairs_tsv,
-    format_stats_report,
     read_monolingual,
     read_pairs_tsv,
 )
 from bitextmine.errors import DataError
 from bitextmine.mining import select_top_fraction
-from bitextmine.vocab import Vocab, SPECIAL_TOKENS
-
-
-def s(text, lang="xx", sid="0"):
-    return Sentence(id=sid, lang=lang, text=text)
 
 
 def pair(src_text, tgt_text, score=None, src_lang="aa", tgt_lang="bb", n=0):
@@ -64,50 +56,6 @@ class TestSelectByScore:
         pairs = [pair(str(i), "b", float(i), n=i) for i in range(10)]
         for frac, want in [(0.2, 2), (0.25, 3), (0.5, 5), (1.0, 10)]:
             assert len(select_top_fraction(pairs, frac)) == want
-
-
-def tiny_vocab(extra):
-    return Vocab(pieces=list(SPECIAL_TOKENS) + extra)
-
-
-class TestCorpusStats:
-    def test_hand_counted_example(self):
-        vocab = tiny_vocab(["ab", "c"])
-        stats = corpus_stats([s("ab c")], vocab)
-        assert stats.unknown_token_rate == 0.0
-        assert stats.avg_token_length == pytest.approx(1.5)
-        assert stats.avg_sentence_length == pytest.approx(2.0)
-        assert stats.sentence_count == 1
-
-    def test_empty_corpus_is_all_zero(self):
-        stats = corpus_stats([], tiny_vocab(["a"]))
-        assert stats == CorpusStats(0.0, 0.0, 0.0, 0)
-
-    def test_out_of_vocab_glyph_forces_unknown(self):
-        stats = corpus_stats([s("☃")], tiny_vocab(["a"]))
-        assert stats.unknown_token_rate == 1.0
-
-    def test_continuation_marker_excluded_from_length(self):
-        vocab = tiny_vocab(["a", "##bc"])
-        stats = corpus_stats([s("abc")], vocab)
-        # pieces are "a" and "##bc": surfaces "a" and "bc"
-        assert stats.avg_token_length == pytest.approx(1.5)
-
-    def test_concatenation_is_token_weighted(self):
-        vocab = tiny_vocab(["aa", "zz"])
-        c1 = [s("aa aa aa")]
-        c2 = [s("qq"), s("zz qq qq zz")]
-        s1, s2 = corpus_stats(c1, vocab), corpus_stats(c2, vocab)
-        both = corpus_stats(c1 + c2, vocab)
-        t1 = 3, 5
-        n1, n2 = 3, 5
-        expected = (s1.unknown_token_rate * n1 + s2.unknown_token_rate * n2) / (n1 + n2)
-        assert both.unknown_token_rate == pytest.approx(expected)
-
-    def test_report_format(self):
-        vocab = tiny_vocab(["ab", "c"])
-        text = format_stats_report({"aa": corpus_stats([s("ab c")], vocab)})
-        assert text.startswith("lang=aa sentence_count=1 unknown_token_rate=0.000000")
 
 
 class TestFiles:

@@ -1,7 +1,9 @@
 """The benchmark's traced run times the functions named in
 ``bench/tracing.py``; a name that no longer resolves drops its metrics
 from the benchmark. The list is read from the file's source, so the
-benchmark code itself is not imported here. The benchmark's per-step
+benchmark code itself is not imported here. The names that
+``bench/*.py`` import from ``bitextmine`` are read the same way, since
+removing one would break the benchmark. The benchmark's per-step
 latency is timed between calls to ``trainer.optimizer_step``, so each
 training step must make exactly one.
 """
@@ -15,7 +17,8 @@ import pytest
 from bitextmine import trainer
 from bitextmine.encoder import EncoderConfig, init_params
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def traced_layers():
@@ -35,6 +38,28 @@ def test_every_traced_layer_resolves_to_a_function():
         if not callable(getattr(importlib.import_module(f"bitextmine.{module}"), function, None))
     ]
     assert missing == []
+
+
+def bench_imports():
+    """``(module, name)`` for each ``from bitextmine... import name`` in ``bench/*.py``."""
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bitextmine":
+                yield from ((node.module, alias.name) for alias in node.names)
+
+
+def importable(module, name):
+    """Whether ``from module import name`` succeeds: an attribute or a submodule."""
+    try:
+        return hasattr(importlib.import_module(module), name) or bool(importlib.import_module(f"{module}.{name}"))
+    except ImportError:
+        return False
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    imported = list(bench_imports())
+    assert ("bitextmine.toydata", "make_toy_corpus") in imported
+    assert [f"{module}.{name}" for module, name in imported if not importable(module, name)] == []
 
 
 @pytest.mark.parametrize("run", ["finetune", "pretrain"])
