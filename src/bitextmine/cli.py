@@ -1,9 +1,13 @@
 """Command-line entry point wiring the library into reproducible
 pipelines.
 
-Every command resolves its configuration from flags plus an optional
-INI-style config file (flat key=value under a section named after the
-subcommand; flags override file values) and writes outputs atomically.
+Every command takes its configuration from flags. An argument ``@FILE``
+is replaced by the arguments that FILE holds, split line by line like a
+shell command line: ``#`` starts a comment and blank lines are skipped.
+The file may also name the command (``bitextmine @run.args``). Later
+arguments win for a single-value option, and a repeatable flag appends
+to what came before it. A missing FILE, or a line that cannot be split,
+is a usage error that names it. Commands write their outputs atomically.
 After a command succeeds, ``main`` writes a JSON run manifest beside its
 first output recording the resolved config, input digests, seed,
 artifact paths, and wall-clock duration; a failed command writes none.
@@ -15,11 +19,10 @@ Logs go to stderr; data only ever goes to files.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
-import io
 import json
 import os
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -34,26 +37,18 @@ from .errors import DataError, NumericalError, UsageError
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class _Repeatable(argparse._AppendAction):
-    """``append`` whose first flag replaces the default list (a config
-    file's values) instead of extending it."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest, None) is self.default:
-            setattr(namespace, self.dest, None)
-        super().__call__(parser, namespace, values, option_string)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1 instead of 2, and
-    repeatable flags that override a config file's list."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.register("action", "append", _Repeatable)
+    ``@FILE`` lines split like a shell command line."""
 
     def error(self, message: str) -> "None":
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:
+            self.error(f"cannot split argument-file line {arg_line!r}: {exc}")
 
 
 def _log(msg: str) -> None:
@@ -80,7 +75,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list, start
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "command", "config") and not k.startswith("_")
+        if k not in ("func", "command") and not k.startswith("_")
     }
     manifest = {
         "command": args.command,
@@ -233,6 +228,9 @@ def cmd_pretrain(args) -> tuple[list, list]:
             mask_cap=args.mask_cap,
         )
         shape = _encoder_shape(args, config.stages[0].num_layers)
+        for share, kind, flag in ((mix[0], "MLM", "mono"), (mix[1], "TLM", "pairs")):
+            if share and not getattr(args, flag):
+                raise ValueError(f"--mix {args.mix} asks for {kind} batches, which need --{flag}")
     vocab = Vocab.load(args.vocab)
     mono = []
     for path in args.mono or []:
@@ -487,12 +485,11 @@ def cmd_eval_sts(args) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# Parser construction and config-file resolution.
+# Parser construction.
 # ---------------------------------------------------------------------------
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="INI config file; flags override its values")
     sp.add_argument(
         "--deterministic",
         action="store_true",
@@ -501,7 +498,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    parser = _Parser(prog="bitextmine", description=__doc__)
+    parser = _Parser(prog="bitextmine", description=__doc__, fromfile_prefix_chars="@")
     parser.add_argument("--version", action="version", version=f"bitextmine {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
@@ -644,62 +641,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, subs
 
 
-def _named_config(parser: _Parser, subs: dict, argv: list[str]) -> argparse.Namespace | None:
-    """The command and ``--config`` that ``argv`` names, from a silent
-    parse in which no option is required (a config file may supply it);
-    None if even that parse fails, so the real parse reports the error."""
-    required = [a for sp in subs.values() for a in sp._actions if a.required]
-    for action in required:
-        action.required = False
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return parser.parse_known_args(argv)[0]
-    except SystemExit:
-        return None
-    finally:
-        for action in required:
-            action.required = True
-
-
-def _apply_config_file(path: str, command: str, sp: argparse.ArgumentParser) -> None:
-    """Install config-file values as subparser defaults (flags still win).
-    An option the file supplies is no longer required on the command line."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise DataError(f"config file {path!r} not found")
-    if command not in cp:
-        return
-    section = cp[command]
-    known = {a.dest: a for a in sp._actions}
-    overrides = {}
-    for raw_key, raw_value in section.items():
-        key = raw_key.replace("-", "_")
-        if key not in known:
-            raise UsageError(f"config file {path!r}: unknown key {raw_key!r} for {command}")
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            overrides[key] = raw_value.strip().lower() in ("1", "true", "yes", "on")
-        elif isinstance(action, argparse._AppendAction):
-            overrides[key] = [v for v in raw_value.split() if v]
-        elif action.type is not None:
-            try:
-                overrides[key] = action.type(raw_value)
-            except ValueError as exc:
-                raise UsageError(f"config file {path!r}: bad value {raw_value!r} for key {raw_key!r}") from exc
-        else:
-            overrides[key] = raw_value
-        action.required = False
-    sp.set_defaults(**overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = build_parser()
+    parser, _ = build_parser()
     try:
-        named = _named_config(parser, subs, argv)
-        if named is not None and named.config:  # file values become subparser defaults
-            _apply_config_file(named.config, named.command, subs[named.command])
         args = parser.parse_args(argv)
         if args.deterministic:
             for var in _THREAD_VARS:

@@ -98,9 +98,14 @@ def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
 
 
 def format_pairs_tsv(pairs: Iterable[SentencePair]) -> str:
-    """Serialize pairs to the TSV wire format (scores with 6 decimals)."""
+    """Serialize pairs to the TSV wire format (scores with 6 decimals). A
+    text that holds a tab raises ``ValueError`` naming its sentence id: it
+    would split its column, and ``read_pairs_tsv`` would refuse the row."""
     rows = []
     for p in pairs:
+        for s in (p.src, p.tgt):
+            if "\t" in s.text:
+                raise ValueError(f"sentence {s.id!r} holds a tab and cannot be written as one TSV column")
         base = f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}"
         rows.append(base if p.score is None else f"{base}\t{p.score:.6f}")
     return "\n".join(rows) + ("\n" if rows else "")

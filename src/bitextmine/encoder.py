@@ -56,9 +56,11 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.embed_dim == 0:
             object.__setattr__(self, "embed_dim", self.hidden_dim)
-        for name in ("vocab_size", "hidden_dim", "num_layers", "max_seq_len", "embed_dim"):
+        for name in ("vocab_size", "hidden_dim", "num_layers", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.max_seq_len < 3:
+            raise ValueError(f"max_seq_len must be >= 3 ([CLS], a token, [SEP]), got {self.max_seq_len}")
 
 
 @dataclass

@@ -204,7 +204,8 @@ def read_gold_tsv(path: str | Path) -> GoldAlignment:
 
 
 def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
-    """Candidate triples with finite scores, each (src_id, tgt_id) once."""
+    """Candidate triples with finite scores, each (src_id, tgt_id) once;
+    a file with none raises ``DataError``."""
     out, seen = [], set()
     for lineno, (s, t, raw_score) in read_rows(path, (3,), "src_id<TAB>tgt_id<TAB>score"):
         score = parse_score(raw_score, path, lineno)
@@ -212,6 +213,8 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
             raise DataError(f"{path}:{lineno}: duplicate candidate ({s!r}, {t!r})")
         seen.add((s, t))
         out.append((s, t, score))
+    if not out:
+        raise DataError(f"{path}: no candidates")
     return out
 
 

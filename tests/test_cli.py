@@ -1,12 +1,16 @@
 """``bitextmine.cli.main`` on a small toy corpus: every subcommand writes
 a manifest of its config, input digests and outputs, and a failed run
-writes none; rejected flag values and config-file values exit 1 (usage
-error), refused checkpoints, index configs and malformed inputs exit 2
-(data error), divergent training exits 3 (numerical failure); ``search``
-writes the library's results for an exact and a partitioned index."""
+writes none; rejected flag values, and ``@FILE`` config files that are
+missing, cannot be split or hold a rejected value, exit 1 (usage error);
+refused checkpoints, index configs and malformed inputs exit 2 (data
+error), divergent training exits 3 (numerical failure); ``search`` writes
+the library's results for an exact and a partitioned index. An AST check
+keeps ``cli.py`` on argparse's public interface."""
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,9 @@ def invalid_argv(d, case):
         # a vocab that does not exist: the encoder shape is checked before any read
         "pretrain-hidden-dim": pretrain + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
         "train-hidden-dim": train + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
+        "train-max-seq-len": train + ["--vocab", d / "no-vocab.txt", "--max-seq-len", 2],
+        # the default --mix 1:1 asks for MLM batches, and no --mono is given
+        "pretrain-mix-without-mono": pretrain + ["--vocab", d / "no-vocab.txt"],
         # pairs that do not exist: the build options are checked before any read
         "build-vocab-smoothing": build_vocab + ["--smoothing", 1.5],
         "build-vocab-coverage": build_vocab + ["--coverage", 0],
@@ -102,7 +109,7 @@ def invalid_argv(d, case):
             "--out", out, "--k", 0,
         ],
         "train-init-and-resume": train + ["--init", d / "no.ckpt", "--resume", d / "no.ckpt"],
-        "train-init-from-config-and-resume": train + ["--config", init_config(d), "--resume", d / "no.ckpt"],
+        "train-init-from-config-and-resume": train + [f"@{init_config(d)}", "--resume", d / "no.ckpt"],
         "eval-bucc-candidates-and-pools": [
             "eval-bucc", "--candidates", d / "no.tsv", "--src-pool", d / "no.pool", "--tgt-pool", d / "no.pool",
             "--gold", d / "no.tsv", "--out", out,
@@ -117,9 +124,9 @@ def invalid_argv(d, case):
 
 
 def init_config(d):
-    """A config file whose ``train`` section names an ``--init`` checkpoint."""
-    (d / "init.ini").write_text(f"[train]\ninit = {d / 'no.ckpt'}\n", encoding="utf-8")
-    return d / "init.ini"
+    """A config file that names an ``--init`` checkpoint."""
+    (d / "init.args").write_text(f"--init {d / 'no.ckpt'}\n", encoding="utf-8")
+    return d / "init.args"
 
 
 def tatoeba_set(d, lang="xx"):
@@ -157,6 +164,8 @@ LIST_FLAG = {
         "pretrain-stage-steps-zero",
         "pretrain-hidden-dim",
         "train-hidden-dim",
+        "train-max-seq-len",
+        "pretrain-mix-without-mono",
         "build-vocab-smoothing",
         "build-vocab-coverage",
         "mine-fraction",
@@ -512,7 +521,7 @@ def test_manifest_records_config_inputs_and_outputs(work, tmp_path, command):
     assert run(command, *argv) == 0
     manifest = json.loads(manifest_path(outputs[0]).read_text(encoding="utf-8"))
     assert manifest["command"] == command
-    options = {a.dest for a in cli.build_parser()[1][command]._actions} - {"help", "config"}
+    options = {a.dest for a in cli.build_parser()[1][command]._actions} - {"help"}
     assert set(manifest["config"]) == options
     assert manifest["config"]["out"] == str(outputs[0])
     assert manifest["seed"] == manifest["config"].get("seed")
@@ -566,48 +575,51 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("spelling", ["--config PATH", "--config=PATH", "--conf PATH"])
-def test_config_file_value_becomes_the_default(work, tmp_path, spelling):
-    (tmp_path / "run.ini").write_text("[eval-bucc]\nk = 2\n", encoding="utf-8")
-    assert run(*bucc_argv(work, tmp_path), *spelling.replace("PATH", str(tmp_path / "run.ini")).split()) == 0
+def write_args(t, text):
+    """A config file ``t/run.args`` holding ``text``, as ``@FILE``."""
+    (t / "run.args").write_text(text, encoding="utf-8")
+    return f"@{t / 'run.args'}"
+
+
+@pytest.mark.parametrize("holds_command", [False, True], ids=["after-command", "holding-command"])
+def test_config_file_value_becomes_the_value(work, tmp_path, holds_command):
+    text = "# candidates per source\n\n--k 2  # not the default 1\n"
+    if holds_command:
+        argv = [write_args(tmp_path, "eval-bucc\n" + text), *bucc_argv(work, tmp_path)[1:]]
+    else:
+        argv = [*bucc_argv(work, tmp_path), write_args(tmp_path, text)]
+    assert run(*argv) == 0
     assert read_json(tmp_path / "bucc.json")["candidates"] == 80
     assert read_json(tmp_path / "bucc.manifest.json")["config"]["k"] == 2
 
 
-@pytest.mark.parametrize("flag", ["--config", "--determ"])
+@pytest.mark.parametrize("flag", ["@FILE", "--determ"])
 def test_deterministic_from_any_spelling_pins_blas_threads(work, tmp_path, monkeypatch, flag):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    (tmp_path / "run.ini").write_text("[eval-bucc]\ndeterministic = true\n", encoding="utf-8")
-    assert run(*bucc_argv(work, tmp_path), *([flag, tmp_path / "run.ini"] if flag == "--config" else [flag])) == 0
+    assert run(*bucc_argv(work, tmp_path), write_args(tmp_path, "--deterministic\n") if flag == "@FILE" else flag) == 0
     assert all(os.environ[var] == "1" for var in cli._THREAD_VARS)
 
 
 def test_flag_overrides_the_config_file(work, tmp_path):
-    (tmp_path / "run.ini").write_text("[eval-bucc]\nk = 2\n", encoding="utf-8")
-    assert run(*bucc_argv(work, tmp_path), "--config", tmp_path / "run.ini", "--k", 3) == 0
+    assert run(*bucc_argv(work, tmp_path), write_args(tmp_path, "--k 2\n"), "--k", 3) == 0
     assert read_json(tmp_path / "bucc.json")["candidates"] == 120
 
 
-def test_repeatable_flag_replaces_the_config_file_list(work, tmp_path):
-    (tmp_path / "run.ini").write_text(f"[build-vocab]\nmono = {work / 'src.txt'}\n", encoding="utf-8")
-    argv = ["build-vocab", "--target-size", 200, "--out", tmp_path / "v.txt", "--config", tmp_path / "run.ini"]
-    assert run(*argv, "--mono", work / "tgt.txt", "--mono", work / "tgt.txt") == 0
-    assert read_json(tmp_path / "v.txt.manifest.json")["config"]["mono"] == [str(work / "tgt.txt")] * 2
-    assert run(*argv) == 0
-    assert read_json(tmp_path / "v.txt.manifest.json")["config"]["mono"] == [str(work / "src.txt")]
+def test_repeatable_flag_appends_to_the_config_file_list(work, tmp_path):
+    argv = ["build-vocab", "--target-size", 200, "--out", tmp_path / "v.txt"]
+    assert run(*argv, write_args(tmp_path, f"--mono {work / 'src.txt'}\n"), "--mono", work / "tgt.txt") == 0
+    assert read_json(tmp_path / "v.txt.manifest.json")["config"]["mono"] == [str(work / "src.txt"), str(work / "tgt.txt")]
 
 
 def test_config_file_supplies_a_required_option(work, tmp_path):
-    (tmp_path / "run.ini").write_text(f"[eval-p1]\ngold = {work / 'gold.tsv'}\n", encoding="utf-8")
-    assert run(*p1_pools(work), "--out", tmp_path / "p1", "--config", tmp_path / "run.ini") == 0
+    assert run(*p1_pools(work), "--out", tmp_path / "p1", write_args(tmp_path, f"--gold '{work / 'gold.tsv'}'\n")) == 0
     assert read_json(tmp_path / "p1.json")["gold_pairs"] == 40
     assert read_json(tmp_path / "p1.manifest.json")["config"]["gold"] == str(work / "gold.tsv")
 
 
 def test_required_option_in_neither_flags_nor_config_file_is_usage_error(work, tmp_path, capsys):
-    (tmp_path / "run.ini").write_text(f"[eval-p1]\ngold = {work / 'gold.tsv'}\n", encoding="utf-8")
-    assert run(*p1_pools(work), "--config", tmp_path / "run.ini") == 1
+    assert run(*p1_pools(work), write_args(tmp_path, f"--gold {work / 'gold.tsv'}\n")) == 1
     err = capsys.readouterr().err
     assert "the following arguments are required: --out" in err and "--gold" not in err.splitlines()[-1]
     assert run(*p1_pools(work), "--out", tmp_path / "p1") == 1
@@ -616,13 +628,51 @@ def test_required_option_in_neither_flags_nor_config_file_is_usage_error(work, t
 
 
 def test_config_file_value_of_the_wrong_type_is_usage_error(work, tmp_path, capsys):
-    (tmp_path / "run.ini").write_text("[train]\nsteps = abc\n", encoding="utf-8")
     out = tmp_path / "m.ckpt"
     argv = ["train", "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt", "--out", out]
-    assert run(*argv, "--config", tmp_path / "run.ini") == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err and "run.ini" in err and "'steps'" in err and "'abc'" in err
+    assert run(*argv, write_args(tmp_path, "--steps abc\n")) == 1
+    assert "error: argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["missing", "unbalanced-quote"])
+def test_config_file_that_cannot_be_read_is_usage_error_naming_it(work, tmp_path, capsys, defect):
+    arg = write_args(tmp_path, "--k 2\n--out 'bucc\n")  # the quote is never closed
+    if defect == "missing":
+        (tmp_path / "run.args").unlink()
+    assert run(*bucc_argv(work, tmp_path), arg) == 1
+    expected = {
+        "missing": f"No such file or directory: '{tmp_path / 'run.args'}'",
+        "unbalanced-quote": "cannot split argument-file line \"--out 'bucc\"",
+    }[defect]
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "bucc").exists()
+
+
+def test_config_flag_is_unrecognized(work, tmp_path, capsys):
+    assert run(*p1_pools(work), "--gold", work / "gold.tsv", "--out", tmp_path / "p1", "--config", "x.ini") == 1
+    assert "unrecognized arguments: --config x.ini" in capsys.readouterr().err
+
+
+def test_cli_uses_only_public_argparse():
+    """``cli.py`` imports no ``configparser`` and uses no private argparse
+    name, no parser's ``_actions`` and no ``register``: arguments come from
+    flags and ``@FILE`` alone, by argparse's own rules."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "configparser" not in imported
+    private = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr in ("_actions", "register") or node.attr.startswith("_") and ast.unparse(node.value) == "argparse")
+    ]
+    assert private == []
 
 
 def library_error_case(d, t, command):
@@ -635,15 +685,23 @@ def library_error_case(d, t, command):
     if command == "eval-bucc":
         pool, gold = bad_source_pool(d, t, "non-unit")
         return ["--src-pool", pool, "--tgt-pool", d / "tgt.pool", "--gold", gold], "pool rows must be unit-norm"
+    if command == "mine":
+        # no language tag before the tab, so the tab stays in the text and would split its column
+        (t / "src.txt").write_text("X\tword\n", encoding="utf-8")
+        argv = [
+            "--src", t / "src.txt", "--tgt", d / "tgt.txt", "--vocab", d / "vocab.txt", "--ckpt", d / "model.ckpt",
+            "--threshold", -0.5, "--fraction", 1.0,
+        ]
+        return argv, "sentence '1' holds a tab and cannot be written as one TSV column"
     if command == "pretrain":
-        argv = ["--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--mix", "0:1", "--max-seq-len", 2]
-        return argv, "max_len 2 cannot hold [CLS] and, per non-empty side, a token and [SEP]"
+        argv = ["--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--mix", "0:1", "--max-seq-len", 4]
+        return argv, "max_len 4 cannot hold [CLS] and, per non-empty side, a token and [SEP]"
     (t / "flat.txt").write_text("1\n" * 40, encoding="utf-8")
     argv = ["--pool-a", d / "src.pool", "--pool-b", d / "tgt.pool", "--gold-scores", t / "flat.txt"]
     return argv, "gold scores are constant; correlation undefined"
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "index", "eval-bucc", "eval-sts", "pretrain"])
+@pytest.mark.parametrize("command", ["build-vocab", "index", "eval-bucc", "eval-sts", "pretrain", "mine"])
 def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path, capsys, command):
     argv, message = library_error_case(work, tmp_path, command)
     out = tmp_path / "out"
@@ -662,6 +720,10 @@ def eval_data_error_case(d, t, case):
         (t / "gold.tsv").write_text("1\t1\n2\tzz\n", encoding="utf-8")
         argv = ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", t / "gold.tsv"]
         return argv, f"{t / 'gold.tsv'}: gold pair ('2', 'zz') outside its universe"
+    if case == "empty-candidates":
+        (t / "cands.tsv").write_text("\n", encoding="utf-8")
+        argv = ["eval-bucc", "--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"]
+        return argv, f"{t / 'cands.tsv'}: no candidates"
     if case == "empty-gold":
         (t / "gold.tsv").write_text("\n", encoding="utf-8")
         (t / "cands.tsv").write_text("1\t1\t0.5\n", encoding="utf-8")
@@ -675,7 +737,7 @@ def eval_data_error_case(d, t, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["gold-id-outside-pool", "empty-gold", "nan-score", "inf-score", "duplicate-candidate"]
+    "case", ["gold-id-outside-pool", "empty-gold", "empty-candidates", "nan-score", "inf-score", "duplicate-candidate"]
 )
 def test_eval_data_error_names_its_file(work, tmp_path, capsys, case):
     argv, message = eval_data_error_case(work, tmp_path, case)

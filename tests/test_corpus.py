@@ -88,6 +88,12 @@ class TestFiles:
         assert back[0].score == pytest.approx(0.5)
         assert back[1].score is None
 
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_pairs_tsv_writer_refuses_a_text_with_a_tab(self, side):
+        texts = {"src": "hello", "tgt": "hallo", side: "NOTLANG\tkeeps the tab"}
+        with pytest.raises(ValueError, match=f"sentence '0{side[0]}' holds a tab"):
+            format_pairs_tsv([pair("sun", "sonne", n=1), pair(texts["src"], texts["tgt"], n=0)])
+
     def test_pairs_tsv_ids_count_empty_lines_and_an_empty_fifth_column_is_no_score(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("\naa\tbb\tx\ty\t\n", encoding="utf-8")
