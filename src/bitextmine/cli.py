@@ -7,7 +7,8 @@ shell command line: ``#`` starts a comment and blank lines are skipped.
 The file may also name the command (``bitextmine @run.args``). Later
 arguments win for a single-value option, and a repeatable flag appends
 to what came before it. A missing FILE, or a line that cannot be split,
-is a usage error that names it. Commands write their outputs atomically.
+is a usage error that names it. A value that begins with ``@`` is
+spelled ``--flag=@value``. Commands write their outputs atomically.
 After a command succeeds, ``main`` writes a JSON run manifest beside its
 first output recording the resolved config, input digests, seed,
 artifact paths, and wall-clock duration; a failed command writes none.

@@ -117,11 +117,13 @@ def bucc_best_f1(
     """Sweep thresholds over the distinct candidate scores and return the
     PRF at the F1-maximizing threshold (ties favor the larger threshold).
 
-    Candidates must be deduplicated on (src_id, tgt_id) and carry finite
-    scores.
+    Candidates must be non-empty, deduplicated on (src_id, tgt_id) and
+    carry finite scores.
     """
     if not gold.pairs:
         raise ValueError("empty gold alignment")
+    if not candidates:
+        raise ValueError("no candidates")
     seen = set()
     for s, t, score in candidates:
         if not math.isfinite(score):
@@ -129,8 +131,6 @@ def bucc_best_f1(
         if (s, t) in seen:
             raise ValueError(f"duplicate candidate ({s!r}, {t!r})")
         seen.add((s, t))
-    if not candidates:
-        return PRF(0.0, 0.0, 0.0, float("nan"))
 
     ranked = sorted(candidates, key=lambda c: -c[2])
     gold_pairs = gold.pairs

@@ -62,8 +62,10 @@ def manifest_path(output):
 def invalid_argv(d, case):
     out = d / f"rejected-{case}.out"
     train = ["train", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--steps", 2]
+    # --mix 0:1 asks only for the pair batches that --pairs feeds, so each case carries one fault
     pretrain = [
         "pretrain", "--pairs", d / "pairs.tsv", "--vocab", d / "vocab.txt", "--out", out, "--stage-steps", "2,2",
+        "--mix", "0:1",
     ]
     build_vocab = ["build-vocab", "--pairs", d / "no-pairs.tsv", "--target-size", 50, "--out", out]
     mine = [
@@ -81,20 +83,19 @@ def invalid_argv(d, case):
         "pretrain-mix-one-share": pretrain + ["--mix", "1"],
         "pretrain-stage-layers-empty-entry": pretrain + ["--stage-layers", "1,,2"],
         "pretrain-stage-steps-empty-entry": pretrain + ["--stage-steps", "2,2,"],
-        "pretrain-mask-fraction-high": pretrain + ["--mix", "0:1", "--mask-fraction", 1.5],
+        "pretrain-mask-fraction-high": pretrain + ["--mask-fraction", 1.5],
         "pretrain-mask-fraction-zero": pretrain + ["--mask-fraction", 0],
         "pretrain-mask-cap": pretrain + ["--mask-cap", 0],
         "pretrain-seed": pretrain + ["--seed", -1],
         "pretrain-stage-layers-not-dividing": pretrain + ["--stage-layers", "2,3"],
         "pretrain-stage-layers-shrinking": pretrain + ["--stage-layers", "2,1"],
-        # with pairs for every step, a zero-step second stage is the only fault
-        "pretrain-stage-steps-zero": pretrain + ["--mix", "0:1", "--stage-steps", "2,0"],
+        "pretrain-stage-steps-zero": pretrain + ["--stage-steps", "2,0"],
         # a vocab that does not exist: the encoder shape is checked before any read
         "pretrain-hidden-dim": pretrain + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
         "train-hidden-dim": train + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 0],
         "train-max-seq-len": train + ["--vocab", d / "no-vocab.txt", "--max-seq-len", 2],
-        # the default --mix 1:1 asks for MLM batches, and no --mono is given
-        "pretrain-mix-without-mono": pretrain + ["--vocab", d / "no-vocab.txt"],
+        # --mix 1:1 asks for MLM batches, and no --mono is given
+        "pretrain-mix-without-mono": pretrain + ["--vocab", d / "no-vocab.txt", "--mix", "1:1"],
         # pairs that do not exist: the build options are checked before any read
         "build-vocab-smoothing": build_vocab + ["--smoothing", 1.5],
         "build-vocab-coverage": build_vocab + ["--coverage", 0],
@@ -139,6 +140,12 @@ LIST_FLAG = {
     "pretrain-mix-one-share": "--mix",
     "pretrain-stage-layers-empty-entry": "--stage-layers",
     "pretrain-stage-steps-empty-entry": "--stage-steps",
+}
+
+# Cases that would be refused by another check too, and the message that names their own.
+MESSAGE = {
+    # a count smaller than the one before it never divides it either
+    "pretrain-stage-layers-shrinking": "stage schedule shrinks from 2 to 1 layers",
 }
 
 
@@ -189,6 +196,7 @@ def test_invalid_flag_value_is_usage_error(work, case, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err
     assert case not in LIST_FLAG or f"usage error: {LIST_FLAG[case]} wants " in err
+    assert case not in MESSAGE or MESSAGE[case] in err
     assert not out.exists()
     assert not manifest_path(out).exists()
     assert not out.with_name(out.name + ".log").exists()  # refused before the training log opens
@@ -647,6 +655,15 @@ def test_config_file_that_cannot_be_read_is_usage_error_naming_it(work, tmp_path
     }[defect]
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "bucc").exists()
+
+
+def test_value_beginning_with_at_is_literal_only_after_equals(work, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [*p1_pools(work), "--gold", work / "gold.tsv"]
+    assert run(*argv, "--out", "@p1") == 1  # read as an argument file, which does not exist
+    assert "No such file or directory: 'p1'" in capsys.readouterr().err
+    assert run(*argv, "--out=@p1") == 0
+    assert read_json(tmp_path / "@p1.json")["gold_pairs"] == 40
 
 
 def test_config_flag_is_unrecognized(work, tmp_path, capsys):

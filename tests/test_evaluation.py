@@ -198,6 +198,11 @@ class TestBuccBestF1:
         with pytest.raises(ValueError):
             bucc_best_f1([("s1", "t1", 0.9)], GoldAlignment.from_pairs([]))
 
+    def test_empty_candidates_rejected(self):
+        # an empty sweep has no threshold to report
+        with pytest.raises(ValueError, match="no candidates"):
+            bucc_best_f1([], gold_of(("s1", "t1")))
+
     def test_returned_threshold_dominates_all_others(self):
         rng = np.random.default_rng(4)
         gold = gold_of(*[(f"s{i}", f"t{i}") for i in range(8)])
