@@ -246,6 +246,10 @@ def cmd_pretrain(args) -> tuple[list, list]:
     return (args.mono or []) + ([args.pairs] if args.pairs else []) + [args.vocab], [args.out, log_path]
 
 
+# train's shape flags, absent unless given, and their values for a fresh model
+_FRESH_SHAPE = {"hidden_dim": 32, "embed_dim": 0, "layers": 2, "max_seq_len": 16}
+
+
 def cmd_train(args) -> tuple[list, list]:
     from .corpus import read_pairs_tsv
     from .encoder import init_params
@@ -254,6 +258,12 @@ def cmd_train(args) -> tuple[list, list]:
 
     if args.init and args.resume:
         raise UsageError("train takes --init or --resume, not both")
+    given = [name for name in _FRESH_SHAPE if name in vars(args)]
+    if (args.init or args.resume) and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise UsageError(f"{flags}: only a fresh model takes a shape; --init and --resume take the checkpoint's")
+    for name, value in _FRESH_SHAPE.items():
+        vars(args).setdefault(name, None if args.init or args.resume else value)
     if args.checkpoint_interval < 0:
         raise UsageError(f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}")
     with _flag_values():
@@ -546,10 +556,14 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp.add_argument("--out", required=True, help="checkpoint to write")
     sp.add_argument("--init", help="initialize from this checkpoint")
     sp.add_argument("--resume", help="resume (params + optimizer) from this checkpoint")
-    sp.add_argument("--hidden-dim", type=int, default=32, help="hidden width (fresh init)")
-    sp.add_argument("--embed-dim", type=int, default=0, help="output dim (0 = hidden)")
-    sp.add_argument("--layers", type=int, default=2, help="layer count (fresh init)")
-    sp.add_argument("--max-seq-len", type=int, default=16, help="max tokens per sequence")
+    for flag, what in (
+        ("--hidden-dim", "hidden width"),
+        ("--embed-dim", "output dim (0 = hidden)"),
+        ("--layers", "layer count"),
+        ("--max-seq-len", "max tokens per sequence"),
+    ):
+        fresh = _FRESH_SHAPE[flag[2:].replace("-", "_")]
+        sp.add_argument(flag, type=int, default=argparse.SUPPRESS, help=f"{what} of a fresh model (default: {fresh})")
     sp.add_argument("--batch-size", type=int, default=64, help="pairs per step")
     sp.add_argument("--steps", type=int, default=2000, help="total training steps")
     sp.add_argument("--lr", type=float, default=1e-3, help="initial learning rate")

@@ -386,12 +386,15 @@ def plan_masks(
     maskable = ~np.isin(ids, _NEVER_MASK)
     counts = np.add.reduceat(maskable, bounds[:-1], dtype=np.int64)
     n = np.minimum(np.ceil(fraction * counts), cap).astype(np.int64)
-    draws = rng.random((lengths.size, lengths.max()))[seq, offset]
-    draws[~maskable] = np.inf
-    # Sorted by (sequence, draw), sequence b still fills bounds[b]:bounds[b + 1],
-    # so offset gives each position's rank among its sequence's draws.
-    positions = np.empty_like(maskable)
-    positions[np.lexsort((draws, seq))] = offset < n[seq]
+    draws = rng.random((lengths.size, lengths.max()))
+    unmaskable = np.ones(draws.shape, dtype=bool)  # pad cells stay unmaskable
+    unmaskable[seq, offset] = ~maskable
+    draws[unmaskable] = np.inf
+    # each row's n smallest draws, found by a stable sort of that row alone
+    chosen = np.empty(draws.shape, dtype=bool)
+    first_n = np.arange(draws.shape[1]) < n[:, None]
+    np.put_along_axis(chosen, np.argsort(draws, axis=1, kind="stable"), first_n, axis=1)
+    positions = chosen[seq, offset]
     input_ids = np.where(positions, MASK_ID, ids)
     return MaskedBatch(input_ids=input_ids, target_ids=ids, mask_positions=positions, bounds=bounds)
 

@@ -1,26 +1,31 @@
 """Exact and partitioned (inverted-file) cosine-similarity search over
 unit-norm embedding pools.
 
-``search`` takes a block of queries, one per row, and returns each
-row's top-k. It scores the queries in chunks of ``QUERY_CHUNK`` rows,
-each row with one matrix-vector product against the whole pool, so a
-row's scores do not depend on the block it came in. A max (k = 1) or a
-partition finds each row's k-th best score; only the columns at or
-above it are ordered by (score descending, id ascending), so ties at
-the boundary are decided by id, never by position.
+A score is exact: the float64 sum of the products of query q and pool
+row p as ``(p * q).sum()`` forms it, so it depends on the pair alone,
+never on the block, the pool slice or the BLAS. ``_top_k``, the one
+selection kernel of pool search and centroid probing, takes one matrix
+product per ``QUERY_CHUNK`` queries, keeps each row's columns within a
+slack of its k-th best approximate score, and rescores only those
+exactly. A float64 dot product in any summation order errs by at most
+g*|q|*|p|, g = d*u/(1 - d*u), u = 2**-53 (Higham, Accuracy and Stability
+of Numerical Algorithms, 3.1), so product and exact score differ by at
+most D = 2g*|q|*max|p|. A column more than 2D below the k-th best
+approximate score T trails k columns whose exact scores are at least
+T - D, above its own, so it is not in the top-k. The slack,
+8*d*eps*|q|*max|p| (eps = 2u), exceeds 2D with room for rounding the
+norms and the threshold, for scores far from float64 underflow.
 
 Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
 initialization from a seeded start, fixed iteration count, empty
 clusters re-seeded from the largest cluster's farthest member during the
 iterations only, final centroids rounded through float32 as stored. Each
-row belongs to its best-scoring centroid, ties to the lower index, so a
-pool row probes its own cluster first; a cluster may be empty. A search
-picks the P non-empty clusters whose centroids best match the query (the
-same top-k rule, ties to the lower index) and masks out every row
-outside them. It scores the whole pool first, so every reported score
-and tie is the exact-mode one: the clusters prune candidates, not
-arithmetic.
+row belongs to its best-scoring centroid by exact score, ties to the
+lower index, so a pool row probes its own cluster first; a cluster may
+be empty. A search picks the P non-empty clusters whose centroids best
+match the query (ties to the lower index) and excludes every row
+outside them; the rest keep their exact-mode scores and ties.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a required companion file, one per
@@ -44,6 +49,8 @@ PARTITIONED = "partitioned"
 
 _UNIT_ATOL = 1e-4  # float32 round-trips denormalize unit rows slightly
 QUERY_CHUNK = 256  # query rows scored at once: a 4 MB block against 2000 rows
+_RESCORE_PAIRS = 4096  # candidate pairs rescored at once: 2 MB gathers at d = 64
+_SLACK = 8 * np.finfo(np.float64).eps  # per dimension and unit of |q|*max|p|: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -111,18 +118,10 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _scores(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """(n, M) cosines of each block row against each matrix row.
-
-    The stacked product runs one matrix-vector product per row, so row i
-    is bit-equal to ``matrix @ block[i]`` whatever the block holds."""
-    return np.matmul(block[:, None, :], matrix.T)[:, 0, :]
-
-
 def _cluster_of(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Each row's best-scoring centroid, ties to the lower index: with the
-    search's own scores, the cluster that row probes first as a query."""
-    return np.argmax(_scores(centroids, vectors), axis=1)
+    """Each row's best-scoring centroid, ties to the lower index: by the
+    search's own kernel, the cluster that row probes first as a query."""
+    return _top_k(centroids, vectors, 1, np.arange(len(centroids)))[1]
 
 
 def _farthest_point_init(vectors: np.ndarray, C: int, seed: int) -> np.ndarray:
@@ -195,47 +194,45 @@ def check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _top_k(scores: np.ndarray, k: int, tie_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The best k columns of each row of ``scores`` by (score descending,
-    tie_rank ascending), as flat (row, column) arrays in row order, each
-    row's columns best first. A score of -inf excludes its column, so a
-    row with fewer other columns returns fewer than k."""
-    k = min(k, scores.shape[1])
-    kth = scores.max(axis=1) if k == 1 else np.partition(scores, -k, axis=1)[:, -k]
-    # every column at or above the k-th best stays in, so boundary ties are
-    # settled by the tie rank; the floor keeps -inf out when kth is -inf
-    keep = scores >= np.maximum(kth, np.finfo(scores.dtype).min)[:, None]
-    rows, cols = np.nonzero(keep)
-    order = np.lexsort((tie_rank[cols], -scores[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    rank_in_row = np.arange(rows.size) - np.searchsorted(rows, rows)
-    best = rank_in_row < k
-    return rows[best], cols[best]
-
-
-def _mask_unprobed(index: VectorIndex, block: np.ndarray, scores: np.ndarray, probes: int) -> None:
-    """Set to -inf, in place, the scores of the rows outside each query's
-    ``probes`` best non-empty clusters."""
-    assert index.centroids is not None and index.cluster_of is not None
-    clusters = index.centroids.shape[0]
-    centroid_scores = _scores(index.centroids, block)
-    centroid_scores[:, np.bincount(index.cluster_of, minlength=clusters) == 0] = -np.inf
-    rows, cols = _top_k(centroid_scores, probes, np.arange(clusters))
-    unprobed = np.ones((block.shape[0], clusters), dtype=bool)
-    unprobed[rows, cols] = False
-    np.putmask(scores, unprobed[:, index.cluster_of], -np.inf)
+def _top_k(
+    matrix: np.ndarray, block: np.ndarray, k: int, tie_rank: np.ndarray, excluded: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best k rows of ``matrix`` for each row of ``block`` by (exact
+    score descending, tie_rank ascending), as flat (block row, matrix row,
+    exact score) arrays in block-row order, each row's best first.
+    ``excluded``, a boolean mask broadcast to (block rows, matrix rows),
+    drops pairs, so a block row with fewer others returns fewer than k."""
+    m, d = matrix.shape
+    k = min(k, m)
+    approx = block @ matrix.T
+    if excluded is not None:
+        np.copyto(approx, -np.inf, where=excluded)
+    kth = approx.max(axis=1) if k == 1 else np.partition(approx, -k, axis=1)[:, -k]
+    slack = _SLACK * d * np.linalg.norm(block, axis=1) * np.sqrt(np.einsum("ij,ij->i", matrix, matrix).max())
+    # the floor keeps excluded pairs out when a row has fewer than k others
+    keep = approx >= np.maximum(kth - slack, np.finfo(np.float64).min)[:, None]
+    rows, cols = np.divmod(np.flatnonzero(keep), m)
+    scores = np.empty(rows.size)
+    for s in range(0, rows.size, _RESCORE_PAIRS):
+        part = slice(s, s + _RESCORE_PAIRS)
+        scores[part] = (matrix[cols[part]] * block[rows[part]]).sum(axis=1)
+    order = np.lexsort((tie_rank[cols], -scores, rows))
+    rows, cols, scores = rows[order], cols[order], scores[order]
+    best = np.arange(rows.size) - np.searchsorted(rows, rows) < k  # rank in row below k
+    return rows[best], cols[best], scores[best]
 
 
 def search(
     index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None
 ) -> list[list[tuple[str, float]]]:
-    """Top-k (id, cosine) of each query row, by descending score with ties
-    broken by ascending id.
+    """Top-k (id, exact score) of each query row, by descending score
+    with ties broken by ascending id.
 
     ``queries`` is an (n, d) block; pass ``q[None]`` for one query. Exact
     mode scans everything; partitioned mode scans the ``probes``
     best-matching non-empty clusters (defaults to the build config). Each
-    row gets min(k, candidates) results; scores are exact cosines.
+    row gets min(k, candidates) results, the same as brute force over them
+    with the module's exact score, which no chunk or BLAS order changes.
     """
     check_k(k)
     if len(index) == 0:
@@ -247,23 +244,24 @@ def search(
         raise ValueError("queries must be finite")  # a NaN row would match nothing
     p = None
     if index.mode == PARTITIONED:
-        assert index.config is not None
+        assert index.config is not None and index.centroids is not None and index.cluster_of is not None
         p = index.config.probes if probes is None else probes
         if not (1 <= p <= index.config.clusters):
             raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
+        empty = np.bincount(index.cluster_of, minlength=index.config.clusters) == 0
     results: list[list[tuple[str, float]]] = []
     for start in range(0, queries.shape[0], QUERY_CHUNK):
         block = queries[start : start + QUERY_CHUNK]
-        scores = _scores(index.vectors, block)
+        unprobed = None
         if p is not None:
-            _mask_unprobed(index, block, scores, p)
-        rows, cols = _top_k(scores, k, index.id_rank)
+            rows, cols, _ = _top_k(index.centroids, block, p, np.arange(empty.size), empty)
+            probed = np.zeros((block.shape[0], empty.size), dtype=bool)
+            probed[rows, cols] = True
+            unprobed = ~probed[:, index.cluster_of]
+        rows, cols, scores = _top_k(index.vectors, block, k, index.id_rank, unprobed)
         bounds = np.searchsorted(rows, np.arange(block.shape[0] + 1)).tolist()
-        names = [index.ids[c] for c in cols.tolist()]
-        values = scores[rows, cols].tolist()
-        results.extend(
-            list(zip(names[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])
-        )
+        hits = list(zip([index.ids[c] for c in cols.tolist()], scores.tolist()))
+        results.extend(hits[a:b] for a, b in zip(bounds, bounds[1:]))
     return results
 
 

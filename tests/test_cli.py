@@ -111,6 +111,9 @@ def invalid_argv(d, case):
         ],
         "train-init-and-resume": train + ["--init", d / "no.ckpt", "--resume", d / "no.ckpt"],
         "train-init-from-config-and-resume": train + [f"@{init_config(d)}", "--resume", d / "no.ckpt"],
+        # a checkpoint that does not exist: the shape flags are refused before it is read
+        "train-init-hidden-dim": train + ["--init", d / "no.ckpt", "--hidden-dim", 8],
+        "train-resume-layers": train + ["--resume", d / "no.ckpt", "--layers", 7],
         "eval-bucc-candidates-and-pools": [
             "eval-bucc", "--candidates", d / "no.tsv", "--src-pool", d / "no.pool", "--tgt-pool", d / "no.pool",
             "--gold", d / "no.tsv", "--out", out,
@@ -187,6 +190,8 @@ MESSAGE = {
         "eval-tatoeba-group-twice",
         "train-init-and-resume",
         "train-init-from-config-and-resume",
+        "train-init-hidden-dim",
+        "train-resume-layers",
         "eval-bucc-candidates-and-pools",
     ],
 )

@@ -10,6 +10,7 @@ from bitextmine.vecindex import (
     IndexConfig,
     PARTITIONED,
     QUERY_CHUNK,
+    _RESCORE_PAIRS,
     _read_rows,
     _write_rows,
     build,
@@ -27,8 +28,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bitextmine"
 
 
 def brute_force_topk(vectors, ids, query, k, rows=None):
-    """Top-k of ``rows`` (default all) scored against the whole pool."""
-    scores = vectors @ query
+    """Top-k of ``rows`` (default all) by exact score: each row's float64
+    sum of products, as ``vecindex`` defines it."""
+    scores = (vectors * query).sum(axis=1)
     rows = range(len(ids)) if rows is None else rows
     order = sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
     return [(ids[i], float(scores[i])) for i in order]
@@ -37,7 +39,7 @@ def brute_force_topk(vectors, ids, query, k, rows=None):
 def probed_rows(index, query, probes):
     """Rows of the ``probes`` non-empty clusters whose centroids score
     best, ties to the lower cluster index."""
-    scores = index.centroids @ query
+    scores = (index.centroids * query).sum(axis=1)
     filled = [c for c, members in enumerate(index.assignments) if len(members)]
     best = sorted(filled, key=lambda c: (-scores[c], c))[:probes]
     return np.concatenate([index.assignments[c] for c in best]).tolist()
@@ -63,6 +65,20 @@ def make_pool(rng, kind, m, d):
         V[np.all(V == 0, axis=1), 0] = 1.0
         V /= np.linalg.norm(V, axis=1, keepdims=True)
     return V, [f"v{i:05d}" for i in rng.permutation(m)]
+
+
+def near_tie_pool(rng, m, d):
+    """A few unit rows, each repeated with every coordinate moved 0-4 ulps
+    away from zero (0 keeps an exact copy), under ids whose order is not the
+    row order: the scores of a base row's copies differ by a few ulps or
+    not at all."""
+    base = unit_rows(rng, max(2, m // 10), d)
+    V = base[rng.integers(0, len(base), size=m)]
+    away = np.copysign(np.inf, V)
+    for t in range(4):
+        moved = rng.integers(0, 5, size=m) > t
+        V[moved] = np.nextafter(V[moved], away[moved])
+    return V, base, [f"v{i:05d}" for i in rng.permutation(m)]
 
 
 class TestExactSearch:
@@ -257,6 +273,37 @@ class TestBlockSearch:
         for scores, top in zip(exact_scores, search(ivf, Q, 12)):
             assert [s for _, s in top] == [scores[name] for name, _ in top]
             assert top == sorted(top, key=lambda hit: (-hit[1], hit[0]))
+
+
+class TestNearTies:
+    @pytest.mark.parametrize("d", [7, 33, 65])
+    def test_ulp_apart_scores_equal_brute_force(self, d):
+        # the slack around the k-th approximate score must keep every row of
+        # the exact top-k, whatever the query scale
+        rng = np.random.default_rng(d)
+        V, base, ids = near_tie_pool(rng, 90, d)
+        Q = np.concatenate([base, unit_rows(rng, 6, d)])
+        ivf = build(V, ids, IndexConfig(clusters=3, probes=2, seed=1))
+        for scale in (1e-3, 1.0, 1e3):
+            Qs = Q * scale
+            top = [brute_force_topk(V, ids, q, len(V)) for q in Qs]
+            gaps = np.array([a[1] - b[1] for t in top for a, b in zip(t, t[1:])])
+            assert np.any((gaps > 0) & (gaps <= 4 * np.spacing(scale)))  # near ties do occur
+            for k in (1, 3, len(V)):
+                assert search(build(V, ids), Qs, k) == [t[:k] for t in top]
+                rows = [probed_rows(ivf, q, 2) for q in Qs]
+                assert search(ivf, Qs, k) == [brute_force_topk(V, ids, q, k, r) for q, r in zip(Qs, rows)]
+
+    def test_more_candidates_than_one_rescoring_slice(self):
+        rng = np.random.default_rng(31)
+        V, base, ids = near_tie_pool(rng, 150, 9)
+        Q = np.concatenate([base, unit_rows(rng, 25, 9)])
+        assert len(Q) * len(V) > _RESCORE_PAIRS
+        for config in (None, IndexConfig(clusters=4, probes=3, seed=2)):
+            index = build(V, ids, config)
+            rows = [None if config is None else probed_rows(index, q, 3) for q in Q]
+            got = search(index, Q, len(V))
+            assert got == [brute_force_topk(V, ids, q, len(V), r) for q, r in zip(Q, rows)]
 
 
 class TestPersistence:
