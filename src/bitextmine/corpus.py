@@ -1,8 +1,9 @@
 """Corpus data types, file readers and writers.
 
 File formats handled here, each read by the one line rule of
-``fileio.read_lines`` (UTF-8, lines that are empty or whitespace only
-skipped but counted, errors name ``path:line``):
+``fileio.read_lines`` (UTF-8, only ``\n`` or ``\r\n`` ends a line, lines
+that are empty or whitespace only skipped but counted, errors name
+``path:line``):
   * monolingual corpus: one sentence per line, optional leading
     ``lang<TAB>`` prefix;
   * bilingual pairs: headerless TSV with columns src_lang, tgt_lang,
@@ -99,13 +100,15 @@ def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
 
 def format_pairs_tsv(pairs: Iterable[SentencePair]) -> str:
     """Serialize pairs to the TSV wire format (scores with 6 decimals). A
-    text that holds a tab raises ``ValueError`` naming its sentence id: it
-    would split its column, and ``read_pairs_tsv`` would refuse the row."""
+    text that holds a tab, ``\n`` or ``\r`` raises ``ValueError`` naming
+    its sentence id: it would split its column or its row, and
+    ``read_pairs_tsv`` would refuse the row."""
     rows = []
     for p in pairs:
         for s in (p.src, p.tgt):
-            if "\t" in s.text:
-                raise ValueError(f"sentence {s.id!r} holds a tab and cannot be written as one TSV column")
+            for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
+                if char in s.text:
+                    raise ValueError(f"sentence {s.id!r} holds {name} and cannot be written as one TSV column")
         base = f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}"
         rows.append(base if p.score is None else f"{base}\t{p.score:.6f}")
     return "\n".join(rows) + ("\n" if rows else "")

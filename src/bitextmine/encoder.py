@@ -30,6 +30,7 @@ pools and queries to float64, so every reported score is a float64 cosine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -43,6 +44,7 @@ from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
 
 _NORM_EPS = 1e-12
 PARAM_DTYPE = np.float32  # of init_params and of every checkpoint
+_BAD_SEQUENCE = "token sequence must be a non-empty 1-D id list"
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,20 @@ def zeros_like_params(params: EncoderParams) -> EncoderParams:
     return EncoderParams.from_flat(params.config, np.zeros_like(params.flat))
 
 
-def _as_id_array(tokens: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(tokens, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("token sequence must be a non-empty 1-D id list")
-    return arr
-
-
 def _pack(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """The batch's ids, sentence after sentence, (N,), and its bounds,
-    (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]."""
-    arrs = [_as_id_array(item) for item in batch]
-    return np.concatenate(arrs), np.cumsum([0] + [a.size for a in arrs])
+    (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]. An empty batch,
+    or an item that is not a non-empty sequence of ids, raises ValueError."""
+    try:
+        lengths = [len(item) for item in batch]
+        ids = np.fromiter(itertools.chain.from_iterable(batch), np.int64, count=sum(lengths))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(_BAD_SEQUENCE) from exc
+    if not lengths or min(lengths) == 0:
+        raise ValueError(_BAD_SEQUENCE)
+    # itertools.accumulate, not np.cumsum: mining.mine packs one sentence
+    # per call, and np.cumsum of a short list alone takes about 4 µs
+    return ids, np.fromiter(itertools.accumulate(lengths, initial=0), np.int64, count=len(lengths) + 1)
 
 
 def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
@@ -182,6 +186,8 @@ def encode_batch(
     item, whatever else is in the batch, except for a bare one-token item,
     whose lone encode() may differ in the last bits (see below).
     """
+    if not batch:
+        raise ValueError(_BAD_SEQUENCE)
     out = np.empty((len(batch), params.config.embed_dim), dtype=params.flat.dtype)
     for start in range(0, len(batch), _ENCODE_CHUNK):
         cache = _forward_hiddens(params, *_pack(batch[start : start + _ENCODE_CHUNK]), keep=False)
@@ -203,7 +209,9 @@ def encode_batch(
 # per-sentence sums work row by row, and a 2-D product of two or more rows
 # gives each row the same bits. A one-row product takes numpy's
 # matrix-vector path, which rounds differently, so the output projection
-# is stacked, (B, 1, d) @ (d, e), whatever B.
+# is stacked, (B, 1, d) @ (d, e), whatever B. So fine-tuning packs the
+# sources and targets of a step into one block and keeps every row's
+# bits; only the backward's sums over rows (h^T e, the scatter-add) change.
 # ---------------------------------------------------------------------------
 
 
@@ -299,19 +307,25 @@ def _grad_through_normalization(cache: ForwardCache, d_normalized: np.ndarray) -
 def _backward_layers(
     params: EncoderParams, cache: ForwardCache, d_top: np.ndarray, grads: EncoderParams
 ) -> None:
-    """Backprop from d(loss)/d(H_L) into layer and embedding gradients.
+    """Backprop from d(loss)/d(H_L), ``d_top``, into layer and embedding
+    gradients. ``d_top`` is consumed: it is overwritten with d(loss)/d(H_0).
+    Three more (N, d) arrays are allocated once per call and reused by every
+    layer.
 
     With da = dh' * (1 - g^2) and e = M^T da = M da: dW = h^T e,
     db = sum(da), dh = dh' + e W^T.
     """
     dh = d_top
+    da, mixed, back = np.empty_like(dh), np.empty_like(dh), np.empty_like(dh)
     for l in range(len(params.layers) - 1, -1, -1):
-        da = dh * (1.0 - cache.gates[l] ** 2)
-        mixed = da.copy()
+        np.square(cache.gates[l], out=da)
+        np.subtract(1.0, da, out=da)
+        da *= dh
+        np.copyto(mixed, da)
         _add_neighbours(mixed, da, cache.bounds)
         grads.layers[l].weight += cache.hiddens[l].T @ mixed
         grads.layers[l].bias += da.sum(axis=0)
-        dh = dh + mixed @ params.layers[l].weight.T
+        dh += np.matmul(mixed, params.layers[l].weight.T, out=back)
     _scatter_add(grads.token_embeddings, cache.ids, dh)
 
 

@@ -1,8 +1,9 @@
 """Line-oriented text input, atomic file writing and content hashing.
 
-Every corpus and evaluation text file is read by one line rule: UTF-8,
-newline stripped, lines that are empty or hold only whitespace skipped but
-counted, so that an error names ``path:line``. All artifact writes go
+Every corpus and evaluation text file is read by one line rule: UTF-8
+without a byte-order mark, ``\n`` or ``\r\n`` line ends stripped, lines
+that are empty or hold only whitespace skipped but counted, so that an
+error names ``path:line``. All artifact writes go
 through the atomic helpers (temp file in the target directory, then
 rename) so partially written outputs never appear under their final
 names.
@@ -22,12 +23,20 @@ from .errors import DataError
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each line of a UTF-8 file that holds
-    more than whitespace, newline stripped, numbered from 1 with the
-    skipped lines counted."""
-    with open(path, encoding="utf-8") as fh:
+    more than whitespace, line end stripped, numbered from 1 with the
+    skipped lines counted. Only ``\n`` ends a line, as for ``wc -l``, and
+    a ``\r`` before it is stripped too. Any other ``\r`` raises
+    ``DataError`` naming ``path:line``, and so does a leading byte-order
+    mark, which would hide the first line's language."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.isspace():
-                yield lineno, raw.rstrip("\n")
+            line = raw[:-2] if raw.endswith("\r\n") else raw.removesuffix("\n")
+            if "\r" in line:
+                raise DataError(f"{path}:{lineno}: carriage return inside a line")
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise DataError(f"{path}:1: starts with a UTF-8 byte-order mark")
+            if line and not line.isspace():
+                yield lineno, line
 
 
 def read_rows(path: str | Path, widths: Collection[int], layout: str) -> Iterator[tuple[int, list[str]]]:

@@ -232,9 +232,12 @@ def finetune_dual_encoder(
     parameters and optimizer state. The caller's ``params`` and ``state``
     are copied once and left unchanged.
 
-    Each step computes the loss and its gradients once, in one call to
-    ``sharded_bidirectional_loss``. Both sides are encoded with the same
-    parameters. Resuming from a checkpointed (params, state) reproduces
+    The encoder is shared, so each step packs the B sources and then the
+    B targets into one ``forward_batch`` call, computes the loss and its
+    gradients once with ``sharded_bidirectional_loss``, and makes one
+    ``backward_batch`` call over all 2B rows. Every embedding row is
+    bitwise what a per-side call would give; only the gradient sums
+    differ from two per-side backward calls, in the last bits. Resuming from a checkpointed (params, state) reproduces
     the unbroken run exactly; training continues from state.step_count
     up to ``stop_step`` (default: the full configured horizon). A state
     made under another config raises CheckpointError naming each field
@@ -255,11 +258,10 @@ def finetune_dual_encoder(
 
     def ranking_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
         _, idx = _draw([config.seed, _STREAM_FINETUNE, t], len(pair_corpus), config.batch_size)
-        vx, cache_x = forward_batch(params, [src_seqs[i] for i in idx])
-        vy, cache_y = forward_batch(params, [tgt_seqs[i] for i in idx])
+        v, cache = forward_batch(params, [src_seqs[i] for i in idx] + [tgt_seqs[i] for i in idx])
+        vx, vy = v[: config.batch_size], v[config.batch_size :]
         loss_value, dvx, dvy = sharded_bidirectional_loss(shard_batch(vx, vy, config.shards), loss_cfg)
-        backward_batch(params, cache_x, dvx, grads)
-        backward_batch(params, cache_y, dvy, grads)
+        backward_batch(params, cache, np.concatenate((dvx, dvy)), grads)
         return loss_value, config.batch_size
 
     _run_steps(

@@ -94,6 +94,37 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"sentence '0{side[0]}' holds a tab"):
             format_pairs_tsv([pair("sun", "sonne", n=1), pair(texts["src"], texts["tgt"], n=0)])
 
+    @pytest.mark.parametrize("char, name", [("\n", "a line feed"), ("\r", "a carriage return")])
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    def test_pairs_tsv_writer_refuses_a_text_with_a_line_break(self, side, char, name):
+        texts = {"src": "hello", "tgt": "hallo", side: f"two{char}lines"}
+        with pytest.raises(ValueError, match=f"sentence '0{side[0]}' holds {name}"):
+            format_pairs_tsv([pair("sun", "sonne", n=1), pair(texts["src"], texts["tgt"], n=0)])
+
+    def test_only_line_feed_ends_a_line_and_crlf_loses_its_carriage_return(self, tmp_path):
+        path = tmp_path / "mono.txt"
+        path.write_bytes("de\thallo\r\n \r\nnext\u2028same\u0085line\n".encode("utf-8"))
+        sentences = read_monolingual(path)
+        assert [(x.id, x.lang, x.text) for x in sentences] == [
+            ("1", "de", "hallo"),
+            ("3", "und", "next\u2028same\u0085line"),
+        ]
+
+    @pytest.mark.parametrize("data", ["one\rtwo\nthree\n", "one\ntwo\r\r\n", "one\ntwo\r"])
+    def test_carriage_return_inside_a_line_names_it(self, tmp_path, data):
+        path = tmp_path / "mono.txt"
+        path.write_bytes(data.encode("utf-8"))
+        line = 1 if data.startswith("one\r") else 2
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{line}: carriage return inside a line$"):
+            read_monolingual(path)
+
+    @pytest.mark.parametrize("reader", [read_monolingual, read_pairs_tsv])
+    def test_byte_order_mark_is_refused_naming_the_file(self, tmp_path, reader):
+        path = tmp_path / "data.txt"
+        path.write_bytes("\ufeffaa\tbb\tgeki geba\tgoki\n".encode("utf-8"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: starts with a UTF-8 byte-order mark$"):
+            reader(path)
+
     def test_pairs_tsv_ids_count_empty_lines_and_an_empty_fifth_column_is_no_score(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("\naa\tbb\tx\ty\t\n", encoding="utf-8")

@@ -84,6 +84,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(p, [CLS_ID, 6, 7, 8, SEP_ID])
 
+    @pytest.mark.parametrize(
+        "batch",
+        [[], [[CLS_ID, 6, SEP_ID], []], [[[CLS_ID, 6], [7, SEP_ID]]], [[CLS_ID, "six", SEP_ID]], [[CLS_ID, None]]],
+        ids=["empty-batch", "empty-item", "2-d-item", "non-numeric-item", "none-item"],
+    )
+    @pytest.mark.parametrize("call", [forward_batch, encode_batch], ids=["forward_batch", "encode_batch"])
+    def test_malformed_batch_is_refused(self, batch, call):
+        with pytest.raises(ValueError, match="^token sequence must be a non-empty 1-D id list$"):
+            call(small_params(), batch)
+
 
 class TestEncodeBatch:
     def test_rows_equal_single_encode_exactly(self):

@@ -245,6 +245,58 @@ class TestFinetune:
             finetune_dual_encoder(init_params(toy_encoder_config, 1), [], cfg, toy_vocab)
 
 
+class TestPackedRankingStep:
+    """A ranking step encodes the B sources, then the B targets, in one
+    ``forward_batch`` call and backpropagates all 2B rows in one
+    ``backward_batch`` call."""
+
+    def record_steps(self, monkeypatch, toy_small, toy_vocab, params, steps):
+        forward, backward = trainer_module.forward_batch, trainer_module.backward_batch
+        calls = []
+
+        def recorded_forward(p, batch):
+            vectors, cache = forward(p, batch)
+            calls.append(("forward", p.copy(), batch, vectors.copy()))
+            return vectors, cache
+
+        def recorded_backward(p, cache, d_embeddings, grads):
+            backward(p, cache, d_embeddings, grads)
+            calls.append(("backward", d_embeddings.copy(), grads.flat.copy()))
+            return grads
+
+        monkeypatch.setattr(trainer_module, "forward_batch", recorded_forward)
+        monkeypatch.setattr(trainer_module, "backward_batch", recorded_backward)
+        cfg = TrainConfig(batch_size=8, steps=steps, learning_rate=1e-3, seed=5)
+        finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab)
+        return calls
+
+    def test_each_step_makes_one_forward_and_one_backward_call(
+        self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
+    ):
+        calls = self.record_steps(monkeypatch, toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=3)
+        assert [c[0] for c in calls] == ["forward", "backward"] * 3
+        assert all(len(c[2]) == 16 for c in calls[::2])
+
+    def test_packed_step_matches_per_side_calls(self, monkeypatch, toy_small, toy_vocab, toy_encoder_config):
+        from bitextmine.encoder import backward_batch, forward_batch
+
+        params = float64_params(init_params(toy_encoder_config, 1))
+        (_, step_params, batch, vectors), (_, d_embeddings, grads) = self.record_steps(
+            monkeypatch, toy_small, toy_vocab, params, steps=1
+        )
+        _, idx = trainer_module._draw([5, trainer_module._STREAM_FINETUNE, 0], len(toy_small.train_pairs), 8)
+        pairs = [toy_small.train_pairs[i] for i in idx]
+        src, tgt = batch[:8], batch[8:]
+        assert src == [tokenize_sentence(p.src, toy_vocab, 16) for p in pairs]
+        assert tgt == [tokenize_sentence(p.tgt, toy_vocab, 16) for p in pairs]
+        vx, cache_x = forward_batch(step_params, src)
+        vy, cache_y = forward_batch(step_params, tgt)
+        np.testing.assert_array_equal(vectors, np.concatenate((vx, vy)))
+        per_side = backward_batch(step_params, cache_x, d_embeddings[:8])
+        backward_batch(step_params, cache_y, d_embeddings[8:], per_side)
+        np.testing.assert_allclose(grads, per_side.flat, rtol=1e-12)
+
+
 class TestPretrain:
     def test_single_stage_runs_and_returns_same_depth(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 2)
