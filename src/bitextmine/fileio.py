@@ -3,10 +3,9 @@
 Every corpus and evaluation text file is read by one line rule: UTF-8
 without a byte-order mark, ``\n`` or ``\r\n`` line ends stripped, lines
 that are empty or hold only whitespace skipped but counted, so that an
-error names ``path:line``. All artifact writes go
-through the atomic helpers (temp file in the target directory, then
-rename) so partially written outputs never appear under their final
-names.
+error names ``path:line``. All artifact writes go through the atomic
+helpers (temp file in the target directory, then rename) so partially
+written outputs never appear under their final names.
 """
 
 from __future__ import annotations

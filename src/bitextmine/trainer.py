@@ -237,13 +237,15 @@ def finetune_dual_encoder(
     gradients once with ``sharded_bidirectional_loss``, and makes one
     ``backward_batch`` call over all 2B rows. Every embedding row is
     bitwise what a per-side call would give; only the gradient sums
-    differ from two per-side backward calls, in the last bits. Resuming from a checkpointed (params, state) reproduces
-    the unbroken run exactly; training continues from state.step_count
-    up to ``stop_step`` (default: the full configured horizon). A state
-    made under another config raises CheckpointError naming each field
-    that differs. With a ``checkpoint_path``, (params, state) are saved
-    there every ``checkpoint_interval`` steps (never, if 0) and after the
-    last step, each step's state at most once.
+    differ from two per-side backward calls, in the last bits.
+
+    Resuming from a checkpointed (params, state) reproduces the unbroken
+    run exactly; training continues from state.step_count up to
+    ``stop_step`` (default: the full configured horizon). A state made
+    under another config raises CheckpointError naming each field that
+    differs. With a ``checkpoint_path``, (params, state) are saved there
+    every ``checkpoint_interval`` steps (never, if 0) and after the last
+    step, each step's state at most once.
     """
     if not pair_corpus:
         raise ValueError("empty pair corpus")
