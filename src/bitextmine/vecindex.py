@@ -3,18 +3,33 @@ unit-norm embedding pools.
 
 A score is exact: the float64 sum of the products of query q and pool
 row p as ``(p * q).sum()`` forms it, so it depends on the pair alone,
-never on the block, the pool slice or the BLAS. ``_top_k``, the one
-selection kernel of pool search and centroid probing, takes one matrix
-product per ``QUERY_CHUNK`` queries, keeps each row's columns within a
-slack of its k-th best approximate score, and rescores only those
-exactly. A float64 dot product in any summation order errs by at most
-g*|q|*|p|, g = d*u/(1 - d*u), u = 2**-53 (Higham, Accuracy and Stability
-of Numerical Algorithms, 3.1), so product and exact score differ by at
-most D = 2g*|q|*max|p|. A column more than 2D below the k-th best
-approximate score T trails k columns whose exact scores are at least
-T - D, above its own, so it is not in the top-k. The slack,
-8*d*eps*|q|*max|p| (eps = 2u), exceeds 2D with room for rounding the
-norms and the threshold, for scores far from float64 underflow.
+never on the block, the pool slice or the BLAS. One selection kernel
+serves pool search, centroid probing and the partition: ``_candidates``
+finds the pairs that may rank, ``_best_k`` orders them, ``_top_k`` is the
+two in turn. Each query row is scaled to unit norm in float64 (a zero row
+stays zero) and rounded to float32. ``_candidates`` forms one float32
+product per block of queries and tile of at most ``_TILE_ROWS`` rows,
+against the float32 copy of the rows that the index keeps. It keeps each
+query's columns within a slack of its k-th best approximate score T, and
+rescores only those exactly. So the float32 product decides which pairs
+are rescored, never a score or a tie. Each tile first keeps what lies
+within the slack of its own k-th best, which is at most T, and the block
+then keeps what lies within the slack of T itself.
+
+The slack. Let u = 2**-24, q' the unit row (q' = q/c up to float64
+rounding, c > 0) and a the float32 product of q' and p, each first
+rounded to float32. Rounding the two inputs moves their product by at
+most (2u + u*u)*|q'|*|p|, and a float32 dot product in any summation
+order errs by at most g*|q'|*|p|, g = d*u/(1 - d*u) (Higham, Accuracy
+and Stability of Numerical Algorithms, 3.1). For d*u <= 0.01 that gives
+|a - (q.p)/c| <= D = 1.02*(d + 2)*u*max|p|; the float64 errors of q' and
+of the exact score, a few d*2**-53*max|p|, are far inside it. A column
+more than 2D below T trails k columns whose exact scores over c are at
+least T - D, above its own, so it is not in the top-k. The slack,
+4*(d + 2)*u*max|p|, exceeds 2D with room for rounding the threshold and
+max|p| in float32 and for float32 underflow (a few d*2**-150 per score,
+far below unit rows' scale). A block holds at most ``_SCORE_BYTES`` of
+float32 scores, and at least one query row.
 
 Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
@@ -24,19 +39,23 @@ iterations only, final centroids rounded through float32 as stored. Each
 row belongs to its best-scoring centroid by exact score, ties to the
 lower index, so a pool row probes its own cluster first; a cluster may
 be empty. A search picks the P non-empty clusters whose centroids best
-match the query (ties to the lower index) and excludes every row
-outside them; the rest keep their exact-mode scores and ties.
+match the query (ties to the lower index). It runs ``_candidates`` once
+per probed cluster, over that cluster's rows and the queries that probe
+it, and one ``_best_k`` over all of them, so only probed rows are scored
+and the rows it returns keep their exact-mode scores and ties.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a required companion file, one per
-line. ``read_pool`` is the one pool reader: every pool it reads is checked
-by ``build``. An index directory holds the pool (``vectors.pool``) and,
-if partitioned, the centroids (``centroids.pool``, same rows, no ids)
-and the config (``index.cfg``); the partition is derived on load.
+line, each ended by ``\n``. ``read_pool`` is the one pool reader: every
+pool it reads is checked by ``build``. An index directory holds the pool
+(``vectors.pool``) and, if partitioned, the centroids (``centroids.pool``,
+same rows, no ids) and the config (``index.cfg``); the partition is
+derived on load.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -48,9 +67,10 @@ EXACT = "exact"
 PARTITIONED = "partitioned"
 
 _UNIT_ATOL = 1e-4  # float32 round-trips denormalize unit rows slightly
-QUERY_CHUNK = 256  # query rows scored at once: a 4 MB block against 2000 rows
+_SCORE_BYTES = 1 << 22  # float32 approximate scores formed at once: 256 queries by one full tile
+_TILE_ROWS = 4096  # rows per tile: a 1 MB float32 tile at d = 64
 _RESCORE_PAIRS = 4096  # candidate pairs rescored at once: 2 MB gathers at d = 64
-_SLACK = 8 * np.finfo(np.float64).eps  # per dimension and unit of |q|*max|p|: see the module docstring
+_SLACK = 4 * 2.0**-24  # per (d + 2) and unit of max|p|: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -74,12 +94,16 @@ class IndexConfig:
 @dataclass
 class VectorIndex:
     mode: str
-    vectors: np.ndarray  # (M, d) unit-norm
+    vectors: np.ndarray  # (M, d) unit-norm float64, the rows every score is formed from
     ids: list[str]
     id_rank: np.ndarray  # rank of each row's id in ascending id order
+    rows32: np.ndarray  # float32 copy of ``vectors``, grouped by cluster (in ``order``) if partitioned
     config: IndexConfig | None = None
     centroids: np.ndarray | None = None  # (C, d) unit-norm
-    cluster_of: np.ndarray | None = None  # (M,) each row's best-scoring centroid, from ``_cluster_of``
+    centroids32: np.ndarray | None = None  # float32 copy of ``centroids``
+    cluster_of: np.ndarray | None = None  # (M,) each row's best-scoring centroid
+    order: np.ndarray | None = None  # (M,) pool rows by cluster, ascending within one
+    list_starts: np.ndarray | None = None  # (C + 1,) where each cluster's rows start in ``order``
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -87,9 +111,9 @@ class VectorIndex:
     @property
     def assignments(self) -> list[np.ndarray] | None:
         """Member row indices per centroid."""
-        if self.cluster_of is None:
+        if self.order is None:
             return None
-        return [np.flatnonzero(self.cluster_of == c) for c in range(len(self.centroids))]
+        return np.split(self.order, self.list_starts[1:-1])
 
 
 def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
@@ -118,10 +142,21 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _cluster_of(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Each row's best-scoring centroid, ties to the lower index: by the
-    search's own kernel, the cluster that row probes first as a query."""
-    return _top_k(centroids, vectors, 1, np.arange(len(centroids)))[1]
+def _partition(vectors: np.ndarray, centroids: np.ndarray) -> dict:
+    """The partition fields of an index over ``vectors``: each row goes
+    to its best-scoring centroid, ties to the lower index, by the search's
+    own kernel, so it is the cluster that row probes first as a query."""
+    centroids32 = centroids.astype(np.float32)
+    cluster_of = _top_k(centroids, centroids32, vectors, _unit32(vectors), 1, np.arange(len(centroids)))[1]
+    order = np.argsort(cluster_of, kind="stable")
+    return dict(
+        centroids=centroids,
+        centroids32=centroids32,
+        cluster_of=cluster_of,
+        order=order,
+        list_starts=np.searchsorted(cluster_of[order], np.arange(len(centroids) + 1)),
+        rows32=vectors[order].astype(np.float32),
+    )
 
 
 def _farthest_point_init(vectors: np.ndarray, C: int, seed: int) -> np.ndarray:
@@ -154,9 +189,9 @@ def build(
 ) -> VectorIndex:
     """Build an exact index (config None) or a spherical-k-means one."""
     vectors = _validate_pool(vectors, list(ids))
-    id_rank = _id_rank(ids)
+    pool = dict(vectors=vectors, ids=list(ids), id_rank=_id_rank(ids))
     if config is None:
-        return VectorIndex(mode=EXACT, vectors=vectors, ids=list(ids), id_rank=id_rank)
+        return VectorIndex(mode=EXACT, rows32=vectors.astype(np.float32), **pool)
 
     m = vectors.shape[0]
     if m < config.clusters:
@@ -177,15 +212,7 @@ def build(
             else:
                 centroids[c] = mean / norm
     centroids = centroids.astype(np.float32).astype(np.float64)  # as ``centroids.pool`` stores them
-    return VectorIndex(
-        mode=PARTITIONED,
-        vectors=vectors,
-        ids=list(ids),
-        id_rank=id_rank,
-        config=config,
-        centroids=centroids,
-        cluster_of=_cluster_of(vectors, centroids),
-    )
+    return VectorIndex(mode=PARTITIONED, config=config, **pool, **_partition(vectors, centroids))
 
 
 def check_k(k: int) -> None:
@@ -194,32 +221,122 @@ def check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _top_k(
-    matrix: np.ndarray, block: np.ndarray, k: int, tie_rank: np.ndarray, excluded: np.ndarray | None = None
+def _unit32(block: np.ndarray) -> np.ndarray:
+    """Each row of ``block`` scaled to unit norm in float64, then rounded
+    to float32. Scaling by the largest entry first keeps the norm of any
+    finite row from overflowing or underflowing; a zero row stays zero."""
+    scale = np.abs(block).max(axis=1, keepdims=True)
+    rows = np.divide(block, scale, out=np.zeros_like(block), where=scale > 0)
+    rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1.0)  # >= 1 unless the row is zero
+    return rows.astype(np.float32)
+
+
+def _block_rows(m: int) -> int:
+    """Query rows per block against m rows: as many as ``_SCORE_BYTES`` of
+    float32 scores hold, at least one."""
+    return max(1, _SCORE_BYTES // (4 * m))
+
+
+def _best_values(approx: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k best values, unordered (all of them if it has fewer)."""
+    k = min(k, approx.shape[1])
+    return approx.max(axis=1, keepdims=True) if k == 1 else np.partition(approx, -k, axis=1)[:, -k:]
+
+
+def _best_k(
+    rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, k: int, tie_rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best k rows of ``matrix`` for each row of ``block`` by (exact
-    score descending, tie_rank ascending), as flat (block row, matrix row,
-    exact score) arrays in block-row order, each row's best first.
-    ``excluded``, a boolean mask broadcast to (block rows, matrix rows),
-    drops pairs, so a block row with fewer others returns fewer than k."""
-    m, d = matrix.shape
-    k = min(k, m)
-    approx = block @ matrix.T
-    if excluded is not None:
-        np.copyto(approx, -np.inf, where=excluded)
-    kth = approx.max(axis=1) if k == 1 else np.partition(approx, -k, axis=1)[:, -k]
-    slack = _SLACK * d * np.linalg.norm(block, axis=1) * np.sqrt(np.einsum("ij,ij->i", matrix, matrix).max())
-    # the floor keeps excluded pairs out when a row has fewer than k others
-    keep = approx >= np.maximum(kth - slack, np.finfo(np.float64).min)[:, None]
-    rows, cols = np.divmod(np.flatnonzero(keep), m)
-    scores = np.empty(rows.size)
-    for s in range(0, rows.size, _RESCORE_PAIRS):
-        part = slice(s, s + _RESCORE_PAIRS)
-        scores[part] = (matrix[cols[part]] * block[rows[part]]).sum(axis=1)
+    """The first k (row, col, score) triples of each row by (score
+    descending, tie_rank of col ascending), rows ascending."""
     order = np.lexsort((tie_rank[cols], -scores, rows))
     rows, cols, scores = rows[order], cols[order], scores[order]
     best = np.arange(rows.size) - np.searchsorted(rows, rows) < k  # rank in row below k
     return rows[best], cols[best], scores[best]
+
+
+def _candidates(
+    matrix: np.ndarray,
+    rows32: np.ndarray,
+    block: np.ndarray,
+    units: np.ndarray,
+    k: int,
+    members: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each block of query rows, the (block row, matrix row, exact
+    score) triples, unordered, of every pair that may be in a block row's
+    top k among the rows ``members`` (default all) of ``matrix``.
+    ``units`` is ``_unit32(block)``, and ``rows32`` holds those rows in
+    float32, in ``members`` order: the approximate products read these two,
+    the exact scores ``block`` and ``matrix``."""
+    m, d = rows32.shape
+    slack = np.float32(_SLACK * (d + 2)) * np.sqrt(np.einsum("ij,ij->i", rows32, rows32).max())
+    step = _block_rows(min(m, _TILE_ROWS))
+    for start in range(0, block.shape[0], step):
+        part, unit = block[start : start + step], units[start : start + step]
+        found, tops = [], []
+        for lo in range(0, m, _TILE_ROWS):
+            approx = unit @ rows32[lo : lo + _TILE_ROWS].T
+            tops.append(_best_values(approx, k))
+            flat = np.flatnonzero(approx >= (tops[-1].min(axis=1) - slack)[:, None])
+            tile_rows, tile_cols = np.divmod(flat, approx.shape[1])
+            found.append((tile_rows, tile_cols + lo, approx.ravel()[flat]))
+        rows, cols, approx = (np.concatenate(column) for column in zip(*found))
+        if len(found) > 1:  # a tile's k-th best may trail the row's
+            keep = approx >= (_best_values(np.hstack(tops), k).min(axis=1) - slack)[rows]
+            rows, cols = rows[keep], cols[keep]
+        if members is not None:
+            cols = members[cols]
+        scores = np.empty(rows.size)
+        for s in range(0, rows.size, _RESCORE_PAIRS):
+            pairs = slice(s, s + _RESCORE_PAIRS)
+            scores[pairs] = (matrix[cols[pairs]] * part[rows[pairs]]).sum(axis=1)
+        yield rows + start, cols, scores
+
+
+def _concat(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (rows, cols, scores) triple from several."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _top_k(
+    matrix: np.ndarray,
+    rows32: np.ndarray,
+    block: np.ndarray,
+    units: np.ndarray,
+    k: int,
+    tie_rank: np.ndarray,
+    members: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best k of the rows ``members`` (default all) of ``matrix`` for
+    each row of ``block`` by (exact score descending, tie_rank ascending),
+    as flat (block row, matrix row, exact score) arrays in block-row
+    order, each row's best first; the arguments are ``_candidates``'."""
+    found = _candidates(matrix, rows32, block, units, k, members)
+    return _concat(_best_k(*triple, k, tie_rank) for triple in found)
+
+
+def _search_lists(
+    index: VectorIndex, queries: np.ndarray, units: np.ndarray, k: int, probes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_top_k``'s triples for a partitioned index: each query's best k
+    over the rows of its ``probes`` best non-empty clusters, from the
+    candidates of each probed cluster for the queries that probe it."""
+    starts = index.list_starts
+    filled = np.flatnonzero(np.diff(starts))
+    qrows, lists, _ = _top_k(
+        index.centroids, index.centroids32[filled], queries, units, probes, np.arange(len(starts) - 1), filled
+    )
+    by_list = np.argsort(lists, kind="stable")  # each cluster's queries, in block order
+    qrows, lists = qrows[by_list], lists[by_list]
+    cuts = np.flatnonzero(np.diff(lists)) + 1
+    parts = []
+    for c, q in zip(lists[np.r_[0, cuts]].tolist(), np.split(qrows, cuts)):
+        lo, hi = starts[c], starts[c + 1]
+        for rows, cols, scores in _candidates(
+            index.vectors, index.rows32[lo:hi], queries[q], units[q], k, index.order[lo:hi]
+        ):
+            parts.append((q[rows], cols, scores))
+    return _best_k(*_concat(parts), k, index.id_rank)
 
 
 def search(
@@ -232,7 +349,7 @@ def search(
     mode scans everything; partitioned mode scans the ``probes``
     best-matching non-empty clusters (defaults to the build config). Each
     row gets min(k, candidates) results, the same as brute force over them
-    with the module's exact score, which no chunk or BLAS order changes.
+    with the module's exact score, which no block or BLAS order changes.
     """
     check_k(k)
     if len(index) == 0:
@@ -242,27 +359,19 @@ def search(
         raise ValueError(f"queries must be an n x {index.vectors.shape[1]} block, got {queries.shape}")
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")  # a NaN row would match nothing
-    p = None
+    if queries.shape[0] == 0:
+        return []
     if index.mode == PARTITIONED:
-        assert index.config is not None and index.centroids is not None and index.cluster_of is not None
+        assert index.config is not None
         p = index.config.probes if probes is None else probes
         if not (1 <= p <= index.config.clusters):
             raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
-        empty = np.bincount(index.cluster_of, minlength=index.config.clusters) == 0
-    results: list[list[tuple[str, float]]] = []
-    for start in range(0, queries.shape[0], QUERY_CHUNK):
-        block = queries[start : start + QUERY_CHUNK]
-        unprobed = None
-        if p is not None:
-            rows, cols, _ = _top_k(index.centroids, block, p, np.arange(empty.size), empty)
-            probed = np.zeros((block.shape[0], empty.size), dtype=bool)
-            probed[rows, cols] = True
-            unprobed = ~probed[:, index.cluster_of]
-        rows, cols, scores = _top_k(index.vectors, block, k, index.id_rank, unprobed)
-        bounds = np.searchsorted(rows, np.arange(block.shape[0] + 1)).tolist()
-        hits = list(zip([index.ids[c] for c in cols.tolist()], scores.tolist()))
-        results.extend(hits[a:b] for a, b in zip(bounds, bounds[1:]))
-    return results
+        rows, cols, scores = _search_lists(index, queries, _unit32(queries), k, p)
+    else:
+        rows, cols, scores = _top_k(index.vectors, index.rows32, queries, _unit32(queries), k, index.id_rank)
+    bounds = np.searchsorted(rows, np.arange(queries.shape[0] + 1)).tolist()
+    hits = list(zip([index.ids[c] for c in cols.tolist()], scores.tolist()))
+    return [hits[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def recall_vs_exact(index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None) -> float:
@@ -310,11 +419,15 @@ def pool_files(path: str | Path) -> list[Path]:
 
 
 def write_pool(path: str | Path, vectors: np.ndarray, ids: list[str]) -> None:
-    """Write the rows to ``path`` and their ids to ``<path>.ids``, one per line."""
+    """Write the rows to ``path`` and their ids to ``<path>.ids``, one per
+    line; an id holding ``\n`` or ``\r`` is refused, as no line could hold it."""
     from .fileio import atomic_write_text
 
     if len(ids) != len(vectors):
         raise ValueError(f"{len(ids)} ids for {len(vectors)} vectors")
+    for name in ids:
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"pool id {name!r} holds a line end")
     rows_path, ids_path = pool_files(path)
     _write_rows(rows_path, vectors)
     atomic_write_text(ids_path, "\n".join(ids) + ("\n" if ids else ""))
@@ -326,7 +439,12 @@ def read_pool(path: str | Path) -> VectorIndex:
     vectors = _read_rows(rows_path)
     if not ids_path.exists():
         raise DataError(f"{ids_path}: companion id file missing")
-    ids = [line.rstrip("\n") for line in ids_path.read_text(encoding="utf-8").splitlines()]
+    text = ids_path.read_bytes().decode("utf-8")
+    ids = text.removesuffix("\n").split("\n") if text else []  # only \n ends a line, as in ``fileio.read_lines``
+    for lineno, name in enumerate(ids, start=1):
+        if "\r" in name.removesuffix("\r"):
+            raise DataError(f"{ids_path}:{lineno}: carriage return inside an id")
+    ids = [name.removesuffix("\r") for name in ids]
     if len(ids) != len(vectors):
         raise DataError(f"{ids_path}: {len(ids)} ids for {len(vectors)} vectors")
     return build(vectors, ids)
@@ -377,5 +495,4 @@ def load_index(directory: str | Path) -> VectorIndex:
     if centroids.shape != (config.clusters, index.vectors.shape[1]):
         raise DataError(f"{centroids_path}: centroids of shape {centroids.shape} for {config.clusters} clusters")
     _check_unit_rows(centroids, f"{centroids_path}: centroid", DataError)
-    cluster_of = _cluster_of(index.vectors, centroids)
-    return replace(index, mode=PARTITIONED, config=config, centroids=centroids, cluster_of=cluster_of)
+    return replace(index, mode=PARTITIONED, config=config, **_partition(index.vectors, centroids))

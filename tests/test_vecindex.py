@@ -1,20 +1,26 @@
 import ast
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bitextmine import vecindex
 from bitextmine.errors import DataError
 from bitextmine.vecindex import (
     EXACT,
     IndexConfig,
     PARTITIONED,
-    QUERY_CHUNK,
     _RESCORE_PAIRS,
+    _block_rows,
     _read_rows,
     _write_rows,
     build,
     load_index,
+    pool_files,
     read_pool,
     recall_vs_exact,
     save_index,
@@ -67,18 +73,38 @@ def make_pool(rng, kind, m, d):
     return V, [f"v{i:05d}" for i in rng.permutation(m)]
 
 
-def near_tie_pool(rng, m, d):
+def near_tie_pool(rng, m, d, ulps="float64"):
     """A few unit rows, each repeated with every coordinate moved 0-4 ulps
     away from zero (0 keeps an exact copy), under ids whose order is not the
     row order: the scores of a base row's copies differ by a few ulps or
-    not at all."""
+    not at all. ``ulps`` names the moves: "float64" ulps; "float32" ulps,
+    so the copies' float32 rows differ too; or "same-float32", float64 ulps
+    of float32 rows, so every copy rounds to its base row's float32 row and
+    only the float64 scores tell the copies apart."""
     base = unit_rows(rng, max(2, m // 10), d)
-    V = base[rng.integers(0, len(base), size=m)]
+    if ulps == "same-float32":
+        base = base.astype(np.float32).astype(np.float64)
+    V = base[rng.integers(0, len(base), size=m)].astype(np.float32 if ulps == "float32" else np.float64)
     away = np.copysign(np.inf, V)
     for t in range(4):
         moved = rng.integers(0, 5, size=m) > t
         V[moved] = np.nextafter(V[moved], away[moved])
-    return V, base, [f"v{i:05d}" for i in rng.permutation(m)]
+    return V.astype(np.float64), base, [f"v{i:05d}" for i in rng.permutation(m)]
+
+
+def counting_pool_pairs(monkeypatch, index):
+    """A list that receives, for each ``_candidates`` call over
+    ``index``'s pool rows, the number of (query, pool row) pairs it scores."""
+    scored = []
+    kernel = vecindex._candidates
+
+    def counting(matrix, rows32, block, *args, **kwargs):
+        if matrix is index.vectors:
+            scored.append(block.shape[0] * rows32.shape[0])
+        return kernel(matrix, rows32, block, *args, **kwargs)
+
+    monkeypatch.setattr(vecindex, "_candidates", counting)
+    return scored
 
 
 class TestExactSearch:
@@ -230,14 +256,47 @@ class TestBlockSearch:
                 assert got == [brute_force_topk(V, ids, q, k, probed_rows(ivf, q, probes)) for q in Q]
 
     def test_block_longer_than_one_chunk(self):
+        # the query count follows the block rule; brute force checks the
+        # rows on each side of the block boundary and a sample of the rest
         rng = np.random.default_rng(20)
         V, ids = make_pool(rng, "rounded", 60, 5)
-        Q = unit_rows(rng, QUERY_CHUNK + 9, 5)
+        n = _block_rows(len(V))
+        Q = unit_rows(rng, n + 9, 5)
+        checked = sorted({0, n - 1, n, n + 8, *rng.integers(0, n + 9, size=40).tolist()})
         for config in (None, IndexConfig(clusters=4, probes=2)):
             index = build(V, ids, config)
-            rows = [None if config is None else probed_rows(index, q, 2) for q in Q]
             got = search(index, Q, 3)
-            assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, rows)]
+            assert len(got) == len(Q)
+            for i in checked:
+                rows = None if config is None else probed_rows(index, Q[i], 2)
+                assert got[i] == brute_force_topk(V, ids, Q[i], 3, rows)
+
+    def test_results_do_not_depend_on_blocks_or_tiles(self, monkeypatch):
+        # one-row blocks and one-row tiles, small tiles, and one block
+        # holding everything give the same results, equal to brute force
+        rng = np.random.default_rng(24)
+        V, base, ids = near_tie_pool(rng, 300, 16, "same-float32")
+        Q = np.concatenate([base, unit_rows(rng, 10, 16), np.zeros((1, 16))])
+        for config in (None, IndexConfig(clusters=5, probes=2, seed=4)):
+            index = build(V, ids, config)
+            rows = [None if config is None else probed_rows(index, q, 2) for q in Q]
+            for k in (1, 4, len(V)):
+                want = [brute_force_topk(V, ids, q, k, r) for q, r in zip(Q, rows)]
+                for budget, tile in [(1, 1), (1, 7), (1 << 40, 64), (1 << 40, 1 << 40)]:
+                    monkeypatch.setattr(vecindex, "_SCORE_BYTES", budget)
+                    monkeypatch.setattr(vecindex, "_TILE_ROWS", tile)
+                    assert search(index, Q, k) == want, (k, budget, tile)
+
+    def test_partitioned_search_scores_only_probed_rows(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        V, ids = make_pool(rng, "random", 2000, 16)
+        index = build(V, ids, IndexConfig(clusters=32, probes=4, seed=0))
+        Q = unit_rows(rng, 300, 16)
+        scored = counting_pool_pairs(monkeypatch, index)
+        got = search(index, Q, 3)
+        probed = [probed_rows(index, q, 4) for q in Q]
+        assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, probed)]
+        assert sum(scored) <= sum(len(r) for r in probed) < len(Q) * len(V) // 4
 
     def test_one_row_block_equals_that_row_of_a_larger_block(self):
         rng = np.random.default_rng(21)
@@ -276,23 +335,45 @@ class TestBlockSearch:
 
 
 class TestNearTies:
-    @pytest.mark.parametrize("d", [7, 33, 65])
-    def test_ulp_apart_scores_equal_brute_force(self, d):
+    @staticmethod
+    def check_near_ties(d, ulps):
         # the slack around the k-th approximate score must keep every row of
-        # the exact top-k, whatever the query scale
+        # the exact top-k, whatever the query scale, and for a zero query,
+        # whose scores all tie
         rng = np.random.default_rng(d)
-        V, base, ids = near_tie_pool(rng, 90, d)
+        V, base, ids = near_tie_pool(rng, 90, d, ulps)
         Q = np.concatenate([base, unit_rows(rng, 6, d)])
+        exact = build(V, ids)
         ivf = build(V, ids, IndexConfig(clusters=3, probes=2, seed=1))
-        for scale in (1e-3, 1.0, 1e3):
-            Qs = Q * scale
+        ulp = float(np.finfo(np.float32 if ulps == "float32" else np.float64).eps)
+        for scale in (1e-200, 1e-40, 1e-3, 1.0, 1e3, 1e38, 1e200, 0.0):
+            Qs = Q * scale if scale else np.zeros((1, d))
             top = [brute_force_topk(V, ids, q, len(V)) for q in Qs]
-            gaps = np.array([a[1] - b[1] for t in top for a, b in zip(t, t[1:])])
-            assert np.any((gaps > 0) & (gaps <= 4 * np.spacing(scale)))  # near ties do occur
+            if scale:
+                gaps = np.array([a[1] - b[1] for t in top for a, b in zip(t, t[1:])])
+                assert np.any((gaps > 0) & (gaps <= 4 * ulp * scale))  # near ties do occur
             for k in (1, 3, len(V)):
-                assert search(build(V, ids), Qs, k) == [t[:k] for t in top]
+                assert search(exact, Qs, k) == [t[:k] for t in top]
                 rows = [probed_rows(ivf, q, 2) for q in Qs]
                 assert search(ivf, Qs, k) == [brute_force_topk(V, ids, q, k, r) for q, r in zip(Qs, rows)]
+
+    @pytest.mark.parametrize("d", [7, 33, 65])
+    def test_ulp_apart_scores_equal_brute_force(self, d):
+        self.check_near_ties(d, "float64")
+
+    @pytest.mark.parametrize("ulps", ["float32", "same-float32"])
+    @pytest.mark.parametrize("d", [7, 33, 65])
+    def test_float32_near_ties_equal_brute_force(self, d, ulps):
+        # copies a few float32 ulps apart, and copies that round to one
+        # float32 row, so that only their float64 scores tell them apart
+        self.check_near_ties(d, ulps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70))
+    def test_query_rows_become_unit_rows_at_any_finite_scale(self, row):
+        # the slack is stated for a unit query row; a zero row stays zero
+        norm = np.linalg.norm(vecindex._unit32(np.array([row])).astype(np.float64))
+        assert norm == 0.0 if not any(row) else abs(norm - 1.0) < 1e-6
 
     def test_more_candidates_than_one_rescoring_slice(self):
         rng = np.random.default_rng(31)
@@ -394,6 +475,87 @@ class TestPersistence:
         write_pool(tmp_path / "p.pool", V, ids)
         with pytest.raises(ValueError, match="unique" if defect == "duplicate-ids" else "unit-norm"):
             read_pool(tmp_path / "p.pool")
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_ids_holding_other_line_separators_round_trip(self, tmp_path, sep):
+        # only \n ends an id line; str.splitlines would split these too
+        V = np.eye(3)
+        ids = ["a", f"b{sep}c", f"{sep}d"]
+        write_pool(tmp_path / "p.pool", V, ids)
+        assert read_pool(tmp_path / "p.pool").ids == ids
+
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "ab\r", "\n", "a\r\nb"])
+    def test_ids_holding_a_line_end_are_refused_by_name(self, tmp_path, bad):
+        with pytest.raises(ValueError, match=f"^pool id {re.escape(repr(bad))} holds a line end$"):
+            write_pool(tmp_path / "p.pool", np.eye(3), ["a0", bad, "c0"])
+        assert not any(path.exists() for path in pool_files(tmp_path / "p.pool"))
+
+    def test_id_file_with_crlf_line_ends_reads_and_a_lone_cr_is_refused(self, tmp_path):
+        write_pool(tmp_path / "p.pool", np.eye(3), ["a", "b", "c"])
+        ids_path = pool_files(tmp_path / "p.pool")[1]
+        ids_path.write_bytes(b"a\r\nb\r\nc\r\n")
+        assert read_pool(tmp_path / "p.pool").ids == ["a", "b", "c"]
+        ids_path.write_bytes(b"a\nb\rx\nc\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(ids_path))}:2: carriage return inside an id$"):
+            read_pool(tmp_path / "p.pool")
+
+
+# Ids that a pool file can hold: any text without \n or \r, with the
+# separators that str.splitlines would split on, a leading byte-order mark
+# and edge spaces drawn often.
+POOL_IDS = st.text(
+    st.characters(exclude_characters="\n\r", exclude_categories=["Cs"])
+    | st.sampled_from(["\x0b", "\x0c", "\x85", "\u2028", "\u2029", "\ufeff", " ", "\t"]),
+    max_size=5,
+)
+
+
+@st.composite
+def unit_pools(draw, max_rows=12):
+    """(rows, ids): unit rows as a pool file stores them (float32 values,
+    zeros of either sign and subnormals among them) and unique ids."""
+    m, d = draw(st.integers(1, max_rows)), draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=m * d, max_size=m * d)))
+    raw = raw.reshape(m, d)
+    raw[np.abs(raw).max(axis=1) == 0, 0] = -1.0
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    rows = (raw / norms).astype(np.float32).astype(np.float64)
+    ids = draw(st.lists(POOL_IDS, min_size=m, max_size=m, unique=True))
+    return rows, ids
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(pool=unit_pools())
+    def test_write_pool_then_read_pool(self, pool):
+        rows, ids = pool
+        with tempfile.TemporaryDirectory() as tmp:
+            write_pool(Path(tmp) / "p.pool", rows, ids)
+            back = read_pool(Path(tmp) / "p.pool")
+        assert back.vectors.tobytes() == rows.tobytes() and back.ids == ids
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=unit_pools(max_rows=30), clusters=st.integers(0, 6), seed=st.integers(0, 5))
+    def test_save_index_then_load_index(self, pool, clusters, seed):
+        rows, ids = pool
+        config = IndexConfig(clusters=clusters, probes=1, seed=seed) if 0 < clusters <= len(rows) else None
+        index = build(rows, ids, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            back = load_index(tmp)
+        assert back.vectors.tobytes() == rows.tobytes() and back.ids == ids
+        assert (back.mode, back.config) == (index.mode, index.config)
+        if config is not None:
+            assert back.centroids.tobytes() == index.centroids.tobytes()
+            np.testing.assert_array_equal(back.cluster_of, index.cluster_of)
+
+    @settings(max_examples=60, deadline=None)
+    @given(head=POOL_IDS, end=st.sampled_from(["\n", "\r", "\r\n"]), tail=POOL_IDS)
+    def test_write_pool_refuses_first_what_read_pool_could_not_read(self, head, end, tail):
+        bad = head + end + tail
+        with tempfile.TemporaryDirectory() as tmp:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                write_pool(Path(tmp) / "p.pool", np.eye(2), ["x", bad])
 
 
 def test_vector_index_is_constructed_only_by_build():
