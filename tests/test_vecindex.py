@@ -484,12 +484,6 @@ class TestPersistence:
         write_pool(tmp_path / "p.pool", V, ids)
         assert read_pool(tmp_path / "p.pool").ids == ids
 
-    @pytest.mark.parametrize("bad", ["a\nb", "a\rb", "ab\r", "\n", "a\r\nb"])
-    def test_ids_holding_a_line_end_are_refused_by_name(self, tmp_path, bad):
-        with pytest.raises(ValueError, match=f"^pool id {re.escape(repr(bad))} holds a line end$"):
-            write_pool(tmp_path / "p.pool", np.eye(3), ["a0", bad, "c0"])
-        assert not any(path.exists() for path in pool_files(tmp_path / "p.pool"))
-
     def test_id_file_with_crlf_line_ends_reads_and_a_lone_cr_is_refused(self, tmp_path):
         write_pool(tmp_path / "p.pool", np.eye(3), ["a", "b", "c"])
         ids_path = pool_files(tmp_path / "p.pool")[1]
@@ -554,8 +548,9 @@ class TestRoundTripProperties:
     def test_write_pool_refuses_first_what_read_pool_could_not_read(self, head, end, tail):
         bad = head + end + tail
         with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            with pytest.raises(ValueError, match=f"^pool id {re.escape(repr(bad))} holds a line end$"):
                 write_pool(Path(tmp) / "p.pool", np.eye(2), ["x", bad])
+            assert not any(path.exists() for path in pool_files(Path(tmp) / "p.pool"))
 
 
 def test_vector_index_is_constructed_only_by_build():
