@@ -256,20 +256,15 @@ class TestBlockSearch:
                 assert got == [brute_force_topk(V, ids, q, k, probed_rows(ivf, q, probes)) for q in Q]
 
     def test_block_longer_than_one_chunk(self):
-        # the query count follows the block rule; brute force checks the
-        # rows on each side of the block boundary and a sample of the rest
+        # a pool of one full tile, so the block rule gives 256 query rows
         rng = np.random.default_rng(20)
-        V, ids = make_pool(rng, "rounded", 60, 5)
-        n = _block_rows(len(V))
-        Q = unit_rows(rng, n + 9, 5)
-        checked = sorted({0, n - 1, n, n + 8, *rng.integers(0, n + 9, size=40).tolist()})
+        V, ids = make_pool(rng, "rounded", 4096, 5)
+        Q = unit_rows(rng, _block_rows(len(V)) + 9, 5)
         for config in (None, IndexConfig(clusters=4, probes=2)):
             index = build(V, ids, config)
+            rows = [None if config is None else probed_rows(index, q, 2) for q in Q]
             got = search(index, Q, 3)
-            assert len(got) == len(Q)
-            for i in checked:
-                rows = None if config is None else probed_rows(index, Q[i], 2)
-                assert got[i] == brute_force_topk(V, ids, Q[i], 3, rows)
+            assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, rows)]
 
     def test_results_do_not_depend_on_blocks_or_tiles(self, monkeypatch):
         # one-row blocks and one-row tiles, small tiles, and one block
