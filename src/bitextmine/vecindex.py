@@ -23,7 +23,11 @@ most (2u + u*u)*|q'|*|p|, and a float32 dot product in any summation
 order errs by at most g*|q'|*|p|, g = d*u/(1 - d*u) (Higham, Accuracy
 and Stability of Numerical Algorithms, 3.1). For d*u <= 0.01 that gives
 |a - (q.p)/c| <= D = 1.02*(d + 2)*u*max|p|; the float64 errors of q' and
-of the exact score, a few d*2**-53*max|p|, are far inside it. A column
+of the exact score, a few d*2**-53*max|p| while no product p_i*q_i
+underflows in float64, are far inside it. Underflow adds at most
+d*2**-1075 to an exact score, so d*2**-1075/c after dividing by c, far
+inside it too for |q| >= 2**-1000 (about 1e-301); for smaller nonzero
+queries the guarantee is not made. A column
 more than 2D below T trails k columns whose exact scores over c are at
 least T - D, above its own, so it is not in the top-k. The slack,
 4*(d + 2)*u*max|p|, exceeds 2D with room for rounding the threshold and
@@ -101,7 +105,6 @@ class VectorIndex:
     config: IndexConfig | None = None
     centroids: np.ndarray | None = None  # (C, d) unit-norm
     centroids32: np.ndarray | None = None  # float32 copy of ``centroids``
-    cluster_of: np.ndarray | None = None  # (M,) each row's best-scoring centroid
     order: np.ndarray | None = None  # (M,) pool rows by cluster, ascending within one
     list_starts: np.ndarray | None = None  # (C + 1,) where each cluster's rows start in ``order``
 
@@ -152,7 +155,6 @@ def _partition(vectors: np.ndarray, centroids: np.ndarray) -> dict:
     return dict(
         centroids=centroids,
         centroids32=centroids32,
-        cluster_of=cluster_of,
         order=order,
         list_starts=np.searchsorted(cluster_of[order], np.arange(len(centroids) + 1)),
         rows32=vectors[order].astype(np.float32),
