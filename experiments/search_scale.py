@@ -12,7 +12,8 @@ coordinate, scaled back to unit norm. The partitioned index has about
 sqrt(M) clusters and probes 8 of them. Each time is the best of
 ``--repeats`` searches of the whole query block, with BLAS pinned to one
 thread unless the environment already sets it. recall@1 is the share of
-queries whose exact best row is among the partitioned index's top k.
+queries whose exact best row is among the partitioned index's top k. The
+last two columns give the bytes of each index's arrays per pool row.
 This script is not part of the test suite or the benchmark.
 """
 
@@ -35,6 +36,11 @@ from bitextmine.vecindex import IndexConfig, build, recall_vs_exact, search  # n
 
 def unit(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def bytes_per_row(index) -> float:
+    """The bytes of all of ``index``'s arrays, per pool row."""
+    return sum(value.nbytes for value in vars(index).values() if isinstance(value, np.ndarray)) / len(index)
 
 
 def best_of(repeats: int, fn) -> float:
@@ -61,8 +67,8 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     print(f"d = {args.dim}, {args.queries} queries, noise {args.noise}, {args.probes} probes, best of {args.repeats}")
-    print("| pool rows | clusters | build | k | exact | partitioned | recall@1 |")
-    print("|---|---|---|---|---|---|---|")
+    print("| pool rows | clusters | build | k | exact | partitioned | recall@1 | exact B/row | partitioned B/row |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for m in (int(x) for x in args.rows.split(",")):
         pool = unit(rng.normal(size=(m, args.dim)))
         ids = [f"v{i:07d}" for i in range(m)]
@@ -73,12 +79,13 @@ def main(argv=None) -> int:
         start = perf_counter()
         ivf = build(pool, ids, IndexConfig(clusters=clusters, probes=min(args.probes, clusters), seed=args.seed))
         built = perf_counter() - start
+        sizes = f"{bytes_per_row(exact):.0f} | {bytes_per_row(ivf):.0f}"
         for k in (int(x) for x in args.ks.split(",")):
             exact_s = best_of(args.repeats, lambda: search(exact, queries, k))
             ivf_s = best_of(args.repeats, lambda: search(ivf, queries, k))
             recall = recall_vs_exact(ivf, queries, k)
             times = f"{exact_s * 1e3:.1f} ms | {ivf_s * 1e3:.1f} ms"
-            print(f"| {m:,} | {clusters} | {built:.2f} s | {k} | {times} | {recall:.3f} |")
+            print(f"| {m:,} | {clusters} | {built:.2f} s | {k} | {times} | {recall:.3f} | {sizes} |")
     return 0
 
 

@@ -348,6 +348,11 @@ def cmd_search(args) -> tuple[list, list]:
         check_k(args.k)
     index = load_index(args.index)
     queries = read_pool(args.queries)
+    for name in queries.ids + index.ids:
+        if "\t" in name:
+            raise DataError(f"pool id {name!r} holds a tab and cannot be written as one column of {args.out}")
+    if queries.ids[0].startswith("\ufeff"):
+        raise DataError(f"pool id {queries.ids[0]!r} starts with a byte-order mark and cannot begin {args.out}")
     rows = [
         f"{qid}\t{rid}\t{score:.6f}"
         for qid, top in zip(queries.ids, search(index, queries.vectors, k=args.k))

@@ -99,16 +99,23 @@ def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
 
 
 def format_pairs_tsv(pairs: Iterable[SentencePair]) -> str:
-    """Serialize pairs to the TSV wire format (scores with 6 decimals). A
-    text that holds a tab, ``\n`` or ``\r`` raises ``ValueError`` naming
-    its sentence id: it would split its column or its row, and
-    ``read_pairs_tsv`` would refuse the row."""
+    """Serialize pairs to the TSV wire format (scores with 6 decimals).
+    ``ValueError`` naming the sentence id refuses what ``read_pairs_tsv``
+    would not read back: a blank text, a text or language tag that holds a
+    tab, ``\n`` or ``\r``, which would split its column or its row, and a
+    source language tag that starts with a byte-order mark, as its row
+    would."""
     rows = []
     for p in pairs:
+        if p.src.lang.startswith("\ufeff"):
+            raise ValueError(f"sentence {p.src.id!r} language tag starts with a byte-order mark")
         for s in (p.src, p.tgt):
-            for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
-                if char in s.text:
-                    raise ValueError(f"sentence {s.id!r} holds {name} and cannot be written as one TSV column")
+            if not s.text.strip():
+                raise ValueError(f"sentence {s.id!r} has a blank text")
+            for what, value in (("", s.text), (" language tag", s.lang)):
+                for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
+                    if char in value:
+                        raise ValueError(f"sentence {s.id!r}{what} holds {name} and cannot be written as one TSV column")
         base = f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}"
         rows.append(base if p.score is None else f"{base}\t{p.score:.6f}")
     return "\n".join(rows) + ("\n" if rows else "")

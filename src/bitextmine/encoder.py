@@ -24,8 +24,9 @@ Parameters are float32 (``PARAM_DTYPE``), as ``init_params`` makes them
 and checkpoints store them. Every kernel computes in the dtype of
 ``params.flat``, so float64 parameters run the same forward, backward and
 masked-token head in float64; the finite-difference checks rely on that.
-``encode_batch`` rows come out in that dtype too, and ``vecindex`` widens
-pools and queries to float64, so every reported score is a float64 cosine.
+``encode_batch`` rows come out in that dtype too. ``vecindex`` stores
+pool rows in float32, as pool files do, and widens them and the queries
+to float64 to score, so every reported score is a float64 cosine.
 """
 
 from __future__ import annotations

@@ -165,8 +165,8 @@ def bucc_candidates(src: VectorIndex, tgt: VectorIndex, k: int = 1) -> list[tupl
 
 
 def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Angular similarity 1 - arccos(clamp(u.v, -1, 1)) / pi."""
-    dot = float(np.clip(np.dot(u, v), -1.0, 1.0))
+    """Angular similarity 1 - arccos(clamp(u.v, -1, 1)) / pi, u.v in float64."""
+    dot = float(np.clip(np.dot(np.asarray(u, np.float64), np.asarray(v, np.float64)), -1.0, 1.0))
     return 1.0 - math.acos(dot) / math.pi
 
 def sts_pearson(

@@ -1,28 +1,30 @@
 """Exact and partitioned (inverted-file) cosine-similarity search over
 unit-norm embedding pools.
 
-A score is exact: the float64 sum of the products of query q and pool
-row p as ``(p * q).sum()`` forms it, so it depends on the pair alone,
-never on the block, the pool slice or the BLAS. One selection kernel
-serves pool search, centroid probing and the partition: ``_candidates``
-finds the pairs that may rank, ``_best_k`` orders them, ``_top_k`` is the
-two in turn. Each query row is scaled to unit norm in float64 (a zero row
-stays zero) and rounded to float32. ``_candidates`` forms one float32
-product per block of queries and tile of at most ``_TILE_ROWS`` rows,
-against the float32 copy of the rows that the index keeps. It keeps each
-query's columns within a slack of its k-th best approximate score T, and
-rescores only those exactly. So the float32 product decides which pairs
-are rescored, never a score or a tie. Each tile first keeps what lies
-within the slack of its own k-th best, which is at most T, and the block
-then keeps what lies within the slack of T itself.
+An index holds its rows and centroids in float32, as its files store
+them; ``build`` rounds float64 rows to float32. A score is exact: the
+float64 sum of the products of the float64 query q and the pool row p
+widened to float64, as ``(p * q).sum()`` forms it, so it depends on the
+pair alone, never on the block, the pool slice or the BLAS. One
+selection kernel serves pool search, centroid probing and the
+partition: ``_candidates`` finds the pairs that may rank, ``_best_k``
+orders them, ``_top_k`` is the two in turn. Each query row is scaled to
+unit norm in float64 (a zero row stays zero) and rounded to float32.
+``_candidates`` forms one float32 product per block of queries and tile
+of at most ``_TILE_ROWS`` rows, against the index's own float32 rows. It
+keeps each query's columns within a slack of its k-th best approximate
+score T, and rescores only those exactly. So the float32 product decides
+which pairs are rescored, never a score or a tie. Each tile first keeps
+what lies within the slack of its own k-th best, which is at most T, and
+the block then keeps what lies within the slack of T itself.
 
 The slack. Let u = 2**-24, q' the unit row (q' = q/c up to float64
-rounding, c > 0) and a the float32 product of q' and p, each first
-rounded to float32. Rounding the two inputs moves their product by at
-most (2u + u*u)*|q'|*|p|, and a float32 dot product in any summation
-order errs by at most g*|q'|*|p|, g = d*u/(1 - d*u) (Higham, Accuracy
-and Stability of Numerical Algorithms, 3.1). For d*u <= 0.01 that gives
-|a - (q.p)/c| <= D = 1.02*(d + 2)*u*max|p|; the float64 errors of q' and
+rounding, c > 0) and a the float32 product of q' and p, q' first rounded
+to float32; p is float32 already. Rounding q' moves the product by at
+most u*|q'|*|p|, and a float32 dot product in any summation order errs
+by at most g*(1 + u)*|q'|*|p|, g = d*u/(1 - d*u) (Higham, Accuracy and
+Stability of Numerical Algorithms, 3.1). For d*u <= 0.01 that gives
+|a - (q.p)/c| <= D = 1.02*(d + 1)*u*max|p|; the float64 errors of q' and
 of the exact score, a few d*2**-53*max|p| while no product p_i*q_i
 underflows in float64, are far inside it. Underflow adds at most
 d*2**-1075 to an exact score, so d*2**-1075/c after dividing by c, far
@@ -39,14 +41,15 @@ Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
 initialization from a seeded start, fixed iteration count, empty
 clusters re-seeded from the largest cluster's farthest member during the
-iterations only, final centroids rounded through float32 as stored. Each
-row belongs to its best-scoring centroid by exact score, ties to the
-lower index, so a pool row probes its own cluster first; a cluster may
-be empty. A search picks the P non-empty clusters whose centroids best
-match the query (ties to the lower index). It runs ``_candidates`` once
-per probed cluster, over that cluster's rows and the queries that probe
-it, and one ``_best_k`` over all of them, so only probed rows are scored
-and the rows it returns keep their exact-mode scores and ties.
+iterations only, all in float64 over the widened rows; the final
+centroids are rounded to float32, as stored. Each row belongs to its
+best-scoring centroid by exact score, ties to the lower index, so a pool
+row probes its own cluster first; a cluster may be empty. A search picks
+the P non-empty clusters whose centroids best match the query (ties to
+the lower index). It runs ``_candidates`` once per probed cluster, over
+that cluster's rows and the queries that probe it, and one ``_best_k``
+over all of them, so only probed rows are scored and the rows it returns
+keep their exact-mode scores and ties.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a required companion file, one per
@@ -98,15 +101,14 @@ class IndexConfig:
 @dataclass
 class VectorIndex:
     mode: str
-    vectors: np.ndarray  # (M, d) unit-norm float64, the rows every score is formed from
+    vectors: np.ndarray  # (M, d) unit-norm float32 rows in pool order, as the pool file stores them
     ids: list[str]
     id_rank: np.ndarray  # rank of each row's id in ascending id order
-    rows32: np.ndarray  # float32 copy of ``vectors``, grouped by cluster (in ``order``) if partitioned
     config: IndexConfig | None = None
-    centroids: np.ndarray | None = None  # (C, d) unit-norm
-    centroids32: np.ndarray | None = None  # float32 copy of ``centroids``
+    centroids: np.ndarray | None = None  # (C, d) unit-norm float32
     order: np.ndarray | None = None  # (M,) pool rows by cluster, ascending within one
     list_starts: np.ndarray | None = None  # (C + 1,) where each cluster's rows start in ``order``
+    grouped: np.ndarray | None = None  # ``vectors[order]``: each cluster's rows together
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -120,7 +122,7 @@ class VectorIndex:
 
 
 def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
-    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError(f"pool must be a non-empty M x d matrix, got {vectors.shape}")
     if len(ids) != vectors.shape[0]:
@@ -132,8 +134,8 @@ def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
 
 
 def _check_unit_rows(rows: np.ndarray, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless every row is a finite unit vector."""
-    norms = np.linalg.norm(rows, axis=1)
+    """Raise ``error`` unless every row is a finite unit vector (norms in float64)."""
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
     if not np.allclose(norms, 1.0, atol=_UNIT_ATOL):  # a NaN or inf norm is not close
         raise error(f"{what} rows must be unit-norm (max |n-1| = {abs(norms - 1).max():.2e})")
 
@@ -149,15 +151,14 @@ def _partition(vectors: np.ndarray, centroids: np.ndarray) -> dict:
     """The partition fields of an index over ``vectors``: each row goes
     to its best-scoring centroid, ties to the lower index, by the search's
     own kernel, so it is the cluster that row probes first as a query."""
-    centroids32 = centroids.astype(np.float32)
-    cluster_of = _top_k(centroids, centroids32, vectors, _unit32(vectors), 1, np.arange(len(centroids)))[1]
+    queries = vectors.astype(np.float64)  # as ``search`` widens its queries
+    cluster_of = _top_k(centroids, queries, _unit32(queries), 1, np.arange(len(centroids)))[1]
     order = np.argsort(cluster_of, kind="stable")
     return dict(
         centroids=centroids,
-        centroids32=centroids32,
         order=order,
         list_starts=np.searchsorted(cluster_of[order], np.arange(len(centroids) + 1)),
-        rows32=vectors[order].astype(np.float32),
+        grouped=vectors[order],
     )
 
 
@@ -190,11 +191,11 @@ def build(
     vectors: np.ndarray, ids: list[str], config: IndexConfig | None = None
 ) -> VectorIndex:
     """Build an exact index (config None) or a spherical-k-means one."""
-    vectors = _validate_pool(vectors, list(ids))
-    pool = dict(vectors=vectors, ids=list(ids), id_rank=_id_rank(ids))
+    pool = dict(vectors=_validate_pool(vectors, list(ids)), ids=list(ids), id_rank=_id_rank(ids))
     if config is None:
-        return VectorIndex(mode=EXACT, rows32=vectors.astype(np.float32), **pool)
+        return VectorIndex(mode=EXACT, **pool)
 
+    vectors = pool["vectors"].astype(np.float64)  # k-means works in float64
     m = vectors.shape[0]
     if m < config.clusters:
         raise ValueError(f"pool of {m} rows cannot form {config.clusters} clusters")
@@ -213,8 +214,8 @@ def build(
                 _respawn_centroid(vectors, assign, centroids, c)
             else:
                 centroids[c] = mean / norm
-    centroids = centroids.astype(np.float32).astype(np.float64)  # as ``centroids.pool`` stores them
-    return VectorIndex(mode=PARTITIONED, config=config, **pool, **_partition(vectors, centroids))
+    centroids = centroids.astype(np.float32)  # as ``centroids.pool`` stores them
+    return VectorIndex(mode=PARTITIONED, config=config, **pool, **_partition(pool["vectors"], centroids))
 
 
 def check_k(k: int) -> None:
@@ -257,42 +258,35 @@ def _best_k(
 
 
 def _candidates(
-    matrix: np.ndarray,
-    rows32: np.ndarray,
-    block: np.ndarray,
-    units: np.ndarray,
-    k: int,
-    members: np.ndarray | None = None,
+    rows: np.ndarray, block: np.ndarray, units: np.ndarray, k: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each block of query rows, the (block row, matrix row, exact
-    score) triples, unordered, of every pair that may be in a block row's
-    top k among the rows ``members`` (default all) of ``matrix``.
-    ``units`` is ``_unit32(block)``, and ``rows32`` holds those rows in
-    float32, in ``members`` order: the approximate products read these two,
-    the exact scores ``block`` and ``matrix``."""
-    m, d = rows32.shape
-    slack = np.float32(_SLACK * (d + 2)) * np.sqrt(np.einsum("ij,ij->i", rows32, rows32).max())
+    """For each block of query rows, the (block row, column, exact score)
+    triples, unordered, of every pair that may be in a block row's top k
+    among the float32 ``rows``, a column being a row number of ``rows``.
+    ``units`` is ``_unit32(block)``: the approximate products read
+    ``units`` and ``rows``, the exact scores the float64 ``block`` and
+    ``rows`` widened."""
+    m, d = rows.shape
+    slack = np.float32(_SLACK * (d + 2)) * np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
     step = _block_rows(min(m, _TILE_ROWS))
     for start in range(0, block.shape[0], step):
         part, unit = block[start : start + step], units[start : start + step]
         found, tops = [], []
         for lo in range(0, m, _TILE_ROWS):
-            approx = unit @ rows32[lo : lo + _TILE_ROWS].T
+            approx = unit @ rows[lo : lo + _TILE_ROWS].T
             tops.append(_best_values(approx, k))
             flat = np.flatnonzero(approx >= (tops[-1].min(axis=1) - slack)[:, None])
             tile_rows, tile_cols = np.divmod(flat, approx.shape[1])
             found.append((tile_rows, tile_cols + lo, approx.ravel()[flat]))
-        rows, cols, approx = (np.concatenate(column) for column in zip(*found))
+        at, cols, approx = (np.concatenate(column) for column in zip(*found))
         if len(found) > 1:  # a tile's k-th best may trail the row's
-            keep = approx >= (_best_values(np.hstack(tops), k).min(axis=1) - slack)[rows]
-            rows, cols = rows[keep], cols[keep]
-        if members is not None:
-            cols = members[cols]
-        scores = np.empty(rows.size)
-        for s in range(0, rows.size, _RESCORE_PAIRS):
+            keep = approx >= (_best_values(np.hstack(tops), k).min(axis=1) - slack)[at]
+            at, cols = at[keep], cols[keep]
+        scores = np.empty(at.size)
+        for s in range(0, at.size, _RESCORE_PAIRS):
             pairs = slice(s, s + _RESCORE_PAIRS)
-            scores[pairs] = (matrix[cols[pairs]] * part[rows[pairs]]).sum(axis=1)
-        yield rows + start, cols, scores
+            scores[pairs] = (rows[cols[pairs]] * part[at[pairs]]).sum(axis=1)
+        yield at + start, cols, scores
 
 
 def _concat(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,20 +295,13 @@ def _concat(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _top_k(
-    matrix: np.ndarray,
-    rows32: np.ndarray,
-    block: np.ndarray,
-    units: np.ndarray,
-    k: int,
-    tie_rank: np.ndarray,
-    members: np.ndarray | None = None,
+    rows: np.ndarray, block: np.ndarray, units: np.ndarray, k: int, tie_rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best k of the rows ``members`` (default all) of ``matrix`` for
-    each row of ``block`` by (exact score descending, tie_rank ascending),
-    as flat (block row, matrix row, exact score) arrays in block-row
-    order, each row's best first; the arguments are ``_candidates``'."""
-    found = _candidates(matrix, rows32, block, units, k, members)
-    return _concat(_best_k(*triple, k, tie_rank) for triple in found)
+    """The best k of ``rows`` for each row of ``block`` by (exact score
+    descending, tie_rank of the column ascending), as flat (block row,
+    column, exact score) arrays in block-row order, each row's best first;
+    the other arguments are ``_candidates``'."""
+    return _concat(_best_k(*triple, k, tie_rank) for triple in _candidates(rows, block, units, k))
 
 
 def _search_lists(
@@ -325,19 +312,16 @@ def _search_lists(
     candidates of each probed cluster for the queries that probe it."""
     starts = index.list_starts
     filled = np.flatnonzero(np.diff(starts))
-    qrows, lists, _ = _top_k(
-        index.centroids, index.centroids32[filled], queries, units, probes, np.arange(len(starts) - 1), filled
-    )
+    qrows, lists, _ = _top_k(index.centroids[filled], queries, units, probes, np.arange(filled.size))
+    lists = filled[lists]
     by_list = np.argsort(lists, kind="stable")  # each cluster's queries, in block order
     qrows, lists = qrows[by_list], lists[by_list]
     cuts = np.flatnonzero(np.diff(lists)) + 1
     parts = []
     for c, q in zip(lists[np.r_[0, cuts]].tolist(), np.split(qrows, cuts)):
         lo, hi = starts[c], starts[c + 1]
-        for rows, cols, scores in _candidates(
-            index.vectors, index.rows32[lo:hi], queries[q], units[q], k, index.order[lo:hi]
-        ):
-            parts.append((q[rows], cols, scores))
+        for rows, cols, scores in _candidates(index.grouped[lo:hi], queries[q], units[q], k):
+            parts.append((q[rows], index.order[lo + cols], scores))
     return _best_k(*_concat(parts), k, index.id_rank)
 
 
@@ -370,7 +354,7 @@ def search(
             raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
         rows, cols, scores = _search_lists(index, queries, _unit32(queries), k, p)
     else:
-        rows, cols, scores = _top_k(index.vectors, index.rows32, queries, _unit32(queries), k, index.id_rank)
+        rows, cols, scores = _top_k(index.vectors, queries, _unit32(queries), k, index.id_rank)
     bounds = np.searchsorted(rows, np.arange(queries.shape[0] + 1)).tolist()
     hits = list(zip([index.ids[c] for c in cols.tolist()], scores.tolist()))
     return [hits[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -401,7 +385,7 @@ def _write_rows(path: str | Path, rows: np.ndarray) -> None:
 
 
 def _read_rows(path: str | Path) -> np.ndarray:
-    """The (M, d) float64 rows of a file written by ``_write_rows``."""
+    """The (M, d) float32 rows of a file written by ``_write_rows``."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
@@ -412,7 +396,7 @@ def _read_rows(path: str | Path) -> np.ndarray:
     expected = m * d * 4
     if len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    return np.frombuffer(body, dtype="<f4").reshape(m, d).astype(np.float64)
+    return np.frombuffer(body, dtype="<f4").reshape(m, d).astype(np.float32)
 
 
 def pool_files(path: str | Path) -> list[Path]:

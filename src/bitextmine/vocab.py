@@ -59,6 +59,9 @@ class Vocab:
     def __post_init__(self) -> None:
         if tuple(self.pieces[:5]) != SPECIAL_TOKENS:
             raise ValueError("first five pieces must be the special tokens")
+        for piece in self.pieces:  # one line of the vocab file each
+            if not piece or "\n" in piece or "\r" in piece:
+                raise ValueError(f"piece {piece!r} is empty or holds a line end")
         self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
         if len(self.piece_to_id) != len(self.pieces):
             raise ValueError("duplicate pieces in vocabulary")
@@ -71,8 +74,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            pieces = [line.rstrip("\n") for line in fh]
+        with open(path, encoding="utf-8", newline="\n") as fh:  # only \n ends a line, as in ``fileio.read_lines``
+            pieces = [line[:-2] if line.endswith("\r\n") else line.removesuffix("\n") for line in fh]
         while pieces and pieces[-1] == "":
             pieces.pop()
         try:

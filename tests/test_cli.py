@@ -852,3 +852,25 @@ def test_divergent_training_is_numerical_failure(work, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
     assert not manifest_path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "side, bad, message",
+    [
+        ("queries", "a\tb", "holds a tab"),
+        ("index", "a\tb", "holds a tab"),
+        ("queries", "\ufeffa", "starts with a byte-order mark"),
+    ],
+)
+def test_search_refuses_first_a_pool_id_that_eval_bucc_could_not_read(work, tmp_path, capsys, side, bad, message):
+    # a tab gives a row of five columns, and a byte-order mark a file that
+    # starts with one: eval-bucc --candidates refuses either
+    pool = read_pool(work / "tgt.pool")
+    write_pool(tmp_path / "bad.pool", pool.vectors, [bad, *pool.ids[1:]])
+    index_pool, queries = (work / "tgt.pool", tmp_path / "bad.pool")[:: 1 if side == "queries" else -1]
+    assert run("index", "--pool", index_pool, "--out", tmp_path / "idx") == 0
+    hits = tmp_path / "hits.tsv"
+    assert run("search", "--index", tmp_path / "idx", "--queries", queries, "--k", 1, "--out", hits) == 2
+    assert f"data error: pool id {bad!r} {message}" in capsys.readouterr().err
+    assert not hits.exists()
+    assert not manifest_path(hits).exists()

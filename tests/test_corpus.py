@@ -1,6 +1,11 @@
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextmine.corpus import (
     Sentence,
@@ -101,6 +106,19 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"sentence '0{side[0]}' holds {name}"):
             format_pairs_tsv([pair("sun", "sonne", n=1), pair(texts["src"], texts["tgt"], n=0)])
 
+    @pytest.mark.parametrize(
+        "text, lang, message",
+        [
+            (" \t", "aa", "has a blank text"),
+            ("sun", "a\tb", "language tag holds a tab"),
+            ("sun", "aa\n", "language tag holds a line feed"),
+            ("sun", "\ufeffaa", "language tag starts with a byte-order mark"),
+        ],
+    )
+    def test_pairs_tsv_writer_refuses_a_blank_text_and_a_language_tag_its_reader_refuses(self, text, lang, message):
+        with pytest.raises(ValueError, match=f"^sentence '0s' {message}"):
+            format_pairs_tsv([pair("sun", "sonne", n=1), pair(text, "sonne", src_lang=lang, n=0)])
+
     def test_only_line_feed_ends_a_line_and_crlf_loses_its_carriage_return(self, tmp_path):
         path = tmp_path / "mono.txt"
         path.write_bytes("de\thallo\r\n \r\nnext\u2028same\u0085line\n".encode("utf-8"))
@@ -169,3 +187,83 @@ def test_sentence_requires_lang():
 def test_pair_score_must_be_finite():
     with pytest.raises(ValueError):
         pair("a", "b", float("nan"))
+
+
+# Texts and language tags a pairs file can hold: no tab or line end, with
+# the separators that str.splitlines would split on, a byte-order mark and
+# edge spaces drawn often.
+TSV_FIELD = st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=["Cs"])
+    | st.sampled_from(["\x0b", "\x0c", "\x85", "\u2028", "\u2029", "\ufeff", " "]),
+    min_size=1,
+    max_size=5,
+)
+TSV_TEXT = TSV_FIELD.filter(str.strip)
+SCORES = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def writable_pairs(draw, min_size=0):
+    """Pairs that ``format_pairs_tsv`` accepts, sentence ids ``<n>s`` and ``<n>t``."""
+    src_lang = TSV_FIELD.filter(lambda lang: lang[0] != "\ufeff")
+    return [
+        pair(draw(TSV_TEXT), draw(TSV_TEXT), draw(SCORES), draw(src_lang), draw(TSV_FIELD), n)
+        for n in range(draw(st.integers(min_size, 4)))
+    ]
+
+
+def as_read(pairs):
+    """What ``read_pairs_tsv`` should give for ``pairs``: languages, texts
+    and each score as its 6 written decimals."""
+    return [
+        (p.src.lang, p.tgt.lang, p.src.text, p.tgt.text, None if p.score is None else float(f"{p.score:.6f}"))
+        for p in pairs
+    ]
+
+
+def read_back(text):
+    """``as_read`` of what ``read_pairs_tsv`` reads from ``text``, or None if it refuses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return [(p.src.lang, p.tgt.lang, p.src.text, p.tgt.text, p.score) for p in read_pairs_tsv(path)]
+        except DataError:
+            return None
+
+
+@st.composite
+def unwritable_field(draw, field):
+    """A value for ``field`` (``text``, ``lang`` or ``lead``, the first
+    source language tag) that ``read_pairs_tsv`` could not read back."""
+    if field == "lead":
+        return "\ufeff" + draw(TSV_FIELD)
+    if field == "text" and draw(st.booleans()):
+        return draw(st.text(st.sampled_from(" \x0b\x85\u2028\u3000"), max_size=3))  # blank
+    return draw(TSV_FIELD) + draw(st.sampled_from(["\t", "\n", "\r", "\r\n"])) + draw(TSV_FIELD)
+
+
+class TestPairsRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=writable_pairs())
+    def test_pairs_the_writer_accepts_read_back_equal(self, pairs):
+        assert read_back(format_pairs_tsv(pairs)) == as_read(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=writable_pairs(min_size=1), data=st.data())
+    def test_writer_refuses_first_what_the_reader_could_not_read_back(self, pairs, data):
+        n = data.draw(st.integers(0, len(pairs) - 1))
+        side, field = data.draw(st.sampled_from([(s, f) for s in ("src", "tgt") for f in ("text", "lang")]))
+        if n == 0 and side == "src" and field == "lang" and data.draw(st.booleans()):
+            field = "lead"
+        sentence = getattr(pairs[n], side)
+        value = data.draw(unwritable_field(field))
+        bad = replace(sentence, **{"text" if field == "text" else "lang": value})
+        pairs[n] = replace(pairs[n], **{side: bad})
+        unchecked = "".join(
+            f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}" + ("" if p.score is None else f"\t{p.score:.6f}") + "\n"
+            for p in pairs
+        )
+        assert read_back(unchecked) != as_read(pairs)
+        with pytest.raises(ValueError, match=f"^sentence {re.escape(repr(bad.id))} "):
+            format_pairs_tsv(pairs)

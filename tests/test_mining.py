@@ -75,7 +75,9 @@ class TestMine:
         index = build(vec[None, :], ["only"])
         got = mine([sent], index, {"only": sent}, params, toy_vocab, MiningConfig())
         assert len(got) == 1
-        assert got[0].score == pytest.approx(1.0, abs=1e-9)
+        # the index stores the row in float32: the score is that row's exact
+        # float64 score with the query, which rounding keeps from being 1
+        assert got[0].score == (index.vectors.astype(np.float64) * vec).sum(axis=1)[0]
 
     def test_emission_order_follows_sources(self, toy_small, toy_vocab, toy_params):
         pool = [p.tgt for p in toy_small.test_pairs[:10]]

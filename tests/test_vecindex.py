@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -33,9 +35,15 @@ from conftest import unit_rows
 SRC = Path(__file__).resolve().parents[1] / "src" / "bitextmine"
 
 
+def pool_rows(rng, n, d):
+    """Unit rows as a pool file stores them, in float32."""
+    return unit_rows(rng, n, d).astype(np.float32)
+
+
 def brute_force_topk(vectors, ids, query, k, rows=None):
-    """Top-k of ``rows`` (default all) by exact score: each row's float64
-    sum of products, as ``vecindex`` defines it."""
+    """Top-k of ``rows`` (default all) of the float32 ``vectors`` by exact
+    score: each row's float64 sum of products with the float64 query, as
+    ``vecindex`` defines it."""
     scores = (vectors * query).sum(axis=1)
     rows = range(len(ids)) if rows is None else rows
     order = sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
@@ -56,13 +64,13 @@ def duplicate_heavy_pool(rng):
     leaves some clusters with only copies of one row or with none."""
     distinct = int(rng.integers(3, 10))
     m = int(rng.integers(max(5, distinct), 40))
-    V = unit_rows(rng, distinct, 8)[rng.integers(0, distinct, size=m)]
+    V = pool_rows(rng, distinct, 8)[rng.integers(0, distinct, size=m)]
     return V, [f"v{i:02d}" for i in rng.permutation(m)], int(rng.integers(2, min(12, m) + 1))
 
 
 def make_pool(rng, kind, m, d):
-    """Unit rows, with many exact duplicates or coarsely rounded values
-    (exact score ties), under ids whose order is not the row order."""
+    """Float32 unit rows, with many exact duplicates or coarsely rounded
+    values (exact score ties), under ids whose order is not the row order."""
     V = unit_rows(rng, m, d)
     if kind == "duplicates":
         V = V[rng.integers(0, max(1, m // 4), size=m)]
@@ -70,26 +78,22 @@ def make_pool(rng, kind, m, d):
         V = np.round(V, 1)
         V[np.all(V == 0, axis=1), 0] = 1.0
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return V, [f"v{i:05d}" for i in rng.permutation(m)]
+    return V.astype(np.float32), [f"v{i:05d}" for i in rng.permutation(m)]
 
 
-def near_tie_pool(rng, m, d, ulps="float64"):
-    """A few unit rows, each repeated with every coordinate moved 0-4 ulps
-    away from zero (0 keeps an exact copy), under ids whose order is not the
-    row order: the scores of a base row's copies differ by a few ulps or
-    not at all. ``ulps`` names the moves: "float64" ulps; "float32" ulps,
-    so the copies' float32 rows differ too; or "same-float32", float64 ulps
-    of float32 rows, so every copy rounds to its base row's float32 row and
-    only the float64 scores tell the copies apart."""
+def near_tie_pool(rng, m, d, ulps="float32"):
+    """A few unit rows, each repeated in the dtype ``ulps`` with every
+    coordinate moved 0-4 of its ulps away from zero (0 keeps an exact
+    copy), under ids whose order is not the row order: the scores of a base
+    row's copies differ by a few ulps or not at all. The float32 ulps are
+    the least moves that the rows an index holds can make."""
     base = unit_rows(rng, max(2, m // 10), d)
-    if ulps == "same-float32":
-        base = base.astype(np.float32).astype(np.float64)
-    V = base[rng.integers(0, len(base), size=m)].astype(np.float32 if ulps == "float32" else np.float64)
+    V = base[rng.integers(0, len(base), size=m)].astype(ulps)
     away = np.copysign(np.inf, V)
     for t in range(4):
         moved = rng.integers(0, 5, size=m) > t
         V[moved] = np.nextafter(V[moved], away[moved])
-    return V.astype(np.float64), base, [f"v{i:05d}" for i in rng.permutation(m)]
+    return V, base, [f"v{i:05d}" for i in rng.permutation(m)]
 
 
 def counting_pool_pairs(monkeypatch, index):
@@ -98,10 +102,10 @@ def counting_pool_pairs(monkeypatch, index):
     scored = []
     kernel = vecindex._candidates
 
-    def counting(matrix, rows32, block, *args, **kwargs):
-        if matrix is index.vectors:
-            scored.append(block.shape[0] * rows32.shape[0])
-        return kernel(matrix, rows32, block, *args, **kwargs)
+    def counting(rows, block, *args, **kwargs):
+        if np.shares_memory(rows, index.grouped):
+            scored.append(block.shape[0] * rows.shape[0])
+        return kernel(rows, block, *args, **kwargs)
 
     monkeypatch.setattr(vecindex, "_candidates", counting)
     return scored
@@ -116,7 +120,7 @@ class TestExactSearch:
         rng = np.random.default_rng(0)
         for _ in range(10):
             m, d = int(rng.integers(2, 400)), int(rng.integers(2, 24))
-            V = unit_rows(rng, m, d)
+            V = pool_rows(rng, m, d)
             ids = [f"v{i:04d}" for i in range(m)]
             index = build(V, ids)
             q = unit_rows(rng, 1, d)[0]
@@ -125,7 +129,7 @@ class TestExactSearch:
 
     def test_full_k_returns_everything_sorted(self):
         rng = np.random.default_rng(1)
-        V = unit_rows(rng, 20, 6)
+        V = pool_rows(rng, 20, 6)
         ids = [f"x{i}" for i in range(20)]
         index = build(V, ids)
         q = unit_rows(rng, 1, 6)[0]
@@ -158,7 +162,7 @@ class TestExactSearch:
 class TestPartitioned:
     def test_single_cluster_equals_exact(self):
         rng = np.random.default_rng(2)
-        V = unit_rows(rng, 50, 8)
+        V = pool_rows(rng, 50, 8)
         ids = [f"v{i:03d}" for i in range(50)]
         exact = build(V, ids)
         part = build(V, ids, IndexConfig(clusters=1, probes=1, seed=0))
@@ -167,7 +171,7 @@ class TestPartitioned:
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
-        V = unit_rows(rng, 200, 8)
+        V = pool_rows(rng, 200, 8)
         ids = [f"v{i:03d}" for i in range(200)]
         a = build(V, ids, IndexConfig(clusters=8, probes=2, seed=5))
         b = build(V, ids, IndexConfig(clusters=8, probes=2, seed=5))
@@ -177,14 +181,14 @@ class TestPartitioned:
 
     def test_every_row_assigned_once(self):
         rng = np.random.default_rng(4)
-        V = unit_rows(rng, 100, 6)
+        V = pool_rows(rng, 100, 6)
         index = build(V, [str(i) for i in range(100)], IndexConfig(clusters=10, probes=3))
         all_members = np.concatenate(index.assignments)
         assert sorted(all_members.tolist()) == list(range(100))
 
     def test_scores_are_exact_cosines(self):
         rng = np.random.default_rng(5)
-        V = unit_rows(rng, 120, 8)
+        V = pool_rows(rng, 120, 8)
         ids = [f"v{i:03d}" for i in range(120)]
         index = build(V, ids, IndexConfig(clusters=8, probes=2, seed=0))
         q = unit_rows(rng, 1, 8)[0]
@@ -194,14 +198,14 @@ class TestPartitioned:
 
     def test_probe_full_is_exhaustive(self):
         rng = np.random.default_rng(6)
-        V = unit_rows(rng, 150, 8)
+        V = pool_rows(rng, 150, 8)
         ids = [f"v{i:03d}" for i in range(150)]
         index = build(V, ids, IndexConfig(clusters=8, probes=8, seed=0))
         assert recall_vs_exact(index, unit_rows(rng, 30, 8), k=1) == 1.0
 
     def test_recall_monotone_in_probes(self):
         rng = np.random.default_rng(7)
-        V = unit_rows(rng, 1500, 12)
+        V = pool_rows(rng, 1500, 12)
         ids = [f"v{i:05d}" for i in range(1500)]
         index = build(V, ids, IndexConfig(clusters=16, probes=16, seed=0))
         queries = unit_rows(rng, 60, 12)
@@ -211,7 +215,7 @@ class TestPartitioned:
 
     def test_candidate_budget_bounded_by_probed_clusters(self):
         rng = np.random.default_rng(8)
-        V = unit_rows(rng, 300, 8)
+        V = pool_rows(rng, 300, 8)
         index = build(V, [str(i) for i in range(300)], IndexConfig(clusters=12, probes=3, seed=0))
         sizes = sorted((len(m) for m in index.assignments), reverse=True)
         assert sum(sizes[:3]) < 300  # probing 3 clusters cannot scan the pool
@@ -228,11 +232,11 @@ class TestPartitioned:
     def test_fewer_rows_than_clusters_errors(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
-            build(unit_rows(rng, 4, 4), ["a", "b", "c", "d"], IndexConfig(clusters=8, probes=1))
+            build(pool_rows(rng, 4, 4), ["a", "b", "c", "d"], IndexConfig(clusters=8, probes=1))
 
     def test_exact_index_recall_is_one(self):
         rng = np.random.default_rng(10)
-        V = unit_rows(rng, 100, 8)
+        V = pool_rows(rng, 100, 8)
         index = build(V, [str(i) for i in range(100)])
         assert recall_vs_exact(index, unit_rows(rng, 20, 8), k=1) == 1.0
 
@@ -270,7 +274,7 @@ class TestBlockSearch:
         # one-row blocks and one-row tiles, small tiles, and one block
         # holding everything give the same results, equal to brute force
         rng = np.random.default_rng(24)
-        V, base, ids = near_tie_pool(rng, 300, 16, "same-float32")
+        V, base, ids = near_tie_pool(rng, 300, 16)
         Q = np.concatenate([base, unit_rows(rng, 10, 16), np.zeros((1, 16))])
         for config in (None, IndexConfig(clusters=5, probes=2, seed=4)):
             index = build(V, ids, config)
@@ -317,7 +321,7 @@ class TestBlockSearch:
         # row order; a partitioned search must report the exact-mode score of
         # each (query, id) and break ties by ascending id
         rng = np.random.default_rng(22)
-        base = unit_rows(rng, 500, 64)
+        base = pool_rows(rng, 500, 64)
         V = np.repeat(base, 3, axis=0)
         ids = [f"v{i:05d}" for i in rng.permutation(len(V))]
         exact = build(V, ids)
@@ -340,7 +344,7 @@ class TestNearTies:
         Q = np.concatenate([base, unit_rows(rng, 6, d)])
         exact = build(V, ids)
         ivf = build(V, ids, IndexConfig(clusters=3, probes=2, seed=1))
-        widen = 2.0**29 if ulps == "float32" else 1.0  # float32 eps over float64 eps
+        widen = 2.0**29  # float32 eps over float64 eps
         for scale in (2.0**-1000, 1e-200, 1e-40, 1e-3, 1.0, 1e3, 1e38, 1e200, 0.0):
             Qs = Q * scale if scale else np.zeros((1, d))
             top = [brute_force_topk(V, ids, q, len(V)) for q in Qs]
@@ -352,15 +356,11 @@ class TestNearTies:
                 rows = [probed_rows(ivf, q, 2) for q in Qs]
                 assert search(ivf, Qs, k) == [brute_force_topk(V, ids, q, k, r) for q, r in zip(Qs, rows)]
 
-    @pytest.mark.parametrize("d", [7, 33, 65])
-    def test_ulp_apart_scores_equal_brute_force(self, d):
-        self.check_near_ties(d, "float64")
-
-    @pytest.mark.parametrize("ulps", ["float32", "same-float32"])
+    @pytest.mark.parametrize("ulps", ["float32"])
     @pytest.mark.parametrize("d", [7, 33, 65])
     def test_float32_near_ties_equal_brute_force(self, d, ulps):
-        # copies a few float32 ulps apart, and copies that round to one
-        # float32 row, so that only their float64 scores tell them apart
+        # copies a few float32 ulps apart: an index holds float32 rows, so
+        # no two of its rows are closer
         self.check_near_ties(d, ulps)
 
     @settings(max_examples=300, deadline=None)
@@ -385,7 +385,7 @@ class TestNearTies:
 class TestPersistence:
     def test_pool_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
-        V = unit_rows(rng, 10, 4).astype(np.float32).astype(np.float64)
+        V = pool_rows(rng, 10, 4)
         ids = [f"v{i}" for i in range(10)]
         write_pool(tmp_path / "p.pool", V, ids)
         pool = read_pool(tmp_path / "p.pool")
@@ -394,7 +394,7 @@ class TestPersistence:
 
     def test_pool_header_and_payload_sizes(self, tmp_path):
         rng = np.random.default_rng(12)
-        V = unit_rows(rng, 3, 5)
+        V = pool_rows(rng, 3, 5)
         write_pool(tmp_path / "p.pool", V, ["a", "b", "c"])
         raw = (tmp_path / "p.pool").read_bytes()
         header, _, payload = raw.partition(b"\n")
@@ -408,7 +408,7 @@ class TestPersistence:
 
     def test_index_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        V = unit_rows(rng, 12, 4).astype(np.float32).astype(np.float64)
+        V = pool_rows(rng, 12, 4)
         index = build(V, [f"v{i}" for i in range(12)])
         save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
@@ -421,7 +421,6 @@ class TestPersistence:
         rng = np.random.default_rng(14)
         for seed, d in [(1, 4), (2, 8), (3, 16), (4, 32), (5, 3)]:
             V, ids = make_pool(rng, "random", int(rng.integers(40, 300)), d)
-            V = V.astype(np.float32).astype(np.float64)
             index = build(V, ids, IndexConfig(clusters=int(rng.integers(2, 12)), probes=2, seed=seed))
             save_index(index, tmp_path / f"idx{seed}")
             loaded = load_index(tmp_path / f"idx{seed}")
@@ -436,7 +435,7 @@ class TestPersistence:
         # an older index directory also held each row's cluster label in
         # assignments.txt; the partition comes from the centroids alone
         rng = np.random.default_rng(17)
-        V = unit_rows(rng, 50, 6).astype(np.float32).astype(np.float64)
+        V = pool_rows(rng, 50, 6)
         ids = [f"v{i:02d}" for i in range(50)]
         index = build(V, ids, IndexConfig(clusters=4, probes=1, seed=2))
         save_index(index, tmp_path)
@@ -450,7 +449,7 @@ class TestPersistence:
     @pytest.mark.parametrize("corrupt", ["missing-centroid", "nan-centroid", "non-unit-centroid"])
     def test_corrupt_partitioned_index_errors(self, tmp_path, corrupt):
         rng = np.random.default_rng(15)
-        V = unit_rows(rng, 20, 4).astype(np.float32).astype(np.float64)
+        V = pool_rows(rng, 20, 4)
         save_index(build(V, [f"v{i:02d}" for i in range(20)], IndexConfig(clusters=4, probes=2)), tmp_path)
         centroids = _read_rows(tmp_path / "centroids.pool")
         if corrupt == "missing-centroid":
@@ -464,7 +463,7 @@ class TestPersistence:
     @pytest.mark.parametrize("defect", ["duplicate-ids", "non-unit"])
     def test_pool_is_validated_on_read(self, tmp_path, defect):
         rng = np.random.default_rng(16)
-        V = unit_rows(rng, 5, 4)
+        V = pool_rows(rng, 5, 4)
         ids = [f"v{i}" for i in range(5)]
         if defect == "duplicate-ids":
             ids[1] = ids[0]
@@ -503,15 +502,17 @@ POOL_IDS = st.text(
 
 
 @st.composite
-def unit_pools(draw, max_rows=12):
-    """(rows, ids): unit rows as a pool file stores them (float32 values,
-    zeros of either sign and subnormals among them) and unique ids."""
+def unit_pools(draw, max_rows=12, dtype=np.float32):
+    """(rows, ids): unit rows in ``dtype``, by default float32 as a pool
+    file stores them (zeros of either sign and subnormals among them), and
+    unique ids."""
     m, d = draw(st.integers(1, max_rows)), draw(st.integers(1, 6))
-    raw = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=m * d, max_size=m * d)))
+    width = np.finfo(dtype).bits
+    raw = np.array(draw(st.lists(st.floats(-1e3, 1e3, width=width), min_size=m * d, max_size=m * d)))
     raw = raw.reshape(m, d)
     raw[np.abs(raw).max(axis=1) == 0, 0] = -1.0
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    rows = (raw / norms).astype(np.float32).astype(np.float64)
+    raw /= np.abs(raw).max(axis=1, keepdims=True)  # so that no square underflows
+    rows = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(dtype)
     ids = draw(st.lists(POOL_IDS, min_size=m, max_size=m, unique=True))
     return rows, ids
 
@@ -542,6 +543,25 @@ class TestRoundTripProperties:
             np.testing.assert_array_equal(back.order, index.order)
             np.testing.assert_array_equal(back.list_starts, index.list_starts)
 
+    @settings(max_examples=40, deadline=None)
+    @given(pool=unit_pools(max_rows=30, dtype=np.float64), clusters=st.integers(0, 6), seed=st.integers(0, 5))
+    def test_index_of_float64_rows_loads_back_as_built(self, pool, clusters, seed):
+        # the index holds the float32 rows its files store, so what loads
+        # is what was built, down to each search
+        rows, ids = pool
+        config = IndexConfig(clusters=clusters, probes=1, seed=seed) if 0 < clusters <= len(rows) else None
+        index = build(rows, ids, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, tmp)
+            back = load_index(tmp)
+        assert back.vectors.tobytes() == index.vectors.tobytes() and back.ids == index.ids
+        assert (back.mode, back.config) == (index.mode, index.config)
+        if config is not None:
+            assert back.centroids.tobytes() == index.centroids.tobytes()
+            np.testing.assert_array_equal(back.order, index.order)
+            np.testing.assert_array_equal(back.list_starts, index.list_starts)
+        assert search(back, rows, k=2) == search(index, rows, k=2)
+
     @settings(max_examples=60, deadline=None)
     @given(head=POOL_IDS, end=st.sampled_from(["\n", "\r", "\r\n"]), tail=POOL_IDS)
     def test_write_pool_refuses_first_what_read_pool_could_not_read(self, head, end, tail):
@@ -550,6 +570,34 @@ class TestRoundTripProperties:
             with pytest.raises(ValueError, match=f"^pool id {re.escape(repr(bad))} holds a line end$"):
                 write_pool(Path(tmp) / "p.pool", np.eye(2), ["x", bad])
             assert not any(path.exists() for path in pool_files(Path(tmp) / "p.pool"))
+
+
+def test_index_arrays_of_float64_rows_are_float32():
+    # an exact index holds one float32 copy of its rows; a partitioned one
+    # adds the float32 centroids and one cluster-grouped copy of the rows
+    rng = np.random.default_rng(18)
+    V = unit_rows(rng, 40, 6)
+    ids = [f"v{i:02d}" for i in range(40)]
+    for config in (None, IndexConfig(clusters=4, probes=2)):
+        index = build(V, ids, config)
+        arrays = {name: value for name, value in vars(index).items() if isinstance(value, np.ndarray)}
+        assert {name for name, value in arrays.items() if value.dtype.kind == "f"} == (
+            {"vectors"} if config is None else {"vectors", "centroids", "grouped"}
+        )
+        assert all(value.dtype == np.float32 for value in arrays.values() if value.dtype.kind == "f")
+        np.testing.assert_array_equal(index.vectors, V.astype(np.float32))
+
+
+def test_search_scale_experiment_runs_at_a_tiny_size():
+    # the experiment's own command line, so a change to the index cannot
+    # leave it broken unseen
+    script = SRC.parents[1] / "experiments" / "search_scale.py"
+    argv = [sys.executable, script, "--rows", "200,300", "--queries", "40", "--ks", "1,3", "--repeats", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    rows = [line.split(" | ") for line in out.splitlines()[3:]]  # after the setting and the table head
+    assert [(row[0], row[3]) for row in rows] == [("| 200", "1"), ("| 200", "3"), ("| 300", "1"), ("| 300", "3")]
+    assert all(row[6] == "1.000" for row in rows)  # 8 of 14 or 17 clusters, queries near pool rows
+    assert [row[7] for row in rows] == ["264"] * 4  # 64 float32 coordinates and an id rank per row
 
 
 def test_vector_index_is_constructed_only_by_build():

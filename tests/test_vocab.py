@@ -1,10 +1,14 @@
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitextmine import vocab as vocab_module
 from bitextmine.corpus import Sentence
+from bitextmine.errors import DataError
 from bitextmine.vocab import (
     CLS_ID,
     CONTINUATION_MARKER,
@@ -96,6 +100,20 @@ class TestBuildVocab:
         loaded = Vocab.load(path)
         assert loaded.pieces == vocab.pieces
         assert path.read_text(encoding="utf-8").splitlines()[:5] == list(SPECIAL_TOKENS)
+
+    @pytest.mark.parametrize("piece", ["", "two\nlines", "two\rlines", "end\r"])
+    def test_a_piece_that_is_empty_or_holds_a_line_end_is_refused(self, piece):
+        with pytest.raises(ValueError, match=f"^piece {re.escape(repr(piece))} is empty or holds a line end$"):
+            manual_vocab(["ka", piece])
+
+    def test_only_line_feed_ends_a_piece_line_and_crlf_loses_its_carriage_return(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(("\r\n".join(SPECIAL_TOKENS) + "\r\nka\u2028\x85\x0b\nbe\n").encode("utf-8"))
+        assert Vocab.load(path).pieces == [*SPECIAL_TOKENS, "ka\u2028\x85\x0b", "be"]
+        bad = "ka\rbe"
+        path.write_bytes(("\n".join(SPECIAL_TOKENS) + f"\n{bad}\n").encode("utf-8"))
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: piece {bad!r}')} is empty or holds a line end$"):
+            Vocab.load(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
@@ -349,3 +367,48 @@ def test_vocab_rejects_bad_specials():
 def test_vocab_rejects_duplicates():
     with pytest.raises(ValueError):
         Vocab(pieces=list(SPECIAL_TOKENS) + ["a", "a"])
+
+
+# Pieces a vocab file can hold: no line end, with the separators that
+# str.splitlines would split on, tabs and spaces drawn often.
+PIECES = st.text(
+    st.characters(exclude_characters="\n\r", exclude_categories=["Cs"])
+    | st.sampled_from(["\x0b", "\x0c", "\x85", "\u2028", "\u2029", "\t", " "]),
+    min_size=1,
+    max_size=5,
+).filter(lambda piece: piece not in SPECIAL_TOKENS)
+
+# Pieces that no line of a vocab file can hold: an empty one, or one that
+# holds a line end.
+UNWRITABLE_PIECES = st.just("") | st.builds(
+    lambda head, end, tail: head + end + tail,
+    st.text(max_size=3),
+    st.sampled_from(["\n", "\r", "\r\n"]),
+    st.text(max_size=3),
+)
+
+
+class TestVocabRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(extra=st.lists(PIECES, max_size=8, unique=True))
+    def test_save_then_load(self, extra):
+        vocab = manual_vocab(extra)
+        with tempfile.TemporaryDirectory() as tmp:
+            vocab.save(Path(tmp) / "vocab.txt")
+            assert Vocab.load(Path(tmp) / "vocab.txt").pieces == vocab.pieces
+
+    @settings(max_examples=100, deadline=None)
+    @given(extra=st.lists(PIECES, max_size=6, unique=True), bad=UNWRITABLE_PIECES, data=st.data())
+    def test_vocab_refuses_first_what_load_could_not_read_back(self, extra, bad, data):
+        extra.insert(data.draw(st.integers(0, len(extra))), bad)
+        pieces = [*SPECIAL_TOKENS, *extra]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            path.write_text("\n".join(pieces) + "\n", encoding="utf-8", newline="")
+            try:
+                loaded = Vocab.load(path).pieces
+            except DataError:
+                loaded = None
+        assert loaded != pieces
+        with pytest.raises(ValueError, match=f"^piece {re.escape(repr(bad))} is empty or holds a line end$"):
+            Vocab(pieces=pieces)
