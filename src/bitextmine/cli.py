@@ -341,34 +341,29 @@ def cmd_index(args) -> tuple[list, list]:
 
 
 def cmd_search(args) -> tuple[list, list]:
+    from .evaluation import bucc_candidates, format_candidates_tsv
     from .fileio import atomic_write_text
-    from .vecindex import check_k, index_files, load_index, pool_files, read_pool, search
+    from .vecindex import check_k, index_files, load_index, pool_files, read_pool
 
     with _flag_values():
         check_k(args.k)
     index = load_index(args.index)
     queries = read_pool(args.queries)
-    for name in queries.ids + index.ids:
-        if "\t" in name:
-            raise DataError(f"pool id {name!r} holds a tab and cannot be written as one column of {args.out}")
-    if queries.ids[0].startswith("\ufeff"):
-        raise DataError(f"pool id {queries.ids[0]!r} starts with a byte-order mark and cannot begin {args.out}")
-    rows = [
-        f"{qid}\t{rid}\t{score:.6f}"
-        for qid, top in zip(queries.ids, search(index, queries.vectors, k=args.k))
-        for rid, score in top
-    ]
-    atomic_write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
+    atomic_write_text(args.out, format_candidates_tsv(bucc_candidates(queries, index, k=args.k)))
     _log(f"search: {len(queries)} queries -> {args.out}")
     return pool_files(args.queries) + index_files(args.index), [args.out]
 
 
 def cmd_mine(args) -> tuple[list, list]:
+    import numpy as np
+
     from .corpus import SentencePair, format_pairs_tsv
+    from .encoder import encode
     from .evaluation import write_metrics_report
     from .fileio import atomic_write_text
     from .mining import MiningConfig, choose_query_side, mine, mining_report
     from .vecindex import IndexConfig, build
+    from .vocab import tokenize_sentence
 
     with _flag_values():
         config = MiningConfig(
@@ -385,10 +380,11 @@ def cmd_mine(args) -> tuple[list, list]:
     side_b = _read_mono(args.tgt, args.tgt_lang)
     swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
     queries, pool = (side_b, side_a) if swapped else (side_a, side_b)
-    pool_vectors = _encode_pool(params, vocab, pool)
-    index = build(pool_vectors, [s.id for s in pool], index_config)
-    lookup = {s.id: s for s in pool}
-    mined = mine(queries, index, lookup, params, vocab, config)
+    index = build(_encode_pool(params, vocab, pool), [s.id for s in pool], index_config)
+    # one encode call per source, the sentence alone in its batch
+    rows = [encode(params, tokenize_sentence(s, vocab, params.config.max_seq_len)) for s in queries]
+    src = build(np.stack(rows), [s.id for s in queries])
+    mined = mine(src, index, {s.id: s for s in queries}, {s.id: s for s in pool}, config)
     if swapped:  # --src stays in the source columns
         mined = [SentencePair(p.tgt, p.src, p.score) for p in mined]
     report, selected = mining_report(mined, config, sources_processed=len(queries))

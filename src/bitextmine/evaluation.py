@@ -155,13 +155,11 @@ def bucc_best_f1(
 
 
 def bucc_candidates(src: VectorIndex, tgt: VectorIndex, k: int = 1) -> list[tuple[str, str, float]]:
-    """Nearest-neighbor candidate generation: top-k targets per source,
-    sources in ascending id order."""
-    rows = np.argsort(src.id_rank)
-    tops = search(tgt, src.vectors[rows], k=k)
-    return [
-        (src.ids[row], tgt_id, score) for row, top in zip(rows.tolist(), tops) for tgt_id, score in top
-    ]
+    """Nearest-neighbor candidate generation: the top-k ``(src_id,
+    tgt_id, score)`` of each source in ``tgt``, sources in pool order,
+    each source's best first."""
+    tops = search(tgt, src.vectors, k=k)
+    return [(src_id, tgt_id, score) for src_id, top in zip(src.ids, tops) for tgt_id, score in top]
 
 
 def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -216,6 +214,19 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
     if not out:
         raise DataError(f"{path}: no candidates")
     return out
+
+
+def format_candidates_tsv(candidates: Sequence[tuple[str, str, float]]) -> str:
+    """Serialize candidates to the TSV that ``read_candidates_tsv`` reads,
+    scores with 6 decimals. ``ValueError`` refuses a pool id holding a tab
+    or a line end, and a first source id that starts with a byte-order
+    mark, which the reader would not read back."""
+    for name in dict.fromkeys(name for s, t, _ in candidates for name in (s, t)):
+        if "\t" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"pool id {name!r} holds a tab or a line end and cannot be written as one column")
+    if candidates and candidates[0][0].startswith("\ufeff"):
+        raise ValueError(f"pool id {candidates[0][0]!r} starts with a byte-order mark and cannot begin the file")
+    return "".join(f"{s}\t{t}\t{score:.6f}\n" for s, t, score in candidates)
 
 
 def read_scores(path: str | Path) -> list[float]:

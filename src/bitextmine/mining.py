@@ -1,5 +1,5 @@
-"""End-to-end parallel-text mining: encode a source stream against a
-pre-built target index, keep neighbors above a cosine threshold, dedup,
+"""End-to-end parallel-text mining: keep the ``evaluation.bucc_candidates``
+of a source pool in a target index that reach a cosine threshold, dedup,
 and select the top-scoring fraction.
 
 Output pairs go to TSV (src_lang, tgt_lang, src_text, tgt_text, score
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence, SentencePair
-from .encoder import EncoderParams, encode
-from .vecindex import VectorIndex, search
-from .vocab import Vocab, tokenize_sentence
+from .evaluation import bucc_candidates
+from .vecindex import VectorIndex
 
 HISTOGRAM_BIN_WIDTH = 0.05
 
@@ -51,25 +50,17 @@ def choose_query_side(count_a: int, count_b: int) -> str:
 
 
 def mine(
-    src_sentences: Sequence[Sentence],
-    tgt_index: VectorIndex,
+    src: VectorIndex,
+    tgt: VectorIndex,
+    src_lookup: Mapping[str, Sentence],
     tgt_lookup: Mapping[str, Sentence],
-    params: EncoderParams,
-    vocab: Vocab,
     config: MiningConfig,
 ) -> list[SentencePair]:
-    """Retrieve top-k neighbors per source and emit pairs scoring at or
-    above the similarity threshold, in source input order."""
-    if len(tgt_index) == 0:
-        raise ValueError("target pool is empty")
-    if not src_sentences:
-        return []
-    max_len = params.config.max_seq_len
-    vectors = np.stack([encode(params, tokenize_sentence(s, vocab, max_len)) for s in src_sentences])
+    """The top-k candidates of each source that score at or above the
+    similarity threshold, as pairs of sentences, in source pool order."""
     return [
-        SentencePair(src=sent, tgt=tgt_lookup[tgt_id], score=score)
-        for sent, top in zip(src_sentences, search(tgt_index, vectors, k=config.neighbors_k))
-        for tgt_id, score in top
+        SentencePair(src=src_lookup[s], tgt=tgt_lookup[t], score=score)
+        for s, t, score in bucc_candidates(src, tgt, k=config.neighbors_k)
         if score >= config.similarity_threshold
     ]
 

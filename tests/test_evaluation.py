@@ -225,7 +225,7 @@ class TestBuccCandidates:
         V = np.eye(3)
         index = build(V, ["t0", "t1", "t2"])
         out = bucc_candidates(build(V[[2, 0]], ["s1", "s0"]), index, k=1)
-        assert out == [("s0", "t0", 1.0), ("s1", "t2", 1.0)]
+        assert out == [("s1", "t2", 1.0), ("s0", "t0", 1.0)]  # sources in pool order
 
     def test_configurable_k(self):
         V = np.eye(3)

@@ -50,19 +50,28 @@ class TestChooseQuerySide:
         assert choose_query_side(5, 5) == "a"
 
 
+def pool_of(sentences, params, vocab):
+    """An exact index over the sentences, each encoded alone as ``cli.cmd_mine`` does."""
+    vectors = np.stack([encode(params, tokenize_sentence(s, vocab, 16)) for s in sentences])
+    return build(vectors, [s.id for s in sentences])
+
+
+def lookup_of(sentences):
+    return {s.id: s for s in sentences}
+
+
 class TestMine:
     def test_threshold_is_inclusive_and_filters(self, toy_small, toy_vocab, toy_params):
         # train-free encoder: scores are arbitrary, so pick the threshold
         # from observed scores to exercise both sides of the cut
         pool = [p.tgt for p in toy_small.test_pairs[:30]]
-        seqs = [tokenize_sentence(s, toy_vocab, 16) for s in pool]
-        vectors = np.stack([encode(toy_params, q) for q in seqs])
-        index = build(vectors, [s.id for s in pool])
-        lookup = {s.id: s for s in pool}
+        index = pool_of(pool, toy_params, toy_vocab)
         sources = [p.src for p in toy_small.test_pairs[:20]]
-        loose = mine(sources, index, lookup, toy_params, toy_vocab, MiningConfig(similarity_threshold=-0.99, neighbors_k=2))
+        src = pool_of(sources, toy_params, toy_vocab)
+        lookups = lookup_of(sources), lookup_of(pool)
+        loose = mine(src, index, *lookups, MiningConfig(similarity_threshold=-0.99, neighbors_k=2))
         cut = sorted(p.score for p in loose)[len(loose) // 2]
-        tight = mine(sources, index, lookup, toy_params, toy_vocab, MiningConfig(similarity_threshold=cut, neighbors_k=2))
+        tight = mine(src, index, *lookups, MiningConfig(similarity_threshold=cut, neighbors_k=2))
         assert all(p.score >= cut for p in tight)
         assert {(p.src.id, p.tgt.id) for p in tight} == {
             (p.src.id, p.tgt.id) for p in loose if p.score >= cut
@@ -73,21 +82,19 @@ class TestMine:
         sent = toy_small.test_pairs[0].src
         vec = encode(params, tokenize_sentence(sent, toy_vocab, 16))
         index = build(vec[None, :], ["only"])
-        got = mine([sent], index, {"only": sent}, params, toy_vocab, MiningConfig())
+        src = build(vec[None, :], [sent.id])
+        got = mine(src, index, {sent.id: sent}, {"only": sent}, MiningConfig())
         assert len(got) == 1
-        # the index stores the row in float32: the score is that row's exact
-        # float64 score with the query, which rounding keeps from being 1
-        assert got[0].score == (index.vectors.astype(np.float64) * vec).sum(axis=1)[0]
+        # both pools store the row in float32: the score is that row's exact
+        # float64 score with itself, which rounding keeps from being 1
+        assert got[0].score == (index.vectors.astype(np.float64) * src.vectors).sum(axis=1)[0]
 
     def test_emission_order_follows_sources(self, toy_small, toy_vocab, toy_params):
         pool = [p.tgt for p in toy_small.test_pairs[:10]]
-        vectors = np.stack(
-            [encode(toy_params, tokenize_sentence(s, toy_vocab, 16)) for s in pool]
-        )
-        index = build(vectors, [s.id for s in pool])
-        lookup = {s.id: s for s in pool}
-        sources = [p.src for p in toy_small.test_pairs[:10]]
-        out = mine(sources, index, lookup, toy_params, toy_vocab, MiningConfig(similarity_threshold=-1 + 1e-9))
+        index = pool_of(pool, toy_params, toy_vocab)
+        sources = [p.src for p in toy_small.test_pairs[:10]][::-1]  # pool order is not id order
+        src = pool_of(sources, toy_params, toy_vocab)
+        out = mine(src, index, lookup_of(sources), lookup_of(pool), MiningConfig(similarity_threshold=-1 + 1e-9))
         assert [p.src.id for p in out] == [s.id for s in sources]
 
 
