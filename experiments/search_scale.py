@@ -14,7 +14,8 @@ sqrt(M) clusters and probes 8 of them. Each time is the best of
 thread unless the environment already sets it. recall@1 is the share of
 queries whose exact best row is among the partitioned index's top k. The
 last two columns give the bytes of each index's arrays per pool row.
-This script is not part of the test suite or the benchmark.
+The benchmark does not run this script; the test suite runs it once at
+a tiny size (``tests/test_vecindex.py``), to keep it working.
 """
 
 import os

@@ -375,6 +375,12 @@ def cmd_mine(args) -> tuple[list, list]:
         index_config = None
         if args.clusters > 0:
             index_config = IndexConfig(clusters=args.clusters, probes=args.probes, seed=args.seed)
+    # the tags fill the pairs' language columns, and --src-lang begins a row
+    for flag, lang in (("--src-lang", args.src_lang), ("--tgt-lang", args.tgt_lang)):
+        if "\t" in lang or "\n" in lang or "\r" in lang:
+            raise UsageError(f"{flag} {lang!r} holds a tab or a line end and cannot be written as one TSV column")
+    if args.src_lang.startswith("\ufeff"):
+        raise UsageError(f"--src-lang {args.src_lang!r} starts with a byte-order mark and cannot begin a TSV row")
     vocab, params, _ = _load_model(args.vocab, args.ckpt)
     side_a = _read_mono(args.src, args.src_lang)
     side_b = _read_mono(args.tgt, args.tgt_lang)
@@ -411,24 +417,26 @@ def cmd_eval_p1(args) -> tuple[list, list]:
 def cmd_eval_tatoeba(args) -> tuple[list, list]:
     from .evaluation import tatoeba_accuracy, write_metrics_report
 
+    # a name or language holding a line end would add a line to the report
     groups = {}
     for group_str in args.group or []:
         name, sep, langs = group_str.partition("=")
-        if not (sep and name and all(langs.split("+"))):
-            raise UsageError(f"--group wants NAME=lang1+lang2+..., got {group_str!r}")
+        if not (sep and name and all(langs.split("+"))) or "\n" in group_str or "\r" in group_str:
+            raise UsageError(f"--group wants NAME=lang1+lang2+... on one line, got {group_str!r}")
         if name in groups:
             raise UsageError(f"--group gives group {name!r} twice")
         groups[name] = langs.split("+")
-    sets, inputs = {}, []
+    specs = {}
     for spec_str in args.set:
         lang, sep, rest = spec_str.partition("=")
         paths = rest.split(",")
-        if not (sep and lang) or len(paths) != 3:
-            raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, got {spec_str!r}")
-        if lang in sets:
+        if not (sep and lang) or len(paths) != 3 or "\n" in lang or "\r" in lang:
+            raise UsageError(f"--set wants LANG=SRC_POOL,TGT_POOL,GOLD, LANG on one line, got {spec_str!r}")
+        if lang in specs:
             raise UsageError(f"--set gives language {lang!r} twice")
-        sets[lang] = _retrieval_inputs(*paths)
-        inputs += _retrieval_files(*paths)
+        specs[lang] = paths
+    sets = {lang: _retrieval_inputs(*paths) for lang, paths in specs.items()}
+    inputs = [path for paths in specs.values() for path in _retrieval_files(*paths)]
     result = tatoeba_accuracy(sets, groups)
     metrics: dict[str, object] = {}
     for lang, acc in sorted(result.per_language.items()):

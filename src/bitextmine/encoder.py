@@ -64,6 +64,9 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_seq_len < 3:
             raise ValueError(f"max_seq_len must be >= 3 ([CLS], a token, [SEP]), got {self.max_seq_len}")
+        for name in ("vocab_size", "hidden_dim", "num_layers", "max_seq_len", "embed_dim"):
+            if getattr(self, name) >= 2**32:  # a checkpoint stores each as a u32
+                raise ValueError(f"{name} must be below 2**32, got {getattr(self, name)}")
 
 
 @dataclass
@@ -163,7 +166,7 @@ def _pack(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(_BAD_SEQUENCE) from exc
     if not lengths or min(lengths) == 0:
         raise ValueError(_BAD_SEQUENCE)
-    # itertools.accumulate, not np.cumsum: mining.mine packs one sentence
+    # itertools.accumulate, not np.cumsum: cli.cmd_mine packs one sentence
     # per call, and np.cumsum of a short list alone takes about 4 µs
     return ids, np.fromiter(itertools.accumulate(lengths, initial=0), np.int64, count=len(lengths) + 1)
 
@@ -230,7 +233,7 @@ class ForwardCache:
 def _add_neighbours(out: np.ndarray, h: np.ndarray, bounds: np.ndarray) -> None:
     """out += (M - I) h: add to each row its left and right neighbours in
     the same sentence."""
-    # One sentence has no boundary rows. mining.mine encodes one sentence
+    # One sentence has no boundary rows. cli.cmd_mine encodes one sentence
     # per call, and there their copies took about a fifth of the forward.
     if bounds.size == 2:
         out[1:] += h[:-1]

@@ -111,6 +111,20 @@ def tatoeba_accuracy(
     return RetrievalGroupResult(per_language=per_language, group_means=group_means, missing=missing)
 
 
+def _check_candidates(candidates: Sequence[tuple[str, str, float]]) -> None:
+    """Raise ValueError unless there are candidates, each (src_id, tgt_id)
+    once, with finite scores."""
+    if not candidates:
+        raise ValueError("no candidates")
+    seen = set()
+    for s, t, score in candidates:
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite candidate score for ({s!r}, {t!r})")
+        if (s, t) in seen:
+            raise ValueError(f"duplicate candidate ({s!r}, {t!r})")
+        seen.add((s, t))
+
+
 def bucc_best_f1(
     candidates: Sequence[tuple[str, str, float]], gold: GoldAlignment
 ) -> PRF:
@@ -122,15 +136,7 @@ def bucc_best_f1(
     """
     if not gold.pairs:
         raise ValueError("empty gold alignment")
-    if not candidates:
-        raise ValueError("no candidates")
-    seen = set()
-    for s, t, score in candidates:
-        if not math.isfinite(score):
-            raise ValueError(f"non-finite candidate score for ({s!r}, {t!r})")
-        if (s, t) in seen:
-            raise ValueError(f"duplicate candidate ({s!r}, {t!r})")
-        seen.add((s, t))
+    _check_candidates(candidates)
 
     ranked = sorted(candidates, key=lambda c: -c[2])
     gold_pairs = gold.pairs
@@ -218,13 +224,15 @@ def read_candidates_tsv(path: str | Path) -> list[tuple[str, str, float]]:
 
 def format_candidates_tsv(candidates: Sequence[tuple[str, str, float]]) -> str:
     """Serialize candidates to the TSV that ``read_candidates_tsv`` reads,
-    scores with 6 decimals. ``ValueError`` refuses a pool id holding a tab
+    scores with 6 decimals. ``ValueError`` refuses what the reader would
+    not read back: what ``bucc_best_f1`` refuses, a pool id holding a tab
     or a line end, and a first source id that starts with a byte-order
-    mark, which the reader would not read back."""
+    mark."""
+    _check_candidates(candidates)
     for name in dict.fromkeys(name for s, t, _ in candidates for name in (s, t)):
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"pool id {name!r} holds a tab or a line end and cannot be written as one column")
-    if candidates and candidates[0][0].startswith("\ufeff"):
+    if candidates[0][0].startswith("\ufeff"):
         raise ValueError(f"pool id {candidates[0][0]!r} starts with a byte-order mark and cannot begin the file")
     return "".join(f"{s}\t{t}\t{score:.6f}\n" for s, t, score in candidates)
 
@@ -235,8 +243,15 @@ def read_scores(path: str | Path) -> list[float]:
 
 
 def format_metric_lines(metrics: Mapping[str, object]) -> str:
+    """One ``name=value`` line per metric, floats with 6 decimals.
+    ``ValueError`` refuses a name holding ``=`` or a line end and a text
+    value holding a line end, which would misread as another metric."""
     lines = []
     for name, value in metrics.items():
+        if "=" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"metric name {name!r} holds '=' or a line end")
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            raise ValueError(f"metric {name!r} value {value!r} holds a line end")
         if isinstance(value, float):
             lines.append(f"{name}={value:.6f}")
         else:

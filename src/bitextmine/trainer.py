@@ -30,12 +30,14 @@ Checkpoint format, version 3 (all integers and floats little-endian):
 magic ``BXCK``; u32 version; five u32 EncoderConfig integers
 (vocab_size, hidden_dim, num_layers, max_seq_len, embed_dim); u8 state
 flag; when the flag is 1, the u64 optimizer step count and the
-TrainConfig fields in declared order (float fields as f64); then the
-flat float32 (``<f4``) vectors, each in ``EncoderParams.named_arrays``
-order: the parameters, then, with state, the first and the second
-optimizer moments. Saving refuses vectors that are not float32 rather
-than round them. Older versions are refused: version 2 stored float64
-vectors, and version 1 nested a separately versioned parameter block.
+TrainConfig fields in declared order (batch_size, steps and shards as
+u64, seed as i64, float fields as f64); then the flat float32 (``<f4``)
+vectors, each in ``EncoderParams.named_arrays`` order: the parameters,
+then, with state, the first and the second optimizer moments. Saving
+refuses vectors that are not float32 rather than round them, and
+EncoderConfig and TrainConfig refuse a value that the header cannot hold.
+Older versions are refused: version 2 stored float64 vectors, and
+version 1 nested a separately versioned parameter block.
 """
 
 from __future__ import annotations
@@ -87,14 +89,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.steps < 1:
             raise ValueError("batch_size and steps must be positive")
+        for name in ("batch_size", "steps", "shards"):
+            if getattr(self, name) >= 2**64:  # a checkpoint stores each as a u64
+                raise ValueError(f"{name} must be below 2**64, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.shards < 1 or self.batch_size % self.shards != 0:
             raise ValueError(f"shards={self.shards} must divide batch_size={self.batch_size}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:  # a checkpoint stores it as an i64
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         self.loss_config()  # LossConfig checks margin and scale
 
     def loss_config(self) -> LossConfig:
@@ -300,6 +305,8 @@ class PretrainConfig:
         for stage in self.stages:
             if stage.num_layers < 1:
                 raise ValueError(f"stage layers must be positive, got {stage.num_layers}")
+            if stage.num_layers >= 2**32:  # as EncoderConfig.num_layers
+                raise ValueError(f"stage layers must be below 2**32, got {stage.num_layers}")
             self.stage_config(stage)  # TrainConfig checks batch size, steps, learning rate and seed
         for a, b in zip(self.stages, self.stages[1:]):
             if b.num_layers < a.num_layers:

@@ -124,6 +124,32 @@ def invalid_argv(d, case):
         "eval-tatoeba-group-twice": [
             "eval-tatoeba", "--set", tatoeba_set(d), "--group", "g=xx", "--group", "g=yy", "--out", out,
         ],
+        # values a checkpoint cannot store, given with a vocab that does not exist
+        "train-seed-i64": train + ["--vocab", d / "no-vocab.txt", "--seed", 2**63],
+        "train-batch-size-u64": train + ["--vocab", d / "no-vocab.txt", "--batch-size", 2**64],
+        "train-steps-u64": train + ["--vocab", d / "no-vocab.txt", "--steps", 2**64],
+        "train-max-seq-len-u32": train + ["--vocab", d / "no-vocab.txt", "--max-seq-len", 2**32],
+        "train-hidden-dim-u32": train + ["--vocab", d / "no-vocab.txt", "--hidden-dim", 2**32],
+        "pretrain-seed-i64": pretrain + ["--vocab", d / "no-vocab.txt", "--seed", 2**63],
+        "pretrain-max-seq-len-u32": pretrain + ["--vocab", d / "no-vocab.txt", "--max-seq-len", 2**32],
+        "pretrain-stage-layers-u32": pretrain + ["--vocab", d / "no-vocab.txt", "--stage-layers", f"1,{2**32}"],
+        "pretrain-stage-steps-u64": pretrain + ["--vocab", d / "no-vocab.txt", "--stage-steps", f"2,{2**64}"],
+        # language tags the pairs file could not hold, given with inputs that do not exist
+        "mine-src-lang-tab": mine + ["--src", d / "no-src.txt", "--src-lang", "a\tb"],
+        "mine-tgt-lang-line-feed": mine + ["--src", d / "no-src.txt", "--tgt-lang", "a\nb"],
+        "mine-tgt-lang-carriage-return": mine + ["--src", d / "no-src.txt", "--tgt-lang", "a\rb"],
+        "mine-src-lang-bom": mine + ["--src", d / "no-src.txt", "--src-lang", "\ufeffa"],
+        # a name or language that would add a line to the report; the first
+        # --set names pools that do not exist, so it must not be read first
+        "eval-tatoeba-set-line-feed": [
+            "eval-tatoeba", "--set", tatoeba_set(d, pools="no"), "--set", tatoeba_set(d, "y\ny"), "--out", out,
+        ],
+        "eval-tatoeba-group-line-feed": [
+            "eval-tatoeba", "--set", tatoeba_set(d, pools="no"), "--group", "g\nx=xx", "--out", out,
+        ],
+        "eval-tatoeba-group-language-carriage-return": [
+            "eval-tatoeba", "--set", tatoeba_set(d, pools="no"), "--group", "g=xx+y\ry", "--out", out,
+        ],
     }[case]
 
 
@@ -133,8 +159,8 @@ def init_config(d):
     return d / "init.args"
 
 
-def tatoeba_set(d, lang="xx"):
-    return f"{lang}={d / 'src.pool'},{d / 'tgt.pool'},{d / 'gold.tsv'}"
+def tatoeba_set(d, lang="xx", pools=""):
+    return f"{lang}={d / f'{pools}src.pool'},{d / f'{pools}tgt.pool'},{d / 'gold.tsv'}"
 
 
 # Cases of a malformed list flag, and the flag their message must name.
@@ -149,6 +175,19 @@ LIST_FLAG = {
 MESSAGE = {
     # a count smaller than the one before it never divides it either
     "pretrain-stage-layers-shrinking": "stage schedule shrinks from 2 to 1 layers",
+    "train-seed-i64": "seed must be in [0, 2**63)",
+    "train-batch-size-u64": "batch_size must be below 2**64",
+    "train-steps-u64": "steps must be below 2**64",
+    "train-max-seq-len-u32": "max_seq_len must be below 2**32",
+    "train-hidden-dim-u32": "hidden_dim must be below 2**32",
+    "pretrain-seed-i64": "seed must be in [0, 2**63)",
+    "pretrain-max-seq-len-u32": "max_seq_len must be below 2**32",
+    "pretrain-stage-layers-u32": "stage layers must be below 2**32",
+    "pretrain-stage-steps-u64": "steps must be below 2**64",
+    "mine-src-lang-tab": "--src-lang 'a\\tb' holds a tab or a line end",
+    "mine-tgt-lang-line-feed": "--tgt-lang 'a\\nb' holds a tab or a line end",
+    "mine-tgt-lang-carriage-return": "--tgt-lang 'a\\rb' holds a tab or a line end",
+    "mine-src-lang-bom": "--src-lang '\\ufeffa' starts with a byte-order mark",
 }
 
 
@@ -193,6 +232,22 @@ MESSAGE = {
         "train-init-hidden-dim",
         "train-resume-layers",
         "eval-bucc-candidates-and-pools",
+        "train-seed-i64",
+        "train-batch-size-u64",
+        "train-steps-u64",
+        "train-max-seq-len-u32",
+        "train-hidden-dim-u32",
+        "pretrain-seed-i64",
+        "pretrain-max-seq-len-u32",
+        "pretrain-stage-layers-u32",
+        "pretrain-stage-steps-u64",
+        "mine-src-lang-tab",
+        "mine-tgt-lang-line-feed",
+        "mine-tgt-lang-carriage-return",
+        "mine-src-lang-bom",
+        "eval-tatoeba-set-line-feed",
+        "eval-tatoeba-group-line-feed",
+        "eval-tatoeba-group-language-carriage-return",
     ],
 )
 def test_invalid_flag_value_is_usage_error(work, case, capsys):

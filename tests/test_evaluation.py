@@ -1,7 +1,12 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bitextmine.errors import DataError
 from bitextmine.evaluation import (
@@ -10,6 +15,7 @@ from bitextmine.evaluation import (
     arccos_similarity,
     bucc_best_f1,
     bucc_candidates,
+    format_candidates_tsv,
     format_metric_lines,
     p_at_1,
     read_candidates_tsv,
@@ -316,6 +322,97 @@ class TestFilesAndReports:
         write_metrics_report({"f1": 1.0}, path)
         assert path.read_text().startswith("f1=1.000000")
         assert (tmp_path / "report.txt.json").exists()
+
+    @pytest.mark.parametrize(
+        "metrics, message",
+        [
+            ({"a=b": 1}, r"metric name 'a=b' holds '=' or a line end"),
+            ({"group_g\nx": 0.5}, r"metric name 'group_g\\nx' holds '=' or a line end"),
+            ({"a\rb": 1}, r"metric name 'a\\rb' holds '=' or a line end"),
+            ({"missing_g": "xx\ny=1"}, r"metric 'missing_g' value 'xx\\ny=1' holds a line end"),
+            ({"missing_g": "xx\r"}, r"metric 'missing_g' value 'xx\\r' holds a line end"),
+        ],
+    )
+    def test_report_refuses_a_metric_that_would_read_as_another(self, tmp_path, metrics, message):
+        path = tmp_path / "report.txt"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_metrics_report({"f1": 1.0, **metrics}, path)
+        assert not path.exists()
+        assert not (tmp_path / "report.txt.json").exists()
+
+
+# Pool ids a candidates file can hold: no tab or line end, with the
+# separators that str.splitlines would split on, a byte-order mark and
+# spaces drawn often.
+CANDIDATE_ID = st.text(
+    st.characters(exclude_characters="\t\n\r", exclude_categories=["Cs"])
+    | st.sampled_from(["\x0b", "\x0c", "\x85", "\u2028", "\u2029", "\ufeff", " "]),
+    max_size=4,
+)
+
+
+@st.composite
+def writable_candidates(draw):
+    """Candidates that ``format_candidates_tsv`` accepts."""
+    keys = draw(
+        st.lists(st.tuples(CANDIDATE_ID, CANDIDATE_ID), min_size=1, max_size=5, unique=True).filter(
+            lambda keys: not keys[0][0].startswith("\ufeff")
+        )
+    )
+    return [(s, t, draw(st.floats(allow_nan=False, allow_infinity=False))) for s, t in keys]
+
+
+def as_read(candidates):
+    """What ``read_candidates_tsv`` should give: each score as its 6 written decimals."""
+    return [(s, t, float(f"{score:.6f}")) for s, t, score in candidates]
+
+
+def read_back(text):
+    """What ``read_candidates_tsv`` reads from ``text``, or None if it refuses it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cand.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return read_candidates_tsv(path)
+        except DataError:
+            return None
+
+
+class TestCandidatesRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(candidates=writable_candidates())
+    def test_candidates_the_writer_accepts_read_back_equal(self, candidates):
+        assert read_back(format_candidates_tsv(candidates)) == as_read(candidates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidates=writable_candidates(), data=st.data())
+    def test_writer_refuses_first_what_the_reader_could_not_read_back(self, candidates, data):
+        fault = data.draw(st.sampled_from(["id", "lead", "score", "duplicate", "none"]))
+        n = data.draw(st.integers(0, len(candidates) - 1))
+        s, t, score = candidates[n]
+        if fault == "id":
+            side = data.draw(st.integers(0, 1))
+            bad = data.draw(CANDIDATE_ID) + data.draw(st.sampled_from(["\t", "\n", "\r", "\r\n"])) + data.draw(CANDIDATE_ID)
+            candidates[n] = (bad, t, score) if side == 0 else (s, bad, score)
+            message = f"pool id {re.escape(repr(bad))} holds a tab or a line end"
+        elif fault == "lead":
+            bad = "\ufeff" + data.draw(CANDIDATE_ID)
+            assume((bad, candidates[0][1]) not in {c[:2] for c in candidates[1:]})  # a duplicate is refused first
+            candidates[0] = (bad, *candidates[0][1:])
+            message = f"pool id {re.escape(repr(bad))} starts with a byte-order mark"
+        elif fault == "score":
+            candidates[n] = (s, t, data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+            message = "non-finite candidate score"
+        elif fault == "duplicate":
+            candidates.insert(data.draw(st.integers(n + 1, len(candidates))), (s, t, data.draw(st.floats(-1, 1))))
+            message = "duplicate candidate"
+        else:
+            candidates = []
+            message = "no candidates"
+        unchecked = "".join(f"{s}\t{t}\t{score:.6f}\n" for s, t, score in candidates)
+        assert read_back(unchecked) != as_read(candidates)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            format_candidates_tsv(candidates)
 
 
 def test_prf_invariant():

@@ -1,21 +1,28 @@
 """The benchmark's traced run times the functions named in
-``bench/tracing.py``; a name that no longer resolves drops its metrics
-from the benchmark. The list is read from the file's source, so the
-benchmark code itself is not imported here. The names that
-``bench/*.py`` import from ``bitextmine`` are read the same way, since
-removing one would break the benchmark. The benchmark's per-step
-latency is timed between calls to ``trainer.optimizer_step``, so each
-training step must make exactly one.
+``bench/tracing.py``; a name that no longer resolves, or that the
+benchmark's pass no longer calls, drops its metrics from the benchmark.
+The list is read from the file's source, so the benchmark code itself is
+not imported here. The names that ``bench/*.py`` import from
+``bitextmine`` are read the same way, since removing one would break the
+benchmark. The benchmark's per-step latency is timed between calls to
+``trainer.optimizer_step``, so each training step must make exactly one.
 """
 
 import ast
+import collections
+import functools
 import importlib
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from bitextmine import trainer
+import bitextmine
+from bitextmine import cli, trainer
+from bitextmine.corpus import format_pairs_tsv
 from bitextmine.encoder import EncoderConfig, init_params
+from bitextmine.toydata import make_toy_corpus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -81,3 +88,63 @@ def test_each_training_step_makes_one_optimizer_step(monkeypatch, toy_small, toy
         pretrain_config = trainer.PretrainConfig(stages, batch_size=8, learning_rate=1e-3)
         trainer.pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, pretrain_config, toy_vocab)
     assert len(calls) == 12
+
+
+def counting(calls, name, fn):
+    """``fn`` counting its calls under ``name``; ``vecindex.build`` and
+    ``vecindex.search`` also under their index mode, as the benchmark
+    splits their spans."""
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        if name == "vecindex.build":
+            config = args[2] if len(args) > 2 else kwargs.get("config")
+            calls[f"{name}.{'exact' if config is None else 'partitioned'}"] += 1
+        elif name == "vecindex.search":
+            calls[f"{name}.{(args[0] if args else kwargs['index']).mode}"] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_a_toy_benchmark_pass_calls_every_traced_function(tmp_path, monkeypatch):
+    # every binding of each function is wrapped, as the benchmark's recorder wraps them
+    for info in pkgutil.iter_modules(bitextmine.__path__):
+        importlib.import_module(f"bitextmine.{info.name}")
+    modules = [m for name, m in sys.modules.items() if name.startswith("bitextmine.")]
+    calls = collections.Counter()
+    for module, function in traced_layers():
+        original = getattr(importlib.import_module(f"bitextmine.{module}"), function)
+        wrapper = counting(calls, f"{module}.{function}", original)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+    d = tmp_path
+    pairs = make_toy_corpus(40, 0, seed=3, lexicon_size=20, min_words=2, max_words=4).train_pairs
+    (d / "pairs.tsv").write_text(format_pairs_tsv(pairs), encoding="utf-8")
+    for side in ("src", "tgt"):
+        (d / f"{side}.txt").write_text("".join(getattr(p, side).text + "\n" for p in pairs), encoding="utf-8")
+    (d / "gold.tsv").write_text("".join(f"{i}\t{i}\n" for i in range(1, len(pairs) + 1)), encoding="utf-8")
+    vocab, model = ["--vocab", d / "vocab.txt"], ["--ckpt", d / "model.ckpt"]
+    pools = ["--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", d / "gold.tsv"]
+    # the benchmark's pass (bench/workloads.py), at a toy size
+    commands = [
+        ["build-vocab", "--pairs", d / "pairs.tsv", "--target-size", 200, "--out", d / "vocab.txt"],
+        ["pretrain", "--mono", d / "src.txt", "--pairs", d / "pairs.tsv", *vocab, "--out", d / "pretrain.ckpt",
+         "--hidden-dim", 8, "--stage-layers", "1,2", "--stage-steps", "2,2", "--batch-size", 8, "--mix", "1:1"],
+        ["train", "--pairs", d / "pairs.tsv", *vocab, "--out", d / "model.ckpt", "--hidden-dim", 8,
+         "--batch-size", 8, "--steps", 4, "--checkpoint-interval", 2],
+        *[["encode", "--input", d / f"{side}.txt", *vocab, *model, "--out", d / f"{side}.pool"] for side in ("src", "tgt")],
+        ["mine", "--src", d / "src.txt", "--tgt", d / "tgt.txt", *vocab, *model, "--clusters", 4, "--probes", 2,
+         "--threshold", -0.99, "--direction", "forward", "--out", d / "mined.tsv"],
+        ["eval-p1", *pools, "--out", d / "test.p1"],
+        ["eval-bucc", *pools, "--k", 1, "--out", d / "mine.bucc"],
+    ]
+    for argv in commands:
+        assert cli.main([str(a) for a in argv]) == 0, argv[0]
+    expected = [f"{module}.{function}" for module, function in traced_layers()]
+    expected += [f"vecindex.{fn}.{mode}" for fn in ("build", "search") for mode in ("exact", "partitioned")]
+    assert [name for name in expected if calls[name] == 0] == []

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextmine import trainer as trainer_module
-from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params
+from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params, param_count
 from bitextmine.errors import CheckpointError, NumericalError
 from bitextmine.trainer import (
     BETA1,
@@ -475,6 +477,63 @@ class TestCheckpoint:
         assert path.read_bytes() == (tmp_path / "ck2.bin").read_bytes()
         assert state2.step_count == 17
         assert state2.config == cfg
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: EncoderConfig(5, 4, 1, 2**32), r"max_seq_len must be below 2\*\*32, got 4294967296"),
+            (lambda: EncoderConfig(2**32, 4, 1, 16), r"vocab_size must be below 2\*\*32"),
+            (lambda: TrainConfig(seed=2**63), r"seed must be in \[0, 2\*\*63\), got 9223372036854775808"),
+            (lambda: TrainConfig(batch_size=2**64), r"batch_size must be below 2\*\*64"),
+            (lambda: TrainConfig(steps=2**64), r"steps must be below 2\*\*64"),
+            (lambda: TrainConfig(batch_size=2**64 - 1, shards=2**64), r"shards must be below 2\*\*64"),
+            (lambda: PretrainConfig((Stage(1, 4), Stage(2**32, 4))), r"stage layers must be below 2\*\*32"),
+        ],
+    )
+    def test_configs_refuse_values_a_checkpoint_cannot_store(self, make, message):
+        # the header packs the shape as u32, batch_size, steps and shards as u64, the seed as i64
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_config_that_constructs_round_trips_bit_equal(self, data, tmp_path_factory):
+        # small shapes allocate little; the fields that allocate nothing are
+        # drawn up to the edge of what their checkpoint field holds
+        config = EncoderConfig(
+            vocab_size=data.draw(st.integers(1, 8)),
+            hidden_dim=data.draw(st.integers(1, 4)),
+            num_layers=data.draw(st.integers(1, 3)),
+            max_seq_len=data.draw(st.integers(3, 2**32 - 1)),
+            embed_dim=data.draw(st.integers(0, 4)),
+        )
+        bits = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(0, 2**32, (3, param_count(config)))
+        vectors = bits.astype(np.uint32).view(np.float32)  # any float32, NaN payloads included
+        params = EncoderParams.from_flat(config, vectors[0].copy())
+        state = None
+        if data.draw(st.booleans()):
+            shards = data.draw(st.integers(1, 2**64 - 1))
+            train = TrainConfig(
+                batch_size=shards * data.draw(st.integers(1, (2**64 - 1) // shards)),
+                steps=data.draw(st.integers(1, 2**64 - 1)),
+                learning_rate=data.draw(st.floats(min_value=0, allow_infinity=False, exclude_min=True)),
+                margin=data.draw(st.floats(0, 1, exclude_max=True)),
+                scale=data.draw(st.floats(min_value=0, allow_infinity=False, exclude_min=True)),
+                shards=shards,
+                seed=data.draw(st.integers(0, 2**63 - 1)),
+                weight_decay=data.draw(st.floats(min_value=0, allow_infinity=False)),
+            )
+            state = OptimizerState(train, vectors[1].copy(), vectors[2].copy(), data.draw(st.integers(0, train.steps)))
+        path = tmp_path_factory.mktemp("ck") / "ck.bin"
+        path.write_bytes(checkpoint_to_bytes(params, state))
+        loaded, loaded_state = load_checkpoint(path)
+        assert loaded.config == config
+        assert loaded.flat.view(np.uint32).tolist() == params.flat.view(np.uint32).tolist()
+        assert (loaded_state is None) == (state is None)
+        if state is not None:
+            assert (loaded_state.config, loaded_state.step_count) == (state.config, state.step_count)
+            for got, want in ((loaded_state.first_moment, state.first_moment), (loaded_state.second_moment, state.second_moment)):
+                assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
 
     def test_params_only_checkpoint(self, tmp_path):
         p = small_setup(seed=4)
