@@ -246,7 +246,7 @@ def cmd_pretrain(args) -> tuple[list, list]:
     return (args.mono or []) + ([args.pairs] if args.pairs else []) + [args.vocab], [args.out, log_path]
 
 
-# train's shape flags, absent unless given, and their values for a fresh model
+# the shape flags' values for a fresh model; train's flags are absent unless given
 _FRESH_SHAPE = {"hidden_dim": 32, "embed_dim": 0, "layers": 2, "max_seq_len": 16}
 
 
@@ -546,9 +546,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     sp.add_argument("--pairs", help="bilingual TSV for translation-pair batches")
     sp.add_argument("--vocab", required=True, help="vocab file")
     sp.add_argument("--out", required=True, help="checkpoint to write")
-    sp.add_argument("--hidden-dim", type=int, default=32, help="hidden width")
-    sp.add_argument("--embed-dim", type=int, default=0, help="output dim (0 = hidden)")
-    sp.add_argument("--max-seq-len", type=int, default=16, help="max tokens per sequence")
+    sp.add_argument("--hidden-dim", type=int, default=_FRESH_SHAPE["hidden_dim"], help="hidden width")
+    sp.add_argument("--embed-dim", type=int, default=_FRESH_SHAPE["embed_dim"], help="output dim (0 = hidden)")
+    sp.add_argument("--max-seq-len", type=int, default=_FRESH_SHAPE["max_seq_len"], help="max tokens per sequence")
     sp.add_argument("--stage-layers", default="1,2", help="layers per stage, CSV; each count must divide the next")
     sp.add_argument("--stage-steps", default="300,300", help="steps per stage, CSV")
     sp.add_argument("--batch-size", type=int, default=32, help="sequences per step")

@@ -75,26 +75,37 @@ class LayerParams:
     bias: np.ndarray  # (d,)
 
 
-def _shapes(config: EncoderConfig) -> list[tuple[int, ...]]:
-    """Parameter tensor shapes in the declared (checkpoint) order."""
+def _layout(config: EncoderConfig) -> Iterator[tuple[str, tuple[int, ...], float]]:
+    """Every parameter tensor's name, shape and init scale, in flat
+    (checkpoint) order. ``init_params`` draws each tensor from N(0, scale^2)
+    in this order, and a scale of 0 leaves it zero."""
     d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
-    return [(v, d), *[(d, d), (d,)] * config.num_layers, (d, e), (e,), (e, v), (v,)]
+    yield "token_embeddings", (v, d), 0.1
+    for i in range(config.num_layers):
+        yield f"layers.{i}.weight", (d, d), 1.0 / math.sqrt(d)
+        yield f"layers.{i}.bias", (d,), 0.0
+    yield "output.weight", (d, e), 1.0 / math.sqrt(d)
+    yield "output.bias", (e,), 0.0
+    yield "mlm.weight", (e, v), 0.02
+    yield "mlm.bias", (v,), 0.0
 
 
 def param_count(config: EncoderConfig) -> int:
-    return sum(math.prod(shape) for shape in _shapes(config))
+    return sum(math.prod(shape) for _, shape, _ in _layout(config))
 
 
 @dataclass
 class EncoderParams:
     """The encoder's parameters in one contiguous vector, ``flat``
-    (float32 from ``init_params`` and checkpoints). Every named tensor is
-    a view into it, laid out in ``named_arrays`` order, so gradients and
-    optimizer moments can be vectors of the same layout. Write into the
-    tensors; never rebind them."""
+    (float32 from ``init_params`` and checkpoints). ``tensors`` maps each
+    name of ``_layout`` to its view into ``flat``, in that order, so
+    gradients and optimizer moments can be vectors of the same layout; the
+    typed attributes are the same views. Write into the tensors; never
+    rebind them."""
 
     config: EncoderConfig
     flat: np.ndarray  # (param_count(config),)
+    tensors: dict[str, np.ndarray]
     token_embeddings: np.ndarray  # (V, d)
     layers: list[LayerParams]
     output_weight: np.ndarray  # (d, e)
@@ -103,36 +114,23 @@ class EncoderParams:
     mlm_bias: np.ndarray  # (V,)
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Parameter tensors in the declared (checkpoint) order."""
-        yield "token_embeddings", self.token_embeddings
-        for i, layer in enumerate(self.layers):
-            yield f"layers.{i}.weight", layer.weight
-            yield f"layers.{i}.bias", layer.bias
-        yield "output.weight", self.output_weight
-        yield "output.bias", self.output_bias
-        yield "mlm.weight", self.mlm_weight
-        yield "mlm.bias", self.mlm_bias
+        """Parameter tensors in ``_layout`` (checkpoint) order."""
+        return iter(self.tensors.items())
 
     @classmethod
     def from_flat(cls, config: EncoderConfig, flat: np.ndarray) -> "EncoderParams":
         """View ``flat`` (not copied) as the tensors of ``config``."""
         if flat.shape != (param_count(config),):
             raise ValueError(f"flat vector of shape {flat.shape} does not fit {config}")
-        views, start = [], 0
-        for shape in _shapes(config):
+        t, start = {}, 0
+        for name, shape, _ in _layout(config):
             stop = start + math.prod(shape)
-            views.append(flat[start:stop].reshape(shape))
+            t[name] = flat[start:stop].reshape(shape)
             start = stop
-        embeddings, *layer_views, output_weight, output_bias, mlm_weight, mlm_bias = views
         return cls(
-            config=config,
-            flat=flat,
-            token_embeddings=embeddings,
-            layers=[LayerParams(w, b) for w, b in zip(layer_views[::2], layer_views[1::2])],
-            output_weight=output_weight,
-            output_bias=output_bias,
-            mlm_weight=mlm_weight,
-            mlm_bias=mlm_bias,
+            config, flat, t, t["token_embeddings"],
+            [LayerParams(t[f"layers.{i}.weight"], t[f"layers.{i}.bias"]) for i in range(config.num_layers)],
+            t["output.weight"], t["output.bias"], t["mlm.weight"], t["mlm.bias"],
         )
 
     def copy(self) -> "EncoderParams":
@@ -141,13 +139,10 @@ class EncoderParams:
 
 def init_params(config: EncoderConfig, seed: int = 0) -> EncoderParams:
     rng = np.random.default_rng(seed)
-    d, e, v = config.hidden_dim, config.embed_dim, config.vocab_size
     params = EncoderParams.from_flat(config, np.zeros(param_count(config), dtype=PARAM_DTYPE))
-    params.token_embeddings[:] = rng.normal(0.0, 0.1, (v, d))
-    for layer in params.layers:  # biases stay zero
-        layer.weight[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, d))
-    params.output_weight[:] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, e))
-    params.mlm_weight[:] = rng.normal(0.0, 0.02, (e, v))
+    for name, shape, scale in _layout(config):
+        if scale:
+            params.tensors[name][:] = rng.normal(0.0, scale, shape)
     return params
 
 
@@ -487,15 +482,12 @@ def stack_grow(params: EncoderParams, target_layers: int) -> EncoderParams:
         raise ValueError(
             f"target_layers={target_layers} must be a positive multiple of {current}"
         )
-    # The layers lie between the embeddings and the output tensors, so
-    # tiling their block makes output layer j a copy of layer j mod L.
-    head = params.token_embeddings.size
-    tail = head + sum(layer.weight.size + layer.bias.size for layer in params.layers)
-    flat = np.concatenate(
-        (
-            params.flat[:head],
-            np.tile(params.flat[head:tail], target_layers // current),
-            params.flat[tail:],
-        )
-    )
-    return EncoderParams.from_flat(replace(params.config, num_layers=target_layers), flat)
+
+    def source(name: str) -> np.ndarray:
+        if name.startswith("layers."):
+            _, j, field = name.split(".")
+            name = f"layers.{int(j) % current}.{field}"
+        return params.tensors[name].ravel()
+
+    config = replace(params.config, num_layers=target_layers)
+    return EncoderParams.from_flat(config, np.concatenate([source(name) for name, _, _ in _layout(config)]))

@@ -32,8 +32,8 @@ magic ``BXCK``; u32 version; five u32 EncoderConfig integers
 flag; when the flag is 1, the u64 optimizer step count and the
 TrainConfig fields in declared order (batch_size, steps and shards as
 u64, seed as i64, float fields as f64); then the flat float32 (``<f4``)
-vectors, each in ``EncoderParams.named_arrays`` order: the parameters,
-then, with state, the first and the second optimizer moments. Saving
+vectors, each in ``encoder._layout`` order: the parameters, then, with
+state, the first and the second optimizer moments. Saving
 refuses vectors that are not float32 rather than round them, and
 EncoderConfig and TrainConfig refuse a value that the header cannot hold.
 Older versions are refused: version 2 stored float64 vectors, and
@@ -92,12 +92,12 @@ class TrainConfig:
         for name in ("batch_size", "steps", "shards"):
             if getattr(self, name) >= 2**64:  # a checkpoint stores each as a u64
                 raise ValueError(f"{name} must be below 2**64, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.shards < 1 or self.batch_size % self.shards != 0:
             raise ValueError(f"shards={self.shards} must divide batch_size={self.batch_size}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < float("inf"):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0 <= self.seed < 2**63:  # a checkpoint stores it as an i64
             raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         self.loss_config()  # LossConfig checks margin and scale
@@ -386,12 +386,10 @@ def pretrain(
 
 
 def checkpoint_to_bytes(params: EncoderParams, state: OptimizerState | None) -> bytes:
-    cfg = params.config
-    dims = (cfg.vocab_size, cfg.hidden_dim, cfg.num_layers, cfg.max_seq_len, cfg.embed_dim)
     chunks = [
         _CKPT_MAGIC,
         struct.pack("<I", _CKPT_VERSION),
-        struct.pack(_CKPT_HEAD, *dims, state is not None),
+        struct.pack(_CKPT_HEAD, *astuple(params.config), state is not None),
     ]
     vectors = [params.flat]
     if state is not None:

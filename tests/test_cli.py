@@ -134,6 +134,13 @@ def invalid_argv(d, case):
         "pretrain-max-seq-len-u32": pretrain + ["--vocab", d / "no-vocab.txt", "--max-seq-len", 2**32],
         "pretrain-stage-layers-u32": pretrain + ["--vocab", d / "no-vocab.txt", "--stage-layers", f"1,{2**32}"],
         "pretrain-stage-steps-u64": pretrain + ["--vocab", d / "no-vocab.txt", "--stage-steps", f"2,{2**64}"],
+        # rates that are not finite numbers, given with a vocab that does not exist
+        "train-lr-nan": train + ["--vocab", d / "no-vocab.txt", "--lr", "nan"],
+        "train-lr-inf": train + ["--vocab", d / "no-vocab.txt", "--lr", "inf"],
+        "train-weight-decay-nan": train + ["--vocab", d / "no-vocab.txt", "--weight-decay", "nan"],
+        "train-weight-decay-inf": train + ["--vocab", d / "no-vocab.txt", "--weight-decay", "inf"],
+        "pretrain-lr-nan": pretrain + ["--vocab", d / "no-vocab.txt", "--lr", "nan"],
+        "pretrain-lr-inf": pretrain + ["--vocab", d / "no-vocab.txt", "--lr", "inf"],
         # language tags the pairs file could not hold, given with inputs that do not exist
         "mine-src-lang-tab": mine + ["--src", d / "no-src.txt", "--src-lang", "a\tb"],
         "mine-tgt-lang-line-feed": mine + ["--src", d / "no-src.txt", "--tgt-lang", "a\nb"],
@@ -184,6 +191,12 @@ MESSAGE = {
     "pretrain-max-seq-len-u32": "max_seq_len must be below 2**32",
     "pretrain-stage-layers-u32": "stage layers must be below 2**32",
     "pretrain-stage-steps-u64": "steps must be below 2**64",
+    "train-lr-nan": "learning_rate must be positive and finite, got nan",
+    "train-lr-inf": "learning_rate must be positive and finite, got inf",
+    "train-weight-decay-nan": "weight_decay must be >= 0 and finite, got nan",
+    "train-weight-decay-inf": "weight_decay must be >= 0 and finite, got inf",
+    "pretrain-lr-nan": "learning_rate must be positive and finite, got nan",
+    "pretrain-lr-inf": "learning_rate must be positive and finite, got inf",
     "mine-src-lang-tab": "--src-lang 'a\\tb' holds a tab or a line end",
     "mine-tgt-lang-line-feed": "--tgt-lang 'a\\nb' holds a tab or a line end",
     "mine-tgt-lang-carriage-return": "--tgt-lang 'a\\rb' holds a tab or a line end",
@@ -241,6 +254,12 @@ MESSAGE = {
         "pretrain-max-seq-len-u32",
         "pretrain-stage-layers-u32",
         "pretrain-stage-steps-u64",
+        "train-lr-nan",
+        "train-lr-inf",
+        "train-weight-decay-nan",
+        "train-weight-decay-inf",
+        "pretrain-lr-nan",
+        "pretrain-lr-inf",
         "mine-src-lang-tab",
         "mine-tgt-lang-line-feed",
         "mine-tgt-lang-carriage-return",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from bitextmine.corpus import Sentence, SentencePair
 from bitextmine.encoder import (
     _ENCODE_CHUNK,
     EncoderConfig,
+    _layout,
     backward_batch,
     encode,
     encode_batch,
@@ -21,7 +23,7 @@ from bitextmine.encoder import (
     zeros_like_params,
 )
 from bitextmine.errors import CheckpointError
-from bitextmine.trainer import checkpoint_to_bytes, load_checkpoint, save_checkpoint
+from bitextmine.trainer import _tensor_at, checkpoint_to_bytes, load_checkpoint, save_checkpoint
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
 
 from conftest import float64_params
@@ -476,9 +478,13 @@ class TestCheckpointFormat:
 
 
 def assert_views_tile_flat(params):
-    """Each named tensor is a view into ``params.flat`` at its offset in
-    ``named_arrays`` order, and the views cover ``flat`` exactly; a tensor
+    """``named_arrays`` yields ``_layout``'s names and shapes, in its order
+    and each name once; each tensor is a view into ``params.flat`` at its
+    offset in that order, and the views cover ``flat`` exactly. A tensor
     rebound to its own array would drop out of the optimizer's update."""
+    named = [(name, arr.shape) for name, arr in params.named_arrays()]
+    assert named == [(name, shape) for name, shape, _ in _layout(params.config)]
+    assert len(dict(named)) == len(named)
     base = params.flat.__array_interface__["data"][0]
     offset = 0
     for name, arr in params.named_arrays():
@@ -501,6 +507,59 @@ def test_every_tensor_is_a_view_into_flat(tmp_path):
     for params in (p, copied, zeros_like_params(p), grown, loaded, small_params(layers=2)):
         assert_views_tile_flat(params)
     assert loaded.flat.dtype == np.float32 and grown.flat.dtype == np.float64
+
+
+@pytest.mark.parametrize("layers, embed_dim, factor", [(1, 0, 3), (2, 3, 2), (3, 0, 2)])
+def test_the_layout_table_is_the_parameter_layout(layers, embed_dim, factor):
+    cfg = EncoderConfig(vocab_size=19, hidden_dim=5, num_layers=layers, max_seq_len=8, embed_dim=embed_dim)
+    p = init_params(cfg, seed=3)
+    grown = stack_grow(p, factor * layers)
+    for params in (p, grown):
+        assert_views_tile_flat(params)
+        start = 0
+        for name, arr in params.named_arrays():
+            assert _tensor_at(params, start) == name
+            assert _tensor_at(params, start + arr.size - 1) == name
+            start += arr.size
+    before, after = dict(p.named_arrays()), dict(grown.named_arrays())
+    for j in range(factor * layers):
+        for field in ("weight", "bias"):
+            np.testing.assert_array_equal(after.pop(f"layers.{j}.{field}"), before[f"layers.{j % layers}.{field}"])
+    assert set(after) == {name for name in before if not name.startswith("layers.")}
+    for name, arr in after.items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
+# sha256 of checkpoint_to_bytes(init_params(cfg, seed), None) and of the same
+# model grown to twice its layers. Any change to the init draws, their order
+# or the flat layout changes them, and with them every checkpoint a seed gives.
+PINNED_DIGESTS = {
+    ((24, 6, 2, 12, 0), 0): (
+        "85d2df5ec38699525fee66ccc9f658d47641c0f7ac6a20e1afe20ff5538dc97c",
+        "caea98f7e85e0c9a65eba52e3a65707cc6096308a3bda7b4cef73c04a507956b",
+    ),
+    ((24, 6, 2, 12, 0), 7): (
+        "71907bdddec7d2a4210242ccb4aa443c3d9fbf80e170044345537f4f831897df",
+        "f2a8fc721eb751ed983a5d0c55e0c0b5926f94d04b2259b62b00fc45b7a77c7e",
+    ),
+    ((17, 5, 1, 8, 3), 0): (
+        "76fd82a2d3866757749f973d0881c17714f6636290c2ec89c552ff004cee34dc",
+        "cfd91719114ff991c274ebd2bd0e76264991d9ec300675c9ea6728c434452fb8",
+    ),
+    ((17, 5, 1, 8, 3), 7): (
+        "9fc3156335d5075f2d5dd92925bac1be3336b85b91dad8ad5971548c5336ee4e",
+        "f8f4126eac3d1aff1dd784df7c63e5a0aee857688ec1f2532b31ac9ab04c1724",
+    ),
+}
+
+
+@pytest.mark.parametrize("dims, seed", sorted(PINNED_DIGESTS))
+def test_fresh_and_grown_models_are_pinned(dims, seed):
+    cfg = EncoderConfig(*dims)
+    fresh = init_params(cfg, seed)
+    grown = stack_grow(fresh, 2 * cfg.num_layers)
+    digests = tuple(hashlib.sha256(checkpoint_to_bytes(p, None)).hexdigest() for p in (fresh, grown))
+    assert digests == PINNED_DIGESTS[dims, seed]
 
 
 def test_mlm_gradient_accumulates_into_given_grads():

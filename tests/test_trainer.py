@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from bitextmine import trainer as trainer_module
 from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params, param_count
 from bitextmine.errors import CheckpointError, NumericalError
+from bitextmine.loss import LossConfig
+from bitextmine.mining import MiningConfig
 from bitextmine.trainer import (
     BETA1,
     BETA2,
@@ -30,7 +32,7 @@ from bitextmine.trainer import (
     pretrain,
     save_checkpoint,
 )
-from bitextmine.vocab import CLS_ID, SEP_ID, tokenize_sentence
+from bitextmine.vocab import CLS_ID, SEP_ID, check_build_options, tokenize_sentence
 
 from conftest import float64_params, version_2_bytes
 
@@ -635,3 +637,32 @@ def test_train_config_validation():
         TrainConfig(weight_decay=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(margin=1.5)
+
+
+# Each float config field: a builder that sets it and keeps every other
+# value valid, a value it accepts, and the message that names it.
+FLOAT_FIELDS = {
+    "TrainConfig.learning_rate": (lambda x: TrainConfig(learning_rate=x), 1e-3, "learning_rate"),
+    "TrainConfig.margin": (lambda x: TrainConfig(margin=x), 0.3, "margin"),
+    "TrainConfig.scale": (lambda x: TrainConfig(scale=x), 10.0, "scale"),
+    "TrainConfig.weight_decay": (lambda x: TrainConfig(weight_decay=x), 0.0, "weight_decay"),
+    "PretrainConfig.learning_rate": (lambda x: PretrainConfig((Stage(1, 4),), learning_rate=x), 1e-3, "learning_rate"),
+    "PretrainConfig.mask_fraction": (lambda x: PretrainConfig((Stage(1, 4),), mask_fraction=x), 0.2, "mask fraction"),
+    "LossConfig.margin": (lambda x: LossConfig(margin=x), 0.3, "margin"),
+    "LossConfig.scale": (lambda x: LossConfig(scale=x), 10.0, "scale"),
+    "MiningConfig.similarity_threshold": (lambda x: MiningConfig(similarity_threshold=x), 0.6, "similarity threshold"),
+    "MiningConfig.selection_fraction": (lambda x: MiningConfig(selection_fraction=x), 0.2, "selection fraction"),
+    "check_build_options.smoothing_exponent": (lambda x: check_build_options(x, 1.0), 0.3, "smoothing exponent"),
+    "check_build_options.character_coverage": (lambda x: check_build_options(0.3, x), 1.0, "character_coverage"),
+}
+
+
+@given(
+    field=st.sampled_from(sorted(FLOAT_FIELDS)),
+    value=st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]),
+)
+def test_every_float_config_field_refuses_nan_and_infinity(field, value):
+    build, valid, message = FLOAT_FIELDS[field]
+    build(valid)
+    with pytest.raises(ValueError, match=message):
+        build(value)
