@@ -218,6 +218,7 @@ def encode_batch(
 class ForwardCache:
     ids: np.ndarray  # (N,) token id of each position, sentence after sentence
     bounds: np.ndarray  # (B + 1,) sentence b is rows bounds[b]:bounds[b + 1]
+    lengths: np.ndarray  # (B,) rows per sentence, np.diff(bounds)
     hiddens: np.ndarray  # (L + 1, N, d) H_0 .. H_L; only H_L, (1, N, d), unless kept
     gates: np.ndarray  # (L, N, d) tanh outputs per layer; meaningless unless kept
     pooled: np.ndarray | None = None  # (B, d)
@@ -249,12 +250,13 @@ def _forward_hiddens(
 ) -> ForwardCache:
     """Run the blocks over packed ids, (N,), with sentence bounds, (B + 1,),
     every sentence non-empty; ``keep`` retains what backprop needs."""
-    longest = np.diff(bounds).max()
+    lengths = np.diff(bounds)
+    longest = lengths.max()
     if longest > params.config.max_seq_len:
         raise ValueError(
             f"sequence length {longest} exceeds max_seq_len {params.config.max_seq_len}"
         )
-    if PAD_ID in ids or ids.min() < 0 or ids.max() >= params.config.vocab_size:
+    if ids.min() <= PAD_ID or ids.max() >= params.config.vocab_size:  # PAD_ID is the least id
         raise ValueError("token id out of range or PAD")
     n, d, depth = ids.size, params.config.hidden_dim, len(params.layers)
     # Hidden states and gates share one block. Its rows are rounded up to a
@@ -270,18 +272,17 @@ def _forward_hiddens(
         _add_neighbours(g, y, bounds)
         np.tanh(g, out=g)
         h = np.add(h, g, out=hiddens[l + 1 if keep else 0])
-    return ForwardCache(ids=ids, bounds=bounds, hiddens=hiddens, gates=gates)
+    return ForwardCache(ids=ids, bounds=bounds, lengths=lengths, hiddens=hiddens, gates=gates)
 
 
 def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
     """Mean-pool each sentence's rows, project, L2-normalize (fills the cache)."""
     top = cache.hiddens[-1]
-    counts = np.diff(cache.bounds).astype(top.dtype)
-    cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / counts[:, None]
+    cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / cache.lengths[:, None].astype(top.dtype)
     u = (cache.pooled[:, None, :] @ params.output_weight)[:, 0, :] + params.output_bias
     cache.pre_norm = u
     cache.norms = np.linalg.norm(u, axis=1)
-    if np.any(cache.norms < _NORM_EPS):
+    if cache.norms.min() < _NORM_EPS:
         raise NumericalError("degenerate encoder state: zero vector before normalization")
     return u / cache.norms[:, None]
 
@@ -350,7 +351,7 @@ def backward_batch(
     grads.output_weight += cache.pooled.T @ d_pre_norm
     grads.output_bias += d_pre_norm.sum(axis=0)
     dpooled = d_pre_norm @ params.output_weight.T
-    counts = np.diff(cache.bounds)
+    counts = cache.lengths
     d_top = np.repeat(dpooled / counts[:, None].astype(dpooled.dtype), counts, axis=0)
     _backward_layers(params, cache, d_top, grads)
     return grads
@@ -448,8 +449,8 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, .
 
     An empty side drops its segment (and separator); no language
     identifier token is inserted. Truncation trims the longer segment
-    token by token until the layout fits max_len; a max_len that cannot
-    keep a token of each non-empty side is refused.
+    token by token, the source on a tie, until the layout fits max_len; a
+    max_len that cannot keep a token of each non-empty side is refused.
     """
     sides = (content_ids(pair.src.text, vocab), content_ids(pair.tgt.text, vocab))
     segments = [toks for toks in sides if toks]
@@ -460,10 +461,14 @@ def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, .
         raise ValueError(
             f"max_len {max_len} cannot hold [CLS] and, per non-empty side, a token and [SEP]"
         )
-    budget = max_len - 1 - len(segments)
-    while sum(len(s) for s in segments) > budget:
-        longest = max(segments, key=len)
-        longest.pop()
+    if total > max_len:  # as trimming the longer side token by token, the source on a tie, would
+        budget = max_len - 1 - len(segments)
+        if len(segments) == 1:
+            del segments[0][budget:]
+        else:
+            src, tgt = segments
+            kept = min(len(src), max(budget - len(tgt), budget // 2))
+            del src[kept:], tgt[budget - kept :]
     ids: list[int] = [CLS_ID]
     for seg in segments:
         ids.extend(seg)

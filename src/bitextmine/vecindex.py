@@ -10,13 +10,16 @@ selection kernel serves pool search, centroid probing and the
 partition: ``_candidates`` finds the pairs that may rank, ``_best_k``
 orders them, ``_top_k`` is the two in turn. Each query row is scaled to
 unit norm in float64 (a zero row stays zero) and rounded to float32.
-``_candidates`` forms one float32 product per block of queries and tile
-of at most ``_TILE_ROWS`` rows, against the index's own float32 rows. It
-keeps each query's columns within a slack of its k-th best approximate
-score T, and rescores only those exactly. So the float32 product decides
-which pairs are rescored, never a score or a tie. Each tile first keeps
-what lies within the slack of its own k-th best, which is at most T, and
-the block then keeps what lies within the slack of T itself.
+``_candidates`` cuts the index's own float32 rows into tiles and forms
+one float32 product per tile and the queries that scan it: in exact mode
+each block of queries scans every tile of at most ``_TILE_ROWS`` rows,
+in partitioned mode each cluster is a tile, scanned by the queries that
+probe it. It keeps each query's columns within a slack of its k-th best
+approximate score T over all the tiles it scans, and rescores only those
+exactly. So the float32 product decides which pairs are rescored, never
+a score or a tie. Each tile first keeps what lies within the slack of
+its own k-th best, which is at most T, and the query then keeps what
+lies within the slack of T itself, one threshold over all its tiles.
 
 The slack. Let u = 2**-24, q' the unit row (q' = q/c up to float64
 rounding, c > 0) and a the float32 product of q' and p, q' first rounded
@@ -24,31 +27,39 @@ to float32; p is float32 already. Rounding q' moves the product by at
 most u*|q'|*|p|, and a float32 dot product in any summation order errs
 by at most g*(1 + u)*|q'|*|p|, g = d*u/(1 - d*u) (Higham, Accuracy and
 Stability of Numerical Algorithms, 3.1). For d*u <= 0.01 that gives
-|a - (q.p)/c| <= D = 1.02*(d + 1)*u*max|p|; the float64 errors of q' and
-of the exact score, a few d*2**-53*max|p| while no product p_i*q_i
-underflows in float64, are far inside it. Underflow adds at most
-d*2**-1075 to an exact score, so d*2**-1075/c after dividing by c, far
-inside it too for |q| >= 2**-1000 (about 1e-301); for smaller nonzero
-queries the guarantee is not made. A column
-more than 2D below T trails k columns whose exact scores over c are at
+|a - (q.p)/c| <= D = 1.02*(d + 1)*u*max|p|, max|p| over the rows the
+query scans (the rows of its probed clusters, in partitioned mode); the
+float64 errors of q' and of the exact score, a few d*2**-53*max|p| while
+no product p_i*q_i underflows in float64, are far inside it. Underflow
+adds at most d*2**-1075 to an exact score, so d*2**-1075/c after
+dividing by c, far inside it too for |q| >= 2**-1000 (about 1e-301); for
+smaller nonzero queries the guarantee is not made. A column more than
+2D below T trails k columns whose exact scores over c are at
 least T - D, above its own, so it is not in the top-k. The slack,
 4*(d + 2)*u*max|p|, exceeds 2D with room for rounding the threshold and
 max|p| in float32 and for float32 underflow (a few d*2**-150 per score,
-far below unit rows' scale). A block holds at most ``_SCORE_BYTES`` of
-float32 scores, and at least one query row.
+far below unit rows' scale). ``_slack`` takes max|p| over every row
+of the array that the tiles cut, which bounds it over the rows of any
+query's tiles. A product holds at most ``_SCORE_BYTES`` of float32
+scores, or one query row's.
 
 Partitioned mode clusters the pool with spherical k-means (cosine
 objective, unit-norm centroids): deterministic farthest-point-style
 initialization from a seeded start, fixed iteration count, empty
 clusters re-seeded from the largest cluster's farthest member during the
 iterations only, all in float64 over the widened rows; the final
-centroids are rounded to float32, as stored. Each row belongs to its
-best-scoring centroid by exact score, ties to the lower index, so a pool
-row probes its own cluster first; a cluster may be empty. A search picks
-the P non-empty clusters whose centroids best match the query (ties to
-the lower index). It runs ``_candidates`` once per probed cluster, over
-that cluster's rows and the queries that probe it, and one ``_best_k``
-over all of them, so only probed rows are scored and the rows it returns
+centroids are rounded to float32, as stored. An iteration groups the
+rows by cluster with one stable argsort and sums each cluster's rows with
+one ``np.add.reduceat``, top row first from 0.0 as ``mean`` sums them, so
+each centroid is its cluster's ``mean`` over its norm, bit for bit. A
+zero mean re-seeds its cluster instead, which moves a row between
+clusters, so the clusters after it are grouped again. Each row belongs
+to its best-scoring centroid by exact score, ties to the lower index, so
+a pool row probes its own cluster first; a cluster may be empty. A
+search picks the P non-empty clusters whose centroids best match the
+query (ties to the lower index). One ``_candidates`` call scans, for
+each query, the tiles of its probed clusters, and one ``_best_k`` orders
+what it keeps, so only probed rows are scored and the rows it returns
 keep their exact-mode scores and ties.
 
 Pool file format: one ASCII header line ``M d``, then M rows of
@@ -62,7 +73,6 @@ derived on load.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -187,6 +197,27 @@ def _respawn_centroid(vectors: np.ndarray, assign: np.ndarray, centroids: np.nda
     assign[farthest] = empty
 
 
+def _move_centroids(vectors: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> None:
+    """Move each centroid, in cluster order, to the unit mean of its
+    cluster's rows, every cluster non-empty. A mean of norm below 1e-12
+    re-seeds its cluster instead, which moves a row between clusters, so
+    the clusters after it are grouped again."""
+    first, clusters = 0, centroids.shape[0]
+    while first < clusters:
+        sizes = np.bincount(assign, minlength=clusters)
+        grouped = vectors[np.argsort(assign, kind="stable")]  # each cluster's rows, ascending
+        # as ``mean`` sums from 0.0 down the rows: adding 0.0 turns an all -0.0 sum to +0.0
+        sums = np.add.reduceat(grouped, np.cumsum(sizes) - sizes, axis=0)[first:] + 0.0
+        means = sums / sizes[first:, None]
+        norms = np.sqrt([mean @ mean for mean in means])  # as ``np.linalg.norm`` forms each
+        zero = np.flatnonzero(norms < 1e-12)
+        stop = first + zero[0] if zero.size else clusters
+        centroids[first:stop] = means[: stop - first] / norms[: stop - first, None]
+        if zero.size:
+            _respawn_centroid(vectors, assign, centroids, stop)
+        first = stop + 1
+
+
 def build(
     vectors: np.ndarray, ids: list[str], config: IndexConfig | None = None
 ) -> VectorIndex:
@@ -203,17 +234,10 @@ def build(
     for _ in range(config.kmeans_iters):
         # working labels: one product is twice as fast, and only the partition must match search
         assign = np.argmax(vectors @ centroids.T, axis=1)
-        for c in range(config.clusters):
-            if not np.any(assign == c):
-                _respawn_centroid(vectors, assign, centroids, c)
-        for c in range(config.clusters):
-            members = vectors[assign == c]
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm < 1e-12:
-                _respawn_centroid(vectors, assign, centroids, c)
-            else:
-                centroids[c] = mean / norm
+        # a re-seed takes a row from a cluster of two or more, so it empties no other
+        for c in np.flatnonzero(np.bincount(assign, minlength=config.clusters) == 0):
+            _respawn_centroid(vectors, assign, centroids, c)
+        _move_centroids(vectors, assign, centroids)
     centroids = centroids.astype(np.float32)  # as ``centroids.pool`` stores them
     return VectorIndex(mode=PARTITIONED, config=config, **pool, **_partition(pool["vectors"], centroids))
 
@@ -257,36 +281,50 @@ def _best_k(
     return rows[best], cols[best], scores[best]
 
 
+def _slack(rows: np.ndarray) -> np.float32:
+    """How far below a query's k-th best approximate score over the
+    float32 ``rows`` a row may lie and still rank: see the module docstring."""
+    return np.float32(_SLACK * (rows.shape[1] + 2)) * np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
+
+
 def _candidates(
-    rows: np.ndarray, block: np.ndarray, units: np.ndarray, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each block of query rows, the (block row, column, exact score)
-    triples, unordered, of every pair that may be in a block row's top k
-    among the float32 ``rows``, a column being a row number of ``rows``.
+    rows: np.ndarray,
+    block: np.ndarray,
+    units: np.ndarray,
+    k: int,
+    tiles: list[tuple],
+    width: int,
+    slack: np.float32,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (block row, column, exact score) triples, unordered, of every
+    pair that may be in a block row's top k among the rows it scans, a
+    column being a row number of the float32 ``rows``. Each tile
+    (queries, slots, lo, hi) is rows[lo:hi], scanned by the block rows
+    ``queries`` (a slice or an index array), which it gives the slots
+    ``slots``: a block row's tiles hold distinct slots below ``width``.
     ``units`` is ``_unit32(block)``: the approximate products read
     ``units`` and ``rows``, the exact scores the float64 ``block`` and
-    ``rows`` widened."""
-    m, d = rows.shape
-    slack = np.float32(_SLACK * (d + 2)) * np.sqrt(np.einsum("ij,ij->i", rows, rows).max())
-    step = _block_rows(min(m, _TILE_ROWS))
-    for start in range(0, block.shape[0], step):
-        part, unit = block[start : start + step], units[start : start + step]
-        found, tops = [], []
-        for lo in range(0, m, _TILE_ROWS):
-            approx = unit @ rows[lo : lo + _TILE_ROWS].T
-            tops.append(_best_values(approx, k))
-            flat = np.flatnonzero(approx >= (tops[-1].min(axis=1) - slack)[:, None])
-            tile_rows, tile_cols = np.divmod(flat, approx.shape[1])
-            found.append((tile_rows, tile_cols + lo, approx.ravel()[flat]))
-        at, cols, approx = (np.concatenate(column) for column in zip(*found))
-        if len(found) > 1:  # a tile's k-th best may trail the row's
-            keep = approx >= (_best_values(np.hstack(tops), k).min(axis=1) - slack)[at]
-            at, cols = at[keep], cols[keep]
-        scores = np.empty(at.size)
-        for s in range(0, at.size, _RESCORE_PAIRS):
-            pairs = slice(s, s + _RESCORE_PAIRS)
-            scores[pairs] = (rows[cols[pairs]] * part[at[pairs]]).sum(axis=1)
-        yield at + start, cols, scores
+    ``rows`` widened; ``slack`` is ``_slack`` of the rows scanned, or of
+    more."""
+    positions = np.arange(block.shape[0])
+    tops = np.full((block.shape[0], width, k), -np.inf, dtype=np.float32)  # each tile's k best per block row
+    found = []
+    for queries, slots, lo, hi in tiles:
+        approx = units[queries] @ rows[lo:hi].T
+        best = _best_values(approx, k)
+        tops[queries, slots, : best.shape[1]] = best
+        flat = np.flatnonzero(approx >= (best.min(axis=1) - slack)[:, None])
+        tile_rows, tile_cols = np.divmod(flat, hi - lo)
+        found.append((positions[queries][tile_rows], tile_cols + lo, approx.ravel()[flat]))
+    at, cols, approx = _concat(found)
+    if width > 1:  # a tile's k-th best may trail the row's
+        keep = approx >= (_best_values(tops.reshape(block.shape[0], -1), k).min(axis=1) - slack)[at]
+        at, cols = at[keep], cols[keep]
+    scores = np.empty(at.size)
+    for s in range(0, at.size, _RESCORE_PAIRS):
+        pairs = slice(s, s + _RESCORE_PAIRS)
+        scores[pairs] = (rows[cols[pairs]] * block[at[pairs]]).sum(axis=1)
+    return at, cols, scores
 
 
 def _concat(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,29 +338,40 @@ def _top_k(
     """The best k of ``rows`` for each row of ``block`` by (exact score
     descending, tie_rank of the column ascending), as flat (block row,
     column, exact score) arrays in block-row order, each row's best first;
-    the other arguments are ``_candidates``'."""
-    return _concat(_best_k(*triple, k, tie_rank) for triple in _candidates(rows, block, units, k))
+    the other arguments are ``_candidates``'. Each block of query rows
+    scans every tile of at most ``_TILE_ROWS`` rows."""
+    m = rows.shape[0]
+    tiles = [(slice(None), t, lo, min(lo + _TILE_ROWS, m)) for t, lo in enumerate(range(0, m, _TILE_ROWS))]
+    step, slack = _block_rows(min(m, _TILE_ROWS)), _slack(rows)
+    parts = []
+    for start in range(0, block.shape[0], step):
+        part = slice(start, start + step)
+        at, cols, scores = _candidates(rows, block[part], units[part], k, tiles, len(tiles), slack)
+        parts.append(_best_k(at + start, cols, scores, k, tie_rank))
+    return _concat(parts)
 
 
 def _search_lists(
     index: VectorIndex, queries: np.ndarray, units: np.ndarray, k: int, probes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_top_k``'s triples for a partitioned index: each query's best k
-    over the rows of its ``probes`` best non-empty clusters, from the
-    candidates of each probed cluster for the queries that probe it."""
+    over the rows of its ``probes`` best non-empty clusters, each cluster
+    a tile of ``index.grouped`` scanned by the queries that probe it."""
     starts = index.list_starts
     filled = np.flatnonzero(np.diff(starts))
-    qrows, lists, _ = _top_k(index.centroids[filled], queries, units, probes, np.arange(filled.size))
-    lists = filled[lists]
-    by_list = np.argsort(lists, kind="stable")  # each cluster's queries, in block order
-    qrows, lists = qrows[by_list], lists[by_list]
-    cuts = np.flatnonzero(np.diff(lists)) + 1
-    parts = []
-    for c, q in zip(lists[np.r_[0, cuts]].tolist(), np.split(qrows, cuts)):
+    lists = filled[_top_k(index.centroids[filled], queries, units, probes, np.arange(filled.size))[1]]
+    width = lists.size // queries.shape[0]  # each query's min(probes, filled.size) clusters, best first
+    by_list = np.argsort(lists, kind="stable")  # (query, probe) pairs by cluster, in query order
+    cuts = np.flatnonzero(np.diff(lists[by_list])) + 1
+    tiles = []
+    for c, pairs in zip(lists[by_list[np.r_[0, cuts]]].tolist(), np.split(by_list, cuts)):
         lo, hi = starts[c], starts[c + 1]
-        for rows, cols, scores in _candidates(index.grouped[lo:hi], queries[q], units[q], k):
-            parts.append((q[rows], index.order[lo + cols], scores))
-    return _best_k(*_concat(parts), k, index.id_rank)
+        step = _block_rows(hi - lo)
+        for i in range(0, pairs.size, step):
+            chunk = pairs[i : i + step]
+            tiles.append((chunk // width, chunk % width, lo, hi))
+    at, cols, scores = _candidates(index.grouped, queries, units, k, tiles, width, _slack(index.grouped))
+    return _best_k(at, index.order[cols], scores, k, index.id_rank)
 
 
 def search(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bitextmine.corpus import Sentence, SentencePair
@@ -24,7 +24,7 @@ from bitextmine.encoder import (
 )
 from bitextmine.errors import CheckpointError
 from bitextmine.trainer import _tensor_at, checkpoint_to_bytes, load_checkpoint, save_checkpoint
-from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab
+from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab, content_ids
 
 from conftest import float64_params
 
@@ -77,9 +77,20 @@ class TestEncode:
                 call()
 
     def test_out_of_range_id(self):
+        # the forward refuses ids with one ids.min() <= PAD_ID, which holds
+        # only because PAD_ID is the least id: ids index the pieces
+        assert PAD_ID == 0
         p = small_params(vocab_size=10)
-        with pytest.raises(ValueError):
-            encode(p, [CLS_ID, 10, SEP_ID])
+        calls = [
+            lambda seq: encode(p, seq),
+            lambda seq: encode_batch(p, [[CLS_ID, 6, SEP_ID], seq]),
+            lambda seq: forward_batch(p, [seq, [CLS_ID, 6, SEP_ID]]),
+        ]
+        for call in calls:
+            for bad in (10, -1, PAD_ID, 1 << 40, -(1 << 40)):
+                with pytest.raises(ValueError, match="out of range or PAD"):
+                    call([CLS_ID, bad, SEP_ID])
+            call([CLS_ID, 9, SEP_ID])  # the largest id is kept
 
     def test_too_long_sequence(self):
         p = small_params(max_len=4)
@@ -386,7 +397,34 @@ def make_pair(src_text, tgt_text):
     )
 
 
+def tlm_by_tokens(pair, vocab, max_len):
+    """The layout tlm_sequence should give: pop the last token of the
+    longer segment, the source on a tie, until it fits."""
+    sides = (content_ids(pair.src.text, vocab), content_ids(pair.tgt.text, vocab))
+    segments = [toks for toks in sides if toks]
+    while sum(len(s) for s in segments) > max_len - 1 - len(segments):
+        max(segments, key=len).pop()
+    return (CLS_ID, *[i for seg in segments for i in (*seg, SEP_ID)])
+
+
 class TestTlm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        src=st.lists(st.sampled_from("abcd"), max_size=14),
+        tgt=st.lists(st.sampled_from("abcd"), max_size=14),
+        max_len=st.integers(1, 32),
+    )
+    def test_truncation_equals_trimming_token_by_token(self, src, tgt, max_len):
+        # one-sided pairs, ties, and sides that differ by one or by many
+        vocab = Vocab(pieces=list(SPECIAL_TOKENS) + list("abcd"))
+        assume(src or tgt)
+        pair = make_pair(" ".join(src), " ".join(tgt))
+        if max_len < 1 + 2 * (bool(src) + bool(tgt)):
+            with pytest.raises(ValueError, match="cannot hold"):
+                tlm_sequence(pair, vocab, max_len)
+            return
+        assert tlm_sequence(pair, vocab, max_len) == tlm_by_tokens(pair, vocab, max_len)
+
     def test_layout(self):
         vocab = tlm_vocab()
         seq = tlm_sequence(make_pair("a", "b"), vocab, max_len=10)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import re
 import subprocess
 import sys
@@ -98,17 +99,31 @@ def near_tie_pool(rng, m, d, ulps="float32"):
 
 def counting_pool_pairs(monkeypatch, index):
     """A list that receives, for each ``_candidates`` call over
-    ``index``'s pool rows, the number of (query, pool row) pairs it scores."""
+    ``index``'s pool rows, the number of (query, pool row) pairs it scores:
+    each query scans the tiles it probes."""
     scored = []
     kernel = vecindex._candidates
 
-    def counting(rows, block, *args, **kwargs):
+    def counting(rows, block, units, k, tiles, *args):
         if np.shares_memory(rows, index.grouped):
-            scored.append(block.shape[0] * rows.shape[0])
-        return kernel(rows, block, *args, **kwargs)
+            scored.append(sum(np.arange(block.shape[0])[queries].size * (hi - lo) for queries, _, lo, hi in tiles))
+        return kernel(rows, block, units, k, tiles, *args)
 
     monkeypatch.setattr(vecindex, "_candidates", counting)
     return scored
+
+
+def counting_respawns(monkeypatch):
+    """A list that receives the cluster of each k-means re-seed."""
+    respawned = []
+    respawn = vecindex._respawn_centroid
+
+    def counting(vectors, assign, centroids, empty):
+        respawned.append(int(empty))
+        return respawn(vectors, assign, centroids, empty)
+
+    monkeypatch.setattr(vecindex, "_respawn_centroid", counting)
+    return respawned
 
 
 class TestExactSearch:
@@ -178,6 +193,81 @@ class TestPartitioned:
         np.testing.assert_array_equal(a.centroids, b.centroids)
         for ma, mb in zip(a.assignments, b.assignments):
             np.testing.assert_array_equal(ma, mb)
+
+    @pytest.mark.parametrize(
+        "pool, centroids_sha256, order_sha256",
+        [
+            ("random", "3c3113fc9d6261059b6db8bfc00d4d91465eac3627bd323e0ea9c1933e83e6c1",
+             "c2cca4d6320958755beee5658a0c1392f267f2083f22ab8e3893918cb01cda85"),
+            ("mine-size", "b7ac0bd8981e692455fd23c86e4a0a79e32ae987db8bf0ac7d7bb40f1e0c0cac",
+             "7bd41de90ea8021b3ec85e82b81f9a9fe2d6232e9cfc167de23f3e8b54944eec"),
+            ("duplicates", "e79c0f6644b03046129f5c3076f533175e7746a86e4fb4ee20a752a970a71d42",
+             "fa3efd5b8488fc94e1ca48546a80939bf026c3fa15d5ed02efddb47446fd23d5"),
+        ],
+    )
+    def test_partition_is_pinned(self, monkeypatch, pool, centroids_sha256, order_sha256):
+        # the centroids and the row order of seeded builds, recorded when
+        # k-means took each mean over a boolean mask of its cluster; the
+        # duplicate-heavy pool re-seeds empty clusters
+        rng = np.random.default_rng({"random": 40, "mine-size": 41, "duplicates": 42}[pool])
+        if pool == "random":
+            V, config = pool_rows(rng, 300, 8), IndexConfig(clusters=12, probes=2, seed=5)
+        elif pool == "mine-size":
+            V, config = pool_rows(rng, 2000, 64), IndexConfig(clusters=64, probes=8, seed=0)
+        else:
+            V = pool_rows(rng, 6, 8)[rng.integers(0, 6, size=60)]
+            config = IndexConfig(clusters=10, probes=1, seed=3)
+        respawned = counting_respawns(monkeypatch)
+        index = build(V, [f"v{i:04d}" for i in range(len(V))], config)
+        assert hashlib.sha256(index.centroids.tobytes()).hexdigest() == centroids_sha256
+        assert hashlib.sha256(index.order.astype(np.int64).tobytes()).hexdigest() == order_sha256
+        assert (len(respawned) > 0) == (pool == "duplicates")
+
+    @pytest.mark.parametrize(
+        "iters, centroid", [(1, [1.0, 0.0, 0.0]), (2, [-1.0, -0.0, -0.0]), (3, [1.0, 0.0, 0.0])]
+    )
+    def test_zero_mean_cluster_is_re_seeded(self, monkeypatch, iters, centroid):
+        # e1 and -e1 in one cluster have a zero mean, so each iteration
+        # re-seeds it from the row farthest from its centroid: the two rows
+        # take turns (the signs of the zeros are pinned too)
+        respawned = counting_respawns(monkeypatch)
+        e = np.eye(3)
+        config = IndexConfig(clusters=1, probes=1, kmeans_iters=iters)
+        index = build(np.stack([e[0], -e[0]]), ["a", "b"], config)
+        assert index.centroids.tobytes() == np.array([centroid], dtype=np.float32).tobytes()
+        assert respawned == [0] * iters
+        assert index.order.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("largest", ["later", "earlier", "itself"])
+    def test_grouped_means_equal_one_mean_per_cluster(self, largest):
+        # a zero-mean re-seed moves a row out of the largest cluster; when
+        # that cluster comes later its mean must lose the row, as in a loop
+        # that takes one masked mean per cluster in turn
+        rng = np.random.default_rng(43)
+        e = np.eye(4)
+        near_e2 = unit_rows(rng, 1, 4) * 0.1 + e[1]
+        near_e2 = near_e2 / np.linalg.norm(near_e2)
+        pair, crowd = [e[0], -e[0]], [e[1], e[1], near_e2[0]]
+        rows, assign = {
+            "later": (pair + crowd + [e[2]], [0, 0, 1, 1, 1, 2]),
+            "earlier": (crowd + pair + [e[2]], [0, 0, 0, 1, 1, 2]),
+            "itself": (pair + pair + [e[1], e[2]], [1, 1, 1, 1, 0, 2]),
+        }[largest]
+        vectors = np.array(rows)
+        start = np.array([e[3], e[2], e[1]])
+        want, got = start.copy(), start.copy()
+        assign_want, assign_got = np.array(assign), np.array(assign)
+        for c in range(len(want)):
+            mean = vectors[assign_want == c].mean(axis=0)
+            norm = np.linalg.norm(mean)
+            if norm < 1e-12:
+                vecindex._respawn_centroid(vectors, assign_want, want, c)
+            else:
+                want[c] = mean / norm
+        vecindex._move_centroids(vectors, assign_got, got)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(assign_got, assign_want)
+        assert np.array_equal(assign_got, assign) == (largest == "itself")  # or a row moved
 
     def test_every_row_assigned_once(self):
         rng = np.random.default_rng(4)
@@ -594,10 +684,14 @@ def test_search_scale_experiment_runs_at_a_tiny_size():
     script = SRC.parents[1] / "experiments" / "search_scale.py"
     argv = [sys.executable, script, "--rows", "200,300", "--queries", "40", "--ks", "1,3", "--repeats", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-    rows = [line.split(" | ") for line in out.splitlines()[3:]]  # after the setting and the table head
-    assert [(row[0], row[3]) for row in rows] == [("| 200", "1"), ("| 200", "3"), ("| 300", "1"), ("| 300", "3")]
-    assert all(row[6] == "1.000" for row in rows)  # 8 of 14 or 17 clusters, queries near pool rows
-    assert [row[7] for row in rows] == ["264"] * 4  # 64 float32 coordinates and an id rank per row
+    head = [name.strip() for name in out.splitlines()[1].strip("|").split("|")]
+    rows = [dict(zip(head, (cell.strip() for cell in line.strip("|").split("|")))) for line in out.splitlines()[3:]]
+    assert [(row["pool rows"], row["k"]) for row in rows] == [("200", "1"), ("200", "3"), ("300", "1"), ("300", "3")]
+    assert all(row["recall@1"] == "1.000" for row in rows)  # 8 of 14 or 17 clusters, queries near pool rows
+    assert [row["exact B/row"] for row in rows] == ["264"] * 4  # 64 float32 coordinates and an id rank per row
+    for row in rows:  # each search and the partitioned build, timed beside each other
+        for column in ("exact", "partitioned", "partitioned build"):
+            assert re.fullmatch(r"\d+\.\d ms", row[column]), (column, row[column])
 
 
 def test_vector_index_is_constructed_only_by_build():
