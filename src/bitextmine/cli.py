@@ -13,6 +13,11 @@ After a command succeeds, ``main`` writes a JSON run manifest beside its
 first output recording the resolved config, input digests, seed,
 artifact paths, and wall-clock duration; a failed command writes none.
 
+A call builds only the parser of the command that its first argument
+names, so its parsing, ``--help`` and messages are that command's alone.
+``--help``, ``--version``, no arguments, an unknown command and a first
+argument ``@FILE`` build every command's parser.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Logs go to stderr; data only ever goes to files.
 """
@@ -184,6 +189,8 @@ def cmd_build_vocab(args) -> tuple[list, list]:
 
     with _flag_values():
         check_build_options(args.smoothing, args.coverage)
+    if not args.lang:
+        raise UsageError("--lang must be a non-empty language tag")
     corpora: dict[str, list] = {}
     for path in args.mono or []:
         for s in _read_mono(path, args.lang):
@@ -377,6 +384,8 @@ def cmd_mine(args) -> tuple[list, list]:
             index_config = IndexConfig(clusters=args.clusters, probes=args.probes, seed=args.seed)
     # the tags fill the pairs' language columns, and --src-lang begins a row
     for flag, lang in (("--src-lang", args.src_lang), ("--tgt-lang", args.tgt_lang)):
+        if not lang:
+            raise UsageError(f"{flag} must be a non-empty language tag")
         if "\t" in lang or "\n" in lang or "\r" in lang:
             raise UsageError(f"{flag} {lang!r} holds a tab or a line end and cannot be written as one TSV column")
     if args.src_lang.startswith("\ufeff"):
@@ -517,7 +526,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+def build_parser(command: str | None = None) -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by name: only ``command``'s when it
+    names a command, else every command's."""
     parser = _Parser(prog="bitextmine", description=__doc__, fromfile_prefix_chars="@")
     parser.add_argument("--version", action="version", version=f"bitextmine {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -525,153 +536,157 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     subs: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
         sp = sub.add_parser(name, help=help_text, formatter_class=fmt)
         sp.set_defaults(func=func, command=name)
         _add_common(sp)
         subs[name] = sp
         return sp
 
-    sp = add("build-vocab", cmd_build_vocab, "induce a subword vocabulary")
-    sp.add_argument("--mono", action="append", help="monolingual file (repeatable)")
-    sp.add_argument("--pairs", help="bilingual TSV whose sides join the corpus")
-    sp.add_argument("--lang", default="und", help="language for unprefixed lines")
-    sp.add_argument("--target-size", type=int, required=True, help="piece count target")
-    sp.add_argument("--smoothing", type=float, default=0.3, help="language smoothing exponent")
-    sp.add_argument("--coverage", type=float, default=1.0, help="character coverage fraction")
-    sp.add_argument("--out", required=True, help="vocab file to write")
+    if sp := add("build-vocab", cmd_build_vocab, "induce a subword vocabulary"):
+        sp.add_argument("--mono", action="append", help="monolingual file (repeatable)")
+        sp.add_argument("--pairs", help="bilingual TSV whose sides join the corpus")
+        sp.add_argument("--lang", default="und", help="language for unprefixed lines")
+        sp.add_argument("--target-size", type=int, required=True, help="piece count target")
+        sp.add_argument("--smoothing", type=float, default=0.3, help="language smoothing exponent")
+        sp.add_argument("--coverage", type=float, default=1.0, help="character coverage fraction")
+        sp.add_argument("--out", required=True, help="vocab file to write")
 
-    sp = add("pretrain", cmd_pretrain, "masked-token pretraining with stacking")
-    sp.add_argument("--mono", action="append", help="monolingual file (repeatable)")
-    sp.add_argument("--pairs", help="bilingual TSV for translation-pair batches")
-    sp.add_argument("--vocab", required=True, help="vocab file")
-    sp.add_argument("--out", required=True, help="checkpoint to write")
-    sp.add_argument("--hidden-dim", type=int, default=_FRESH_SHAPE["hidden_dim"], help="hidden width")
-    sp.add_argument("--embed-dim", type=int, default=_FRESH_SHAPE["embed_dim"], help="output dim (0 = hidden)")
-    sp.add_argument("--max-seq-len", type=int, default=_FRESH_SHAPE["max_seq_len"], help="max tokens per sequence")
-    sp.add_argument("--stage-layers", default="1,2", help="layers per stage, CSV; each count must divide the next")
-    sp.add_argument("--stage-steps", default="300,300", help="steps per stage, CSV")
-    sp.add_argument("--batch-size", type=int, default=32, help="sequences per step")
-    sp.add_argument("--lr", type=float, default=3e-3, help="initial learning rate")
-    sp.add_argument("--mask-fraction", type=float, default=0.2, help="masked token fraction")
-    sp.add_argument("--mask-cap", type=int, default=80, help="max masked tokens per sequence")
-    sp.add_argument("--mix", default="1:1", help="MLM:TLM step mix per cycle")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--log", help="training log path (default <out>.log)")
+    if sp := add("pretrain", cmd_pretrain, "masked-token pretraining with stacking"):
+        sp.add_argument("--mono", action="append", help="monolingual file (repeatable)")
+        sp.add_argument("--pairs", help="bilingual TSV for translation-pair batches")
+        sp.add_argument("--vocab", required=True, help="vocab file")
+        sp.add_argument("--out", required=True, help="checkpoint to write")
+        sp.add_argument("--hidden-dim", type=int, default=_FRESH_SHAPE["hidden_dim"], help="hidden width")
+        sp.add_argument("--embed-dim", type=int, default=_FRESH_SHAPE["embed_dim"], help="output dim (0 = hidden)")
+        sp.add_argument("--max-seq-len", type=int, default=_FRESH_SHAPE["max_seq_len"], help="max tokens per sequence")
+        sp.add_argument("--stage-layers", default="1,2", help="layers per stage, CSV; each count must divide the next")
+        sp.add_argument("--stage-steps", default="300,300", help="steps per stage, CSV")
+        sp.add_argument("--batch-size", type=int, default=32, help="sequences per step")
+        sp.add_argument("--lr", type=float, default=3e-3, help="initial learning rate")
+        sp.add_argument("--mask-fraction", type=float, default=0.2, help="masked token fraction")
+        sp.add_argument("--mask-cap", type=int, default=80, help="max masked tokens per sequence")
+        sp.add_argument("--mix", default="1:1", help="MLM:TLM step mix per cycle")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--log", help="training log path (default <out>.log)")
 
-    sp = add("train", cmd_train, "dual-encoder fine-tuning on pairs")
-    sp.add_argument("--pairs", required=True, help="bilingual TSV")
-    sp.add_argument("--vocab", required=True, help="vocab file")
-    sp.add_argument("--out", required=True, help="checkpoint to write")
-    sp.add_argument("--init", help="initialize from this checkpoint")
-    sp.add_argument("--resume", help="resume (params + optimizer) from this checkpoint")
-    for flag, what in (
-        ("--hidden-dim", "hidden width"),
-        ("--embed-dim", "output dim (0 = hidden)"),
-        ("--layers", "layer count"),
-        ("--max-seq-len", "max tokens per sequence"),
-    ):
-        fresh = _FRESH_SHAPE[flag[2:].replace("-", "_")]
-        sp.add_argument(flag, type=int, default=argparse.SUPPRESS, help=f"{what} of a fresh model (default: {fresh})")
-    sp.add_argument("--batch-size", type=int, default=64, help="pairs per step")
-    sp.add_argument("--steps", type=int, default=2000, help="total training steps")
-    sp.add_argument("--lr", type=float, default=1e-3, help="initial learning rate")
-    sp.add_argument("--margin", type=float, default=0.3, help="additive margin")
-    sp.add_argument("--scale", type=float, default=10.0, help="similarity scaling factor")
-    sp.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="simulated accelerator shards; rows rank against cross-shard negatives, "
-        "so the gradient equals the unsharded one",
-    )
-    sp.add_argument("--weight-decay", type=float, default=0.0, help="decoupled weight decay")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--checkpoint-interval", type=int, default=0, help="steps between checkpoints (0 = end only)")
-    sp.add_argument("--log", help="training log path (default <out>.log)")
+    if sp := add("train", cmd_train, "dual-encoder fine-tuning on pairs"):
+        sp.add_argument("--pairs", required=True, help="bilingual TSV")
+        sp.add_argument("--vocab", required=True, help="vocab file")
+        sp.add_argument("--out", required=True, help="checkpoint to write")
+        sp.add_argument("--init", help="initialize from this checkpoint")
+        sp.add_argument("--resume", help="resume (params + optimizer) from this checkpoint")
+        for flag, what in (
+            ("--hidden-dim", "hidden width"),
+            ("--embed-dim", "output dim (0 = hidden)"),
+            ("--layers", "layer count"),
+            ("--max-seq-len", "max tokens per sequence"),
+        ):
+            fresh = _FRESH_SHAPE[flag[2:].replace("-", "_")]
+            help_text = f"{what} of a fresh model (default: {fresh})"
+            sp.add_argument(flag, type=int, default=argparse.SUPPRESS, help=help_text)
+        sp.add_argument("--batch-size", type=int, default=64, help="pairs per step")
+        sp.add_argument("--steps", type=int, default=2000, help="total training steps")
+        sp.add_argument("--lr", type=float, default=1e-3, help="initial learning rate")
+        sp.add_argument("--margin", type=float, default=0.3, help="additive margin")
+        sp.add_argument("--scale", type=float, default=10.0, help="similarity scaling factor")
+        sp.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            help="simulated accelerator shards; rows rank against cross-shard negatives, "
+            "so the gradient equals the unsharded one",
+        )
+        sp.add_argument("--weight-decay", type=float, default=0.0, help="decoupled weight decay")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--checkpoint-interval", type=int, default=0, help="steps between checkpoints (0 = end only)")
+        sp.add_argument("--log", help="training log path (default <out>.log)")
 
-    sp = add("encode", cmd_encode, "encode sentences into an embedding pool")
-    sp.add_argument("--input", required=True, help="monolingual file")
-    sp.add_argument("--vocab", required=True, help="vocab file")
-    sp.add_argument("--ckpt", required=True, help="encoder checkpoint")
-    sp.add_argument("--out", required=True, help="pool file to write (ids -> <out>.ids)")
+    if sp := add("encode", cmd_encode, "encode sentences into an embedding pool"):
+        sp.add_argument("--input", required=True, help="monolingual file")
+        sp.add_argument("--vocab", required=True, help="vocab file")
+        sp.add_argument("--ckpt", required=True, help="encoder checkpoint")
+        sp.add_argument("--out", required=True, help="pool file to write (ids -> <out>.ids)")
 
-    sp = add("index", cmd_index, "build a search index over a pool")
-    sp.add_argument("--pool", required=True, help="embedding pool file")
-    sp.add_argument("--out", required=True, help="index directory")
-    sp.add_argument("--clusters", type=int, default=0, help="k-means clusters (0 = exact index)")
-    sp.add_argument("--probes", type=int, default=1, help="clusters probed per search")
-    sp.add_argument("--kmeans-iters", type=int, default=10, help="k-means iterations")
-    sp.add_argument("--seed", type=int, default=0, help="clustering seed")
+    if sp := add("index", cmd_index, "build a search index over a pool"):
+        sp.add_argument("--pool", required=True, help="embedding pool file")
+        sp.add_argument("--out", required=True, help="index directory")
+        sp.add_argument("--clusters", type=int, default=0, help="k-means clusters (0 = exact index)")
+        sp.add_argument("--probes", type=int, default=1, help="clusters probed per search")
+        sp.add_argument("--kmeans-iters", type=int, default=10, help="k-means iterations")
+        sp.add_argument("--seed", type=int, default=0, help="clustering seed")
 
-    sp = add("search", cmd_search, "query an index with a pool of embeddings")
-    sp.add_argument("--index", required=True, help="index directory")
-    sp.add_argument("--queries", required=True, help="query pool file")
-    sp.add_argument("--k", type=int, default=1, help="neighbors per query")
-    sp.add_argument("--out", required=True, help="results TSV (query_id, id, score)")
+    if sp := add("search", cmd_search, "query an index with a pool of embeddings"):
+        sp.add_argument("--index", required=True, help="index directory")
+        sp.add_argument("--queries", required=True, help="query pool file")
+        sp.add_argument("--k", type=int, default=1, help="neighbors per query")
+        sp.add_argument("--out", required=True, help="results TSV (query_id, id, score)")
 
-    sp = add("mine", cmd_mine, "mine parallel text from two monolingual files")
-    sp.add_argument("--src", required=True, help="first monolingual file")
-    sp.add_argument("--tgt", required=True, help="second monolingual file")
-    sp.add_argument("--src-lang", default="src", help="language for unprefixed --src lines")
-    sp.add_argument("--tgt-lang", default="tgt", help="language for unprefixed --tgt lines")
-    sp.add_argument("--vocab", required=True, help="vocab file")
-    sp.add_argument("--ckpt", required=True, help="encoder checkpoint")
-    sp.add_argument("--threshold", type=float, default=0.6, help="cosine acceptance threshold")
-    sp.add_argument("--k", type=int, default=1, help="neighbors per source")
-    sp.add_argument("--fraction", type=float, default=0.2, help="top fraction kept after dedup")
-    sp.add_argument(
-        "--direction",
-        default="auto",
-        choices=("auto", "forward"),
-        help="auto: smaller side queries the larger; forward: --src queries --tgt; --src fills the source columns",
-    )
-    sp.add_argument("--clusters", type=int, default=0, help="ANN clusters (0 = exact)")
-    sp.add_argument("--probes", type=int, default=1, help="ANN probes")
-    sp.add_argument("--seed", type=int, default=0, help="ANN clustering seed")
-    sp.add_argument("--out", required=True, help="mined pairs TSV")
-    sp.add_argument("--report", help="report path (default <out>.report)")
+    if sp := add("mine", cmd_mine, "mine parallel text from two monolingual files"):
+        sp.add_argument("--src", required=True, help="first monolingual file")
+        sp.add_argument("--tgt", required=True, help="second monolingual file")
+        sp.add_argument("--src-lang", default="src", help="language for unprefixed --src lines")
+        sp.add_argument("--tgt-lang", default="tgt", help="language for unprefixed --tgt lines")
+        sp.add_argument("--vocab", required=True, help="vocab file")
+        sp.add_argument("--ckpt", required=True, help="encoder checkpoint")
+        sp.add_argument("--threshold", type=float, default=0.6, help="cosine acceptance threshold")
+        sp.add_argument("--k", type=int, default=1, help="neighbors per source")
+        sp.add_argument("--fraction", type=float, default=0.2, help="top fraction kept after dedup")
+        sp.add_argument(
+            "--direction",
+            default="auto",
+            choices=("auto", "forward"),
+            help="auto: smaller side queries the larger; forward: --src queries --tgt; --src fills the source columns",
+        )
+        sp.add_argument("--clusters", type=int, default=0, help="ANN clusters (0 = exact)")
+        sp.add_argument("--probes", type=int, default=1, help="ANN probes")
+        sp.add_argument("--seed", type=int, default=0, help="ANN clustering seed")
+        sp.add_argument("--out", required=True, help="mined pairs TSV")
+        sp.add_argument("--report", help="report path (default <out>.report)")
 
-    sp = add("eval-p1", cmd_eval_p1, "precision@1 of a source pool against a target pool")
-    sp.add_argument("--src-pool", required=True, help="source embedding pool")
-    sp.add_argument("--tgt-pool", required=True, help="target embedding pool")
-    sp.add_argument("--gold", required=True, help="gold TSV src_id<TAB>tgt_id")
-    sp.add_argument("--out", required=True, help="report path")
+    if sp := add("eval-p1", cmd_eval_p1, "precision@1 of a source pool against a target pool"):
+        sp.add_argument("--src-pool", required=True, help="source embedding pool")
+        sp.add_argument("--tgt-pool", required=True, help="target embedding pool")
+        sp.add_argument("--gold", required=True, help="gold TSV src_id<TAB>tgt_id")
+        sp.add_argument("--out", required=True, help="report path")
 
-    sp = add("eval-tatoeba", cmd_eval_tatoeba, "per-language accuracy with group averages")
-    sp.add_argument(
-        "--set",
-        action="append",
-        required=True,
-        help="LANG=SRC_POOL,TGT_POOL,GOLD (repeatable)",
-    )
-    sp.add_argument("--group", action="append", help="NAME=lang1+lang2+... (repeatable)")
-    sp.add_argument("--out", required=True, help="report path")
+    if sp := add("eval-tatoeba", cmd_eval_tatoeba, "per-language accuracy with group averages"):
+        sp.add_argument(
+            "--set",
+            action="append",
+            required=True,
+            help="LANG=SRC_POOL,TGT_POOL,GOLD (repeatable)",
+        )
+        sp.add_argument("--group", action="append", help="NAME=lang1+lang2+... (repeatable)")
+        sp.add_argument("--out", required=True, help="report path")
 
-    sp = add("eval-bucc", cmd_eval_bucc, "best-F1 threshold sweep over candidates")
-    sp.add_argument("--candidates", help="candidate TSV src_id<TAB>tgt_id<TAB>score")
-    sp.add_argument("--src-pool", help="source pool (candidate generation)")
-    sp.add_argument("--tgt-pool", help="target pool (candidate generation)")
-    sp.add_argument("--k", type=int, default=1, help="candidates per source when generating")
-    sp.add_argument("--gold", required=True, help="gold TSV")
-    sp.add_argument("--out", required=True, help="report path")
+    if sp := add("eval-bucc", cmd_eval_bucc, "best-F1 threshold sweep over candidates"):
+        sp.add_argument("--candidates", help="candidate TSV src_id<TAB>tgt_id<TAB>score")
+        sp.add_argument("--src-pool", help="source pool (candidate generation)")
+        sp.add_argument("--tgt-pool", help="target pool (candidate generation)")
+        sp.add_argument("--k", type=int, default=1, help="candidates per source when generating")
+        sp.add_argument("--gold", required=True, help="gold TSV")
+        sp.add_argument("--out", required=True, help="report path")
 
-    sp = add("eval-sts", cmd_eval_sts, "Pearson correlation of arccos similarities")
-    sp.add_argument("--pool-a", required=True, help="first side pool")
-    sp.add_argument("--pool-b", required=True, help="second side pool (same ids, row for row)")
-    sp.add_argument("--gold-scores", required=True, help="one gold score per line")
-    sp.add_argument("--out", required=True, help="report path")
+    if sp := add("eval-sts", cmd_eval_sts, "Pearson correlation of arccos similarities"):
+        sp.add_argument("--pool-a", required=True, help="first side pool")
+        sp.add_argument("--pool-b", required=True, help="second side pool (same ids, row for row)")
+        sp.add_argument("--gold-scores", required=True, help="one gold score per line")
+        sp.add_argument("--out", required=True, help="report path")
 
-    return parser, subs
+    return (parser, subs) if subs else build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, _ = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, _ = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.deterministic:
             for var in _THREAD_VARS:
-                os.environ.setdefault(var, "1")
+                os.environ[var] = "1"
         started = time.time()
         inputs, outputs = args.func(args)
         _write_manifest(args, inputs, outputs, started)

@@ -60,14 +60,18 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
     a blank text field of ``read_pairs_tsv`` does.
     """
     out: list[Sentence] = []
+    is_tag: dict[str, bool] = {}  # each distinct prefix is matched once
     for lineno, line in read_lines(path):
         lang, text = default_lang, line
         head, tab, rest = line.partition("\t")
-        if tab and _LANG_PREFIX_RE.fullmatch(head):
-            lang, text = head, rest
-        if not text.strip():
-            raise DataError(f"{path}:{lineno}: blank text")
-        out.append(Sentence(id=str(lineno), lang=lang, text=text))
+        if tab:
+            if head not in is_tag:
+                is_tag[head] = _LANG_PREFIX_RE.fullmatch(head) is not None
+            if is_tag[head]:
+                lang, text = head, rest
+                if not text or text.isspace():  # an unprefixed line is never blank
+                    raise DataError(f"{path}:{lineno}: blank text")
+        out.append(Sentence(str(lineno), lang, text))
     return out
 
 
@@ -86,13 +90,9 @@ def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
                 raise DataError(f"{path}:{lineno}: blank {side}_text")
         score = parse_score(cols[4], path, lineno) if len(cols) == 5 and cols[4] else None
         try:
-            out.append(
-                SentencePair(
-                    src=Sentence(id=f"{lineno}:src", lang=src_lang, text=src_text),
-                    tgt=Sentence(id=f"{lineno}:tgt", lang=tgt_lang, text=tgt_text),
-                    score=score,
-                )
-            )
+            src = Sentence(f"{lineno}:src", src_lang, src_text)
+            tgt = Sentence(f"{lineno}:tgt", tgt_lang, tgt_text)
+            out.append(SentencePair(src, tgt, score))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return out

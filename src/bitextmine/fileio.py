@@ -26,16 +26,34 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     skipped lines counted. Only ``\n`` ends a line, as for ``wc -l``, and
     a ``\r`` before it is stripped too. Any other ``\r`` raises
     ``DataError`` naming ``path:line``, and so does a leading byte-order
-    mark, which would hide the first line's language."""
+    mark, which would hide the first line's language.
+
+    The file is decoded and split once; only a file that holds a ``\r``
+    is checked line by line."""
     with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw[:-2] if raw.endswith("\r\n") else raw.removesuffix("\n")
-            if "\r" in line:
-                raise DataError(f"{path}:{lineno}: carriage return inside a line")
-            if lineno == 1 and line.startswith("\ufeff"):
-                raise DataError(f"{path}:1: starts with a UTF-8 byte-order mark")
-            if line and not line.isspace():
-                yield lineno, line
+        text = fh.read()
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = _strip_line_ends(path, lines)
+    elif lines[0].startswith("\ufeff"):
+        raise DataError(f"{path}:1: starts with a UTF-8 byte-order mark")
+    for lineno, line in enumerate(lines, start=1):
+        if line and not line.isspace():
+            yield lineno, line
+
+
+def _strip_line_ends(path: str | Path, lines: list[str]) -> Iterator[str]:
+    """``lines`` (the file split at each ``\n``) with the ``\r`` before
+    each ``\n`` stripped, raising ``DataError`` at the first line that
+    holds any other ``\r`` or starts the file with a byte-order mark."""
+    for lineno, line in enumerate(lines, start=1):
+        if lineno < len(lines):  # every piece but the last ended in \n
+            line = line.removesuffix("\r")
+        if "\r" in line:
+            raise DataError(f"{path}:{lineno}: carriage return inside a line")
+        if lineno == 1 and line.startswith("\ufeff"):
+            raise DataError(f"{path}:1: starts with a UTF-8 byte-order mark")
+        yield line
 
 
 def read_rows(path: str | Path, widths: Collection[int], layout: str) -> Iterator[tuple[int, list[str]]]:

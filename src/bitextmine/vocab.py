@@ -313,8 +313,9 @@ def _match_word(word: str, table: Mapping[str, int]) -> tuple[int, ...]:
 def content_ids(text: str, vocab: Vocab) -> list[int]:
     """Whitespace pre-split, then the wordpiece ids of each word in turn."""
     ids: list[int] = []
-    for word in text.split():
-        ids.extend(word_tokens(word, vocab))
+    cache = vocab.word_cache
+    for word in text.split():  # a cached word's ids are never empty
+        ids.extend(cache.get(word) or word_tokens(word, vocab))
     return ids
 
 

@@ -146,6 +146,10 @@ def invalid_argv(d, case):
         "mine-tgt-lang-line-feed": mine + ["--src", d / "no-src.txt", "--tgt-lang", "a\nb"],
         "mine-tgt-lang-carriage-return": mine + ["--src", d / "no-src.txt", "--tgt-lang", "a\rb"],
         "mine-src-lang-bom": mine + ["--src", d / "no-src.txt", "--src-lang", "\ufeffa"],
+        "mine-src-lang-empty": mine + ["--src", d / "no-src.txt", "--src-lang", ""],
+        "mine-tgt-lang-empty": mine + ["--src", d / "no-src.txt", "--tgt-lang", ""],
+        # pairs that do not exist: the empty tag is refused before any read
+        "build-vocab-lang-empty": build_vocab + ["--lang", ""],
         # a name or language that would add a line to the report; the first
         # --set names pools that do not exist, so it must not be read first
         "eval-tatoeba-set-line-feed": [
@@ -201,6 +205,9 @@ MESSAGE = {
     "mine-tgt-lang-line-feed": "--tgt-lang 'a\\nb' holds a tab or a line end",
     "mine-tgt-lang-carriage-return": "--tgt-lang 'a\\rb' holds a tab or a line end",
     "mine-src-lang-bom": "--src-lang '\\ufeffa' starts with a byte-order mark",
+    "mine-src-lang-empty": "--src-lang must be a non-empty language tag",
+    "mine-tgt-lang-empty": "--tgt-lang must be a non-empty language tag",
+    "build-vocab-lang-empty": "--lang must be a non-empty language tag",
 }
 
 
@@ -264,6 +271,9 @@ MESSAGE = {
         "mine-tgt-lang-line-feed",
         "mine-tgt-lang-carriage-return",
         "mine-src-lang-bom",
+        "mine-src-lang-empty",
+        "mine-tgt-lang-empty",
+        "build-vocab-lang-empty",
         "eval-tatoeba-set-line-feed",
         "eval-tatoeba-group-line-feed",
         "eval-tatoeba-group-language-carriage-return",
@@ -618,6 +628,56 @@ def test_manifest_records_config_inputs_and_outputs(work, tmp_path, command):
     assert manifest["duration_s"] >= 0
 
 
+def parse_outcome(parser, argv, capsys):
+    """``(exit code, stdout, stderr)`` of ``parser.parse_args(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_parses_as_the_full_parser(work, tmp_path, command, capsys):
+    """``build_parser(command)`` holds ``command`` alone and gives the
+    full parser's namespace, ``--help`` and unknown-flag error for it."""
+    argv = [command, *map(str, manifest_case(work, tmp_path, command)[1])]
+    (full, _), (one, subs) = cli.build_parser(), cli.build_parser(command)
+    assert list(subs) == [command]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert parse_outcome(one, [*argv, "--help"], capsys) == parse_outcome(full, [*argv, "--help"], capsys)
+    unknown = parse_outcome(one, [*argv, "--no-such-flag"], capsys)
+    assert unknown == parse_outcome(full, [*argv, "--no-such-flag"], capsys)
+    assert unknown[0] == 1 and "unrecognized arguments: --no-such-flag" in unknown[2]
+
+
+def test_main_builds_the_full_parser_only_when_no_command_comes_first(work, tmp_path, monkeypatch, capsys):
+    """A call that names its command builds that command alone;
+    ``--version``, no arguments, an unknown command and an ``@FILE`` that
+    holds the command build every command."""
+    built = []
+    build = cli.build_parser
+
+    def spy(command=None):
+        parser, subs = build(command)
+        built.append(list(subs))
+        return parser, subs
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+
+    def commands_built(*argv):
+        built.clear()
+        code = run(*argv)
+        return code, built[-1]  # the outermost call's parser is the one main uses
+
+    assert commands_built(*bucc_argv(work, tmp_path)) == (0, ["eval-bucc"])
+    assert built == [["eval-bucc"]]
+    assert commands_built("--version") == (0, COMMANDS)
+    assert commands_built() == (1, COMMANDS)
+    assert commands_built("no-such-command") == (1, COMMANDS)
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert commands_built(write_args(tmp_path, "eval-bucc\n"), *bucc_argv(work, tmp_path)[1:]) == (0, COMMANDS)
+
+
 @pytest.mark.parametrize("steps, interval, saved_at", [(4, 2, [2, 4]), (5, 2, [2, 4, 5]), (3, 0, [3])])
 def test_train_writes_each_checkpoint_once(work, tmp_path, monkeypatch, steps, interval, saved_at):
     """``train`` saves every ``--checkpoint-interval`` steps and after the
@@ -646,6 +706,14 @@ def test_whitespace_only_monolingual_file_has_no_sentences(work, tmp_path, capsy
     assert run(*argv, "--out", tmp_path / "blank.pool") == 2
     assert f"{tmp_path / 'blank.txt'}: no sentences" in capsys.readouterr().err
     assert not (tmp_path / "blank.pool").exists()
+
+
+def test_invalid_utf8_input_is_data_error(work, tmp_path, capsys):
+    (tmp_path / "bad.txt").write_bytes(b"first line\nsecond \xff line\n")
+    argv = ["encode", "--input", tmp_path / "bad.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt"]
+    assert run(*argv, "--out", tmp_path / "bad.pool") == 2
+    assert "data error: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "bad.pool").exists()
 
 
 def bucc_argv(d, t):
@@ -680,10 +748,19 @@ def test_config_file_value_becomes_the_value(work, tmp_path, holds_command):
     assert read_json(tmp_path / "bucc.manifest.json")["config"]["k"] == 2
 
 
-@pytest.mark.parametrize("flag", ["@FILE", "--determ"])
-def test_deterministic_from_any_spelling_pins_blas_threads(work, tmp_path, monkeypatch, flag):
+@pytest.mark.parametrize(
+    "flag, preset",
+    [("@FILE", None), ("--determ", None), ("@FILE", "4"), ("--determ", "4")],
+    ids=["@FILE", "--determ", "@FILE-over-4", "--determ-over-4"],
+)
+def test_deterministic_from_any_spelling_pins_blas_threads(work, tmp_path, monkeypatch, flag, preset):
+    """``--deterministic`` sets each thread variable to 1, also one the
+    environment already sets to another count."""
     for var in cli._THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+        if preset is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, preset)
     assert run(*bucc_argv(work, tmp_path), write_args(tmp_path, "--deterministic\n") if flag == "@FILE" else flag) == 0
     assert all(os.environ[var] == "1" for var in cli._THREAD_VARS)
 

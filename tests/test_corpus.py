@@ -15,6 +15,7 @@ from bitextmine.corpus import (
     read_pairs_tsv,
 )
 from bitextmine.errors import DataError
+from bitextmine.fileio import read_lines
 from bitextmine.mining import select_top_fraction
 
 
@@ -177,6 +178,45 @@ class TestFiles:
         path.write_text("only\tthree\tcolumns\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_pairs_tsv(path)
+
+
+def per_line_read_lines(path):
+    """The line rule applied one line at a time as the file is read: the
+    reference that ``read_lines``, which splits the whole file at once,
+    must match."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw[:-2] if raw.endswith("\r\n") else raw.removesuffix("\n")
+            if "\r" in line:
+                raise DataError(f"{path}:{lineno}: carriage return inside a line")
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise DataError(f"{path}:1: starts with a UTF-8 byte-order mark")
+            if line and not line.isspace():
+                yield lineno, line
+
+
+def lines_or_error(reader, path):
+    try:
+        return list(reader(path))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bom=st.booleans(),
+    pieces=st.lists(st.sampled_from(["a", " ", "\t", "\n", "\r\n", "\r"]), max_size=12),
+    final_newline=st.booleans(),
+)
+def test_read_lines_matches_the_per_line_rule(bom, pieces, final_newline):
+    """Lines, numbers and the first ``DataError`` equal the per-line
+    reference's for texts with CRLF and lone CR line ends, blank lines, a
+    leading byte-order mark and with or without a final newline."""
+    text = ("\ufeff" if bom else "") + "".join(pieces) + ("\n" if final_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert lines_or_error(read_lines, path) == lines_or_error(per_line_read_lines, path)
 
 
 def test_sentence_requires_lang():
