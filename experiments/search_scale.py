@@ -9,13 +9,15 @@ Run it from the repository root:
 Each pool holds random unit rows (d = 64 by default). The queries are
 noisy copies of pool rows: a row plus Gaussian noise of ``--noise`` per
 coordinate, scaled back to unit norm. The partitioned index has about
-sqrt(M) clusters and probes 8 of them. Each search time is the best of
-``--repeats`` searches of the whole query block, and the partitioned
-build time the best of ``--repeats`` builds of the pool (k-means and
-partition), with BLAS pinned to one thread unless the environment
-already sets it. recall@1 is the share of
-queries whose exact best row is among the partitioned index's top k. The
-last two columns give the bytes of each index's arrays per pool row.
+sqrt(M) clusters and probes 8 of them. Each search time is the median
+of ``--repeats`` searches of the whole query block, and the partitioned
+build time the median of ``--repeats`` builds of the pool (k-means and
+partition), each with the interquartile range of its repeats beside it,
+with BLAS pinned to one thread unless the environment already sets it.
+A shared host's speed drifts, so read a difference smaller than the IQRs
+as noise. recall@1 is the share of queries whose exact best row is among
+the partitioned index's top k. The last two columns give the bytes of
+each index's arrays per pool row.
 The benchmark does not run this script; the test suite runs it once at
 a tiny size (``tests/test_vecindex.py``), to keep it working.
 """
@@ -46,14 +48,16 @@ def bytes_per_row(index) -> float:
     return sum(value.nbytes for value in vars(index).values() if isinstance(value, np.ndarray)) / len(index)
 
 
-def best_of(repeats: int, fn) -> float:
-    """The least wall time of ``repeats`` calls of ``fn``, in seconds."""
+def timed(repeats: int, fn) -> str:
+    """The median and the interquartile range of the wall times of
+    ``repeats`` calls of ``fn``, as ``"<median> ms | <IQR> ms"``."""
     times = []
     for _ in range(repeats):
         start = perf_counter()
         fn()
         times.append(perf_counter() - start)
-    return min(times)
+    q1, median, q3 = np.percentile(times, [25, 50, 75]) * 1e3
+    return f"{median:.1f} ms | {q3 - q1:.1f} ms"
 
 
 def main(argv=None) -> int:
@@ -64,15 +68,18 @@ def main(argv=None) -> int:
     parser.add_argument("--ks", default="1,4", help="comma-separated neighbour counts")
     parser.add_argument("--probes", type=int, default=8)
     parser.add_argument("--noise", type=float, default=0.05)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    print(f"d = {args.dim}, {args.queries} queries, noise {args.noise}, {args.probes} probes, best of {args.repeats}")
-    head = ["pool rows", "clusters", "k", "exact", "partitioned", "partitioned build", "recall@1"]
-    print("| " + " | ".join(head + ["exact B/row", "partitioned B/row"]) + " |")
-    print("|---" * (len(head) + 2) + "|")
+    print(f"d = {args.dim}, {args.queries} queries, noise {args.noise}, {args.probes} probes, {args.repeats} repeats")
+    head = ["pool rows", "clusters", "k"]
+    for name in ("exact", "partitioned", "partitioned build"):
+        head += [name, f"{name} IQR"]
+    head += ["recall@1", "exact B/row", "partitioned B/row"]
+    print("| " + " | ".join(head) + " |")
+    print("|---" * len(head) + "|")
     for m in (int(x) for x in args.rows.split(",")):
         pool = unit(rng.normal(size=(m, args.dim)))
         ids = [f"v{i:07d}" for i in range(m)]
@@ -81,15 +88,13 @@ def main(argv=None) -> int:
         clusters = max(1, round(m**0.5))
         exact = build(pool, ids)
         config = IndexConfig(clusters=clusters, probes=min(args.probes, clusters), seed=args.seed)
-        build_s = best_of(args.repeats, lambda: build(pool, ids, config))
+        build_ms = timed(args.repeats, lambda: build(pool, ids, config))
         ivf = build(pool, ids, config)
         sizes = f"{bytes_per_row(exact):.0f} | {bytes_per_row(ivf):.0f}"
         for k in (int(x) for x in args.ks.split(",")):
-            exact_s = best_of(args.repeats, lambda: search(exact, queries, k))
-            ivf_s = best_of(args.repeats, lambda: search(ivf, queries, k))
-            recall = recall_vs_exact(ivf, queries, k)
-            times = f"{exact_s * 1e3:.1f} ms | {ivf_s * 1e3:.1f} ms | {build_s * 1e3:.1f} ms"
-            print(f"| {m:,} | {clusters} | {k} | {times} | {recall:.3f} | {sizes} |")
+            times = f"{timed(args.repeats, lambda: search(exact, queries, k))} | "
+            times += f"{timed(args.repeats, lambda: search(ivf, queries, k))} | {build_ms}"
+            print(f"| {m:,} | {clusters} | {k} | {times} | {recall_vs_exact(ivf, queries, k):.3f} | {sizes} |")
     return 0
 
 

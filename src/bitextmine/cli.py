@@ -159,16 +159,12 @@ def _encoder_shape(args, num_layers: int):
 
 def _retrieval_inputs(src_pool, tgt_pool, gold_path):
     """Exact indexes over the source and target pools, and the gold
-    alignment at ``gold_path`` checked against the ids of both."""
-    from .evaluation import GoldAlignment, read_gold_tsv
+    alignment at ``gold_path`` over the ids of both."""
+    from .evaluation import read_gold_tsv
     from .vecindex import read_pool
 
-    gold = read_gold_tsv(gold_path)
     src, tgt = read_pool(src_pool), read_pool(tgt_pool)
-    try:
-        return src, tgt, GoldAlignment.from_pairs(sorted(gold.pairs), src.ids, tgt.ids)
-    except ValueError as exc:
-        raise DataError(f"{gold_path}: {exc}") from exc
+    return src, tgt, read_gold_tsv(gold_path, src.ids, tgt.ids)
 
 
 def _retrieval_files(src_pool, tgt_pool, gold_path) -> list:

@@ -6,7 +6,10 @@ correlation.
 Both sides of a retrieval are exact indexes (``vecindex.build``) over
 validated pools: unique ids and unit-norm rows, whichever side a pool is
 on. The source index's rows are the queries of one ``vecindex.search``
-into the target index.
+into the target index, and the scoring reads its flat (query row, pool
+row, score) arrays: P@1 compares the top-1 pool rows with the gold
+target rows, candidates take their ids from the two pools by row, and
+the best-F1 sweep runs over score and hit arrays in numpy.
 
 Gold files are TSV ``src_id<TAB>tgt_id``; candidate files add a third
 score column; score files hold one score per line. All three are read by
@@ -38,12 +41,12 @@ class GoldAlignment:
     tgt_universe: frozenset[str]
 
     def __post_init__(self) -> None:
-        srcs = [s for s, _ in self.pairs]
-        if len(set(srcs)) != len(srcs):
+        srcs = {s for s, _ in self.pairs}
+        if len(srcs) != len(self.pairs):
             raise ValueError("a source id may appear at most once in the gold alignment")
-        for s, t in self.pairs:
-            if s not in self.src_universe or t not in self.tgt_universe:
-                raise ValueError(f"gold pair ({s!r}, {t!r}) outside its universe")
+        if not (srcs <= self.src_universe and {t for _, t in self.pairs} <= self.tgt_universe):
+            s, t = min(p for p in self.pairs if p[0] not in self.src_universe or p[1] not in self.tgt_universe)
+            raise ValueError(f"gold pair ({s!r}, {t!r}) outside its universe")
 
     @classmethod
     def from_pairs(
@@ -66,17 +69,18 @@ class PRF:
 
 
 def p_at_1(src: VectorIndex, tgt: VectorIndex, gold: GoldAlignment) -> float:
-    """Fraction of gold sources whose top-1 retrieved id is the gold target."""
+    """Fraction of gold sources whose top-1 retrieved id is the gold
+    target: the top-1 pool rows of one search of the gold sources' rows,
+    compared with the gold targets' rows."""
     if not gold.pairs:
         raise ValueError("empty gold alignment")
-    pairs = sorted(gold.pairs)
-    row_of = {src_id: row for row, src_id in enumerate(src.ids)}
-    for src_id, _ in pairs:
-        if src_id not in row_of:
-            raise DataError(f"no embedding for gold source {src_id!r}")
-    tops = search(tgt, src.vectors[[row_of[src_id] for src_id, _ in pairs]], k=1)
-    hits = sum(top[0][0] == tgt_id for top, (_, tgt_id) in zip(tops, pairs))
-    return hits / len(pairs)
+    src_row, tgt_row = dict(zip(src.ids, range(len(src)))), dict(zip(tgt.ids, range(len(tgt))))
+    srcs, tgts = zip(*gold.pairs)
+    if not src_row.keys() >= set(srcs):
+        raise DataError(f"no embedding for gold source {min(s for s in srcs if s not in src_row)!r}")
+    top = search(tgt, src.vectors[list(map(src_row.__getitem__, srcs))], k=1)[1]  # one row each: tgt is not empty
+    want = np.fromiter((tgt_row.get(t, -1) for t in tgts), np.int64, len(tgts))  # -1: a target outside tgt
+    return np.count_nonzero(top == want) / len(srcs)
 
 
 @dataclass
@@ -111,18 +115,23 @@ def tatoeba_accuracy(
     return RetrievalGroupResult(per_language=per_language, group_means=group_means, missing=missing)
 
 
-def _check_candidates(candidates: Sequence[tuple[str, str, float]]) -> None:
-    """Raise ValueError unless there are candidates, each (src_id, tgt_id)
-    once, with finite scores."""
+def _checked_candidates(candidates: Sequence[tuple[str, str, float]]) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The (src_id, tgt_id) of each candidate and the float64 scores;
+    ValueError unless there are candidates, each (src_id, tgt_id) once,
+    with finite scores, naming the first that is not."""
     if not candidates:
         raise ValueError("no candidates")
-    seen = set()
-    for s, t, score in candidates:
-        if not math.isfinite(score):
-            raise ValueError(f"non-finite candidate score for ({s!r}, {t!r})")
-        if (s, t) in seen:
-            raise ValueError(f"duplicate candidate ({s!r}, {t!r})")
-        seen.add((s, t))
+    keys = [(s, t) for s, t, _ in candidates]
+    scores = np.fromiter((score for _, _, score in candidates), np.float64, len(keys))
+    if len(set(keys)) < len(keys) or not np.isfinite(scores).all():
+        seen = set()
+        for s, t, score in candidates:
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite candidate score for ({s!r}, {t!r})")
+            if (s, t) in seen:
+                raise ValueError(f"duplicate candidate ({s!r}, {t!r})")
+            seen.add((s, t))
+    return keys, scores
 
 
 def bucc_best_f1(
@@ -132,40 +141,41 @@ def bucc_best_f1(
     PRF at the F1-maximizing threshold (ties favor the larger threshold).
 
     Candidates must be non-empty, deduplicated on (src_id, tgt_id) and
-    carry finite scores.
+    carry finite scores. The sweep ranks them by descending score, stably,
+    and takes each group of equal scores at once: its threshold is the
+    group's first score, its true positives the hits up to the group's
+    end. Each value is the float64 of ``tp / predicted``, ``tp / gold``
+    and ``2 * p * r / (p + r)`` (0 where p + r is 0), and the first
+    maximum wins.
     """
     if not gold.pairs:
         raise ValueError("empty gold alignment")
-    _check_candidates(candidates)
-
-    ranked = sorted(candidates, key=lambda c: -c[2])
-    gold_pairs = gold.pairs
-    best: PRF | None = None
-    tp = 0
-    n_pred = 0
-    i = 0
-    while i < len(ranked):
-        tau = ranked[i][2]
-        while i < len(ranked) and ranked[i][2] == tau:
-            s, t, _ = ranked[i]
-            n_pred += 1
-            tp += (s, t) in gold_pairs
-            i += 1
-        precision = tp / n_pred
-        recall = tp / len(gold_pairs)
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        if best is None or f1 > best.f1:
-            best = PRF(precision=precision, recall=recall, f1=f1, threshold=tau)
-    assert best is not None
-    return best
+    keys, scores = _checked_candidates(candidates)
+    hits = np.fromiter(map(gold.pairs.__contains__, keys), bool, len(keys))
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    ends = np.flatnonzero(np.r_[ranked[1:] != ranked[:-1], True])  # the last row of each tie group
+    starts = np.r_[0, ends[:-1] + 1]
+    tp = np.cumsum(hits[order])[ends]
+    precision = tp / (ends + 1)
+    recall = tp / len(gold.pairs)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(total), where=total > 0)
+    best = int(np.argmax(f1))
+    return PRF(
+        precision=float(precision[best]),
+        recall=float(recall[best]),
+        f1=float(f1[best]),
+        threshold=float(ranked[starts[best]]),
+    )
 
 
 def bucc_candidates(src: VectorIndex, tgt: VectorIndex, k: int = 1) -> list[tuple[str, str, float]]:
     """Nearest-neighbor candidate generation: the top-k ``(src_id,
     tgt_id, score)`` of each source in ``tgt``, sources in pool order,
     each source's best first."""
-    tops = search(tgt, src.vectors, k=k)
-    return [(src_id, tgt_id, score) for src_id, top in zip(src.ids, tops) for tgt_id, score in top]
+    rows, cols, scores = search(tgt, src.vectors, k=k)
+    return list(zip(map(src.ids.__getitem__, rows.tolist()), map(tgt.ids.__getitem__, cols.tolist()), scores.tolist()))
 
 
 def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -197,12 +207,26 @@ def sts_pearson(
 # ---------------------------------------------------------------------------
 
 
-def read_gold_tsv(path: str | Path) -> GoldAlignment:
-    pairs = [(cols[0], cols[1]) for _, cols in read_rows(path, (2,), "src_id<TAB>tgt_id")]
-    if not pairs:
+def read_gold_tsv(
+    path: str | Path, src_ids: Sequence[str] | None = None, tgt_ids: Sequence[str] | None = None
+) -> GoldAlignment:
+    """The gold alignment in ``path``, over the pools' ids when they are
+    given (else over the ids it names). ``DataError`` names ``path:line``
+    and the earlier line of a pair given twice or of a source given a
+    second target, and ``path`` for a file with no pairs or a pair outside
+    the pools."""
+    target: dict[str, tuple[str, int]] = {}  # each source's target and its line
+    for lineno, (s, t) in read_rows(path, (2,), "src_id<TAB>tgt_id"):
+        if s in target:
+            first, earlier = target[s]
+            if first == t:
+                raise DataError(f"{path}:{lineno}: gold pair ({s!r}, {t!r}) repeats line {earlier}")
+            raise DataError(f"{path}:{lineno}: source {s!r} has a second target {t!r}; line {earlier} gives {first!r}")
+        target[s] = t, lineno
+    if not target:
         raise DataError(f"{path}: no gold pairs")
     try:
-        return GoldAlignment.from_pairs(pairs)
+        return GoldAlignment.from_pairs([(s, t) for s, (t, _) in target.items()], src_ids, tgt_ids)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -228,7 +252,7 @@ def format_candidates_tsv(candidates: Sequence[tuple[str, str, float]]) -> str:
     not read back: what ``bucc_best_f1`` refuses, a pool id holding a tab
     or a line end, and a first source id that starts with a byte-order
     mark."""
-    _check_candidates(candidates)
+    _checked_candidates(candidates)
     for name in dict.fromkeys(name for s, t, _ in candidates for name in (s, t)):
         if "\t" in name or "\n" in name or "\r" in name:
             raise ValueError(f"pool id {name!r} holds a tab or a line end and cannot be written as one column")

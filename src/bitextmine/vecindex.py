@@ -1,6 +1,13 @@
 """Exact and partitioned (inverted-file) cosine-similarity search over
 unit-norm embedding pools.
 
+``search`` returns the selection kernel's own flat arrays, as Faiss
+returns (distance, label) arrays: ``rows`` (query row numbers,
+ascending), ``cols`` (pool row numbers) and ``scores`` (exact, float64),
+each query's best first; a query row gets min(k, candidates) entries.
+A caller maps pool rows to ids through ``index.ids`` only where it
+needs names.
+
 An index holds its rows and centroids in float32, as its files store
 them; ``build`` rounds float64 rows to float32. A score is exact: the
 float64 sum of the products of the float64 query q and the pool row p
@@ -65,10 +72,11 @@ keep their exact-mode scores and ties.
 Pool file format: one ASCII header line ``M d``, then M rows of
 little-endian float32; ids live in a required companion file, one per
 line, each ended by ``\n``. ``read_pool`` is the one pool reader: every
-pool it reads is checked by ``build``. An index directory holds the pool
-(``vectors.pool``) and, if partitioned, the centroids (``centroids.pool``,
-same rows, no ids) and the config (``index.cfg``); the partition is
-derived on load.
+pool it reads is checked by ``build``, and a pool that fails is named
+with the line of its repeated id or the number of its first off-unit
+row. An index directory holds the pool (``vectors.pool``) and, if
+partitioned, the centroids (``centroids.pool``, same rows, no ids) and
+the config (``index.cfg``); the partition is derived on load.
 """
 
 from __future__ import annotations
@@ -143,17 +151,24 @@ def _validate_pool(vectors: np.ndarray, ids: list[str]) -> np.ndarray:
     return vectors
 
 
-def _check_unit_rows(rows: np.ndarray, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless every row is a finite unit vector (norms in float64)."""
+def _off_unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The row numbers of the rows that are not finite unit vectors (norms in float64)."""
     norms = np.linalg.norm(rows.astype(np.float64), axis=1)
-    if not np.allclose(norms, 1.0, atol=_UNIT_ATOL):  # a NaN or inf norm is not close
-        raise error(f"{what} rows must be unit-norm (max |n-1| = {abs(norms - 1).max():.2e})")
+    return np.flatnonzero(~np.isclose(norms, 1.0, atol=_UNIT_ATOL))  # a NaN or inf norm is not close
+
+
+def _check_unit_rows(rows: np.ndarray, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless every row is a finite unit vector, naming
+    the first that is not (rows numbered from 1)."""
+    off = _off_unit_rows(rows)
+    if off.size:
+        raise error(f"{what} rows must be unit-norm (row {off[0] + 1} is not a finite unit vector)")
 
 
 def _id_rank(ids: list[str]) -> np.ndarray:
     """Rank of each row's id in ascending id order (the search tie-break)."""
     rank = np.empty(len(ids), dtype=np.int64)
-    rank[sorted(range(len(ids)), key=lambda i: ids[i])] = np.arange(len(ids))
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return rank
 
 
@@ -376,9 +391,12 @@ def _search_lists(
 
 def search(
     index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None
-) -> list[list[tuple[str, float]]]:
-    """Top-k (id, exact score) of each query row, by descending score
-    with ties broken by ascending id.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top k of each query row as flat ``(rows, cols, scores)``
+    arrays: ``rows`` are query row numbers, ascending, each row's best
+    first; ``cols`` are the pool row numbers of ``index`` (int64); the
+    scores are exact float64, by descending score with ties broken by
+    ascending id.
 
     ``queries`` is an (n, d) block; pass ``q[None]`` for one query. Exact
     mode scans everything; partitioned mode scans the ``probes``
@@ -395,28 +413,23 @@ def search(
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")  # a NaN row would match nothing
     if queries.shape[0] == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     if index.mode == PARTITIONED:
         assert index.config is not None
         p = index.config.probes if probes is None else probes
         if not (1 <= p <= index.config.clusters):
             raise ValueError(f"probes must be in [1, {index.config.clusters}], got {p}")
-        rows, cols, scores = _search_lists(index, queries, _unit32(queries), k, p)
-    else:
-        rows, cols, scores = _top_k(index.vectors, queries, _unit32(queries), k, index.id_rank)
-    bounds = np.searchsorted(rows, np.arange(queries.shape[0] + 1)).tolist()
-    hits = list(zip([index.ids[c] for c in cols.tolist()], scores.tolist()))
-    return [hits[a:b] for a, b in zip(bounds, bounds[1:])]
+        return _search_lists(index, queries, _unit32(queries), k, p)
+    return _top_k(index.vectors, queries, _unit32(queries), k, index.id_rank)
 
 
 def recall_vs_exact(index: VectorIndex, queries: np.ndarray, k: int, probes: int | None = None) -> float:
     """Fraction of queries whose exact top-1 appears in the index's top-k."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     every_cluster = index.config.clusters if index.mode == PARTITIONED else None
-    truth = search(index, queries, 1, probes=every_cluster)
-    got = search(index, queries, k, probes=probes)
-    hits = sum(best[0][0] in {name for name, _ in top} for best, top in zip(truth, got))
-    return hits / queries.shape[0]
+    best = search(index, queries, 1, probes=every_cluster)[1]  # one row each: the pool is not empty
+    rows, cols, _ = search(index, queries, k, probes=probes)
+    return np.count_nonzero(cols == best[rows]) / queries.shape[0]  # a row holds a column at most once
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +482,40 @@ def write_pool(path: str | Path, vectors: np.ndarray, ids: list[str]) -> None:
 
 
 def read_pool(path: str | Path) -> VectorIndex:
-    """The pool at ``path`` and its ids in ``<path>.ids``, as a validated exact index."""
+    """The pool at ``path`` and its ids in ``<path>.ids``, as a validated
+    exact index. What ``build`` refuses raises ``DataError`` naming the
+    place: ``<path>.ids:<line>`` for an id that repeats an earlier line,
+    ``<path>: row <r>`` (numbered from 1, as the id lines) for a row that
+    is not a finite unit vector."""
     rows_path, ids_path = pool_files(path)
     vectors = _read_rows(rows_path)
     if not ids_path.exists():
         raise DataError(f"{ids_path}: companion id file missing")
     text = ids_path.read_bytes().decode("utf-8")
     ids = text.removesuffix("\n").split("\n") if text else []  # only \n ends a line, as in ``fileio.read_lines``
-    for lineno, name in enumerate(ids, start=1):
-        if "\r" in name.removesuffix("\r"):
-            raise DataError(f"{ids_path}:{lineno}: carriage return inside an id")
-    ids = [name.removesuffix("\r") for name in ids]
+    if "\r" in text:  # so only a file holding one is checked line by line
+        for lineno, name in enumerate(ids, start=1):
+            if "\r" in name.removesuffix("\r"):
+                raise DataError(f"{ids_path}:{lineno}: carriage return inside an id")
+        ids = [name.removesuffix("\r") for name in ids]
     if len(ids) != len(vectors):
         raise DataError(f"{ids_path}: {len(ids)} ids for {len(vectors)} vectors")
-    return build(vectors, ids)
+    try:
+        return build(vectors, ids)
+    except ValueError as exc:
+        raise DataError(_pool_fault(rows_path, ids_path, vectors, ids) or f"{rows_path}: {exc}") from exc
+
+
+def _pool_fault(rows_path: Path, ids_path: Path, vectors: np.ndarray, ids: list[str]) -> str | None:
+    """Where a pool read from its files breaks ``build``'s rules: the
+    first id that repeats, else the first row that is not a finite unit
+    vector; None if neither."""
+    first: dict[str, int] = {}
+    for lineno, name in enumerate(ids, start=1):
+        if first.setdefault(name, lineno) != lineno:
+            return f"{ids_path}:{lineno}: id {name!r} repeats line {first[name]}"
+    off = _off_unit_rows(vectors)
+    return f"{rows_path}: row {off[0] + 1} is not a finite unit vector" if off.size else None
 
 
 def index_files(directory: str | Path) -> list[Path]:

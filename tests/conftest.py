@@ -4,6 +4,7 @@ import pytest
 from bitextmine.encoder import EncoderConfig, EncoderParams, init_params
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import checkpoint_to_bytes
+from bitextmine.vecindex import search
 from bitextmine.vocab import build_vocab
 
 
@@ -35,6 +36,18 @@ def toy_params(toy_encoder_config):
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     X = rng.normal(size=(n, d))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def search_hits(index, queries, k, probes=None):
+    """``vecindex.search``'s flat arrays as one list per query row of
+    (id, score), each row's best first; checks that the rows ascend."""
+    rows, cols, scores = search(index, queries, k, probes)
+    assert rows.dtype.kind == cols.dtype.kind == "i" and scores.dtype == np.float64
+    assert np.all(np.diff(rows) >= 0)
+    hits = [[] for _ in range(len(queries))]
+    for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+        hits[row].append((index.ids[col], score))
+    return hits
 
 
 def float64_params(params: EncoderParams) -> EncoderParams:

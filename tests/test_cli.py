@@ -20,10 +20,10 @@ from bitextmine.corpus import format_pairs_tsv
 from bitextmine.fileio import sha256_file
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
-from bitextmine.vecindex import EXACT, _read_rows, _write_rows, load_index, read_pool, search, write_pool
+from bitextmine.vecindex import EXACT, _read_rows, _write_rows, load_index, read_pool, write_pool
 from bitextmine.vocab import Vocab
 
-from conftest import version_2_bytes
+from conftest import search_hits, version_2_bytes
 
 
 def run(*argv):
@@ -446,7 +446,7 @@ def test_search_writes_the_per_query_results(work, tmp_path, index_flags):
     expected = [
         f"{qid}\t{name}\t{score:.6f}"
         for qid, q in zip(pool.ids, pool.vectors)
-        for name, score in search(index, q[None], k=3)[0]
+        for name, score in search_hits(index, q[None], k=3)[0]
     ]
     assert len(expected) == 3 * len(pool.ids)
     assert (tmp_path / "hits.tsv").read_text(encoding="utf-8").splitlines() == expected
@@ -501,7 +501,7 @@ def test_exact_index_written_over_a_partitioned_one_leaves_no_partition(work, tm
     pool, queries = read_pool(work / "src.pool"), read_pool(work / "tgt.pool")
     expected = [
         f"{qid}\t{name}\t{score:.6f}"
-        for qid, top in zip(queries.ids, search(pool, queries.vectors, k=1))
+        for qid, top in zip(queries.ids, search_hits(pool, queries.vectors, k=1))
         for name, score in top
     ]
     assert hits.read_text(encoding="utf-8").splitlines() == expected
@@ -856,8 +856,11 @@ def library_error_case(d, t, command):
     if command == "index":
         return ["--pool", d / "tgt.pool", "--clusters", 50], "pool of 40 rows cannot form 50 clusters"
     if command == "eval-bucc":
-        pool, gold = bad_source_pool(d, t, "non-unit")
-        return ["--src-pool", pool, "--tgt-pool", d / "tgt.pool", "--gold", gold], "pool rows must be unit-norm"
+        # a source pool of other rows than the target pool's: its rows cannot query it
+        pool = read_pool(d / "src.pool")
+        write_pool(t / "wide.pool", np.pad(pool.vectors, ((0, 0), (0, 1))), pool.ids)
+        argv = ["--src-pool", t / "wide.pool", "--tgt-pool", d / "tgt.pool", "--gold", d / "gold.tsv"]
+        return argv, f"queries must be an n x {pool.vectors.shape[1]} block"
     if command == "mine":
         # no language tag before the tab, so the tab stays in the text and would split its column
         (t / "src.txt").write_text("X\tword\n", encoding="utf-8")
@@ -893,6 +896,14 @@ def eval_data_error_case(d, t, case):
         (t / "gold.tsv").write_text("1\t1\n2\tzz\n", encoding="utf-8")
         argv = ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", t / "gold.tsv"]
         return argv, f"{t / 'gold.tsv'}: gold pair ('2', 'zz') outside its universe"
+    if case in ("repeated-gold-line", "second-gold-target"):
+        # a gold file read with the pools: the later line names the earlier
+        second = "2\t2" if case == "repeated-gold-line" else "2\t3"
+        (t / "gold.tsv").write_text(f"1\t1\n2\t2\n\n{second}\n", encoding="utf-8")
+        argv = ["eval-p1", "--src-pool", d / "src.pool", "--tgt-pool", d / "tgt.pool", "--gold", t / "gold.tsv"]
+        if case == "repeated-gold-line":
+            return argv, f"{t / 'gold.tsv'}:4: gold pair ('2', '2') repeats line 2"
+        return argv, f"{t / 'gold.tsv'}:4: source '2' has a second target '3'; line 2 gives '2'"
     if case == "empty-candidates":
         (t / "cands.tsv").write_text("\n", encoding="utf-8")
         argv = ["eval-bucc", "--candidates", t / "cands.tsv", "--gold", d / "gold.tsv"]
@@ -910,7 +921,11 @@ def eval_data_error_case(d, t, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["gold-id-outside-pool", "empty-gold", "empty-candidates", "nan-score", "inf-score", "duplicate-candidate"]
+    "case",
+    [
+        "gold-id-outside-pool", "repeated-gold-line", "second-gold-target", "empty-gold", "empty-candidates",
+        "nan-score", "inf-score", "duplicate-candidate",
+    ],
 )
 def test_eval_data_error_names_its_file(work, tmp_path, capsys, case):
     argv, message = eval_data_error_case(work, tmp_path, case)
@@ -922,8 +937,9 @@ def test_eval_data_error_names_its_file(work, tmp_path, capsys, case):
 
 
 def bad_source_pool(d, t, defect):
-    """A copy of the source pool with duplicate ids or non-unit rows, and a
-    gold file that names only ids it holds."""
+    """A copy of the source pool with duplicate ids (the second line
+    repeats the first) or non-unit rows, and a gold file that names only
+    ids it holds."""
     pool = read_pool(d / "src.pool")
     vectors, ids = pool.vectors, list(pool.ids)
     if defect == "duplicate-ids":
@@ -961,16 +977,44 @@ def bad_pool_argv(d, t, command, pool, gold):
 
 
 @pytest.mark.parametrize(
-    "defect, message", [("duplicate-ids", "pool ids must be unique"), ("non-unit", "pool rows must be unit-norm")]
+    "defect, rule", [("duplicate-ids", "pool ids must be unique"), ("non-unit", "pool rows must be unit-norm")]
 )
 @pytest.mark.parametrize(
     "command", ["eval-p1", "eval-bucc", "eval-tatoeba", "eval-sts", "search-queries", "search-index", "index"]
 )
-def test_source_pool_is_checked_like_the_target_pool(work, tmp_path, capsys, command, defect, message):
+def test_source_pool_is_checked_like_the_target_pool(work, tmp_path, capsys, command, defect, rule):
+    # the error names the pool file that breaks the rule, and its place
     pool, gold = bad_source_pool(work, tmp_path, defect)
     out = tmp_path / "out"
     assert run(*bad_pool_argv(work, tmp_path, command, pool, gold), "--out", out) == 2
-    assert f"bitextmine: data error: {message}" in capsys.readouterr().err
+    read = tmp_path / "idx" / "vectors.pool" if command == "search-index" else pool
+    message = {"duplicate-ids": f"{read}.ids:2: id '1' repeats line 1", "non-unit": f"{read}: row 1 is not a finite unit vector"}
+    assert f"bitextmine: data error: {message[defect]}\n" in capsys.readouterr().err, rule
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+
+
+@pytest.mark.parametrize("defect", ["duplicate-ids", "non-unit"])
+@pytest.mark.parametrize("command", ["eval-p1", "index"])
+def test_pool_fault_names_the_file_and_its_place(work, tmp_path, capsys, command, defect):
+    # a fault past the first rows of the target pool, which eval-p1 reads second
+    pool = read_pool(work / "tgt.pool")
+    vectors, ids = pool.vectors.copy(), list(pool.ids)
+    if defect == "duplicate-ids":
+        ids[6] = ids[3]
+        message = f"{tmp_path / 'bad.pool'}.ids:7: id '4' repeats line 4"
+    else:
+        vectors[5] *= 1.01
+        message = f"{tmp_path / 'bad.pool'}: row 6 is not a finite unit vector"
+    write_pool(tmp_path / "bad.pool", vectors, ids)
+    if command == "index":
+        argv = ["index", "--pool", tmp_path / "bad.pool"]
+    else:
+        argv = ["eval-p1", "--src-pool", work / "src.pool", "--tgt-pool", tmp_path / "bad.pool"]
+        argv += ["--gold", work / "gold.tsv"]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    assert capsys.readouterr().err.endswith(f"bitextmine: data error: {message}\n")
     assert not out.exists()
     assert not manifest_path(out).exists()
 

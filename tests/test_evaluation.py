@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bitextmine.errors import DataError
@@ -25,9 +25,9 @@ from bitextmine.evaluation import (
     tatoeba_accuracy,
     write_metrics_report,
 )
-from bitextmine.vecindex import build, search
+from bitextmine.vecindex import build
 
-from conftest import unit_rows
+from conftest import search_hits, unit_rows
 
 
 def gold_of(*pairs, src=None, tgt=None):
@@ -102,7 +102,7 @@ class TestPAt1:
         base = p_at_1(build(queries, [f"s{i}" for i in range(5)]), index, gold)
         # a source pool is unit-norm, so the rescaling goes to the rows
         # that p_at_1 hands to search
-        tops = search(index, 7.3 * queries, k=1)
+        tops = search_hits(index, 7.3 * queries, k=1)
         assert sum(top[0][0] == f"t{i}" for i, top in enumerate(tops)) / 5 == base
 
 
@@ -226,6 +226,96 @@ class TestBuccBestF1:
             assert prf.f1 >= f1 - 1e-12
 
 
+def python_sweep(candidates, gold):
+    """The best-F1 sweep as a Python loop over the candidates ranked by
+    descending score (a stable sort), one tie group at a time, the first
+    maximum kept: the reference for ``bucc_best_f1``."""
+    ranked = sorted(candidates, key=lambda c: -c[2])
+    best, tp, n_pred, i = None, 0, 0, 0
+    while i < len(ranked):
+        tau = ranked[i][2]
+        while i < len(ranked) and ranked[i][2] == tau:
+            s, t, _ = ranked[i]
+            n_pred += 1
+            tp += (s, t) in gold.pairs
+            i += 1
+        precision = tp / n_pred
+        recall = tp / len(gold.pairs)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        if best is None or f1 > best.f1:
+            best = PRF(precision=precision, recall=recall, f1=f1, threshold=tau)
+    return best
+
+
+@st.composite
+def sweeps(draw):
+    """(candidates, gold): up to 3 candidates per source over a few
+    targets, scores from a small set (many ties, 0.0 and -0.0 among
+    them), and a gold alignment that may miss every candidate."""
+    n_src, n_tgt = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    values = st.sampled_from([0.9, 0.5, 0.25, 0.0, -0.0, -0.5]) | st.floats(-1, 1)
+    candidates = []
+    for s in range(n_src):
+        for t in draw(st.lists(st.integers(0, n_tgt - 1), max_size=3, unique=True)):
+            candidates.append((f"s{s}", f"t{t}", draw(values)))
+    assume(candidates)
+    gold = draw(st.dictionaries(st.integers(0, n_src + 2), st.integers(0, n_tgt + 2), min_size=1))
+    return draw(st.permutations(candidates)), gold_of(*[(f"s{s}", f"t{t}") for s, t in gold.items()])
+
+
+class TestBuccSweepProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweeps())
+    @example(case=([("s0", "t0", 0.5)], gold_of(("s0", "t0"))))  # one candidate, a hit
+    @example(case=([("s0", "t1", 0.5), ("s1", "t0", 0.5)], gold_of(("s0", "t0"))))  # all misses, tied
+    @example(case=([("s0", "t0", -0.0), ("s1", "t1", 0.0)], gold_of(("s1", "t1"))))  # the group's first zero
+    def test_numpy_sweep_equals_the_python_loop(self, case):
+        candidates, gold = case
+        got, want = bucc_best_f1(candidates, gold), python_sweep(candidates, gold)
+        assert [x.hex() for x in vars(got).values()] == [float(x).hex() for x in vars(want).values()]
+
+
+def brute_force_p_at_1(src, tgt, gold):
+    """P@1 by scanning: each gold source's exact score with every target
+    row (its float32 row widened, as ``search`` scores it), the best by
+    descending score, then ascending id."""
+    hits = 0
+    for s, t in gold.pairs:
+        scores = (tgt.vectors * src.vectors[src.ids.index(s)].astype(np.float64)).sum(axis=1)
+        best = min(range(len(tgt.ids)), key=lambda r: (-scores[r], tgt.ids[r]))
+        hits += tgt.ids[best] == t
+    return hits / len(gold.pairs)
+
+
+@st.composite
+def retrievals(draw):
+    """(src, tgt, gold): a target pool of coarse unit rows with exact
+    copies (many tied scores) under ids out of row order, sources near
+    some of them, and gold targets that may repeat or lie outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d, n = draw(st.integers(1, 30)), draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    base = np.round(unit_rows(rng, max(1, m // 3), d), 1)
+    base[np.all(base == 0, axis=1), 0] = 1.0
+    V = base[rng.integers(0, len(base), size=m)]
+    tgt_ids = [f"t{i:02d}" for i in rng.permutation(m)]
+    Q = np.concatenate([V[rng.integers(0, m, size=n)], unit_rows(rng, n, d)])[rng.permutation(2 * n)[:n]]
+    src = build(Q / np.linalg.norm(Q, axis=1, keepdims=True), [f"s{i}" for i in range(n)])
+    tgt = build(V / np.linalg.norm(V, axis=1, keepdims=True), tgt_ids)
+    targets = st.just("outside") | st.sampled_from(tgt_ids)
+    gold = draw(st.dictionaries(st.sampled_from(src.ids), targets, min_size=1))
+    return src, tgt, gold_of(*gold.items(), src=src.ids, tgt=tgt_ids + ["outside"])
+
+
+class TestPAt1Property:
+    @settings(max_examples=150, deadline=None)
+    @given(case=retrievals())
+    @example(  # the gold target lies outside the pool, and the source's best is its first row
+        case=(build(np.eye(2)[:1], ["s0"]), build(np.eye(2), ["t0", "t1"]), gold_of(("s0", "x"), tgt=["t0", "t1", "x"]))
+    )
+    def test_p_at_1_equals_brute_force(self, case):
+        assert p_at_1(*case) == brute_force_p_at_1(*case)
+
+
 class TestBuccCandidates:
     def test_top1_per_source(self):
         V = np.eye(3)
@@ -293,6 +383,26 @@ class TestFilesAndReports:
         path.write_text("s1\tt1\ns2\tt2\n", encoding="utf-8")
         gold = read_gold_tsv(path)
         assert gold.pairs == {("s1", "t1"), ("s2", "t2")}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s1\tt1\ns2\tt2\ns1\tt1\n", r"gold\.tsv:3: gold pair \('s1', 't1'\) repeats line 1$"),
+            ("s1\tt1\n\ns1\tt2\n", r"gold\.tsv:3: source 's1' has a second target 't2'; line 1 gives 't1'$"),
+            ("s1\tt1\ns2\tt9\n", r"gold\.tsv: gold pair \('s2', 't9'\) outside its universe$"),
+        ],
+    )
+    def test_gold_tsv_read_over_the_pools_ids_names_a_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_gold_tsv(path, ["s1", "s2"], ["t1", "t2"])
+
+    def test_gold_tsv_over_the_pools_ids_takes_them_as_universes(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("s1\tt2\n", encoding="utf-8")
+        gold = read_gold_tsv(path, ["s1", "s2"], ["t1", "t2"])
+        assert (gold.pairs, gold.src_universe, gold.tgt_universe) == ({("s1", "t2")}, {"s1", "s2"}, {"t1", "t2"})
 
     def test_gold_tsv_bad_columns(self, tmp_path):
         path = tmp_path / "gold.tsv"

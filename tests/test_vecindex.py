@@ -31,7 +31,7 @@ from bitextmine.vecindex import (
     write_pool,
 )
 
-from conftest import unit_rows
+from conftest import search_hits, unit_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bitextmine"
 
@@ -129,7 +129,7 @@ def counting_respawns(monkeypatch):
 class TestExactSearch:
     def test_self_retrieval_on_orthonormal_rows(self):
         index = build(np.eye(3), ["a", "b", "c"])
-        assert search(index, np.eye(3)[1:2], k=1) == [[("b", 1.0)]]
+        assert search_hits(index, np.eye(3)[1:2], k=1) == [[("b", 1.0)]]
 
     def test_equals_brute_force_on_random_pools(self):
         rng = np.random.default_rng(0)
@@ -140,7 +140,7 @@ class TestExactSearch:
             index = build(V, ids)
             q = unit_rows(rng, 1, d)[0]
             k = int(rng.integers(1, m + 1))
-            assert search(index, q[None], k)[0] == brute_force_topk(V, ids, q, k)
+            assert search_hits(index, q[None], k)[0] == brute_force_topk(V, ids, q, k)
 
     def test_full_k_returns_everything_sorted(self):
         rng = np.random.default_rng(1)
@@ -148,7 +148,7 @@ class TestExactSearch:
         ids = [f"x{i}" for i in range(20)]
         index = build(V, ids)
         q = unit_rows(rng, 1, 6)[0]
-        got = search(index, q[None], k=20)[0]
+        got = search_hits(index, q[None], k=20)[0]
         assert len(got) == 20
         scores = [s for _, s in got]
         assert scores == sorted(scores, reverse=True)
@@ -156,14 +156,14 @@ class TestExactSearch:
     def test_tie_break_by_ascending_id(self):
         # orthogonal pool: every score is 0, so ids decide
         index = build(np.eye(4)[:3], ["c", "a", "b"])
-        got = search(index, np.eye(4)[3:], k=3)[0]
+        got = search_hits(index, np.eye(4)[3:], k=3)[0]
         assert [name for name, _ in got] == ["a", "b", "c"]
         assert all(s == pytest.approx(0.0) for _, s in got)
 
     def test_k_must_be_positive(self):
         index = build(np.eye(2), ["a", "b"])
         with pytest.raises(ValueError):
-            search(index, np.eye(2)[:1], k=0)
+            search_hits(index, np.eye(2)[:1], k=0)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestPartitioned:
         exact = build(V, ids)
         part = build(V, ids, IndexConfig(clusters=1, probes=1, seed=0))
         q = unit_rows(rng, 1, 8)[0]
-        assert search(part, q[None], k=5) == search(exact, q[None], k=5)
+        assert search_hits(part, q[None], k=5) == search_hits(exact, q[None], k=5)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -282,7 +282,7 @@ class TestPartitioned:
         ids = [f"v{i:03d}" for i in range(120)]
         index = build(V, ids, IndexConfig(clusters=8, probes=2, seed=0))
         q = unit_rows(rng, 1, 8)[0]
-        for name, score in search(index, q[None], k=5)[0]:
+        for name, score in search_hits(index, q[None], k=5)[0]:
             row = ids.index(name)
             assert score == pytest.approx(float(V[row] @ q), abs=1e-12)
 
@@ -340,13 +340,13 @@ class TestBlockSearch:
             V, ids = make_pool(rng, kind, m, d)
             Q = np.concatenate([unit_rows(rng, 20, d), V[rng.integers(0, m, size=10)]])
             k = int(rng.integers(1, 12))
-            got = search(build(V, ids), Q, k)
+            got = search_hits(build(V, ids), Q, k)
             assert got == [brute_force_topk(V, ids, q, k) for q in Q]
             clusters = int(rng.integers(2, 8))
             probes = int(rng.integers(1, clusters + 1))
             ivf = build(V, ids, IndexConfig(clusters=clusters, probes=probes, seed=3))
             for k in (k, m):  # m exceeds the candidates of any probe short of all clusters
-                got = search(ivf, Q, k)
+                got = search_hits(ivf, Q, k)
                 assert got == [brute_force_topk(V, ids, q, k, probed_rows(ivf, q, probes)) for q in Q]
 
     def test_block_longer_than_one_chunk(self):
@@ -357,7 +357,7 @@ class TestBlockSearch:
         for config in (None, IndexConfig(clusters=4, probes=2)):
             index = build(V, ids, config)
             rows = [None if config is None else probed_rows(index, q, 2) for q in Q]
-            got = search(index, Q, 3)
+            got = search_hits(index, Q, 3)
             assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, rows)]
 
     def test_results_do_not_depend_on_blocks_or_tiles(self, monkeypatch):
@@ -374,7 +374,7 @@ class TestBlockSearch:
                 for budget, tile in [(1, 1), (1, 7), (1 << 40, 64), (1 << 40, 1 << 40)]:
                     monkeypatch.setattr(vecindex, "_SCORE_BYTES", budget)
                     monkeypatch.setattr(vecindex, "_TILE_ROWS", tile)
-                    assert search(index, Q, k) == want, (k, budget, tile)
+                    assert search_hits(index, Q, k) == want, (k, budget, tile)
 
     def test_partitioned_search_scores_only_probed_rows(self, monkeypatch):
         rng = np.random.default_rng(25)
@@ -382,7 +382,7 @@ class TestBlockSearch:
         index = build(V, ids, IndexConfig(clusters=32, probes=4, seed=0))
         Q = unit_rows(rng, 300, 16)
         scored = counting_pool_pairs(monkeypatch, index)
-        got = search(index, Q, 3)
+        got = search_hits(index, Q, 3)
         probed = [probed_rows(index, q, 4) for q in Q]
         assert got == [brute_force_topk(V, ids, q, 3, r) for q, r in zip(Q, probed)]
         assert sum(scored) <= sum(len(r) for r in probed) < len(Q) * len(V) // 4
@@ -393,18 +393,18 @@ class TestBlockSearch:
         Q = unit_rows(rng, 40, 32)
         for config in (None, IndexConfig(clusters=6, probes=2)):
             index = build(V, ids, config)
-            block = search(index, Q, 5)
-            assert [search(index, q[None], 5)[0] for q in Q] == block
+            block = search_hits(index, Q, 5)
+            assert [search_hits(index, q[None], 5)[0] for q in Q] == block
 
     def test_empty_block_gives_no_results(self):
         index = build(np.eye(3), ["a", "b", "c"])
-        assert search(index, np.zeros((0, 3)), 2) == []
+        assert search_hits(index, np.zeros((0, 3)), 2) == []
 
     @pytest.mark.parametrize("queries", [np.eye(2), np.full((1, 3), np.nan)])
     def test_malformed_queries_rejected(self, queries):
         index = build(np.eye(3), ["a", "b", "c"])
         with pytest.raises(ValueError):
-            search(index, queries, 1)
+            search_hits(index, queries, 1)
 
     def test_partitioned_scores_and_ties_equal_exact_mode(self):
         # every row has three exact copies under ids that do not follow the
@@ -417,8 +417,8 @@ class TestBlockSearch:
         exact = build(V, ids)
         ivf = build(V, ids, IndexConfig(clusters=8, probes=3, seed=0))
         Q = np.concatenate([unit_rows(rng, 200, 64), base[:100]])
-        exact_scores = [dict(top) for top in search(exact, Q, len(V))]
-        for scores, top in zip(exact_scores, search(ivf, Q, 12)):
+        exact_scores = [dict(top) for top in search_hits(exact, Q, len(V))]
+        for scores, top in zip(exact_scores, search_hits(ivf, Q, 12)):
             assert [s for _, s in top] == [scores[name] for name, _ in top]
             assert top == sorted(top, key=lambda hit: (-hit[1], hit[0]))
 
@@ -442,9 +442,9 @@ class TestNearTies:
                 gaps = np.array([a[1] - b[1] for t in top for a, b in zip(t, t[1:])])
                 assert np.any((gaps > 0) & (gaps <= 4 * widen * np.spacing(scale)))  # near ties do occur
             for k in (1, 3, len(V)):
-                assert search(exact, Qs, k) == [t[:k] for t in top]
+                assert search_hits(exact, Qs, k) == [t[:k] for t in top]
                 rows = [probed_rows(ivf, q, 2) for q in Qs]
-                assert search(ivf, Qs, k) == [brute_force_topk(V, ids, q, k, r) for q, r in zip(Qs, rows)]
+                assert search_hits(ivf, Qs, k) == [brute_force_topk(V, ids, q, k, r) for q, r in zip(Qs, rows)]
 
     @pytest.mark.parametrize("ulps", ["float32"])
     @pytest.mark.parametrize("d", [7, 33, 65])
@@ -468,7 +468,7 @@ class TestNearTies:
         for config in (None, IndexConfig(clusters=4, probes=3, seed=2)):
             index = build(V, ids, config)
             rows = [None if config is None else probed_rows(index, q, 3) for q in Q]
-            got = search(index, Q, len(V))
+            got = search_hits(index, Q, len(V))
             assert got == [brute_force_topk(V, ids, q, len(V), r) for q, r in zip(Q, rows)]
 
 
@@ -504,7 +504,7 @@ class TestPersistence:
         loaded = load_index(tmp_path / "idx")
         assert loaded.mode == EXACT
         q = unit_rows(rng, 1, 4)[0]
-        assert search(loaded, q[None], k=3) == search(index, q[None], k=3)
+        assert search_hits(loaded, q[None], k=3) == search_hits(index, q[None], k=3)
 
     def test_index_roundtrip_partitioned(self, tmp_path):
         # a saved index loads as exactly the index that was built
@@ -519,7 +519,7 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.order, index.order)
             np.testing.assert_array_equal(loaded.list_starts, index.list_starts)
             Q = np.concatenate([unit_rows(rng, 30, d), V[:30]])
-            assert search(loaded, Q, k=4) == search(index, Q, k=4)
+            assert search_hits(loaded, Q, k=4) == search_hits(index, Q, k=4)
 
     def test_stale_assignment_file_is_ignored(self, tmp_path):
         # an older index directory also held each row's cluster label in
@@ -534,7 +534,7 @@ class TestPersistence:
         loaded = load_index(tmp_path)
         np.testing.assert_array_equal(loaded.order, index.order)
         np.testing.assert_array_equal(loaded.list_starts, index.list_starts)
-        assert [top[0][0] for top in search(loaded, V, k=1)] == ids
+        assert [top[0][0] for top in search_hits(loaded, V, k=1)] == ids
 
     @pytest.mark.parametrize("corrupt", ["missing-centroid", "nan-centroid", "non-unit-centroid"])
     def test_corrupt_partitioned_index_errors(self, tmp_path, corrupt):
@@ -559,9 +559,11 @@ class TestPersistence:
             ids[1] = ids[0]
         else:
             V = 2.0 * V
-        write_pool(tmp_path / "p.pool", V, ids)
-        with pytest.raises(ValueError, match="unique" if defect == "duplicate-ids" else "unit-norm"):
-            read_pool(tmp_path / "p.pool")
+        path = tmp_path / "p.pool"
+        write_pool(path, V, ids)
+        message = {"duplicate-ids": f"{path}.ids:2: id 'v0' repeats line 1", "non-unit": f"{path}: row 1 is not a finite unit vector"}
+        with pytest.raises(DataError, match=f"^{re.escape(message[defect])}$"):
+            read_pool(path)
 
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_ids_holding_other_line_separators_round_trip(self, tmp_path, sep):
@@ -650,7 +652,7 @@ class TestRoundTripProperties:
             assert back.centroids.tobytes() == index.centroids.tobytes()
             np.testing.assert_array_equal(back.order, index.order)
             np.testing.assert_array_equal(back.list_starts, index.list_starts)
-        assert search(back, rows, k=2) == search(index, rows, k=2)
+        assert search_hits(back, rows, k=2) == search_hits(index, rows, k=2)
 
     @settings(max_examples=60, deadline=None)
     @given(head=POOL_IDS, end=st.sampled_from(["\n", "\r", "\r\n"]), tail=POOL_IDS)
@@ -660,6 +662,41 @@ class TestRoundTripProperties:
             with pytest.raises(ValueError, match=f"^pool id {re.escape(repr(bad))} holds a line end$"):
                 write_pool(Path(tmp) / "p.pool", np.eye(2), ["x", bad])
             assert not any(path.exists() for path in pool_files(Path(tmp) / "p.pool"))
+
+
+def brute_force_arrays(vectors, ids, queries, k):
+    """The flat (rows, cols, scores) that ``search`` returns, by scanning:
+    each query's exact scores with every row, ranked by descending score
+    then ascending id, the first k kept, queries in order."""
+    rows, cols, scores = [], [], []
+    for r, query in enumerate(queries.astype(np.float64)):
+        exact = (vectors * query).sum(axis=1)
+        top = sorted(range(len(ids)), key=lambda c: (-exact[c], ids[c]))[:k]
+        rows += [r] * len(top)
+        cols += top
+        scores += [exact[c] for c in top]
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(scores)
+
+
+class TestSearchArraysProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(pool=unit_pools(max_rows=30), data=st.data())
+    def test_search_arrays_equal_brute_force(self, pool, data):
+        # the flat arrays of an exact index, and of a partitioned one that
+        # probes every cluster, are the brute-force top k, bit for bit
+        rows, ids = pool
+        m, d = rows.shape
+        picks = data.draw(st.lists(st.integers(0, m - 1), max_size=6))
+        scale = data.draw(st.sampled_from([1.0, 1e-3, 7.0]))
+        queries = np.concatenate([rows[picks], unit_rows(np.random.default_rng(m), 3, d)]) * scale
+        k = data.draw(st.integers(1, m + 2))
+        want = brute_force_arrays(rows, ids, queries, k)
+        clusters = data.draw(st.integers(1, m))
+        config = IndexConfig(clusters=clusters, probes=1, seed=data.draw(st.integers(0, 3)))
+        for index, probes in ((build(rows, ids), None), (build(rows, ids, config), clusters)):
+            got = search(index, queries, k, probes)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_index_arrays_of_float64_rows_are_float32():
@@ -692,6 +729,7 @@ def test_search_scale_experiment_runs_at_a_tiny_size():
     for row in rows:  # each search and the partitioned build, timed beside each other
         for column in ("exact", "partitioned", "partitioned build"):
             assert re.fullmatch(r"\d+\.\d ms", row[column]), (column, row[column])
+            assert re.fullmatch(r"\d+\.\d ms", row[f"{column} IQR"]), (column, row[f"{column} IQR"])
 
 
 def test_vector_index_is_constructed_only_by_build():
