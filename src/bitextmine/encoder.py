@@ -35,6 +35,7 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,10 +151,24 @@ def zeros_like_params(params: EncoderParams) -> EncoderParams:
     return EncoderParams.from_flat(params.config, np.zeros_like(params.flat))
 
 
-def _pack(batch: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+class PackedBatch(NamedTuple):
+    """A batch packed as ``_pack`` packs a list of sequences. The caller
+    vouches for it: int64 ``bounds`` rise strictly from 0 to ``ids.size``."""
+
+    ids: np.ndarray  # (N,) int64, sentence after sentence
+    bounds: np.ndarray  # (B + 1,) int64; sentence b is ids[bounds[b]:bounds[b + 1]]
+
+
+Batch = Sequence[Sequence[int]] | PackedBatch
+
+
+def _pack(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """The batch's ids, sentence after sentence, (N,), and its bounds,
-    (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]. An empty batch,
-    or an item that is not a non-empty sequence of ids, raises ValueError."""
+    (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]. A PackedBatch is
+    passed through as it is. An empty batch, or an item that is not a
+    non-empty sequence of ids, raises ValueError."""
+    if isinstance(batch, PackedBatch):
+        return batch
     try:
         lengths = [len(item) for item in batch]
         ids = np.fromiter(itertools.chain.from_iterable(batch), np.int64, count=sum(lengths))
@@ -287,10 +302,9 @@ def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
     return u / cache.norms[:, None]
 
 
-def forward_batch(
-    params: EncoderParams, batch: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, ForwardCache]:
-    """Unit-norm embeddings for a batch, plus the cache for backprop."""
+def forward_batch(params: EncoderParams, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
+    """Unit-norm embeddings for a batch (a list of sequences or a
+    PackedBatch), plus the cache for backprop."""
     cache = _forward_hiddens(params, *_pack(batch))
     return _embed(params, cache), cache
 
@@ -364,8 +378,6 @@ def backward_batch(
 MLM_FRACTION = 0.2
 MLM_CAP = 80
 
-_NEVER_MASK = (CLS_ID, SEP_ID)
-
 
 @dataclass
 class MaskedBatch:
@@ -379,7 +391,7 @@ class MaskedBatch:
 
 
 def plan_masks(
-    batch: Sequence[Sequence[int]],
+    batch: Batch,
     rng: np.random.Generator,
     fraction: float = MLM_FRACTION,
     cap: int = MLM_CAP,
@@ -387,28 +399,29 @@ def plan_masks(
     """Mask min(ceil(fraction * maskable), cap) positions per sequence.
 
     The n maskable positions with the smallest uniform draws are replaced
-    by the MASK id (no random/keep split). Special tokens are never
+    by the MASK id (no random/keep split). [CLS] and [SEP] are never
     masked. The draws come from one (B, longest) uniform matrix, whose
-    row b gives sequence b's positions their draws in order.
+    row b gives sequence b's positions their draws in order. The batch is
+    a list of sequences or a PackedBatch.
     """
     if fraction > 1.0:
         raise ValueError(f"mask fraction must be at most 1, got {fraction}")
     ids, bounds = _pack(batch)
-    lengths = np.diff(bounds)
-    seq = np.repeat(np.arange(lengths.size), lengths)  # sequence of each position
-    offset = np.arange(ids.size) - bounds[seq]  # position within its sequence
-    maskable = ~np.isin(ids, _NEVER_MASK)
+    lengths = bounds[1:] - bounds[:-1]
+    rows, width = lengths.size, lengths.max()
+    seq = np.repeat(np.arange(rows), lengths)  # sequence of each position
+    cell = np.arange(ids.size) + (seq * width - bounds[seq])  # its cell of the (B, longest) draws, row-major
+    maskable = (ids != CLS_ID) & (ids != SEP_ID)
     counts = np.add.reduceat(maskable, bounds[:-1], dtype=np.int64)
     n = np.minimum(np.ceil(fraction * counts), cap).astype(np.int64)
-    draws = rng.random((lengths.size, lengths.max()))
-    unmaskable = np.ones(draws.shape, dtype=bool)  # pad cells stay unmaskable
-    unmaskable[seq, offset] = ~maskable
-    draws[unmaskable] = np.inf
+    draws = np.full(rows * width, np.inf)  # pad and unmaskable cells are never chosen
+    maskable_cells = cell[maskable]
+    draws[maskable_cells] = rng.random((rows, width)).ravel()[maskable_cells]
     # each row's n smallest draws, found by a stable sort of that row alone
-    chosen = np.empty(draws.shape, dtype=bool)
-    first_n = np.arange(draws.shape[1]) < n[:, None]
-    np.put_along_axis(chosen, np.argsort(draws, axis=1, kind="stable"), first_n, axis=1)
-    positions = chosen[seq, offset]
+    order = np.argsort(draws.reshape(rows, width), axis=1, kind="stable")
+    chosen = np.empty((rows, width), dtype=bool)
+    chosen[np.arange(rows)[:, None], order] = np.arange(width) < n[:, None]
+    positions = chosen.ravel()[cell]
     input_ids = np.where(positions, MASK_ID, ids)
     return MaskedBatch(input_ids=input_ids, target_ids=ids, mask_positions=positions, bounds=bounds)
 

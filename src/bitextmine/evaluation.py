@@ -183,6 +183,7 @@ def arccos_similarity(u: np.ndarray, v: np.ndarray) -> float:
     dot = float(np.clip(np.dot(np.asarray(u, np.float64), np.asarray(v, np.float64)), -1.0, 1.0))
     return 1.0 - math.acos(dot) / math.pi
 
+
 def sts_pearson(
     embedding_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     gold_scores: Sequence[float],

@@ -17,6 +17,11 @@ checkpoints on the way; a stopped pretraining run starts over.
 Determinism: every step draws from a fresh generator seeded by (config
 seed, stream tag, step index), with the stage index before the step in
 pretraining, so a resumed run reproduces the unbroken run bit for bit.
+Before its first step, each run derives every step's corpus indices from
+these keys and tokenizes each drawn item once, in corpus order, into one
+``TokenStore``; an item that no step draws is never tokenized. Each step
+then draws its indices again and gathers its packed batch from the store,
+and a pretraining step's generator goes on to choose its masks.
 The learning rate decays linearly to zero over the configured step
 horizon. The optimizer state carries the TrainConfig it was made under,
 and a run that continues a state must use that same config.
@@ -42,8 +47,9 @@ version 1 nested a separately versioned parameter block.
 
 from __future__ import annotations
 
+import itertools
 import struct
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 from typing import TextIO
 
@@ -51,8 +57,8 @@ import numpy as np
 
 from .corpus import Sentence, SentencePair
 from .encoder import (
-    MLM_CAP, MLM_FRACTION, PARAM_DTYPE, EncoderConfig, EncoderParams, backward_batch, forward_batch,
-    mlm_loss_and_grad, param_count, plan_masks, stack_grow, tlm_sequence, zeros_like_params,
+    MLM_CAP, MLM_FRACTION, PARAM_DTYPE, EncoderConfig, EncoderParams, PackedBatch, backward_batch,
+    forward_batch, mlm_loss_and_grad, param_count, plan_masks, stack_grow, tlm_sequence, zeros_like_params,
 )
 from .errors import CheckpointError, NumericalError
 from .fileio import atomic_write_bytes
@@ -154,7 +160,8 @@ def optimizer_step(params: EncoderParams, grads: EncoderParams, state: Optimizer
     scratch += EPS
     np.divide(m, 1.0 - BETA1**t, out=update)  # m_hat
     update /= scratch
-    update += np.multiply(theta, config.weight_decay, out=scratch)
+    if config.weight_decay:  # theta * 0 could only turn an update of -0.0 into +0.0: the same theta
+        update += np.multiply(theta, config.weight_decay, out=scratch)
     update *= lr_at(config, t)
     if not np.isfinite(update).all():
         bad = int(np.flatnonzero(~np.isfinite(update))[0])
@@ -192,6 +199,42 @@ def _draw(key: list[int], population: int, batch_size: int) -> tuple[np.random.G
     """Step ``key[-1]``'s generator, seeded by ``key``, and its batch of corpus indices."""
     rng = np.random.default_rng(key)
     return rng, rng.integers(0, population, size=batch_size)
+
+
+@dataclass(frozen=True)
+class TokenStore:
+    """The token ids of the items that a run's steps draw, packed in item
+    order: item i is ids[starts[i]:starts[i] + lengths[i]], and an item
+    that no step draws has length 0."""
+
+    ids: np.ndarray  # (N,) int64
+    starts: np.ndarray  # (items,) int64
+    lengths: np.ndarray  # (items,) int64
+
+    @classmethod
+    def of_drawn(
+        cls, items: int, draws: Iterable[np.ndarray], sequence: Callable[[int], Sequence[int]]
+    ) -> "TokenStore":
+        """Mark every item in ``draws``, then call ``sequence(i)`` once for
+        each marked item i, in item order."""
+        drawn = np.zeros(items, dtype=bool)
+        for idx in draws:
+            drawn[idx] = True
+        marked = np.flatnonzero(drawn).tolist()
+        seqs = [sequence(i) for i in marked]
+        lengths = np.zeros(items, dtype=np.int64)
+        lengths[marked] = [len(seq) for seq in seqs]
+        ids = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, count=int(lengths.sum()))
+        return cls(ids, np.cumsum(lengths) - lengths, lengths)
+
+    def gather(self, items: np.ndarray) -> PackedBatch:
+        """The batch of ``items``, in that order, packed as ``encoder._pack`` packs one."""
+        lengths = self.lengths[items]
+        bounds = np.zeros(items.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        offsets = np.repeat(self.starts[items] - bounds[:-1], lengths)
+        offsets += np.arange(bounds[-1])
+        return PackedBatch(self.ids[offsets], bounds)
 
 
 def _run_steps(
@@ -259,13 +302,22 @@ def finetune_dual_encoder(
     params = params.copy()
     stop = config.steps if stop_step is None else min(stop_step, config.steps)
     loss_cfg = config.loss_config()
-    max_len = params.config.max_seq_len
-    src_seqs = [tokenize_sentence(p.src, vocab, max_len) for p in pair_corpus]
-    tgt_seqs = [tokenize_sentence(p.tgt, vocab, max_len) for p in pair_corpus]
+    max_len, n = params.config.max_seq_len, len(pair_corpus)
+
+    def draw(t: int) -> np.ndarray:
+        """Step t's store items: its B sources, then their B targets."""
+        _, idx = _draw([config.seed, _STREAM_FINETUNE, t], n, config.batch_size)
+        return np.concatenate((idx, idx + n))
+
+    def side(i: int) -> Sentence:
+        return pair_corpus[i].src if i < n else pair_corpus[i - n].tgt
+
+    store = TokenStore.of_drawn(
+        2 * n, map(draw, range(state.step_count, stop)), lambda i: tokenize_sentence(side(i), vocab, max_len)
+    )
 
     def ranking_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
-        _, idx = _draw([config.seed, _STREAM_FINETUNE, t], len(pair_corpus), config.batch_size)
-        v, cache = forward_batch(params, [src_seqs[i] for i in idx] + [tgt_seqs[i] for i in idx])
+        v, cache = forward_batch(params, store.gather(draw(t)))
         vx, vy = v[: config.batch_size], v[config.batch_size :]
         loss_value, dvx, dvy = sharded_bidirectional_loss(shard_batch(vx, vy, config.shards), loss_cfg)
         backward_batch(params, cache, np.concatenate((dvx, dvy)), grads)
@@ -353,10 +405,23 @@ def pretrain(
     if tlm_share and not pair_corpus:
         raise ValueError("TLM batches requested but the pair corpus is empty")
 
-    max_len = params.config.max_seq_len
-    mono_seqs = [tokenize_sentence(s, vocab, max_len) for s in corpus]
-    tlm_seqs = [tlm_sequence(p, vocab, max_len) for p in pair_corpus]
-    cycle = mlm_share + tlm_share
+    max_len, m, cycle = params.config.max_seq_len, len(corpus), mlm_share + tlm_share
+
+    def draw(stage_idx: int, t: int) -> tuple[np.random.Generator, np.ndarray, bool]:
+        """Step t's generator, its store items (the monolingual sentences,
+        then the pairs' TLM layouts) and whether it is an MLM step."""
+        use_mlm = (t % cycle) < mlm_share
+        stream, population, first = (_STREAM_MLM, m, 0) if use_mlm else (_STREAM_TLM, len(pair_corpus), m)
+        rng, idx = _draw([config.seed, stream, stage_idx, t], population, config.batch_size)
+        return rng, idx + first, use_mlm
+
+    def sequence(i: int) -> tuple[int, ...]:
+        if i < m:
+            return tokenize_sentence(corpus[i], vocab, max_len)
+        return tlm_sequence(pair_corpus[i - m], vocab, max_len)
+
+    drawn = (draw(k, t)[1] for k, stage in enumerate(config.stages) for t in range(stage.steps))
+    store = TokenStore.of_drawn(m + len(pair_corpus), drawn, sequence)
     pairs_seen = steps_done = 0
     params = params.copy()
     for stage_idx, stage in enumerate(config.stages):
@@ -364,10 +429,8 @@ def pretrain(
             params = stack_grow(params, stage.num_layers)
 
         def masked_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
-            use_mlm = (t % cycle) < mlm_share
-            stream, seqs = (_STREAM_MLM, mono_seqs) if use_mlm else (_STREAM_TLM, tlm_seqs)
-            rng, idx = _draw([config.seed, stream, stage_idx, t], len(seqs), config.batch_size)
-            batch = plan_masks([seqs[i] for i in idx], rng, config.mask_fraction, config.mask_cap)
+            rng, items, use_mlm = draw(stage_idx, t)
+            batch = plan_masks(store.gather(items), rng, config.mask_fraction, config.mask_cap)
             loss_value, _ = mlm_loss_and_grad(params, batch, grads)
             return loss_value, 0 if use_mlm else config.batch_size
 

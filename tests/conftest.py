@@ -50,6 +50,22 @@ def search_hits(index, queries, k, probes=None):
     return hits
 
 
+def unpacked(batch) -> list[tuple[int, ...]]:
+    """A PackedBatch as the list of id tuples it packs; checks its dtypes
+    and that its bounds rise strictly from 0 to the id count."""
+    ids, bounds = batch
+    assert ids.dtype == bounds.dtype == np.int64
+    assert bounds[0] == 0 and bounds[-1] == ids.size and np.all(np.diff(bounds) > 0)
+    return [tuple(ids[a:b].tolist()) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def assert_same_masked_batch(got, want):
+    """Each array of two MaskedBatches has the same dtype and values."""
+    for field in ("input_ids", "target_ids", "mask_positions", "bounds"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
 def float64_params(params: EncoderParams) -> EncoderParams:
     """A float64 copy of ``params``. Every kernel follows the dtype of
     ``params.flat``, so tests whose tolerances need exact float64

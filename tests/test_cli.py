@@ -888,6 +888,30 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
     assert not manifest_path(out).exists()
 
 
+def test_pretrain_tokenizes_no_tlm_layout_that_its_mix_never_draws(work, tmp_path):
+    # --max-seq-len 4 cannot hold a pair's [CLS] src [SEP] tgt [SEP], but --mix 1:0 draws no TLM batch
+    argv = [
+        "pretrain", "--mono", work / "src.txt", "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt",
+        "--mix", "1:0", "--max-seq-len", 4, "--stage-steps", "2,2", "--batch-size", 8, "--hidden-dim", 8,
+    ]
+    assert run(*argv, "--out", tmp_path / "p.ckpt") == 0
+    assert len((tmp_path / "p.ckpt.log").read_text(encoding="utf-8").splitlines()) == 4
+
+
+@pytest.mark.parametrize("mix, steps", [("1:1", "2,2"), ("3:1", "4,4")])
+def test_pretrain_refuses_a_tlm_layout_that_max_seq_len_cannot_hold_before_its_first_step(
+    work, tmp_path, capsys, mix, steps
+):
+    argv = [
+        "pretrain", "--mono", work / "src.txt", "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt",
+        "--mix", mix, "--max-seq-len", 4, "--stage-steps", steps, "--batch-size", 8, "--hidden-dim", 8,
+    ]
+    assert run(*argv, "--out", tmp_path / "p.ckpt") == 2
+    assert "max_len 4 cannot hold [CLS] and, per non-empty side, a token and [SEP]" in capsys.readouterr().err
+    assert (tmp_path / "p.ckpt.log").read_text(encoding="utf-8") == ""
+    assert not (tmp_path / "p.ckpt").exists()
+
+
 def eval_data_error_case(d, t, case):
     """``(argv, message)``: an ``eval-bucc`` or ``eval-p1`` run whose gold or
     candidate file holds a bad entry or no entry, and the error that names

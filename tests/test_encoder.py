@@ -10,6 +10,7 @@ from bitextmine.corpus import Sentence, SentencePair
 from bitextmine.encoder import (
     _ENCODE_CHUNK,
     EncoderConfig,
+    PackedBatch,
     _layout,
     backward_batch,
     encode,
@@ -26,7 +27,7 @@ from bitextmine.errors import CheckpointError
 from bitextmine.trainer import _tensor_at, checkpoint_to_bytes, load_checkpoint, save_checkpoint
 from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab, content_ids
 
-from conftest import float64_params
+from conftest import assert_same_masked_batch, float64_params
 
 
 def small_params(vocab_size=24, d=6, layers=2, max_len=12, seed=0):
@@ -325,6 +326,29 @@ class TestMasking:
     def test_fraction_above_one_refused(self):
         with pytest.raises(ValueError):
             plan_masks([[CLS_ID, 6, 7, SEP_ID]], np.random.default_rng(0), fraction=1.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.lists(
+            st.lists(st.sampled_from([CLS_ID, SEP_ID, *range(5, 24)]), min_size=1, max_size=12),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_a_packed_batch_gives_what_its_list_gives(self, batch, seed):
+        lengths = [len(seq) for seq in batch]
+        packed = PackedBatch(
+            np.array([i for seq in batch for i in seq], dtype=np.int64), np.cumsum([0] + lengths, dtype=np.int64)
+        )
+        got = plan_masks(packed, np.random.default_rng(seed), fraction=0.5, cap=3)
+        want = plan_masks(batch, np.random.default_rng(seed), fraction=0.5, cap=3)
+        assert_same_masked_batch(got, want)
+        p = small_params(max_len=12)
+        (v_packed, cache_packed), (v_list, cache_list) = forward_batch(p, packed), forward_batch(p, batch)
+        assert v_packed.tobytes() == v_list.tobytes()
+        assert cache_packed.hiddens.tobytes() == cache_list.hiddens.tobytes()
+        np.testing.assert_array_equal(cache_packed.bounds, cache_list.bounds)
 
 
 class TestMlmLoss:

@@ -2,16 +2,22 @@ import ast
 import io
 import math
 import struct
+from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bitextmine import trainer as trainer_module
-from bitextmine.encoder import EncoderConfig, EncoderParams, encode, init_params, param_count
+from bitextmine.corpus import Sentence, SentencePair
+from bitextmine.encoder import (
+    EncoderConfig, EncoderParams, _pack, encode, forward_batch, init_params, param_count, plan_masks, tlm_sequence,
+)
 from bitextmine.errors import CheckpointError, NumericalError
 from bitextmine.loss import LossConfig
 from bitextmine.mining import MiningConfig
@@ -32,9 +38,9 @@ from bitextmine.trainer import (
     pretrain,
     save_checkpoint,
 )
-from bitextmine.vocab import CLS_ID, SEP_ID, check_build_options, tokenize_sentence
+from bitextmine.vocab import SPECIAL_TOKENS, Vocab, check_build_options, tokenize_sentence
 
-from conftest import float64_params, version_2_bytes
+from conftest import assert_same_masked_batch, float64_params, unpacked, version_2_bytes
 
 
 def small_setup(layers=2, d=8, seed=0, vocab_size=40):
@@ -102,6 +108,28 @@ class TestOptimizerStep:
                     assert np.array_equal(arr, ref[name]), (t, name)
         if start:
             assert 1.0 - BETA1**t == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_without_decay_matches_the_full_formula_bit_for_bit(self, data):
+        """With weight_decay 0 the step skips theta * 0, which could only
+        turn an update of -0.0 into +0.0 and leave theta - update as it is."""
+        p = small_setup(d=2, layers=1, vocab_size=6)
+        signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0, width=32))
+        vector = lambda elements: data.draw(arrays(np.float32, p.flat.size, elements=elements))
+        p.flat[:] = vector(signed)
+        cfg = TrainConfig(batch_size=4, steps=10, learning_rate=0.1, weight_decay=0.0)
+        state = init_optimizer_state(p, cfg)
+        state.first_moment[:] = vector(signed)
+        state.second_moment[:] = vector(st.one_of(st.just(0.0), st.floats(0.0, 2.0, width=32)))
+        theta, first, second = named(p), named(p, state.first_moment), named(p, state.second_moment)
+        for t in range(1, 4):
+            g = grads_like(p)
+            g.flat[:] = vector(signed)
+            theta, first, second = reference_step(theta, named(g), first, second, t, cfg)
+            optimizer_step(p, g, state)
+            for name, arr in p.named_arrays():
+                assert arr.tobytes() == theta[name].tobytes(), (t, name)
 
     def test_nan_gradient_names_its_tensor_and_leaves_params(self):
         p = small_setup()
@@ -279,7 +307,7 @@ class TestPackedRankingStep:
     ):
         calls = self.record_steps(monkeypatch, toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=3)
         assert [c[0] for c in calls] == ["forward", "backward"] * 3
-        assert all(len(c[2]) == 16 for c in calls[::2])
+        assert all(len(unpacked(c[2])) == 16 for c in calls[::2])
 
     def test_packed_step_matches_per_side_calls(self, monkeypatch, toy_small, toy_vocab, toy_encoder_config):
         from bitextmine.encoder import backward_batch, forward_batch
@@ -290,7 +318,7 @@ class TestPackedRankingStep:
         )
         _, idx = trainer_module._draw([5, trainer_module._STREAM_FINETUNE, 0], len(toy_small.train_pairs), 8)
         pairs = [toy_small.train_pairs[i] for i in idx]
-        src, tgt = batch[:8], batch[8:]
+        src, tgt = unpacked(batch)[:8], unpacked(batch)[8:]
         assert src == [tokenize_sentence(p.src, toy_vocab, 16) for p in pairs]
         assert tgt == [tokenize_sentence(p.tgt, toy_vocab, 16) for p in pairs]
         vx, cache_x = forward_batch(step_params, src)
@@ -398,6 +426,141 @@ class TestPretrain:
             trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
             runs.append(checkpoint_to_bytes(trained, None))
         assert runs[0] == runs[1]
+
+
+# A tiny vocabulary and corpora of its letters; "d" is not in it, so a word
+# holding a "d" is one [UNK].
+STORE_VOCAB = Vocab(list(SPECIAL_TOKENS) + ["a", "b", "c", "##a", "##b", "##c", "ab", "##bc", "ca"])
+_texts = st.lists(st.text("abcd", min_size=1, max_size=4), min_size=1, max_size=6).map(" ".join)
+_mono = st.lists(_texts, min_size=1, max_size=8).map(
+    lambda texts: [Sentence(str(i), "aa", text) for i, text in enumerate(texts)]
+)
+_pairs = st.lists(st.tuples(_texts, _texts), min_size=1, max_size=8).map(
+    lambda sides: [
+        SentencePair(Sentence(f"{i}s", "aa", s), Sentence(f"{i}t", "bb", t)) for i, (s, t) in enumerate(sides)
+    ]
+)
+
+
+class TestTokenStore:
+    """Both training loops tokenize each drawn item once, into a packed
+    store, and gather every step's batch from it; the batches are the ones
+    that tokenizing every item and packing per-step lists gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mono=_mono, pairs=_pairs, mix=st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 3)]),
+        stages=st.sampled_from([((1, 3),), ((1, 2), (2, 3)), ((2, 1), (2, 4))]),
+        batch_size=st.integers(1, 5), max_len=st.integers(3, 12), seed=st.integers(0, 2**32),
+        fraction=st.sampled_from([0.2, 0.5, 1.0]), cap=st.integers(1, 4),
+    )
+    def test_pretraining_batches_equal_the_list_path(
+        self, mono, pairs, mix, stages, batch_size, max_len, seed, fraction, cap
+    ):
+        config = PretrainConfig(
+            tuple(Stage(*stage) for stage in stages), batch_size=batch_size, seed=seed, mix=mix,
+            mask_fraction=fraction, mask_cap=cap,
+        )
+        # the list path: every item tokenized on first use, per-step lists packed by plan_masks
+        seqs = {trainer_module._STREAM_MLM: lambda: [tokenize_sentence(s, STORE_VOCAB, max_len) for s in mono],
+                trainer_module._STREAM_TLM: lambda: [tlm_sequence(p, STORE_VOCAB, max_len) for p in pairs]}
+        expected, refused = [], None
+        try:
+            for k, (_, steps) in enumerate(stages):
+                for t in range(steps):
+                    stream = trainer_module._STREAM_MLM if t % sum(mix) < mix[0] else trainer_module._STREAM_TLM
+                    items = seqs[stream]()
+                    rng, idx = trainer_module._draw([seed, stream, k, t], len(items), batch_size)
+                    expected.append(plan_masks([items[i] for i in idx], rng, fraction, cap))
+        except ValueError as exc:  # a TLM layout that max_len cannot hold
+            refused = str(exc)
+        seen = []
+
+        def recording_loss(params, batch, grads):
+            seen.append(batch)
+            return 1.0, grads
+
+        params = init_params(EncoderConfig(len(STORE_VOCAB), 4, stages[0][0], max_len), 0)
+        with mock.patch.object(trainer_module, "mlm_loss_and_grad", recording_loss):
+            if refused is None:
+                pretrain(params, mono, pairs, config, STORE_VOCAB)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    pretrain(params, mono, pairs, config, STORE_VOCAB)
+                assert str(caught.value) == refused
+        assert len(seen) == (len(expected) if refused is None else 0)
+        for got, want in zip(seen, expected):
+            assert_same_masked_batch(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pairs=_pairs, batch_size=st.integers(1, 4), steps=st.integers(1, 4), split=st.integers(0, 4),
+        max_len=st.integers(3, 12), seed=st.integers(0, 2**32),
+    )
+    def test_ranking_batches_equal_the_list_path(self, pairs, batch_size, steps, split, max_len, seed):
+        config = TrainConfig(batch_size=batch_size, steps=steps, seed=seed)
+        seen = []
+
+        def recording_forward(params, batch):
+            seen.append(batch)
+            return forward_batch(params, batch)
+
+        params = init_params(EncoderConfig(len(STORE_VOCAB), 4, 1, max_len), 0)
+        with mock.patch.object(trainer_module, "forward_batch", recording_forward):
+            params, state = finetune_dual_encoder(params, pairs, config, STORE_VOCAB, stop_step=split)
+            finetune_dual_encoder(params, pairs, config, STORE_VOCAB, state=state)  # resumed to the end
+        src = [tokenize_sentence(p.src, STORE_VOCAB, max_len) for p in pairs]
+        tgt = [tokenize_sentence(p.tgt, STORE_VOCAB, max_len) for p in pairs]
+        assert len(seen) == steps
+        for t, got in enumerate(seen):
+            _, idx = trainer_module._draw([seed, trainer_module._STREAM_FINETUNE, t], len(pairs), batch_size)
+            for a, b in zip(got, _pack([src[i] for i in idx] + [tgt[i] for i in idx])):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def spy(self, monkeypatch, name):
+        """Count the calls of trainer's ``name`` by the id of their first argument."""
+        calls, real = Counter(), getattr(trainer_module, name)
+
+        def counted(item, *args):
+            calls[id(item)] += 1
+            return real(item, *args)
+
+        monkeypatch.setattr(trainer_module, name, counted)
+        return calls
+
+    def drawn(self, key, population, batch_size, steps):
+        """The distinct items that the steps of ``steps`` draw."""
+        return {i for t in steps for i in trainer_module._draw([*key, t], population, batch_size)[1].tolist()}
+
+    def test_pretraining_tokenizes_each_drawn_item_once_and_no_other(
+        self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
+    ):
+        sentences, tokenized = self.spy(monkeypatch, "tokenize_sentence"), self.spy(monkeypatch, "tlm_sequence")
+        mono, pairs = toy_small.mono_sentences, toy_small.train_pairs
+        cfg = PretrainConfig((Stage(2, 4), Stage(4, 2)), batch_size=4, seed=3, mix=(1, 1))
+        pretrain(init_params(toy_encoder_config, 2), mono, pairs, cfg, toy_vocab)
+        mlm, tlm = set(), set()
+        for k, stage in enumerate(cfg.stages):  # even steps draw MLM batches, odd ones TLM batches
+            mlm |= self.drawn([3, trainer_module._STREAM_MLM, k], len(mono), 4, range(0, stage.steps, 2))
+            tlm |= self.drawn([3, trainer_module._STREAM_TLM, k], len(pairs), 4, range(1, stage.steps, 2))
+        assert 0 < len(mlm) < len(mono) and 0 < len(tlm) < len(pairs)
+        assert sentences == Counter(id(mono[i]) for i in mlm)
+        assert tokenized == Counter(id(pairs[i]) for i in tlm)
+
+    def test_fine_tuning_tokenizes_each_drawn_side_once_and_no_other(
+        self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
+    ):
+        calls, pairs = self.spy(monkeypatch, "tokenize_sentence"), toy_small.train_pairs
+        cfg = TrainConfig(batch_size=4, steps=5, seed=8)
+        params, state = finetune_dual_encoder(init_params(toy_encoder_config, 2), pairs, cfg, toy_vocab, stop_step=2)
+        key = [8, trainer_module._STREAM_FINETUNE]
+        first = self.drawn(key, len(pairs), 4, range(2))
+        assert calls == Counter(id(side) for i in first for side in (pairs[i].src, pairs[i].tgt))
+        calls.clear()
+        finetune_dual_encoder(params, pairs, cfg, toy_vocab, state=state)  # steps 3 to 5 only
+        rest = self.drawn(key, len(pairs), 4, range(2, 5))
+        assert 0 < len(rest) < len(pairs)
+        assert calls == Counter(id(side) for i in rest for side in (pairs[i].src, pairs[i].tgt))
 
 
 def test_one_step_loop_for_both_objectives():
