@@ -348,7 +348,10 @@ def _scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     dtype: sort the rows by id, then sum each id's run with one reduceat."""
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    run_start = np.empty(sorted_ids.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
     target[sorted_ids[starts]] += np.add.reduceat(rows.take(order, axis=0), starts, axis=0)
 
 

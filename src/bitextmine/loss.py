@@ -63,9 +63,16 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[np.n
 def _rank_rows(sim: np.ndarray, config: LossConfig) -> tuple[np.ndarray, np.ndarray]:
     """The kernel over an (n, c >= n) similarity block whose positive for
     row i is column i, with the margin and scale applied. The derivative
-    with respect to ``sim`` is ``config.scale`` times the returned one."""
-    z = config.scale * (sim - config.margin * np.eye(*sim.shape, dtype=sim.dtype))
-    return softmax_cross_entropy(z, np.arange(sim.shape[0]))
+    with respect to ``sim`` is ``config.scale`` times the returned one.
+
+    The logits are a C-ordered copy of ``sim`` (also of a transposed view)
+    with the margin taken from its diagonal, then scaled in place: bit for
+    bit ``scale * (sim - margin * eye)``, as ``x - 0.0`` is ``x``."""
+    n, c = sim.shape
+    z = np.array(sim, order="C")
+    z.reshape(-1)[:: c + 1] -= config.margin  # z[i, i] for each of the n rows, as c >= n
+    z *= config.scale
+    return softmax_cross_entropy(z, np.arange(n))
 
 
 def loss_and_grad_wrt_embeddings(

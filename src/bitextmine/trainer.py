@@ -17,11 +17,15 @@ checkpoints on the way; a stopped pretraining run starts over.
 Determinism: every step draws from a fresh generator seeded by (config
 seed, stream tag, step index), with the stage index before the step in
 pretraining, so a resumed run reproduces the unbroken run bit for bit.
-Before its first step, each run derives every step's corpus indices from
-these keys and tokenizes each drawn item once, in corpus order, into one
-``TokenStore``; an item that no step draws is never tokenized. Each step
-then draws its indices again and gathers its packed batch from the store,
-and a pretraining step's generator goes on to choose its masks.
+Before its first step, each run builds the generator of every step it
+will run, once, draws that step's corpus indices from it and tokenizes
+each drawn item once, in corpus order, into one ``TokenStore``; an item
+that no step draws is never tokenized. Of each generator it keeps only
+what the step needs: the indices, and in pretraining the four integers
+of the PCG64 state that the indices left. A step gathers its packed
+batch from the store, and a pretraining step restores that state into
+one generator that the run reuses, which goes on to choose its masks as
+the step's own generator would. Each step drops its record.
 The learning rate decays linearly to zero over the configured step
 horizon. The optimizer state carries the TrainConfig it was made under,
 and a run that continues a state must use that same config.
@@ -201,6 +205,21 @@ def _draw(key: list[int], population: int, batch_size: int) -> tuple[np.random.G
     return rng, rng.integers(0, population, size=batch_size)
 
 
+def _stream_state(rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """The four integers of a PCG64 generator's state, from which
+    ``_resume_stream`` lets another generator continue its stream."""
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+
+
+def _resume_stream(rng: np.random.Generator, stream: tuple[int, int, int, int]) -> None:
+    """Set ``rng``, a PCG64 generator, to continue the stream that ``_stream_state`` read."""
+    state, inc, has_uint32, uinteger = stream
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": has_uint32, "uinteger": uinteger,
+    }
+
+
 @dataclass(frozen=True)
 class TokenStore:
     """The token ids of the items that a run's steps draw, packed in item
@@ -312,12 +331,11 @@ def finetune_dual_encoder(
     def side(i: int) -> Sentence:
         return pair_corpus[i].src if i < n else pair_corpus[i - n].tgt
 
-    store = TokenStore.of_drawn(
-        2 * n, map(draw, range(state.step_count, stop)), lambda i: tokenize_sentence(side(i), vocab, max_len)
-    )
+    items = {t: draw(t) for t in range(state.step_count, stop)}  # the steps still to run
+    store = TokenStore.of_drawn(2 * n, items.values(), lambda i: tokenize_sentence(side(i), vocab, max_len))
 
     def ranking_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
-        v, cache = forward_batch(params, store.gather(draw(t)))
+        v, cache = forward_batch(params, store.gather(items.pop(t)))
         vx, vy = v[: config.batch_size], v[config.batch_size :]
         loss_value, dvx, dvy = sharded_bidirectional_loss(shard_batch(vx, vy, config.shards), loss_cfg)
         backward_batch(params, cache, np.concatenate((dvx, dvy)), grads)
@@ -407,21 +425,24 @@ def pretrain(
 
     max_len, m, cycle = params.config.max_seq_len, len(corpus), mlm_share + tlm_share
 
-    def draw(stage_idx: int, t: int) -> tuple[np.random.Generator, np.ndarray, bool]:
-        """Step t's generator, its store items (the monolingual sentences,
-        then the pairs' TLM layouts) and whether it is an MLM step."""
-        use_mlm = (t % cycle) < mlm_share
-        stream, population, first = (_STREAM_MLM, m, 0) if use_mlm else (_STREAM_TLM, len(pair_corpus), m)
+    def is_mlm(t: int) -> bool:
+        return (t % cycle) < mlm_share
+
+    def draw(stage_idx: int, t: int) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+        """Step t's store items (the monolingual sentences, then the pairs'
+        TLM layouts) and the state its generator goes on from to mask them."""
+        stream, population, first = (_STREAM_MLM, m, 0) if is_mlm(t) else (_STREAM_TLM, len(pair_corpus), m)
         rng, idx = _draw([config.seed, stream, stage_idx, t], population, config.batch_size)
-        return rng, idx + first, use_mlm
+        return idx + first, _stream_state(rng)
 
     def sequence(i: int) -> tuple[int, ...]:
         if i < m:
             return tokenize_sentence(corpus[i], vocab, max_len)
         return tlm_sequence(pair_corpus[i - m], vocab, max_len)
 
-    drawn = (draw(k, t)[1] for k, stage in enumerate(config.stages) for t in range(stage.steps))
-    store = TokenStore.of_drawn(m + len(pair_corpus), drawn, sequence)
+    plans = {(k, t): draw(k, t) for k, stage in enumerate(config.stages) for t in range(stage.steps)}
+    store = TokenStore.of_drawn(m + len(pair_corpus), (items for items, _ in plans.values()), sequence)
+    rng = np.random.Generator(np.random.PCG64())  # every step's generator, resumed from its plan
     pairs_seen = steps_done = 0
     params = params.copy()
     for stage_idx, stage in enumerate(config.stages):
@@ -429,10 +450,11 @@ def pretrain(
             params = stack_grow(params, stage.num_layers)
 
         def masked_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
-            rng, items, use_mlm = draw(stage_idx, t)
+            items, stream = plans.pop((stage_idx, t))
+            _resume_stream(rng, stream)
             batch = plan_masks(store.gather(items), rng, config.mask_fraction, config.mask_cap)
             loss_value, _ = mlm_loss_and_grad(params, batch, grads)
-            return loss_value, 0 if use_mlm else config.batch_size
+            return loss_value, 0 if is_mlm(t) else config.batch_size
 
         state = init_optimizer_state(params, config.stage_config(stage))
         pairs_seen = _run_steps(

@@ -2,11 +2,17 @@ import ast
 import math
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from bitextmine import loss as loss_module
 from bitextmine.errors import NumericalError
-from bitextmine.loss import LossConfig, loss_and_grad_wrt_embeddings, softmax_cross_entropy
+from bitextmine.loss import LossConfig, _rank_rows, loss_and_grad_wrt_embeddings, softmax_cross_entropy
 
 from conftest import unit_rows
 
@@ -154,6 +160,44 @@ class TestSoftmaxCrossEntropy:
             for j in range(c):
                 expected = math.exp(logits[i, j] - lse) - (1.0 if j == targets[i] else 0.0)
                 assert grad[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def bits(a):
+    """The dtype, shape and bytes of ``a`` in C order: equal only when every entry is, sign of zero included."""
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@st.composite
+def similarity_blocks(draw):
+    """An (n, c >= n) float32 or float64 block of cosines holding +-0.0
+    among its entries: C-ordered, or the transposed view of a (c, n) one."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 6))
+    c = n + draw(st.sampled_from([0, 0, 1, 3]))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, width=np.dtype(dtype).itemsize * 8))
+    if draw(st.booleans()):
+        return draw(arrays(dtype, (c, n), elements=entries)).T
+    return draw(arrays(dtype, (n, c), elements=entries))
+
+
+class TestRankRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sim=similarity_blocks(),
+        margin=st.floats(0.0, 1.0, exclude_max=True),
+        scale=st.floats(0.0, 100.0, exclude_min=True),
+    )
+    def test_matches_the_eye_formula_bit_for_bit(self, sim, margin, scale):
+        """The logits and their loss terms and gradients are bitwise those
+        of ``scale * (sim - margin * eye)``, the formula they replaced."""
+        n, c = sim.shape
+        reference = scale * (sim - margin * np.eye(n, c, dtype=sim.dtype))
+        want_terms, want_grad = softmax_cross_entropy(reference, np.arange(n))
+        with mock.patch.object(loss_module, "softmax_cross_entropy", wraps=softmax_cross_entropy) as kernel:
+            terms, grad = _rank_rows(sim, LossConfig(margin=margin, scale=scale))
+        logits = kernel.call_args.args[0]
+        assert bits(logits) == bits(reference) and logits.flags.c_contiguous
+        assert bits(terms) == bits(want_terms) and bits(grad) == bits(want_grad)
 
 
 class TestBidirectional:

@@ -563,6 +563,61 @@ class TestTokenStore:
         assert calls == Counter(id(side) for i in rest for side in (pairs[i].src, pairs[i].tgt))
 
 
+class TestOneGeneratorPerStep:
+    """Each step's generator is built once, in the index pass: the step
+    gathers the indices drawn there and, in pretraining, continues the
+    generator's stream from its recorded state."""
+
+    @staticmethod
+    def counted_keys(monkeypatch):
+        """The seed key of each ``np.random.default_rng`` call, in call order."""
+        keys, real = [], np.random.default_rng
+
+        def counted(seed=None):
+            keys.append(tuple(seed))
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        return keys
+
+    @settings(max_examples=15, deadline=None)
+    @given(steps=st.integers(1, 6), split=st.integers(0, 6), seed=st.integers(0, 2**32))
+    def test_fine_tuning_builds_one_generator_per_step_it_runs(self, steps, split, seed):
+        pairs, config = _ONE_PER_STEP_PAIRS, TrainConfig(batch_size=3, steps=steps, seed=seed)
+        params = init_params(EncoderConfig(len(STORE_VOCAB), 4, 1, 8), 0)
+        key = (seed, trainer_module._STREAM_FINETUNE)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            keys = self.counted_keys(monkeypatch)
+            fresh, _ = finetune_dual_encoder(params, pairs, config, STORE_VOCAB)
+            assert keys == [(*key, t) for t in range(steps)]
+            keys.clear()
+            part, state = finetune_dual_encoder(params, pairs, config, STORE_VOCAB, stop_step=split)
+            assert keys == [(*key, t) for t in range(min(split, steps))]
+            keys.clear()
+            resumed, _ = finetune_dual_encoder(part, pairs, config, STORE_VOCAB, state=state)
+            assert keys == [(*key, t) for t in range(min(split, steps), steps)]
+        assert checkpoint_to_bytes(resumed, None) == checkpoint_to_bytes(fresh, None)
+
+    @pytest.mark.parametrize("mix", [(1, 1), (2, 1)])
+    def test_two_stage_pretraining_builds_one_generator_per_step(self, monkeypatch, mix):
+        config = PretrainConfig((Stage(1, 4), Stage(2, 5)), batch_size=3, seed=11, mix=mix)
+        mono = [p.src for p in _ONE_PER_STEP_PAIRS]
+        params = init_params(EncoderConfig(len(STORE_VOCAB), 4, 1, 12), 0)
+        keys = self.counted_keys(monkeypatch)
+        pretrain(params, mono, _ONE_PER_STEP_PAIRS, config, STORE_VOCAB)
+        expected = [
+            (11, trainer_module._STREAM_MLM if t % sum(mix) < mix[0] else trainer_module._STREAM_TLM, k, t)
+            for k, stage in enumerate(config.stages) for t in range(stage.steps)
+        ]
+        assert keys == expected
+
+
+_ONE_PER_STEP_PAIRS = [
+    SentencePair(Sentence(f"{i}s", "aa", s), Sentence(f"{i}t", "bb", t))
+    for i, (s, t) in enumerate([("ab c", "ca"), ("a b", "bc ab"), ("c", "a a"), ("ab", "b"), ("ca ab", "c b")])
+]
+
+
 def test_one_step_loop_for_both_objectives():
     """Both training drivers step through one runner: ``trainer.py`` holds
     one optimizer-step call, one batch-index draw, one zeroing of the
