@@ -14,10 +14,15 @@ of ``--repeats`` searches of the whole query block, and the partitioned
 build time the median of ``--repeats`` builds of the pool (k-means and
 partition), each with the interquartile range of its repeats beside it,
 with BLAS pinned to one thread unless the environment already sets it.
-A shared host's speed drifts, so read a difference smaller than the IQRs
-as noise. recall@1 is the share of queries whose exact best row is among
-the partitioned index's top k. The last two columns give the bytes of
-each index's arrays per pool row.
+A shared host's speed drifts, so each timed column is corrected as
+``bench/run.py`` corrects its calls: its fixed kernel
+(``host_slowdown``) runs before and after the column's repeats, and the
+median and IQR are divided by the mean of the two slowdowns, which is
+printed beside them (1.00 reads as the reference host). The correction
+follows drift between columns, not within one, so read a difference
+smaller than the IQRs as noise. recall@1 is the share of queries whose
+exact best row is among the partitioned index's top k. The last two
+columns give the bytes of each index's arrays per pool row.
 The benchmark does not run this script; the test suite runs it once at
 a tiny size (``tests/test_vecindex.py``), to keep it working.
 """
@@ -28,15 +33,24 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from bitextmine.vecindex import IndexConfig, build, recall_vs_exact, search  # noqa: E402
+
+# The benchmark's host probe, loaded by path. bench/run.py pins the BLAS
+# variables when loaded; numpy has read them already, so the pinning above
+# (or the environment's own setting) stays in force.
+_spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+bench_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_run)
 
 
 def unit(rows: np.ndarray) -> np.ndarray:
@@ -50,14 +64,18 @@ def bytes_per_row(index) -> float:
 
 def timed(repeats: int, fn) -> str:
     """The median and the interquartile range of the wall times of
-    ``repeats`` calls of ``fn``, as ``"<median> ms | <IQR> ms"``."""
+    ``repeats`` calls of ``fn``, each divided by the host's slowdown (the
+    mean of ``host_slowdown`` before and after the calls), and that
+    slowdown, as ``"<median> ms | <IQR> ms | <slowdown>"``."""
+    before = bench_run.host_slowdown()
     times = []
     for _ in range(repeats):
         start = perf_counter()
         fn()
         times.append(perf_counter() - start)
-    q1, median, q3 = np.percentile(times, [25, 50, 75]) * 1e3
-    return f"{median:.1f} ms | {q3 - q1:.1f} ms"
+    slowdown = (before + bench_run.host_slowdown()) / 2
+    q1, median, q3 = np.percentile(times, [25, 50, 75]) * 1e3 / slowdown
+    return f"{median:.1f} ms | {q3 - q1:.1f} ms | {slowdown:.2f}"
 
 
 def main(argv=None) -> int:
@@ -76,7 +94,7 @@ def main(argv=None) -> int:
     print(f"d = {args.dim}, {args.queries} queries, noise {args.noise}, {args.probes} probes, {args.repeats} repeats")
     head = ["pool rows", "clusters", "k"]
     for name in ("exact", "partitioned", "partitioned build"):
-        head += [name, f"{name} IQR"]
+        head += [name, f"{name} IQR", f"{name} slowdown"]
     head += ["recall@1", "exact B/row", "partitioned B/row"]
     print("| " + " | ".join(head) + " |")
     print("|---" * len(head) + "|")

@@ -131,6 +131,12 @@ def _int_list(flag: str, value: str, form: str, sep: str = ",", count: int | Non
     return numbers
 
 
+def _check_clusters(clusters: int) -> None:
+    """Refuse a negative ``--clusters``; 0 asks for an exact index."""
+    if clusters < 0:
+        raise UsageError(f"--clusters must be >= 0 (0 = exact index), got {clusters}")
+
+
 def _read_mono(path, lang="und"):
     from .corpus import read_monolingual
 
@@ -327,6 +333,7 @@ def cmd_encode(args) -> tuple[list, list]:
 def cmd_index(args) -> tuple[list, list]:
     from .vecindex import IndexConfig, build, pool_files, read_pool, save_index
 
+    _check_clusters(args.clusters)
     config = None
     if args.clusters > 0:
         with _flag_values():
@@ -368,6 +375,7 @@ def cmd_mine(args) -> tuple[list, list]:
     from .vecindex import IndexConfig, build
     from .vocab import tokenize_sentence
 
+    _check_clusters(args.clusters)
     with _flag_values():
         config = MiningConfig(
             similarity_threshold=args.threshold,
@@ -392,7 +400,7 @@ def cmd_mine(args) -> tuple[list, list]:
     swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
     queries, pool = (side_b, side_a) if swapped else (side_a, side_b)
     index = build(_encode_pool(params, vocab, pool), [s.id for s in pool], index_config)
-    # one encode call per source, the sentence alone in its batch
+    # one encode call per source: the packed forward over that sentence alone
     rows = [encode(params, tokenize_sentence(s, vocab, params.config.max_seq_len)) for s in queries]
     src = build(np.stack(rows), [s.id for s in queries])
     mined = mine(src, index, {s.id: s for s in queries}, {s.id: s for s in pool}, config)

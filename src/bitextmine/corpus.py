@@ -104,18 +104,37 @@ def format_pairs_tsv(pairs: Iterable[SentencePair]) -> str:
     would not read back: a blank text, a text or language tag that holds a
     tab, ``\n`` or ``\r``, which would split its column or its row, and a
     source language tag that starts with a byte-order mark, as its row
-    would."""
+    would. Each row is checked as a whole; only a refused row's fields are
+    checked one by one, to name the first fault."""
     rows = []
     for p in pairs:
-        if p.src.lang.startswith("\ufeff"):
-            raise ValueError(f"sentence {p.src.id!r} language tag starts with a byte-order mark")
-        for s in (p.src, p.tgt):
-            if not s.text.strip():
-                raise ValueError(f"sentence {s.id!r} has a blank text")
-            for what, value in (("", s.text), (" language tag", s.lang)):
-                for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
-                    if char in value:
-                        raise ValueError(f"sentence {s.id!r}{what} holds {name} and cannot be written as one TSV column")
-        base = f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}"
-        rows.append(base if p.score is None else f"{base}\t{p.score:.6f}")
+        src, tgt = p.src, p.tgt
+        row = f"{src.lang}\t{tgt.lang}\t{src.text}\t{tgt.text}"
+        if (
+            row.count("\t") != 3
+            or "\n" in row
+            or "\r" in row
+            or src.lang.startswith("\ufeff")
+            or not src.text
+            or src.text.isspace()  # as ``not text.strip()``: both use str's whitespace
+            or not tgt.text
+            or tgt.text.isspace()
+        ):
+            raise ValueError(_row_fault(p))
+        rows.append(row if p.score is None else f"{row}\t{p.score:.6f}")
     return "\n".join(rows) + ("\n" if rows else "")
+
+
+def _row_fault(p: SentencePair) -> str:
+    """Why ``format_pairs_tsv`` refuses the pair ``p``: its first fault,
+    field by field, in the order the fields are checked."""
+    if p.src.lang.startswith("\ufeff"):
+        return f"sentence {p.src.id!r} language tag starts with a byte-order mark"
+    for s in (p.src, p.tgt):
+        if not s.text.strip():
+            return f"sentence {s.id!r} has a blank text"
+        for what, value in (("", s.text), (" language tag", s.lang)):
+            for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
+                if char in value:
+                    return f"sentence {s.id!r}{what} holds {name} and cannot be written as one TSV column"
+    raise AssertionError(f"pair {p!r} has no fault")

@@ -42,6 +42,7 @@ import numpy as np
 from .corpus import SentencePair
 from .errors import NumericalError
 from .loss import softmax_cross_entropy
+from .vecindex import stable_order
 from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
 
 _NORM_EPS = 1e-12
@@ -176,14 +177,28 @@ def _pack(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(_BAD_SEQUENCE) from exc
     if not lengths or min(lengths) == 0:
         raise ValueError(_BAD_SEQUENCE)
-    # itertools.accumulate, not np.cumsum: cli.cmd_mine packs one sentence
-    # per call, and np.cumsum of a short list alone takes about 4 µs
+    # itertools.accumulate, not np.cumsum: np.cumsum of a short list alone
+    # takes about 4 µs
     return ids, np.fromiter(itertools.accumulate(lengths, initial=0), np.int64, count=len(lengths) + 1)
 
 
 def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
-    """Embed one token sequence as a unit-norm vector."""
-    return encode_batch(params, [tokens])[0]
+    """Embed one token sequence as a unit-norm vector.
+
+    The sequence runs through the packed forward alone, as a batch of one
+    with no packing step (cli.cmd_mine makes one call per source), and is
+    refused as ``_pack`` refuses an item, with the same message. Its
+    vector is bitwise equal to its row of ``encode_batch``, except for a
+    bare one-token sequence (see ``encode_batch``).
+    """
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(_BAD_SEQUENCE) from exc
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(_BAD_SEQUENCE)
+    cache = _forward_hiddens(params, ids, np.array((0, ids.size), dtype=np.int64), keep=False)
+    return _embed(params, cache)[0]
 
 
 _ENCODE_CHUNK = 64  # sequences per packed forward in encode_batch
@@ -233,7 +248,7 @@ def encode_batch(
 class ForwardCache:
     ids: np.ndarray  # (N,) token id of each position, sentence after sentence
     bounds: np.ndarray  # (B + 1,) sentence b is rows bounds[b]:bounds[b + 1]
-    lengths: np.ndarray  # (B,) rows per sentence, np.diff(bounds)
+    lengths: np.ndarray  # (B,) rows per sentence, bounds[1:] - bounds[:-1]
     hiddens: np.ndarray  # (L + 1, N, d) H_0 .. H_L; only H_L, (1, N, d), unless kept
     gates: np.ndarray  # (L, N, d) tanh outputs per layer; meaningless unless kept
     pooled: np.ndarray | None = None  # (B, d)
@@ -244,8 +259,9 @@ class ForwardCache:
 def _add_neighbours(out: np.ndarray, h: np.ndarray, bounds: np.ndarray) -> None:
     """out += (M - I) h: add to each row its left and right neighbours in
     the same sentence."""
-    # One sentence has no boundary rows. cli.cmd_mine encodes one sentence
-    # per call, and there their copies took about a fifth of the forward.
+    # One sentence has no boundary rows. encode runs one sentence per call
+    # (cli.cmd_mine, per source), and there their copies took about a fifth
+    # of the forward.
     if bounds.size == 2:
         out[1:] += h[:-1]
         out[:-1] += h[1:]
@@ -265,7 +281,7 @@ def _forward_hiddens(
 ) -> ForwardCache:
     """Run the blocks over packed ids, (N,), with sentence bounds, (B + 1,),
     every sentence non-empty; ``keep`` retains what backprop needs."""
-    lengths = np.diff(bounds)
+    lengths = bounds[1:] - bounds[:-1]  # np.diff without its Python wrapper (about 1.6 µs)
     longest = lengths.max()
     if longest > params.config.max_seq_len:
         raise ValueError(
@@ -290,13 +306,20 @@ def _forward_hiddens(
     return ForwardCache(ids=ids, bounds=bounds, lengths=lengths, hiddens=hiddens, gates=gates)
 
 
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a real (B, e) block: what
+    ``np.linalg.norm(u, axis=1)`` forms, bit for bit, without its Python
+    wrapper (about 1.5 µs a call)."""
+    return np.sqrt(np.add.reduce(u * u, axis=1))
+
+
 def _embed(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
     """Mean-pool each sentence's rows, project, L2-normalize (fills the cache)."""
     top = cache.hiddens[-1]
     cache.pooled = np.add.reduceat(top, cache.bounds[:-1], axis=0) / cache.lengths[:, None].astype(top.dtype)
     u = (cache.pooled[:, None, :] @ params.output_weight)[:, 0, :] + params.output_bias
     cache.pre_norm = u
-    cache.norms = np.linalg.norm(u, axis=1)
+    cache.norms = _row_norms(u)
     if cache.norms.min() < _NORM_EPS:
         raise NumericalError("degenerate encoder state: zero vector before normalization")
     return u / cache.norms[:, None]
@@ -346,7 +369,7 @@ def _backward_layers(
 def _scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     """np.add.at(target, ids, rows), several times faster and in the rows'
     dtype: sort the rows by id, then sum each id's run with one reduceat."""
-    order = np.argsort(ids, kind="stable")
+    order = stable_order(ids, target.shape[0])
     sorted_ids = ids[order]
     run_start = np.empty(sorted_ids.size, dtype=bool)
     run_start[0] = True

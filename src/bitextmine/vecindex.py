@@ -172,13 +172,21 @@ def _id_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in [0, bound).
+    The keys are sorted in the smallest dtype that holds ``bound``, which
+    numpy radix-sorts when it has 16 bits or fewer; equal keys keep their
+    order either way, so the order is the same."""
+    return np.argsort(keys.astype(np.min_scalar_type(bound), copy=False), kind="stable")
+
+
 def _partition(vectors: np.ndarray, centroids: np.ndarray) -> dict:
     """The partition fields of an index over ``vectors``: each row goes
     to its best-scoring centroid, ties to the lower index, by the search's
     own kernel, so it is the cluster that row probes first as a query."""
     queries = vectors.astype(np.float64)  # as ``search`` widens its queries
     cluster_of = _top_k(centroids, queries, _unit32(queries), 1, np.arange(len(centroids)))[1]
-    order = np.argsort(cluster_of, kind="stable")
+    order = stable_order(cluster_of, len(centroids))
     return dict(
         centroids=centroids,
         order=order,
@@ -220,7 +228,7 @@ def _move_centroids(vectors: np.ndarray, assign: np.ndarray, centroids: np.ndarr
     first, clusters = 0, centroids.shape[0]
     while first < clusters:
         sizes = np.bincount(assign, minlength=clusters)
-        grouped = vectors[np.argsort(assign, kind="stable")]  # each cluster's rows, ascending
+        grouped = vectors[stable_order(assign, clusters)]  # each cluster's rows, ascending
         # as ``mean`` sums from 0.0 down the rows: adding 0.0 turns an all -0.0 sum to +0.0
         sums = np.add.reduceat(grouped, np.cumsum(sizes) - sizes, axis=0)[first:] + 0.0
         means = sums / sizes[first:, None]
@@ -376,7 +384,7 @@ def _search_lists(
     filled = np.flatnonzero(np.diff(starts))
     lists = filled[_top_k(index.centroids[filled], queries, units, probes, np.arange(filled.size))[1]]
     width = lists.size // queries.shape[0]  # each query's min(probes, filled.size) clusters, best first
-    by_list = np.argsort(lists, kind="stable")  # (query, probe) pairs by cluster, in query order
+    by_list = stable_order(lists, len(index.centroids))  # (query, probe) pairs by cluster, in query order
     cuts = np.flatnonzero(np.diff(lists[by_list])) + 1
     tiles = []
     for c, pairs in zip(lists[by_list[np.r_[0, cuts]]].tolist(), np.split(by_list, cuts)):

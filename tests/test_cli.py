@@ -103,6 +103,12 @@ def invalid_argv(d, case):
         "mine-seed": mine + ["--clusters", 2, "--seed", -1],
         "index-probes": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 2, "--probes", 3],
         "index-seed": ["index", "--pool", d / "tgt.pool", "--out", out, "--clusters", 4, "--probes", 2, "--seed", -1],
+        # a negative cluster count, with inputs that do not exist and flags
+        # that only a partitioned index reads: it is refused before any read
+        "index-clusters-negative": [
+            "index", "--pool", d / "no.pool", "--out", out, "--clusters", -3, "--kmeans-iters", -1,
+        ],
+        "mine-clusters-negative": mine + ["--src", d / "no-src.txt", "--clusters", -3, "--probes", 0],
         # inputs that do not exist: a usage error must come before any read
         "search-k": ["search", "--index", d / "no-index", "--queries", d / "no.pool", "--out", out, "--k", 0],
         "eval-bucc-k": [
@@ -208,6 +214,8 @@ MESSAGE = {
     "mine-src-lang-empty": "--src-lang must be a non-empty language tag",
     "mine-tgt-lang-empty": "--tgt-lang must be a non-empty language tag",
     "build-vocab-lang-empty": "--lang must be a non-empty language tag",
+    "index-clusters-negative": "--clusters must be >= 0 (0 = exact index), got -3",
+    "mine-clusters-negative": "--clusters must be >= 0 (0 = exact index), got -3",
 }
 
 
@@ -241,6 +249,8 @@ MESSAGE = {
         "mine-seed",
         "index-probes",
         "index-seed",
+        "index-clusters-negative",
+        "mine-clusters-negative",
         "search-k",
         "eval-bucc-k",
         "eval-tatoeba-group",

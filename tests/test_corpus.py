@@ -307,3 +307,48 @@ class TestPairsRoundTripProperties:
         assert read_back(unchecked) != as_read(pairs)
         with pytest.raises(ValueError, match=f"^sentence {re.escape(repr(bad.id))} "):
             format_pairs_tsv(pairs)
+
+
+def per_field_format_pairs_tsv(pairs):
+    """``format_pairs_tsv`` as it once was: every field of every pair
+    checked one by one, the reference for its one check per row."""
+    rows = []
+    for p in pairs:
+        if p.src.lang.startswith("\ufeff"):
+            raise ValueError(f"sentence {p.src.id!r} language tag starts with a byte-order mark")
+        for s in (p.src, p.tgt):
+            if not s.text.strip():
+                raise ValueError(f"sentence {s.id!r} has a blank text")
+            for what, value in (("", s.text), (" language tag", s.lang)):
+                for char, name in (("\t", "a tab"), ("\n", "a line feed"), ("\r", "a carriage return")):
+                    if char in value:
+                        raise ValueError(f"sentence {s.id!r}{what} holds {name} and cannot be written as one TSV column")
+        base = f"{p.src.lang}\t{p.tgt.lang}\t{p.src.text}\t{p.tgt.text}"
+        rows.append(base if p.score is None else f"{base}\t{p.score:.6f}")
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
+def written_or_refused(writer, pairs):
+    try:
+        return writer(pairs)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+# Fields that are often unwritable: tabs, line ends, blanks and a leading
+# byte-order mark, among ordinary characters.
+FAULTY_FIELD = TSV_FIELD | st.text(st.sampled_from("ab \t\n\r\ufeff\x0b\u3000"), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.tuples(FAULTY_FIELD, FAULTY_FIELD, FAULTY_FIELD, FAULTY_FIELD, SCORES), max_size=4),
+)
+def test_one_check_per_row_writes_and_refuses_as_the_per_field_checks(fields):
+    # the same text for pairs the writer accepts, and the same first
+    # message for any it refuses, on whichever pair the fault sits
+    pairs = [
+        pair(src_text, tgt_text, score, src_lang or "aa", tgt_lang or "bb", n)
+        for n, (src_lang, tgt_lang, src_text, tgt_text, score) in enumerate(fields)
+    ]
+    assert written_or_refused(format_pairs_tsv, pairs) == written_or_refused(per_field_format_pairs_tsv, pairs)

@@ -12,6 +12,7 @@ from bitextmine.encoder import (
     EncoderConfig,
     PackedBatch,
     _layout,
+    _row_norms,
     backward_batch,
     encode,
     encode_batch,
@@ -33,6 +34,22 @@ from conftest import assert_same_masked_batch, float64_params
 def small_params(vocab_size=24, d=6, layers=2, max_len=12, seed=0):
     cfg = EncoderConfig(vocab_size=vocab_size, hidden_dim=d, num_layers=layers, max_seq_len=max_len)
     return init_params(cfg, seed=seed)
+
+
+# batches that _pack refuses; encode must refuse each lone item with the same message
+MALFORMED_BATCHES = {
+    "empty-batch": [],
+    "empty-item": [[CLS_ID, 6, SEP_ID], []],
+    "lone-empty-item": [[]],
+    "2-d-item": [[[CLS_ID, 6], [7, SEP_ID]]],
+    "non-numeric-item": [[CLS_ID, "six", SEP_ID]],
+    "none-item": [[CLS_ID, None]],
+}
+MALFORMED_CALLS = {
+    "forward_batch": forward_batch,
+    "encode_batch": encode_batch,
+    "encode": lambda params, batch: encode(params, *batch),
+}
 
 
 class TestEncode:
@@ -99,14 +116,58 @@ class TestEncode:
             encode(p, [CLS_ID, 6, 7, 8, SEP_ID])
 
     @pytest.mark.parametrize(
-        "batch",
-        [[], [[CLS_ID, 6, SEP_ID], []], [[[CLS_ID, 6], [7, SEP_ID]]], [[CLS_ID, "six", SEP_ID]], [[CLS_ID, None]]],
-        ids=["empty-batch", "empty-item", "2-d-item", "non-numeric-item", "none-item"],
+        "call, batch",
+        [
+            pytest.param(call, batch, id=f"{name}-{case}")
+            for name, call in MALFORMED_CALLS.items()
+            for case, batch in MALFORMED_BATCHES.items()
+            if name != "encode" or len(batch) == 1  # encode takes the one item
+        ],
     )
-    @pytest.mark.parametrize("call", [forward_batch, encode_batch], ids=["forward_batch", "encode_batch"])
-    def test_malformed_batch_is_refused(self, batch, call):
+    def test_malformed_batch_is_refused(self, call, batch):
         with pytest.raises(ValueError, match="^token sequence must be a non-empty 1-D id list$"):
             call(small_params(), batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.lists(
+            st.lists(st.sampled_from([CLS_ID, SEP_ID, *range(5, 24)]), min_size=2, max_size=12),
+            min_size=1,
+            max_size=6,
+        ),
+        wide=st.booleans(),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    def test_a_lone_item_of_two_or_more_tokens_is_its_batch_row(self, batch, wide, seed):
+        # encode runs the packed forward on its item alone, without _pack;
+        # a one-token item is left out, as encode_batch's docstring says
+        p = small_params(seed=seed)
+        p = float64_params(p) if wide else p
+        rows = encode_batch(p, batch)
+        for i, item in enumerate(batch):
+            v = encode(p, item)
+            assert v.dtype == rows.dtype
+            assert v.tobytes() == rows[i].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        rows=st.integers(min_value=1, max_value=5),
+        width=st.integers(min_value=1, max_value=9),
+        data=st.data(),
+    )
+    def test_row_norms_are_numpys_norms_bit_for_bit(self, dtype, rows, width, data):
+        info = np.finfo(dtype)
+        # tiny entries whose squares underflow, zeros, and large ones whose squares overflow
+        entry = st.sampled_from([0.0, -0.0, float(info.tiny), float(info.smallest_subnormal), 1.0, float(info.max)])
+        entry = entry | st.floats(width=info.bits, allow_nan=False, allow_infinity=False)
+        u = np.array(data.draw(st.lists(entry, min_size=rows * width, max_size=rows * width)), dtype=dtype)
+        u = u.reshape(rows, width)
+        with np.errstate(over="ignore", under="ignore"):
+            norms = _row_norms(u)
+            expected = np.linalg.norm(u, axis=1)
+        assert norms.dtype == expected.dtype
+        assert norms.tobytes() == expected.tobytes()
 
 
 class TestEncodeBatch:

@@ -28,6 +28,7 @@ from bitextmine.vecindex import (
     recall_vs_exact,
     save_index,
     search,
+    stable_order,
     write_pool,
 )
 
@@ -730,6 +731,7 @@ def test_search_scale_experiment_runs_at_a_tiny_size():
         for column in ("exact", "partitioned", "partitioned build"):
             assert re.fullmatch(r"\d+\.\d ms", row[column]), (column, row[column])
             assert re.fullmatch(r"\d+\.\d ms", row[f"{column} IQR"]), (column, row[f"{column} IQR"])
+            assert re.fullmatch(r"\d+\.\d\d", row[f"{column} slowdown"]), (column, row[f"{column} slowdown"])
 
 
 def test_vector_index_is_constructed_only_by_build():
@@ -746,3 +748,15 @@ def test_vector_index_is_constructed_only_by_build():
                 ):
                     calls.add((path.stem, getattr(top, "name", "<module>")))
     assert calls == {("vecindex", "build")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound=st.sampled_from([1, 2, 255, 256, 65_535, 65_536, 2**40]), data=st.data())
+def test_stable_order_is_the_stable_argsort_of_its_keys(bound, data):
+    # keys below each bound, drawn often at its edges, where the sort dtype
+    # widens (uint8 to uint16 at 256, uint16 to uint32 at 65,536)
+    key = st.sampled_from([0, bound - 1, max(bound - 2, 0), bound // 2]) | st.integers(0, bound - 1)
+    keys = np.array(data.draw(st.lists(key, max_size=300)), dtype=np.int64)
+    order = stable_order(keys, bound)
+    np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+    assert order.dtype == np.intp
