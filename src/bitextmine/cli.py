@@ -147,11 +147,11 @@ def _read_mono(path, lang="und"):
 
 
 def _encode_pool(params, vocab, sentences):
-    from .encoder import encode_batch
-    from .vocab import tokenize_sentence
+    """The embedding of each of ``sentences`` (a ``corpus.Sentences``),
+    tokenized from its text column into one packed batch."""
+    from .encoder import encode_batch, pack_texts
 
-    seqs = [tokenize_sentence(s, vocab, params.config.max_seq_len) for s in sentences]
-    return encode_batch(params, seqs)
+    return encode_batch(params, pack_texts(sentences.texts, vocab, params.config.max_seq_len))
 
 
 def _encoder_shape(args, num_layers: int):
@@ -193,16 +193,20 @@ def cmd_build_vocab(args) -> tuple[list, list]:
         check_build_options(args.smoothing, args.coverage)
     if not args.lang:
         raise UsageError("--lang must be a non-empty language tag")
-    corpora: dict[str, list] = {}
+    corpora: dict[str, list[str]] = {}  # each language's texts in file order, a pair's source first
     for path in args.mono or []:
-        for s in _read_mono(path, args.lang):
-            corpora.setdefault(s.lang, []).append(s)
+        sentences = _read_mono(path, args.lang)
+        for lang, text in zip(sentences.langs, sentences.texts):
+            corpora.setdefault(lang, []).append(text)
     if args.pairs:
         from .corpus import read_pairs_tsv
 
-        for p in read_pairs_tsv(args.pairs):
-            corpora.setdefault(p.src.lang, []).append(p.src)
-            corpora.setdefault(p.tgt.lang, []).append(p.tgt)
+        pairs = read_pairs_tsv(args.pairs)
+        for src_lang, tgt_lang, src_text, tgt_text in zip(
+            pairs.src_langs, pairs.tgt_langs, pairs.src_texts, pairs.tgt_texts
+        ):
+            corpora.setdefault(src_lang, []).append(src_text)
+            corpora.setdefault(tgt_lang, []).append(tgt_text)
     if not corpora:
         raise UsageError("build-vocab needs --mono and/or --pairs")
     vocab = build_vocab(
@@ -217,7 +221,7 @@ def cmd_build_vocab(args) -> tuple[list, list]:
 
 
 def cmd_pretrain(args) -> tuple[list, list]:
-    from .corpus import read_pairs_tsv
+    from .corpus import Sentences, read_pairs_tsv
     from .encoder import init_params
     from .trainer import PretrainConfig, Stage, pretrain, save_checkpoint
     from .vocab import Vocab
@@ -242,9 +246,9 @@ def cmd_pretrain(args) -> tuple[list, list]:
             if share and not getattr(args, flag):
                 raise ValueError(f"--mix {args.mix} asks for {kind} batches, which need --{flag}")
     vocab = Vocab.load(args.vocab)
-    mono = []
+    mono = Sentences([], [], [])  # joined as columns: pretrain builds only the records it draws
     for path in args.mono or []:
-        mono.extend(_read_mono(path))
+        mono += _read_mono(path)
     pairs = read_pairs_tsv(args.pairs) if args.pairs else []
     params = init_params(replace(shape, vocab_size=len(vocab)), seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
@@ -325,7 +329,7 @@ def cmd_encode(args) -> tuple[list, list]:
     vocab, params, _ = _load_model(args.vocab, args.ckpt)
     sentences = _read_mono(args.input)
     vectors = _encode_pool(params, vocab, sentences)
-    write_pool(args.out, vectors, [s.id for s in sentences])
+    write_pool(args.out, vectors, sentences.ids)
     _log(f"encode: {vectors.shape[0]} sentences -> {args.out}")
     return [args.input, args.vocab, args.ckpt], pool_files(args.out)
 
@@ -399,10 +403,10 @@ def cmd_mine(args) -> tuple[list, list]:
     side_b = _read_mono(args.tgt, args.tgt_lang)
     swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
     queries, pool = (side_b, side_a) if swapped else (side_a, side_b)
-    index = build(_encode_pool(params, vocab, pool), [s.id for s in pool], index_config)
+    index = build(_encode_pool(params, vocab, pool), pool.ids, index_config)
     # one encode call per source: the packed forward over that sentence alone
     rows = [encode(params, tokenize_sentence(s, vocab, params.config.max_seq_len)) for s in queries]
-    src = build(np.stack(rows), [s.id for s in queries])
+    src = build(np.stack(rows), queries.ids)
     mined = mine(src, index, {s.id: s for s in queries}, {s.id: s for s in pool}, config)
     if swapped:  # --src stays in the source columns
         mined = [SentencePair(p.tgt, p.src, p.score) for p in mined]

@@ -8,13 +8,23 @@ that are empty or whitespace only skipped but counted, errors name
     ``lang<TAB>`` prefix;
   * bilingual pairs: headerless TSV with columns src_lang, tgt_lang,
     src_text, tgt_text and an optional fifth score column.
+
+The readers check a whole file, then keep it as columns, one list per
+field in line order: ``Sentences`` holds ``ids``, ``langs`` and ``texts``,
+``SentencePairs`` the line numbers, both sides' languages and texts, and
+the scores. Each is a read-only sequence of records that equals, slices
+and iterates as the list of ``Sentence`` or ``SentencePair`` records
+would, but builds a record only when one is indexed (iterating indexes
+each in turn), and keeps it, so a caller that reads the columns, as
+``encode`` and ``build-vocab`` do, builds none, and pretraining builds
+only the items its steps draw.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +32,7 @@ from .errors import DataError
 from .fileio import parse_score, read_lines, read_rows
 
 _LANG_PREFIX_RE = re.compile(r"[a-z]{2,3}(?:[-_][a-z0-9]{2,8})?")
+_EMPTY_LANG = "sentence language tag must be non-empty"
 
 
 @dataclass(frozen=True)
@@ -34,7 +45,7 @@ class Sentence:
 
     def __post_init__(self) -> None:
         if not self.lang:
-            raise ValueError("sentence language tag must be non-empty")
+            raise ValueError(_EMPTY_LANG)
 
 
 @dataclass(frozen=True)
@@ -50,16 +61,118 @@ class SentencePair:
             raise ValueError(f"pair score must be finite, got {self.score!r}")
 
 
-def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Sentence]:
+class _Columns(Sequence):
+    """A read-only sequence of records kept as equal-length column lists.
+    Record i is built from row i of the columns the first time it is
+    indexed, and kept. A slice is the same kind of sequence over the
+    sliced columns; ``+`` joins two of one kind; each equals the list of
+    its records."""
+
+    __slots__ = ("_built",)
+
+    def __init__(self, rows: int) -> None:
+        self._built: list = [None] * rows
+
+    def _columns(self) -> tuple[list, ...]:
+        raise NotImplementedError
+
+    def _build(self, i: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = type(self)(*(column[i] for column in self._columns()))
+            part._built = self._built[i]
+            return part
+        record = self._built[i]
+        if record is None:
+            record = self._built[i] = self._build(i)
+        return record
+
+    def __iter__(self) -> Iterator:
+        built = self._built
+        for i, record in enumerate(built):
+            yield self[i] if record is None else record
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        joined = type(self)(*(a + b for a, b in zip(self._columns(), other._columns())))
+        joined._built = self._built + other._built
+        return joined
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._columns() == other._columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # as a list's
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class Sentences(_Columns):
+    """Sentences as the columns ``ids``, ``langs`` and ``texts``; record i
+    is ``Sentence(ids[i], langs[i], texts[i])``."""
+
+    __slots__ = ("ids", "langs", "texts")
+
+    def __init__(self, ids: list[str], langs: list[str], texts: list[str]) -> None:
+        self.ids, self.langs, self.texts = ids, langs, texts
+        super().__init__(len(ids))
+
+    def _columns(self) -> tuple[list, ...]:
+        return self.ids, self.langs, self.texts
+
+    def _build(self, i: int) -> Sentence:
+        return Sentence(self.ids[i], self.langs[i], self.texts[i])
+
+
+class SentencePairs(_Columns):
+    """Pairs read from a pairs file, as columns: the line numbers
+    ``lines``, ``src_langs``, ``tgt_langs``, ``src_texts``, ``tgt_texts``
+    and ``scores`` (None where a row has none). Record i's sentences have
+    the ids ``"<line>:src"`` and ``"<line>:tgt"``."""
+
+    __slots__ = ("lines", "src_langs", "tgt_langs", "src_texts", "tgt_texts", "scores")
+
+    def __init__(
+        self, lines: list[int], src_langs: list[str], tgt_langs: list[str],
+        src_texts: list[str], tgt_texts: list[str], scores: list[float | None],
+    ) -> None:
+        self.lines, self.src_langs, self.tgt_langs = lines, src_langs, tgt_langs
+        self.src_texts, self.tgt_texts, self.scores = src_texts, tgt_texts, scores
+        super().__init__(len(lines))
+
+    def _columns(self) -> tuple[list, ...]:
+        return self.lines, self.src_langs, self.tgt_langs, self.src_texts, self.tgt_texts, self.scores
+
+    def _build(self, i: int) -> SentencePair:
+        line = self.lines[i]
+        src = Sentence(f"{line}:src", self.src_langs[i], self.src_texts[i])
+        return SentencePair(src, Sentence(f"{line}:tgt", self.tgt_langs[i], self.tgt_texts[i]), self.scores[i])
+
+
+def read_monolingual(path: str | Path, default_lang: str = "und") -> Sentences:
     """Read a one-sentence-per-line file, honoring optional lang prefixes.
 
     A line of the form ``lang<TAB>text`` (lang matching an ISO-639-style
     tag) sets that sentence's language; other lines get ``default_lang``.
     Sentence ids are 1-based line numbers. A prefixed line whose text is
     empty or whitespace only raises ``DataError`` naming ``path:line``, as
-    a blank text field of ``read_pairs_tsv`` does.
+    a blank text field of ``read_pairs_tsv`` does; an empty
+    ``default_lang`` raises ``ValueError`` at the first line that takes it,
+    as a ``Sentence`` would.
     """
-    out: list[Sentence] = []
+    ids: list[str] = []
+    langs: list[str] = []
+    texts: list[str] = []
     is_tag: dict[str, bool] = {}  # each distinct prefix is matched once
     for lineno, line in read_lines(path):
         lang, text = default_lang, line
@@ -71,31 +184,43 @@ def read_monolingual(path: str | Path, default_lang: str = "und") -> list[Senten
                 lang, text = head, rest
                 if not text or text.isspace():  # an unprefixed line is never blank
                     raise DataError(f"{path}:{lineno}: blank text")
-        out.append(Sentence(str(lineno), lang, text))
-    return out
+        if not lang:
+            raise ValueError(_EMPTY_LANG)
+        ids.append(str(lineno))
+        langs.append(lang)
+        texts.append(text)
+    return Sentences(ids, langs, texts)
 
 
-def read_pairs_tsv(path: str | Path) -> list[SentencePair]:
+def read_pairs_tsv(path: str | Path) -> SentencePairs:
     """Read headerless TSV pairs: src_lang, tgt_lang, src_text, tgt_text[, score or empty].
 
     A row whose src_text or tgt_text is empty or whitespace only raises
     ``DataError`` naming ``path:line``: it would give a sentence with no
-    content token.
+    content token. So does a row with an empty language tag, as its
+    ``Sentence`` would.
     """
-    out: list[SentencePair] = []
+    lines: list[int] = []
+    src_langs: list[str] = []
+    tgt_langs: list[str] = []
+    src_texts: list[str] = []
+    tgt_texts: list[str] = []
+    scores: list[float | None] = []
     for lineno, cols in read_rows(path, (4, 5), "4 or 5 tab-separated columns"):
         src_lang, tgt_lang, src_text, tgt_text = cols[:4]
         for side, text in (("src", src_text), ("tgt", tgt_text)):
             if not text.strip():
                 raise DataError(f"{path}:{lineno}: blank {side}_text")
         score = parse_score(cols[4], path, lineno) if len(cols) == 5 and cols[4] else None
-        try:
-            src = Sentence(f"{lineno}:src", src_lang, src_text)
-            tgt = Sentence(f"{lineno}:tgt", tgt_lang, tgt_text)
-            out.append(SentencePair(src, tgt, score))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
+        if not src_lang or not tgt_lang:
+            raise DataError(f"{path}:{lineno}: {_EMPTY_LANG}")
+        lines.append(lineno)
+        src_langs.append(src_lang)
+        tgt_langs.append(tgt_lang)
+        src_texts.append(src_text)
+        tgt_texts.append(tgt_text)
+        scores.append(score)
+    return SentencePairs(lines, src_langs, tgt_langs, src_texts, tgt_texts, scores)
 
 
 def format_pairs_tsv(pairs: Iterable[SentencePair]) -> str:

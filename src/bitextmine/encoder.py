@@ -43,7 +43,7 @@ from .corpus import SentencePair
 from .errors import NumericalError
 from .loss import softmax_cross_entropy
 from .vecindex import stable_order
-from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids
+from .vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Vocab, content_ids, word_tokens
 
 _NORM_EPS = 1e-12
 PARAM_DTYPE = np.float32  # of init_params and of every checkpoint
@@ -167,10 +167,14 @@ def _pack(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """The batch's ids, sentence after sentence, (N,), and its bounds,
     (B + 1,): sentence b is ids[bounds[b]:bounds[b + 1]]. A PackedBatch is
     passed through as it is. An empty batch, or an item that is not a
-    non-empty sequence of ids, raises ValueError."""
+    non-empty sequence of ids (a ``str`` or ``bytes`` item is refused, as
+    ``encode`` refuses it, not read as the codes of its characters),
+    raises ValueError."""
     if isinstance(batch, PackedBatch):
         return batch
     try:
+        if any(isinstance(item, (str, bytes)) or not isinstance(item, (Sequence, np.ndarray)) for item in batch):
+            raise TypeError("an item is not a sequence of ids")
         lengths = [len(item) for item in batch]
         ids = np.fromiter(itertools.chain.from_iterable(batch), np.int64, count=sum(lengths))
     except (TypeError, ValueError) as exc:
@@ -180,6 +184,30 @@ def _pack(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     # itertools.accumulate, not np.cumsum: np.cumsum of a short list alone
     # takes about 4 µs
     return ids, np.fromiter(itertools.accumulate(lengths, initial=0), np.int64, count=len(lengths) + 1)
+
+
+def pack_texts(texts: Sequence[str], vocab: Vocab, max_len: int) -> PackedBatch:
+    """Tokenize ``texts`` straight into one PackedBatch: row b is
+    ``vocab.tokenize(texts[b], vocab, max_len)``, [CLS], the first
+    max_len - 2 content ids, [SEP], with no tuple per text and no
+    repacking."""
+    if max_len < 3:
+        raise ValueError(f"max_len must be >= 3, got {max_len}")
+    keep, cache = max_len - 2, vocab.word_cache
+    ids: list[int] = []
+    ends: list[int] = []
+    for text in texts:
+        ids.append(CLS_ID)
+        first = len(ids)
+        for word in text.split():  # as vocab.content_ids
+            ids.extend(cache.get(word) or word_tokens(word, vocab))
+        if len(ids) - first > keep:
+            del ids[first + keep :]
+        ids.append(SEP_ID)
+        ends.append(len(ids))
+    bounds = np.zeros(len(ends) + 1, dtype=np.int64)
+    bounds[1:] = ends
+    return PackedBatch(np.array(ids, dtype=np.int64), bounds)
 
 
 def encode(params: EncoderParams, tokens: Sequence[int]) -> np.ndarray:
@@ -205,21 +233,24 @@ _ENCODE_CHUNK = 64  # sequences per packed forward in encode_batch
 _BLOCK_ROWS = 64  # row granularity of the forward's hidden-state block
 
 
-def encode_batch(
-    params: EncoderParams, batch: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Unit-norm embeddings, one row per item, in input order.
+def encode_batch(params: EncoderParams, batch: Batch) -> np.ndarray:
+    """Unit-norm embeddings, one row per item, in input order, of a list
+    of sequences or of a PackedBatch (such as ``pack_texts`` makes).
 
-    Items run through the packed forward in input order, in chunks of at
-    most ``_ENCODE_CHUNK``. Every row is bitwise equal to encode() of its
-    item, whatever else is in the batch, except for a bare one-token item,
-    whose lone encode() may differ in the last bits (see below).
+    The batch is packed once, and its rows run through the packed forward
+    in input order, in chunks of at most ``_ENCODE_CHUNK`` cut from its
+    bounds. Every row is bitwise equal to encode() of its item, whatever
+    else is in the batch, except for a bare one-token item, whose lone
+    encode() may differ in the last bits (see below).
     """
-    if not batch:
+    ids, bounds = _pack(batch)
+    rows = bounds.size - 1
+    if rows < 1:
         raise ValueError(_BAD_SEQUENCE)
-    out = np.empty((len(batch), params.config.embed_dim), dtype=params.flat.dtype)
-    for start in range(0, len(batch), _ENCODE_CHUNK):
-        cache = _forward_hiddens(params, *_pack(batch[start : start + _ENCODE_CHUNK]), keep=False)
+    out = np.empty((rows, params.config.embed_dim), dtype=params.flat.dtype)
+    for start in range(0, rows, _ENCODE_CHUNK):
+        chunk = bounds[start : start + _ENCODE_CHUNK + 1]
+        cache = _forward_hiddens(params, ids[chunk[0] : chunk[-1]], chunk - chunk[0], keep=False)
         out[start : start + _ENCODE_CHUNK] = _embed(params, cache)
     return out
 

@@ -25,8 +25,10 @@ lines are the special tokens.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .corpus import Sentence
@@ -161,32 +163,29 @@ def language_weights(
 
 
 def build_vocab(
-    corpora: Mapping[str, Sequence[Sentence]],
+    corpora: Mapping[str, Sequence[str]],
     target_size: int,
     smoothing_exponent: float = 0.3,
     character_coverage: float = 1.0,
 ) -> Vocab:
     """Induce a subword vocabulary of exactly ``target_size`` pieces (or
-    fewer if merges are exhausted first).
+    fewer if merges are exhausted first) from each language's texts.
 
-    Word counts are whitespace-based and case-preserving. Merge ties
-    break on the lexicographically smallest symbol pair, so the build is
-    deterministic for a given input. Both options are checked, by
+    Word counts are whitespace-based and case-preserving: one ``Counter``
+    pass over each language's texts, split one at a time, counts their
+    words in order of first occurrence. Merge ties break on the
+    lexicographically smallest symbol pair, so the build is deterministic
+    for a given input. Both options are checked, by
     ``check_build_options``, before the corpora are counted.
     """
     check_build_options(smoothing_exponent, character_coverage)
 
     word_counts: dict[str, dict[str, int]] = {}
     token_totals: dict[str, int] = {}
-    for lang, sentences in corpora.items():
-        counts: dict[str, int] = {}
-        n = 0
-        for sent in sentences:
-            for word in sent.text.split():
-                counts[word] = counts.get(word, 0) + 1
-                n += 1
-        word_counts[lang] = counts
-        token_totals[lang] = n
+    for lang, texts in corpora.items():
+        # text by text: joining them first would hold every word at once
+        counts = word_counts[lang] = Counter(chain.from_iterable(map(str.split, texts)))
+        token_totals[lang] = sum(counts.values())
 
     weights = language_weights(token_totals, smoothing_exponent)
 

@@ -17,8 +17,8 @@ def toy_small():
 @pytest.fixture(scope="session")
 def toy_vocab(toy_small):
     corpora = {
-        "aa": [p.src for p in toy_small.train_pairs],
-        "bb": [p.tgt for p in toy_small.train_pairs],
+        "aa": [p.src.text for p in toy_small.train_pairs],
+        "bb": [p.tgt.text for p in toy_small.train_pairs],
     }
     return build_vocab(corpora, target_size=600)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bitextmine import cli
-from bitextmine.corpus import format_pairs_tsv
+from bitextmine.corpus import Sentence, SentencePair, format_pairs_tsv
 from bitextmine.fileio import sha256_file
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import load_checkpoint
@@ -896,6 +896,26 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
     assert f"bitextmine: data error: {message}" in err
     assert not out.exists()
     assert not manifest_path(out).exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "build-vocab"])
+def test_encode_and_build_vocab_read_the_text_columns_and_build_no_record(work, tmp_path, monkeypatch, command):
+    built = []
+    for record_type in (Sentence, SentencePair):
+        def counting(self, *args, _init=record_type.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(record_type, "__init__", counting)
+    if command == "encode":
+        argv = ["encode", "--input", work / "src.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt"]
+        assert run(*argv, "--out", tmp_path / "src.pool") == 0
+        for suffix in ("", ".ids"):
+            assert (tmp_path / f"src.pool{suffix}").read_bytes() == (work / f"src.pool{suffix}").read_bytes()
+    else:
+        argv = ["build-vocab", "--pairs", work / "pairs.tsv", "--mono", work / "src.txt", "--target-size", 200]
+        assert run(*argv, "--out", tmp_path / "vocab.txt") == 0
+    assert built == []
 
 
 def test_pretrain_tokenizes_no_tlm_layout_that_its_mix_never_draws(work, tmp_path):

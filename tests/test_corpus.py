@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from bitextmine.corpus import (
     Sentence,
     SentencePair,
+    SentencePairs,
+    Sentences,
     format_pairs_tsv,
     read_monolingual,
     read_pairs_tsv,
@@ -178,6 +180,111 @@ class TestFiles:
         path.write_text("only\tthree\tcolumns\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_pairs_tsv(path)
+
+
+MONO_TEXT = "de\thallo welt\nplain line\n\n  \nNOTLANG\tkeeps the tab\nfr\tbonjour\n"
+MONO_RECORDS = [
+    Sentence("1", "de", "hallo welt"),
+    Sentence("2", "en", "plain line"),
+    Sentence("5", "en", "NOTLANG\tkeeps the tab"),
+    Sentence("6", "fr", "bonjour"),
+]
+PAIRS_TEXT = "aa\tbb\tgeki\tgoki\t0.5\n\naa\tcc\tgeba\tgoba\ndd\tbb\tx y\tz\t\n"
+PAIRS_RECORDS = [
+    SentencePair(Sentence("1:src", "aa", "geki"), Sentence("1:tgt", "bb", "goki"), 0.5),
+    SentencePair(Sentence("3:src", "aa", "geba"), Sentence("3:tgt", "cc", "goba"), None),
+    SentencePair(Sentence("4:src", "dd", "x y"), Sentence("4:tgt", "bb", "z"), None),
+]
+
+
+def read_mono_example(directory):
+    path = directory / "mono.txt"
+    path.write_text(MONO_TEXT, encoding="utf-8")
+    return read_monolingual(path, default_lang="en")
+
+
+def read_pairs_example(directory):
+    path = directory / "pairs.tsv"
+    path.write_text(PAIRS_TEXT, encoding="utf-8")
+    return read_pairs_tsv(path)
+
+
+READERS = {
+    "monolingual": (read_mono_example, Sentences, MONO_RECORDS),
+    "pairs": (read_pairs_example, SentencePairs, PAIRS_RECORDS),
+}
+
+
+class TestColumns:
+    """Each reader's columns act as the list of records it used to build,
+    and build a record only when one is indexed."""
+
+    def test_columns_hold_each_field_in_line_order(self, tmp_path):
+        sentences = read_mono_example(tmp_path)
+        assert (sentences.ids, sentences.langs) == (["1", "2", "5", "6"], ["de", "en", "en", "fr"])
+        assert sentences.texts == ["hallo welt", "plain line", "NOTLANG\tkeeps the tab", "bonjour"]
+        pairs = read_pairs_example(tmp_path)
+        assert (pairs.lines, pairs.src_langs, pairs.tgt_langs) == ([1, 3, 4], ["aa", "aa", "dd"], ["bb", "cc", "bb"])
+        assert (pairs.src_texts, pairs.tgt_texts, pairs.scores) == (["geki", "geba", "x y"], ["goki", "goba", "z"], [0.5, None, None])
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_equals_slices_and_iterates_as_its_record_list(self, tmp_path, reader):
+        read, kind, records = READERS[reader]
+        seq = read(tmp_path)
+        assert type(seq) is kind
+        assert seq == records and records == seq and not seq != records
+        assert seq != records[:-1] and seq != records[::-1] and seq != tuple(records)
+        assert len(seq) == len(records) and bool(seq) and not seq[:0]
+        assert list(seq) == list(seq) == records  # iterates more than once
+        assert list(reversed(seq)) == records[::-1]
+        assert [seq[i] for i in range(-len(records), len(records))] == records + records
+        for i in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                seq[i]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(0, 3, 2), slice(5, 9)):
+            part = seq[cut]
+            assert type(part) is kind and part == records[cut] and list(part) == records[cut]
+        assert seq + seq[1:] == records + records[1:]
+        assert seq == read(tmp_path) and seq != read(tmp_path)[1:]
+        assert all(record in seq for record in records) and seq.index(records[-1]) == len(records) - 1
+        assert repr(seq) == repr(records)
+        with pytest.raises(TypeError):
+            hash(seq)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_builds_no_record_until_one_is_indexed(self, tmp_path, monkeypatch, reader):
+        built = []
+        for record_type in (Sentence, SentencePair):
+            def counting(self, *args, _init=record_type.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record_type, "__init__", counting)
+        read, _, records = READERS[reader]
+        per_record = 3 if reader == "pairs" else 1  # a pair and its two sentences
+        seq = read(tmp_path)
+        assert built == [] and len(seq) == len(records) and len(seq[1:]) == len(records) - 1
+        first = seq[1]
+        assert first == records[1] and len(built) == per_record
+        assert seq[1] is first and seq[1 - len(records)] is first and seq[1:][0] is first
+        assert len(built) == per_record  # kept, and shared with a slice taken after it
+        assert list(seq) == records
+        assert len(built) == per_record * len(records)
+        assert list(seq) == records and seq == records
+        assert len(built) == per_record * len(records)
+
+    def test_an_empty_language_tag_is_refused_at_read_naming_its_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        for row in ("\tbb\tx\ty", "aa\t\tx\ty"):
+            path.write_text(f"aa\tbb\tx\ty\n{row}\n", encoding="utf-8")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: sentence language tag must be non-empty$"):
+                read_pairs_tsv(path)
+        path = tmp_path / "mono.txt"
+        path.write_text("aa\tx\nplain\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^sentence language tag must be non-empty$"):
+            read_monolingual(path, default_lang="")
+        path.write_text("aa\tx\nbb\ty\n", encoding="utf-8")  # every line carries its own tag
+        assert read_monolingual(path, default_lang="").langs == ["aa", "bb"]
 
 
 def per_line_read_lines(path):

@@ -19,6 +19,7 @@ from bitextmine.encoder import (
     forward_batch,
     init_params,
     mlm_loss_and_grad,
+    pack_texts,
     plan_masks,
     stack_grow,
     tlm_sequence,
@@ -26,7 +27,7 @@ from bitextmine.encoder import (
 )
 from bitextmine.errors import CheckpointError
 from bitextmine.trainer import _tensor_at, checkpoint_to_bytes, load_checkpoint, save_checkpoint
-from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, Vocab, content_ids
+from bitextmine.vocab import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Vocab, content_ids, tokenize
 
 from conftest import assert_same_masked_batch, float64_params
 
@@ -44,10 +45,17 @@ MALFORMED_BATCHES = {
     "2-d-item": [[[CLS_ID, 6], [7, SEP_ID]]],
     "non-numeric-item": [[CLS_ID, "six", SEP_ID]],
     "none-item": [[CLS_ID, None]],
+    # np.fromiter would read a digit string's or bytes' characters as ids,
+    # and a set's or dict's keys; _pack refuses them as encode does
+    "str-item": ["123"],
+    "bytes-item": [b"123"],
+    "set-item": [[CLS_ID, 6, SEP_ID], {CLS_ID, 6, SEP_ID}],
+    "dict-item": [{CLS_ID: 0, 6: 0, SEP_ID: 0}],
 }
 MALFORMED_CALLS = {
     "forward_batch": forward_batch,
     "encode_batch": encode_batch,
+    "plan_masks": lambda params, batch: plan_masks(batch, np.random.default_rng(0)),
     "encode": lambda params, batch: encode(params, *batch),
 }
 
@@ -170,6 +178,43 @@ class TestEncode:
         assert norms.tobytes() == expected.tobytes()
 
 
+class TestPackTexts:
+    """``pack_texts`` packs what ``vocab.tokenize`` gives each text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # "d" matches no piece, so a word holding it is one UNK; the
+        # whitespace runs mix a space, a tab, an ideographic space and a
+        # file separator, all of which str.split() splits on
+        texts=st.lists(st.text(alphabet="abcd \t\u3000\x1c", max_size=40), max_size=8),
+        max_len=st.sampled_from([3, 4, 7, 24]),
+    )
+    def test_each_row_is_tokenize_of_its_text(self, texts, max_len):
+        vocab = Vocab(list(SPECIAL_TOKENS) + ["a", "b", "ab", "##a", "##b", "c"])
+        ids, bounds = pack_texts(texts, vocab, max_len)
+        assert ids.dtype == bounds.dtype == np.int64
+        assert bounds.shape == (len(texts) + 1,) and bounds[0] == 0 and bounds[-1] == ids.size
+        rows = [tuple(ids[bounds[b] : bounds[b + 1]].tolist()) for b in range(len(texts))]
+        assert rows == [tokenize(text, vocab, max_len) for text in texts]
+
+    def test_unknown_words_truncation_and_blank_texts(self):
+        vocab = Vocab(list(SPECIAL_TOKENS) + ["a", "b", "ab", "##a", "##b"])
+        ab, a, cont_a, cont_b = (vocab.piece_to_id[piece] for piece in ("ab", "a", "##a", "##b"))
+        ids, bounds = pack_texts(["ab d  a", "abab a a a", " "], vocab, 5)
+        assert ids.tolist() == [
+            CLS_ID, ab, UNK_ID, a, SEP_ID,  # "d" matches no piece
+            CLS_ID, ab, cont_a, cont_b, SEP_ID,  # six content ids, the first three kept
+            CLS_ID, SEP_ID,
+        ]
+        assert bounds.tolist() == [0, 5, 10, 12]
+
+    def test_max_len_below_three_is_refused_as_tokenize_refuses_it(self):
+        vocab = Vocab(list(SPECIAL_TOKENS) + ["a"])
+        for call in (lambda: pack_texts(["a"], vocab, 2), lambda: tokenize("a", vocab, 2)):
+            with pytest.raises(ValueError, match="^max_len must be >= 3, got 2$"):
+                call()
+
+
 class TestEncodeBatch:
     def test_rows_equal_single_encode_exactly(self):
         p = small_params()
@@ -227,6 +272,31 @@ class TestEncodeBatch:
         M = encode_batch(p, batch)
         for i, item in enumerate(batch):
             np.testing.assert_array_equal(M[i], encode(p, item))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_a_packed_batch_encodes_as_its_list_bit_for_bit(self, wide):
+        rng = np.random.default_rng(9)
+        p = small_params(max_len=16)
+        p = float64_params(p) if wide else p
+        batch = [
+            (CLS_ID, *rng.integers(5, 24, size=rng.integers(0, 15)).tolist(), SEP_ID)
+            for _ in range(2 * _ENCODE_CHUNK + 7)
+        ]
+        packed = PackedBatch(
+            np.array([i for seq in batch for i in seq], dtype=np.int64),
+            np.cumsum([0] + [len(seq) for seq in batch], dtype=np.int64),
+        )
+        assert encode_batch(p, packed).tobytes() == encode_batch(p, batch).tobytes()
+
+    def test_packed_texts_encode_as_their_token_tuples(self, toy_small, toy_vocab, toy_params):
+        texts = [s.text for s in toy_small.mono_sentences[: 2 * _ENCODE_CHUNK + 7]]
+        max_len = toy_params.config.max_seq_len
+        want = encode_batch(toy_params, [tokenize(text, toy_vocab, max_len) for text in texts])
+        assert encode_batch(toy_params, pack_texts(texts, toy_vocab, max_len)).tobytes() == want.tobytes()
+
+    def test_an_empty_packed_batch_is_refused(self, toy_vocab):
+        with pytest.raises(ValueError, match="^token sequence must be a non-empty 1-D id list$"):
+            encode_batch(small_params(), pack_texts([], toy_vocab, 8))
 
     def test_backward_batch_matches_finite_differences(self):
         # mixed lengths, every parameter the sentence path reaches

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bitextmine import trainer as trainer_module
-from bitextmine.corpus import Sentence, SentencePair
+from bitextmine.corpus import Sentence, SentencePair, SentencePairs, Sentences
 from bitextmine.encoder import (
     EncoderConfig, EncoderParams, _pack, encode, forward_batch, init_params, param_count, plan_masks, tlm_sequence,
 )
@@ -546,6 +546,34 @@ class TestTokenStore:
         assert 0 < len(mlm) < len(mono) and 0 < len(tlm) < len(pairs)
         assert sentences == Counter(id(mono[i]) for i in mlm)
         assert tokenized == Counter(id(pairs[i]) for i in tlm)
+
+    def test_pretraining_on_read_columns_builds_only_the_drawn_records(
+        self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
+    ):
+        mono_list, pair_list = toy_small.mono_sentences, toy_small.train_pairs
+        mono = Sentences([s.id for s in mono_list], [s.lang for s in mono_list], [s.text for s in mono_list])
+        pairs = SentencePairs(
+            list(range(1, len(pair_list) + 1)), [p.src.lang for p in pair_list], [p.tgt.lang for p in pair_list],
+            [p.src.text for p in pair_list], [p.tgt.text for p in pair_list], [p.score for p in pair_list],
+        )
+        cfg = PretrainConfig((Stage(2, 4), Stage(4, 2)), batch_size=4, seed=3, mix=(1, 1))
+        params = init_params(toy_encoder_config, 2)
+        want = pretrain(params, mono_list, pair_list, cfg, toy_vocab)
+        built = Counter()
+        for record_type in (Sentence, SentencePair):
+            def counting(self, *args, _init=record_type.__init__, **kwargs):
+                built[type(self).__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(record_type, "__init__", counting)
+        got = pretrain(params, mono, pairs, cfg, toy_vocab)
+        mlm, tlm = set(), set()
+        for k, stage in enumerate(cfg.stages):  # even steps draw MLM batches, odd ones TLM batches
+            mlm |= self.drawn([3, trainer_module._STREAM_MLM, k], len(mono), 4, range(0, stage.steps, 2))
+            tlm |= self.drawn([3, trainer_module._STREAM_TLM, k], len(pairs), 4, range(1, stage.steps, 2))
+        assert built == Counter(Sentence=len(mlm) + 2 * len(tlm), SentencePair=len(tlm))
+        assert len(mlm) < len(mono) and len(tlm) < len(pairs)
+        assert checkpoint_to_bytes(got, None) == checkpoint_to_bytes(want, None)
 
     def test_fine_tuning_tokenizes_each_drawn_side_once_and_no_other(
         self, monkeypatch, toy_small, toy_vocab, toy_encoder_config

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitextmine import vocab as vocab_module
-from bitextmine.corpus import Sentence
 from bitextmine.errors import DataError
 from bitextmine.vocab import (
     CLS_ID,
@@ -23,10 +22,6 @@ from bitextmine.vocab import (
     tokenize,
     word_tokens,
 )
-
-
-def sents(lang, *texts):
-    return [Sentence(id=str(i), lang=lang, text=t) for i, t in enumerate(texts)]
 
 
 def manual_vocab(extra):
@@ -53,29 +48,29 @@ class TestLanguageWeights:
 
 class TestBuildVocab:
     def test_specials_occupy_first_five_ids(self):
-        vocab = build_vocab({"aa": sents("aa", "ab ab")}, target_size=20)
+        vocab = build_vocab({"aa": ["ab ab"]}, target_size=20)
         assert tuple(vocab.pieces[:5]) == SPECIAL_TOKENS
 
     def test_target_too_small_errors(self):
         with pytest.raises(ValueError):
-            build_vocab({"aa": sents("aa", "abc")}, target_size=7)
+            build_vocab({"aa": ["abc"]}, target_size=7)
 
     def test_merges_most_frequent_pair_first(self):
         # "ab" occurs 3 times, "cd" once: first merged piece is "ab"
-        vocab = build_vocab({"aa": sents("aa", "ab ab ab cd")}, target_size=12)
+        vocab = build_vocab({"aa": ["ab ab ab cd"]}, target_size=12)
         alphabet = {"a", "b", "c", "d", "##b", "##d"}
         first_merge = [p for p in vocab.pieces[5:] if p not in alphabet][0]
         assert first_merge == "ab"
 
     def test_deterministic(self):
-        corp = {"aa": sents("aa", "kade gibe kade"), "bb": sents("bb", "somu noru")}
+        corp = {"aa": ["kade gibe kade"], "bb": ["somu noru"]}
         a = build_vocab(corp, target_size=40)
         b = build_vocab(corp, target_size=40)
         assert a.pieces == b.pieces
 
     def test_alpha_one_single_language_equals_raw_counts(self):
         # with one language the weight is 1 regardless of alpha
-        corp = {"aa": sents("aa", "xy xy zq")}
+        corp = {"aa": ["xy xy zq"]}
         assert build_vocab(corp, 15, smoothing_exponent=1.0).pieces == build_vocab(
             corp, 15, smoothing_exponent=0.3
         ).pieces
@@ -85,8 +80,8 @@ class TestBuildVocab:
         # upweighting under alpha=0.3 is (100/10)^0.7 ~ 5x, flipping the
         # first merge. Single-char filler words contribute no pairs.
         corp = {
-            "big": sents("big", *(["aa"] * 12 + ["x"] * 88)),
-            "small": sents("small", *["cc"] * 10),
+            "big": ["aa"] * 12 + ["x"] * 88,
+            "small": ["cc"] * 10,
         }
         unsmoothed = build_vocab(corp, 11, smoothing_exponent=1.0)
         smoothed = build_vocab(corp, 11, smoothing_exponent=0.3)
@@ -94,7 +89,7 @@ class TestBuildVocab:
         assert smoothed.pieces[-1] == "cc"
 
     def test_vocab_file_roundtrip(self, tmp_path):
-        vocab = build_vocab({"aa": sents("aa", "kade gibe")}, target_size=30)
+        vocab = build_vocab({"aa": ["kade gibe"]}, target_size=30)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         loaded = Vocab.load(path)
@@ -117,7 +112,7 @@ class TestBuildVocab:
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
-        build_vocab({"aa": sents("aa", "kade")}, target_size=30).save(path)
+        build_vocab({"aa": ["kade"]}, target_size=30).save(path)
         before = path.read_bytes()
 
         def failing_replace(src, dst):
@@ -125,7 +120,7 @@ class TestBuildVocab:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
-            build_vocab({"aa": sents("aa", "kade gibe lomu")}, target_size=30).save(path)
+            build_vocab({"aa": ["kade gibe lomu"]}, target_size=30).save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
@@ -136,10 +131,10 @@ def full_rescan_build_vocab(corpora, target_size, smoothing_exponent=0.3, charac
     symbol sequence. The reference that ``build_vocab`` must match piece
     for piece."""
     word_counts, token_totals = {}, {}
-    for lang, sentences in corpora.items():
+    for lang, texts in corpora.items():
         counts, n = {}, 0
-        for sent in sentences:
-            for word in sent.text.split():
+        for text in texts:
+            for word in text.split():
                 counts[word] = counts.get(word, 0) + 1
                 n += 1
         word_counts[lang], token_totals[lang] = counts, n
@@ -202,7 +197,7 @@ def smoothed_corpora(draw):
         letters = draw(st.text(alphabet="abcdefghij", min_size=2, max_size=6))
         word = st.text(alphabet=letters, min_size=1, max_size=8)
         lines = draw(st.lists(st.lists(word, min_size=1, max_size=5), min_size=1, max_size=12))
-        corpora[lang] = sents(lang, *(" ".join(words) for words in lines))
+        corpora[lang] = [" ".join(words) for words in lines]
     return corpora
 
 
@@ -227,8 +222,26 @@ class TestIncrementalMerges:
         expected = full_rescan_build_vocab(corpora, target, alpha, coverage)
         assert build_vocab(corpora, target, alpha, coverage).pieces == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.text(alphabet="abc \t\n\u3000\x1c", max_size=12), max_size=6), min_size=1, max_size=3
+        ),
+        st.sampled_from([0.3, 1.0]),
+    )
+    def test_one_counter_pass_counts_as_each_text_split(self, languages, alpha):
+        # runs of mixed whitespace, and texts that are blank or start or end with one
+        corpora = {f"l{i}": texts for i, texts in enumerate(languages)}
+        try:
+            expected = full_rescan_build_vocab(corpora, 10_000, alpha)
+        except ValueError:  # no tokens at all
+            with pytest.raises(ValueError, match="^no tokens in corpus$"):
+                build_vocab(corpora, 10_000, alpha)
+            return
+        assert build_vocab(corpora, 10_000, alpha).pieces == expected
+
     def test_matches_the_full_rescan_on_the_toy_corpus(self, toy_small):
-        corpora = {"aa": [p.src for p in toy_small.train_pairs], "bb": [p.tgt for p in toy_small.train_pairs]}
+        corpora = {"aa": [p.src.text for p in toy_small.train_pairs], "bb": [p.tgt.text for p in toy_small.train_pairs]}
         for target in (120, 600, 5000):
             assert build_vocab(corpora, target).pieces == full_rescan_build_vocab(corpora, target)
 
@@ -351,7 +364,7 @@ class TestDetokenize:
         )
     )
     def test_roundtrip_on_unk_free_sentences(self, words):
-        corp = {"aa": sents("aa", " ".join(words))}
+        corp = {"aa": [" ".join(words)]}
         vocab = build_vocab(corp, target_size=200)
         text = " ".join(words)
         seq = tokenize(text, vocab, max_len=64)
