@@ -221,7 +221,7 @@ def cmd_build_vocab(args) -> tuple[list, list]:
 
 
 def cmd_pretrain(args) -> tuple[list, list]:
-    from .corpus import Sentences, read_pairs_tsv
+    from .corpus import SentencePairs, Sentences, read_pairs_tsv
     from .encoder import init_params
     from .trainer import PretrainConfig, Stage, pretrain, save_checkpoint
     from .vocab import Vocab
@@ -246,10 +246,10 @@ def cmd_pretrain(args) -> tuple[list, list]:
             if share and not getattr(args, flag):
                 raise ValueError(f"--mix {args.mix} asks for {kind} batches, which need --{flag}")
     vocab = Vocab.load(args.vocab)
-    mono = Sentences([], [], [])  # joined as columns: pretrain builds only the records it draws
+    mono = Sentences([], [], [])
     for path in args.mono or []:
         mono += _read_mono(path)
-    pairs = read_pairs_tsv(args.pairs) if args.pairs else []
+    pairs = read_pairs_tsv(args.pairs) if args.pairs else SentencePairs([], [], [], [], [], [])
     params = init_params(replace(shape, vocab_size=len(vocab)), seed=args.seed)
     log_path = Path(args.log) if args.log else Path(str(args.out) + ".log")
     with open(log_path, "w", encoding="utf-8") as log:
@@ -404,10 +404,11 @@ def cmd_mine(args) -> tuple[list, list]:
     swapped = config.direction == "auto" and choose_query_side(len(side_a), len(side_b)) == "b"
     queries, pool = (side_b, side_a) if swapped else (side_a, side_b)
     index = build(_encode_pool(params, vocab, pool), pool.ids, index_config)
+    query_records = dict(zip(queries.ids, queries))  # each record built once
     # one encode call per source: the packed forward over that sentence alone
-    rows = [encode(params, tokenize_sentence(s, vocab, params.config.max_seq_len)) for s in queries]
+    rows = [encode(params, tokenize_sentence(s, vocab, params.config.max_seq_len)) for s in query_records.values()]
     src = build(np.stack(rows), queries.ids)
-    mined = mine(src, index, {s.id: s for s in queries}, {s.id: s for s in pool}, config)
+    mined = mine(src, index, query_records, dict(zip(pool.ids, pool)), config)
     if swapped:  # --src stays in the source columns
         mined = [SentencePair(p.tgt, p.src, p.score) for p in mined]
     report, selected = mining_report(mined, config, sources_processed=len(queries))

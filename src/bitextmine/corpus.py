@@ -12,19 +12,18 @@ that are empty or whitespace only skipped but counted, errors name
 The readers check a whole file, then keep it as columns, one list per
 field in line order: ``Sentences`` holds ``ids``, ``langs`` and ``texts``,
 ``SentencePairs`` the line numbers, both sides' languages and texts, and
-the scores. Each is a read-only sequence of records that equals, slices
-and iterates as the list of ``Sentence`` or ``SentencePair`` records
-would, but builds a record only when one is indexed (iterating indexes
-each in turn), and keeps it, so a caller that reads the columns, as
-``encode`` and ``build-vocab`` do, builds none, and pretraining builds
-only the items its steps draw.
+the scores. Each is a read-only sequence whose item i is a
+``Sentence`` or ``SentencePair`` built afresh from row i each time it is
+indexed, and kept nowhere; a slice is the sliced columns. Callers that
+need only texts, as ``encode``, ``build-vocab`` and training do, read the
+columns and build no record.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,99 +60,54 @@ class SentencePair:
             raise ValueError(f"pair score must be finite, got {self.score!r}")
 
 
-class _Columns(Sequence):
-    """A read-only sequence of records kept as equal-length column lists.
-    Record i is built from row i of the columns the first time it is
-    indexed, and kept. A slice is the same kind of sequence over the
-    sliced columns; ``+`` joins two of one kind; each equals the list of
-    its records."""
+@dataclass(frozen=True)
+class Sentences(Sequence):
+    """Sentences as the columns ``ids``, ``langs`` and ``texts``; item i
+    is a fresh ``Sentence(ids[i], langs[i], texts[i])``, a slice the
+    sliced columns, and ``+`` joins the columns of two."""
 
-    __slots__ = ("_built",)
-
-    def __init__(self, rows: int) -> None:
-        self._built: list = [None] * rows
-
-    def _columns(self) -> tuple[list, ...]:
-        raise NotImplementedError
-
-    def _build(self, i: int):
-        raise NotImplementedError
+    ids: list[str]
+    langs: list[str]
+    texts: list[str]
 
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self.ids)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            part = type(self)(*(column[i] for column in self._columns()))
-            part._built = self._built[i]
-            return part
-        record = self._built[i]
-        if record is None:
-            record = self._built[i] = self._build(i)
-        return record
-
-    def __iter__(self) -> Iterator:
-        built = self._built
-        for i, record in enumerate(built):
-            yield self[i] if record is None else record
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        joined = type(self)(*(a + b for a, b in zip(self._columns(), other._columns())))
-        joined._built = self._built + other._built
-        return joined
-
-    def __eq__(self, other) -> bool:
-        if type(other) is type(self):
-            return self._columns() == other._columns()
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    __hash__ = None  # as a list's
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-class Sentences(_Columns):
-    """Sentences as the columns ``ids``, ``langs`` and ``texts``; record i
-    is ``Sentence(ids[i], langs[i], texts[i])``."""
-
-    __slots__ = ("ids", "langs", "texts")
-
-    def __init__(self, ids: list[str], langs: list[str], texts: list[str]) -> None:
-        self.ids, self.langs, self.texts = ids, langs, texts
-        super().__init__(len(ids))
-
-    def _columns(self) -> tuple[list, ...]:
-        return self.ids, self.langs, self.texts
-
-    def _build(self, i: int) -> Sentence:
+            return Sentences(self.ids[i], self.langs[i], self.texts[i])
         return Sentence(self.ids[i], self.langs[i], self.texts[i])
 
+    def __add__(self, other: Sentences) -> Sentences:
+        if not isinstance(other, Sentences):
+            return NotImplemented
+        return Sentences(self.ids + other.ids, self.langs + other.langs, self.texts + other.texts)
 
-class SentencePairs(_Columns):
+
+@dataclass(frozen=True)
+class SentencePairs(Sequence):
     """Pairs read from a pairs file, as columns: the line numbers
     ``lines``, ``src_langs``, ``tgt_langs``, ``src_texts``, ``tgt_texts``
-    and ``scores`` (None where a row has none). Record i's sentences have
-    the ids ``"<line>:src"`` and ``"<line>:tgt"``."""
+    and ``scores`` (None where a row has none). Item i is a fresh
+    ``SentencePair`` whose sentences have the ids ``"<line>:src"`` and
+    ``"<line>:tgt"``; a slice is the sliced columns."""
 
-    __slots__ = ("lines", "src_langs", "tgt_langs", "src_texts", "tgt_texts", "scores")
+    lines: list[int]
+    src_langs: list[str]
+    tgt_langs: list[str]
+    src_texts: list[str]
+    tgt_texts: list[str]
+    scores: list[float | None]
 
-    def __init__(
-        self, lines: list[int], src_langs: list[str], tgt_langs: list[str],
-        src_texts: list[str], tgt_texts: list[str], scores: list[float | None],
-    ) -> None:
-        self.lines, self.src_langs, self.tgt_langs = lines, src_langs, tgt_langs
-        self.src_texts, self.tgt_texts, self.scores = src_texts, tgt_texts, scores
-        super().__init__(len(lines))
+    def __len__(self) -> int:
+        return len(self.lines)
 
-    def _columns(self) -> tuple[list, ...]:
-        return self.lines, self.src_langs, self.tgt_langs, self.src_texts, self.tgt_texts, self.scores
-
-    def _build(self, i: int) -> SentencePair:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SentencePairs(
+                self.lines[i], self.src_langs[i], self.tgt_langs[i],
+                self.src_texts[i], self.tgt_texts[i], self.scores[i],
+            )
         line = self.lines[i]
         src = Sentence(f"{line}:src", self.src_langs[i], self.src_texts[i])
         return SentencePair(src, Sentence(f"{line}:tgt", self.tgt_langs[i], self.tgt_texts[i]), self.scores[i])

@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SentencePair
 from .errors import NumericalError
 from .loss import softmax_cross_entropy
 from .vecindex import stable_order
@@ -514,15 +513,16 @@ def mlm_loss_and_grad(
     return loss, grads
 
 
-def tlm_sequence(pair: SentencePair, vocab: Vocab, max_len: int) -> tuple[int, ...]:
-    """Concatenated translation-pair layout [CLS] src [SEP] tgt [SEP].
+def tlm_sequence(src_text: str, tgt_text: str, vocab: Vocab, max_len: int) -> tuple[int, ...]:
+    """The translation-pair layout [CLS] src [SEP] tgt [SEP] of a pair's
+    source text ``src_text`` and target text ``tgt_text``.
 
     An empty side drops its segment (and separator); no language
     identifier token is inserted. Truncation trims the longer segment
     token by token, the source on a tie, until the layout fits max_len; a
     max_len that cannot keep a token of each non-empty side is refused.
     """
-    sides = (content_ids(pair.src.text, vocab), content_ids(pair.tgt.text, vocab))
+    sides = (content_ids(src_text, vocab), content_ids(tgt_text, vocab))
     segments = [toks for toks in sides if toks]
     total = 1 + sum(len(s) + 1 for s in segments)
     if total < 3:

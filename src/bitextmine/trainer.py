@@ -20,12 +20,15 @@ pretraining, so a resumed run reproduces the unbroken run bit for bit.
 Before its first step, each run builds the generator of every step it
 will run, once, draws that step's corpus indices from it and tokenizes
 each drawn item once, in corpus order, into one ``TokenStore``; an item
-that no step draws is never tokenized. Of each generator it keeps only
-what the step needs: the indices, and in pretraining the four integers
-of the PCG64 state that the indices left. A step gathers its packed
-batch from the store, and a pretraining step restores that state into
-one generator that the run reuses, which goes on to choose its masks as
-the step's own generator would. Each step drops its record.
+that no step draws is never tokenized. The store tokenizes texts, read
+from the corpora's text columns: a sentence's text, or a pair's two
+texts as one TLM layout; training builds no ``Sentence`` or
+``SentencePair``. Of each generator it keeps only what the step needs:
+the indices, and in pretraining the four integers of the PCG64 state
+that the indices left. A step gathers its packed batch from the store,
+and a pretraining step restores that state into one generator that the
+run reuses, which goes on to choose its masks as the step's own
+generator would. Each step drops its plan.
 The learning rate decays linearly to zero over the configured step
 horizon. The optimizer state carries the TrainConfig it was made under,
 and a run that continues a state must use that same config.
@@ -59,7 +62,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .corpus import Sentence, SentencePair
+from .corpus import SentencePairs, Sentences
 from .encoder import (
     MLM_CAP, MLM_FRACTION, PARAM_DTYPE, EncoderConfig, EncoderParams, PackedBatch, backward_batch,
     forward_batch, mlm_loss_and_grad, param_count, plan_masks, stack_grow, tlm_sequence, zeros_like_params,
@@ -68,7 +71,7 @@ from .errors import CheckpointError, NumericalError
 from .fileio import atomic_write_bytes
 from .loss import LossConfig
 from .negatives import shard_batch, sharded_bidirectional_loss
-from .vocab import Vocab, tokenize_sentence
+from .vocab import Vocab, tokenize
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -284,7 +287,7 @@ def _run_steps(
 
 def finetune_dual_encoder(
     params: EncoderParams,
-    pair_corpus: Sequence[SentencePair],
+    pair_corpus: SentencePairs,
     config: TrainConfig,
     vocab: Vocab,
     *,
@@ -328,11 +331,9 @@ def finetune_dual_encoder(
         _, idx = _draw([config.seed, _STREAM_FINETUNE, t], n, config.batch_size)
         return np.concatenate((idx, idx + n))
 
-    def side(i: int) -> Sentence:
-        return pair_corpus[i].src if i < n else pair_corpus[i - n].tgt
-
+    texts = pair_corpus.src_texts + pair_corpus.tgt_texts
     items = {t: draw(t) for t in range(state.step_count, stop)}  # the steps still to run
-    store = TokenStore.of_drawn(2 * n, items.values(), lambda i: tokenize_sentence(side(i), vocab, max_len))
+    store = TokenStore.of_drawn(2 * n, items.values(), lambda i: tokenize(texts[i], vocab, max_len))
 
     def ranking_step(params: EncoderParams, grads: EncoderParams, t: int) -> tuple[float, int]:
         v, cache = forward_batch(params, store.gather(items.pop(t)))
@@ -397,8 +398,8 @@ class PretrainConfig:
 
 def pretrain(
     params: EncoderParams,
-    corpus: Sequence[Sentence],
-    pair_corpus: Sequence[SentencePair],
+    corpus: Sentences,
+    pair_corpus: SentencePairs,
     config: PretrainConfig,
     vocab: Vocab,
     *,
@@ -437,8 +438,8 @@ def pretrain(
 
     def sequence(i: int) -> tuple[int, ...]:
         if i < m:
-            return tokenize_sentence(corpus[i], vocab, max_len)
-        return tlm_sequence(pair_corpus[i - m], vocab, max_len)
+            return tokenize(corpus.texts[i], vocab, max_len)
+        return tlm_sequence(pair_corpus.src_texts[i - m], pair_corpus.tgt_texts[i - m], vocab, max_len)
 
     plans = {(k, t): draw(k, t) for k, stage in enumerate(config.stages) for t in range(stage.steps)}
     store = TokenStore.of_drawn(m + len(pair_corpus), (items for items, _ in plans.values()), sequence)

@@ -69,18 +69,19 @@ each query, the tiles of its probed clusters, and one ``_best_k`` orders
 what it keeps, so only probed rows are scored and the rows it returns
 keep their exact-mode scores and ties.
 
-Pool file format: one ASCII header line ``M d``, then M rows of
-little-endian float32; ids live in a required companion file, one per
-line, each ended by ``\n``. ``read_pool`` is the one pool reader: every
-pool it reads is checked by ``build``, and a pool that fails is named
-with the line of its repeated id or the number of its first off-unit
-row. An index directory holds the pool (``vectors.pool``) and, if
-partitioned, the centroids (``centroids.pool``, same rows, no ids) and
-the config (``index.cfg``); the partition is derived on load.
+Pool file format: one ASCII header line ``M d`` (plain digits, d >= 1),
+then M rows of little-endian float32; ids live in a required companion
+file, one per line, each ended by ``\n``. ``read_pool`` is the one pool
+reader: every pool it reads is checked by ``build``, and a pool that
+fails is named with the line of its repeated id or the number of its
+first off-unit row. An index directory holds the pool (``vectors.pool``)
+and, if partitioned, the centroids (``centroids.pool``, same rows, no
+ids) and the config (``index.cfg``); the partition is derived on load.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -96,6 +97,7 @@ _SCORE_BYTES = 1 << 22  # float32 approximate scores formed at once: 256 queries
 _TILE_ROWS = 4096  # rows per tile: a 1 MB float32 tile at d = 64
 _RESCORE_PAIRS = 4096  # candidate pairs rescored at once: 2 MB gathers at d = 64
 _SLACK = 4 * 2.0**-24  # per (d + 2) and unit of max|p|: see the module docstring
+_HEADER_RE = re.compile(rb"([0-9]+) ([0-9]+)\n")  # a pool's ``M d`` line
 
 
 @dataclass(frozen=True)
@@ -455,13 +457,15 @@ def _write_rows(path: str | Path, rows: np.ndarray) -> None:
 
 
 def _read_rows(path: str | Path) -> np.ndarray:
-    """The (M, d) float32 rows of a file written by ``_write_rows``."""
+    """The (M, d) float32 rows of a file written by ``_write_rows``. A
+    header line that is not ``M d`` in plain digits, with M >= 0 and
+    d >= 1, raises ``DataError`` naming the file."""
     with open(path, "rb") as fh:
         header = fh.readline()
-        try:
-            m, d = (int(x) for x in header.split())
-        except ValueError as exc:
-            raise DataError(f"{path}: bad pool header {header!r}") from exc
+        match = _HEADER_RE.fullmatch(header)
+        if match is None or int(match[2]) == 0:
+            raise DataError(f"{path}: bad pool header {header!r}")
+        m, d = int(match[1]), int(match[2])
         body = fh.read()
     expected = m * d * 4
     if len(body) != expected:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitextmine.corpus import SentencePair, SentencePairs, Sentences
 from bitextmine.encoder import EncoderConfig, EncoderParams, init_params
 from bitextmine.toydata import make_toy_corpus
 from bitextmine.trainer import checkpoint_to_bytes
@@ -31,6 +32,18 @@ def toy_encoder_config(toy_vocab):
 @pytest.fixture()
 def toy_params(toy_encoder_config):
     return init_params(toy_encoder_config, seed=11)
+
+
+def columns(records):
+    """The columns of a list of records, as training reads them: a
+    ``SentencePairs`` (lines numbered from 1) of ``SentencePair``s, else a
+    ``Sentences`` of ``Sentence``s."""
+    if records and isinstance(records[0], SentencePair):
+        return SentencePairs(
+            list(range(1, len(records) + 1)), [p.src.lang for p in records], [p.tgt.lang for p in records],
+            [p.src.text for p in records], [p.tgt.text for p in records], [p.score for p in records],
+        )
+    return Sentences([s.id for s in records], [s.lang for s in records], [s.text for s in records])
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -10,6 +10,7 @@ keeps ``cli.py`` on argparse's public interface."""
 import ast
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -898,15 +899,22 @@ def test_library_value_error_is_data_error_and_writes_no_manifest(work, tmp_path
     assert not manifest_path(out).exists()
 
 
-@pytest.mark.parametrize("command", ["encode", "build-vocab"])
-def test_encode_and_build_vocab_read_the_text_columns_and_build_no_record(work, tmp_path, monkeypatch, command):
-    built = []
+def counted_records(monkeypatch):
+    """A Counter of the ``Sentence`` and ``SentencePair`` records built
+    from now on, by type name."""
+    built = Counter()
     for record_type in (Sentence, SentencePair):
         def counting(self, *args, _init=record_type.__init__, **kwargs):
-            built.append(type(self).__name__)
+            built[type(self).__name__] += 1
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(record_type, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("command", ["encode", "build-vocab"])
+def test_encode_and_build_vocab_read_the_text_columns_and_build_no_record(work, tmp_path, monkeypatch, command):
+    built = counted_records(monkeypatch)
     if command == "encode":
         argv = ["encode", "--input", work / "src.txt", "--vocab", work / "vocab.txt", "--ckpt", work / "model.ckpt"]
         assert run(*argv, "--out", tmp_path / "src.pool") == 0
@@ -915,7 +923,31 @@ def test_encode_and_build_vocab_read_the_text_columns_and_build_no_record(work, 
     else:
         argv = ["build-vocab", "--pairs", work / "pairs.tsv", "--mono", work / "src.txt", "--target-size", 200]
         assert run(*argv, "--out", tmp_path / "vocab.txt") == 0
-    assert built == []
+    assert built == Counter()
+
+
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_training_reads_the_text_columns_and_builds_no_record(work, tmp_path, monkeypatch, command):
+    built = counted_records(monkeypatch)
+    argv = [command, "--pairs", work / "pairs.tsv", "--vocab", work / "vocab.txt", "--batch-size", 8, "--hidden-dim", 8]
+    if command == "train":
+        argv += ["--steps", 2]
+    else:  # both objectives, so both corpora are drawn from
+        argv += ["--mono", work / "src.txt", "--mono", work / "tgt.txt", "--mix", "1:1", "--stage-steps", "2,2"]
+    assert run(*argv, "--out", tmp_path / "model.ckpt") == 0
+    assert built == Counter()
+
+
+def test_mine_builds_one_record_per_input_line_and_one_pair_per_mined_pair(work, tmp_path, monkeypatch):
+    built = counted_records(monkeypatch)
+    argv = [
+        "mine", "--src", work / "src.txt", "--tgt", work / "tgt.txt", "--vocab", work / "vocab.txt",
+        "--ckpt", work / "model.ckpt", "--threshold", -0.99, "--direction", "forward",
+    ]
+    assert run(*argv, "--out", tmp_path / "mined.tsv") == 0
+    lines = sum(len((work / f"{side}.txt").read_text(encoding="utf-8").splitlines()) for side in ("src", "tgt"))
+    emitted = read_json(tmp_path / "mined.tsv.report.json")["pairs_emitted"]
+    assert emitted > 0 and built == Counter(Sentence=lines, SentencePair=emitted)
 
 
 def test_pretrain_tokenizes_no_tlm_layout_that_its_mix_never_draws(work, tmp_path):

@@ -30,7 +30,7 @@ from bitextmine.trainer import (
 )
 from bitextmine.vocab import CLS_ID, SEP_ID
 
-from conftest import float64_params
+from conftest import columns, float64_params
 
 F32 = np.dtype(np.float32)
 
@@ -111,14 +111,15 @@ def test_optimizer_step_and_stack_grow_stay_float32():
 
 
 def test_training_loops_return_float32(toy_small, toy_vocab, toy_encoder_config):
+    mono, pairs = columns(toy_small.mono_sentences), columns(toy_small.train_pairs)
     params, state = finetune_dual_encoder(
-        init_params(toy_encoder_config, 1), toy_small.train_pairs, TrainConfig(batch_size=8, steps=2), toy_vocab
+        init_params(toy_encoder_config, 1), pairs, TrainConfig(batch_size=8, steps=2), toy_vocab
     )
     for vec in (params.flat, state.first_moment, state.second_moment):
         assert vec.dtype == F32
     start = init_params(EncoderConfig(len(toy_vocab), hidden_dim=8, num_layers=1, max_seq_len=16), 2)
     config = PretrainConfig((Stage(1, 2), Stage(2, 2)), batch_size=8)
-    assert pretrain(start, toy_small.mono_sentences, toy_small.train_pairs, config, toy_vocab).flat.dtype == F32
+    assert pretrain(start, mono, pairs, config, toy_vocab).flat.dtype == F32
 
 
 # Relative tolerance of a float32 gradient tensor against the float64

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bitextmine.corpus import Sentence, SentencePair
 from bitextmine.encoder import (
     _ENCODE_CHUNK,
     EncoderConfig,
@@ -545,17 +544,10 @@ def tlm_vocab():
     return Vocab(pieces=list(SPECIAL_TOKENS) + ["a", "b"])
 
 
-def make_pair(src_text, tgt_text):
-    return SentencePair(
-        src=Sentence(id="s", lang="aa", text=src_text),
-        tgt=Sentence(id="t", lang="bb", text=tgt_text),
-    )
-
-
-def tlm_by_tokens(pair, vocab, max_len):
+def tlm_by_tokens(src_text, tgt_text, vocab, max_len):
     """The layout tlm_sequence should give: pop the last token of the
     longer segment, the source on a tie, until it fits."""
-    sides = (content_ids(pair.src.text, vocab), content_ids(pair.tgt.text, vocab))
+    sides = (content_ids(src_text, vocab), content_ids(tgt_text, vocab))
     segments = [toks for toks in sides if toks]
     while sum(len(s) for s in segments) > max_len - 1 - len(segments):
         max(segments, key=len).pop()
@@ -573,32 +565,32 @@ class TestTlm:
         # one-sided pairs, ties, and sides that differ by one or by many
         vocab = Vocab(pieces=list(SPECIAL_TOKENS) + list("abcd"))
         assume(src or tgt)
-        pair = make_pair(" ".join(src), " ".join(tgt))
+        texts = " ".join(src), " ".join(tgt)
         if max_len < 1 + 2 * (bool(src) + bool(tgt)):
             with pytest.raises(ValueError, match="cannot hold"):
-                tlm_sequence(pair, vocab, max_len)
+                tlm_sequence(*texts, vocab, max_len)
             return
-        assert tlm_sequence(pair, vocab, max_len) == tlm_by_tokens(pair, vocab, max_len)
+        assert tlm_sequence(*texts, vocab, max_len) == tlm_by_tokens(*texts, vocab, max_len)
 
     def test_layout(self):
         vocab = tlm_vocab()
-        seq = tlm_sequence(make_pair("a", "b"), vocab, max_len=10)
+        seq = tlm_sequence("a", "b", vocab, max_len=10)
         a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
         assert seq == (CLS_ID, a, SEP_ID, b, SEP_ID)
 
     def test_empty_target_reduces_to_mlm_layout(self):
         vocab = tlm_vocab()
-        seq = tlm_sequence(make_pair("a a", ""), vocab, max_len=10)
+        seq = tlm_sequence("a a", "", vocab, max_len=10)
         a = vocab.piece_to_id["a"]
         assert seq == (CLS_ID, a, a, SEP_ID)
 
     def test_both_sides_empty_errors(self):
         with pytest.raises(ValueError):
-            tlm_sequence(make_pair("", ""), tlm_vocab(), max_len=10)
+            tlm_sequence("", "", tlm_vocab(), max_len=10)
 
     def test_truncation_trims_longer_segment(self):
         vocab = tlm_vocab()
-        seq = tlm_sequence(make_pair("a a a a a a", "b b"), vocab, max_len=8)
+        seq = tlm_sequence("a a a a a a", "b b", vocab, max_len=8)
         assert len(seq) == 8
         b = vocab.piece_to_id["b"]
         assert list(seq).count(b) == 2  # short side survives
@@ -607,27 +599,27 @@ class TestTlm:
     def test_max_len_too_short_for_both_sides_errors(self, max_len):
         # [CLS] a [SEP] b [SEP] needs 5; nothing is silently emptied or popped
         with pytest.raises(ValueError, match=f"max_len {max_len} cannot hold"):
-            tlm_sequence(make_pair("a a", "b b b"), tlm_vocab(), max_len=max_len)
+            tlm_sequence("a a", "b b b", tlm_vocab(), max_len=max_len)
 
     def test_max_len_fits_one_token_per_side(self):
         vocab = tlm_vocab()
         a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
-        assert tlm_sequence(make_pair("a a", "b b b"), vocab, max_len=5) == (CLS_ID, a, SEP_ID, b, SEP_ID)
-        assert tlm_sequence(make_pair("a a", ""), vocab, max_len=3) == (CLS_ID, a, SEP_ID)
+        assert tlm_sequence("a a", "b b b", vocab, max_len=5) == (CLS_ID, a, SEP_ID, b, SEP_ID)
+        assert tlm_sequence("a a", "", vocab, max_len=3) == (CLS_ID, a, SEP_ID)
         with pytest.raises(ValueError, match="max_len 2 cannot hold"):
-            tlm_sequence(make_pair("a a", ""), vocab, max_len=2)
+            tlm_sequence("a a", "", vocab, max_len=2)
 
     def test_no_language_hint_token(self):
         # every output id is CLS, SEP, or a plain content piece
         vocab = tlm_vocab()
-        seq = tlm_sequence(make_pair("a b a", "b a"), vocab, max_len=16)
+        seq = tlm_sequence("a b a", "b a", vocab, max_len=16)
         allowed = {CLS_ID, SEP_ID, vocab.piece_to_id["a"], vocab.piece_to_id["b"]}
         assert set(seq) <= allowed
 
     def test_tlm_batch_masks_across_both_segments(self):
         # pretrain's TLM batches: plan_masks over tlm_sequence layouts
         vocab = tlm_vocab()
-        seqs = [tlm_sequence(make_pair("a a a a", "b b b b"), vocab, 16) for _ in range(4)]
+        seqs = [tlm_sequence("a a a a", "b b b b", vocab, 16) for _ in range(4)]
         batch = plan_masks(seqs, np.random.default_rng(0), fraction=0.9)
         masked_targets = batch.target_ids[batch.mask_positions]
         assert vocab.piece_to_id["a"] in masked_targets

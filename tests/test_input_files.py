@@ -48,7 +48,7 @@ _line = st.one_of(
 def test_monolingual_lines_read_back_with_their_text_tag_and_line_number(lines, default, tmp_path_factory):
     path = tmp_path_factory.mktemp("mono") / "mono.txt"
     inputs._write_lines(path, [f"{tag}\t{text}" if tag else text for tag, text in lines])
-    assert read_monolingual(path, default) == [
+    assert list(read_monolingual(path, default)) == [
         Sentence(str(lineno), tag or default, text)
         for lineno, (tag, text) in enumerate(lines, start=1)
         if tag is not None

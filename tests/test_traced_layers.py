@@ -24,6 +24,8 @@ from bitextmine.corpus import format_pairs_tsv
 from bitextmine.encoder import EncoderConfig, init_params
 from bitextmine.toydata import make_toy_corpus
 
+from conftest import columns
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
 
@@ -82,11 +84,12 @@ def test_each_training_step_makes_one_optimizer_step(monkeypatch, toy_small, toy
     config = trainer.TrainConfig(batch_size=8, steps=12, learning_rate=1e-3)
     params = init_params(EncoderConfig(len(toy_vocab), hidden_dim=8, num_layers=1, max_seq_len=16))
     if run == "finetune":
-        trainer.finetune_dual_encoder(params, toy_small.train_pairs, config, toy_vocab)
+        trainer.finetune_dual_encoder(params, columns(toy_small.train_pairs), config, toy_vocab)
     else:
         stages = (trainer.Stage(1, 6), trainer.Stage(2, 6))
         pretrain_config = trainer.PretrainConfig(stages, batch_size=8, learning_rate=1e-3)
-        trainer.pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, pretrain_config, toy_vocab)
+        mono, pairs = columns(toy_small.mono_sentences), columns(toy_small.train_pairs)
+        trainer.pretrain(params, mono, pairs, pretrain_config, toy_vocab)
     assert len(calls) == 12
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bitextmine import trainer as trainer_module
-from bitextmine.corpus import Sentence, SentencePair, SentencePairs, Sentences
+from bitextmine.corpus import Sentence, SentencePair, SentencePairs
 from bitextmine.encoder import (
     EncoderConfig, EncoderParams, _pack, encode, forward_batch, init_params, param_count, plan_masks, tlm_sequence,
 )
@@ -40,7 +40,9 @@ from bitextmine.trainer import (
 )
 from bitextmine.vocab import SPECIAL_TOKENS, Vocab, check_build_options, tokenize_sentence
 
-from conftest import assert_same_masked_batch, float64_params, unpacked, version_2_bytes
+from conftest import assert_same_masked_batch, columns, float64_params, unpacked, version_2_bytes
+
+EMPTY_PAIRS = SentencePairs([], [], [], [], [], [])
 
 
 def small_setup(layers=2, d=8, seed=0, vocab_size=40):
@@ -189,7 +191,7 @@ class TestOptimizerStep:
 class TestFinetune:
     def run(self, toy_small, toy_vocab, params, steps, seed=0, **kw):
         cfg = TrainConfig(batch_size=8, steps=steps, learning_rate=1e-3, seed=seed, **kw)
-        return finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab)
+        return finetune_dual_encoder(params, columns(toy_small.train_pairs), cfg, toy_vocab)
 
     def test_deterministic_trajectories(self, toy_small, toy_vocab, toy_encoder_config):
         a, _ = self.run(toy_small, toy_vocab, init_params(toy_encoder_config, 1), steps=12, seed=3)
@@ -208,9 +210,9 @@ class TestFinetune:
         assert checkpoint_to_bytes(a, None) == checkpoint_to_bytes(b, None)
 
     def test_training_log_format(self, toy_small, toy_vocab, toy_encoder_config):
-        log = io.StringIO()
+        log, pairs = io.StringIO(), columns(toy_small.train_pairs)
         cfg = TrainConfig(batch_size=8, steps=3, learning_rate=1e-3, seed=0)
-        finetune_dual_encoder(init_params(toy_encoder_config, 1), toy_small.train_pairs, cfg, toy_vocab, log=log)
+        finetune_dual_encoder(init_params(toy_encoder_config, 1), pairs, cfg, toy_vocab, log=log)
         lines = log.getvalue().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("step=1 loss=")
@@ -218,10 +220,10 @@ class TestFinetune:
         assert "pairs_seen=24" in lines[2]
         # a resumed run writes the unbroken run's line: its steps and pairs continue
         params, state = finetune_dual_encoder(
-            init_params(toy_encoder_config, 1), toy_small.train_pairs, cfg, toy_vocab, stop_step=2
+            init_params(toy_encoder_config, 1), pairs, cfg, toy_vocab, stop_step=2
         )
         resumed = io.StringIO()
-        finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state, log=resumed)
+        finetune_dual_encoder(params, pairs, cfg, toy_vocab, state=state, log=resumed)
         assert resumed.getvalue() == lines[2] + "\n"
 
     def test_loss_decreases_on_eval_batch(self, toy_small, toy_vocab, toy_encoder_config):
@@ -244,7 +246,7 @@ class TestFinetune:
         stops = range(20, 201, 20)
         for stop in stops:
             params, state = finetune_dual_encoder(
-                params, toy_small.train_pairs, cfg, toy_vocab, state=state, stop_step=stop
+                params, columns(toy_small.train_pairs), cfg, toy_vocab, state=state, stop_step=stop
             )
             losses.append(eval_loss(params))
         # The linear decay promises no monotone held-out loss near the
@@ -262,11 +264,10 @@ class TestFinetune:
 
     def test_caller_params_and_resumed_state_left_unchanged(self, toy_small, toy_vocab, toy_encoder_config):
         cfg = TrainConfig(batch_size=8, steps=8, learning_rate=1e-3, seed=2, weight_decay=0.1)
-        params, state = finetune_dual_encoder(
-            init_params(toy_encoder_config, 1), toy_small.train_pairs, cfg, toy_vocab, stop_step=4
-        )
+        pairs = columns(toy_small.train_pairs)
+        params, state = finetune_dual_encoder(init_params(toy_encoder_config, 1), pairs, cfg, toy_vocab, stop_step=4)
         before = checkpoint_to_bytes(params, state)
-        trained, trained_state = finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state)
+        trained, trained_state = finetune_dual_encoder(params, pairs, cfg, toy_vocab, state=state)
         assert checkpoint_to_bytes(params, state) == before
         assert trained_state.step_count == 8
         assert checkpoint_to_bytes(trained, None) != checkpoint_to_bytes(params, None)
@@ -274,7 +275,7 @@ class TestFinetune:
     def test_empty_corpus_rejected(self, toy_vocab, toy_encoder_config):
         cfg = TrainConfig(batch_size=4, steps=2, learning_rate=1e-3)
         with pytest.raises(ValueError):
-            finetune_dual_encoder(init_params(toy_encoder_config, 1), [], cfg, toy_vocab)
+            finetune_dual_encoder(init_params(toy_encoder_config, 1), EMPTY_PAIRS, cfg, toy_vocab)
 
 
 class TestPackedRankingStep:
@@ -299,7 +300,7 @@ class TestPackedRankingStep:
         monkeypatch.setattr(trainer_module, "forward_batch", recorded_forward)
         monkeypatch.setattr(trainer_module, "backward_batch", recorded_backward)
         cfg = TrainConfig(batch_size=8, steps=steps, learning_rate=1e-3, seed=5)
-        finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab)
+        finetune_dual_encoder(params, columns(toy_small.train_pairs), cfg, toy_vocab)
         return calls
 
     def test_each_step_makes_one_forward_and_one_backward_call(
@@ -333,21 +334,21 @@ class TestPretrain:
     def test_single_stage_runs_and_returns_same_depth(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 2)
         cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=1)
-        out = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
+        out = pretrain(params, columns(toy_small.mono_sentences), columns(toy_small.train_pairs), cfg, toy_vocab)
         assert len(out.layers) == 2
 
     def test_stage_schedule_grows_layers(self, toy_small, toy_vocab):
         cfg0 = EncoderConfig(vocab_size=600, hidden_dim=8, num_layers=1, max_seq_len=16)
         params = init_params(cfg0, 2)
         cfg = PretrainConfig((Stage(1, 4), Stage(2, 4), Stage(4, 4)), batch_size=8, learning_rate=1e-3, seed=1)
-        out = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
+        out = pretrain(params, columns(toy_small.mono_sentences), columns(toy_small.train_pairs), cfg, toy_vocab)
         assert len(out.layers) == 4
 
     def test_wrong_initial_depth_rejected(self, toy_small, toy_vocab, toy_encoder_config):
         params = init_params(toy_encoder_config, 2)  # 2 layers
         cfg = PretrainConfig((Stage(1, 4),), batch_size=8, learning_rate=1e-3)
         with pytest.raises(ValueError, match="params have 2 layers, the first stage wants 1"):
-            pretrain(params, toy_small.mono_sentences, [], cfg, toy_vocab)
+            pretrain(params, columns(toy_small.mono_sentences), EMPTY_PAIRS, cfg, toy_vocab)
 
     def test_non_dividing_schedule_rejected(self):
         with pytest.raises(ValueError, match="stage layers 3 must be a multiple of 2"):
@@ -389,7 +390,7 @@ class TestPretrain:
         params.mlm_weight[:] = 0.0
         params.mlm_bias[:] = 0.0
         cfg = PretrainConfig((Stage(2, 500),), batch_size=16, learning_rate=3e-3, seed=2)
-        pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab, log=log)
+        pretrain(params, columns(toy_small.mono_sentences), columns(toy_small.train_pairs), cfg, toy_vocab, log=log)
         losses = [float(line.split()[1].split("=")[1]) for line in log.getvalue().splitlines()]
         assert losses[0] == pytest.approx(math.log(len(toy_vocab)), rel=0.02)
         tail = sum(losses[-10:]) / 10
@@ -400,7 +401,7 @@ class TestPretrain:
         params = init_params(EncoderConfig(len(toy_vocab), hidden_dim=8, num_layers=1, max_seq_len=16), 2)
         stages = (Stage(1, 3), Stage(2, 4))
         cfg = PretrainConfig(stages, batch_size=8, learning_rate=2e-3, seed=1, mix=(1, 1))
-        pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab, log=log)
+        pretrain(params, columns(toy_small.mono_sentences), columns(toy_small.train_pairs), cfg, toy_vocab, log=log)
         fields = [dict(f.split("=") for f in line.split()) for line in log.getvalue().splitlines()]
         assert [int(f["step"]) for f in fields] == [1, 2, 3, 4, 5, 6, 7]
         # each stage starts its (mlm, tlm) cycle again with MLM; only TLM steps see pairs
@@ -414,16 +415,16 @@ class TestPretrain:
         params = init_params(toy_encoder_config, 4)
         before = checkpoint_to_bytes(params, None)
         cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=5)
-        trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
+        trained = pretrain(params, columns(toy_small.mono_sentences), columns(toy_small.train_pairs), cfg, toy_vocab)
         assert checkpoint_to_bytes(params, None) == before
         assert checkpoint_to_bytes(trained, None) != before
 
     def test_deterministic(self, toy_small, toy_vocab, toy_encoder_config):
         cfg = PretrainConfig((Stage(2, 6),), batch_size=8, learning_rate=1e-3, seed=5)
-        runs = []
+        runs, mono, pairs = [], columns(toy_small.mono_sentences), columns(toy_small.train_pairs)
         for _ in range(2):
             params = init_params(toy_encoder_config, 4)
-            trained = pretrain(params, toy_small.mono_sentences, toy_small.train_pairs, cfg, toy_vocab)
+            trained = pretrain(params, mono, pairs, cfg, toy_vocab)
             runs.append(checkpoint_to_bytes(trained, None))
         assert runs[0] == runs[1]
 
@@ -433,12 +434,12 @@ class TestPretrain:
 STORE_VOCAB = Vocab(list(SPECIAL_TOKENS) + ["a", "b", "c", "##a", "##b", "##c", "ab", "##bc", "ca"])
 _texts = st.lists(st.text("abcd", min_size=1, max_size=4), min_size=1, max_size=6).map(" ".join)
 _mono = st.lists(_texts, min_size=1, max_size=8).map(
-    lambda texts: [Sentence(str(i), "aa", text) for i, text in enumerate(texts)]
+    lambda texts: columns([Sentence(str(i), "aa", text) for i, text in enumerate(texts)])
 )
 _pairs = st.lists(st.tuples(_texts, _texts), min_size=1, max_size=8).map(
-    lambda sides: [
+    lambda sides: columns([
         SentencePair(Sentence(f"{i}s", "aa", s), Sentence(f"{i}t", "bb", t)) for i, (s, t) in enumerate(sides)
-    ]
+    ])
 )
 
 
@@ -462,8 +463,10 @@ class TestTokenStore:
             mask_fraction=fraction, mask_cap=cap,
         )
         # the list path: every item tokenized on first use, per-step lists packed by plan_masks
-        seqs = {trainer_module._STREAM_MLM: lambda: [tokenize_sentence(s, STORE_VOCAB, max_len) for s in mono],
-                trainer_module._STREAM_TLM: lambda: [tlm_sequence(p, STORE_VOCAB, max_len) for p in pairs]}
+        seqs = {
+            trainer_module._STREAM_MLM: lambda: [tokenize_sentence(s, STORE_VOCAB, max_len) for s in mono],
+            trainer_module._STREAM_TLM: lambda: [tlm_sequence(p.src.text, p.tgt.text, STORE_VOCAB, max_len) for p in pairs],
+        }
         expected, refused = [], None
         try:
             for k, (_, steps) in enumerate(stages):
@@ -518,12 +521,13 @@ class TestTokenStore:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def spy(self, monkeypatch, name):
-        """Count the calls of trainer's ``name`` by the id of their first argument."""
+        """Count the calls of trainer's ``name`` by the ids of their text
+        arguments: all but the last two, the vocabulary and ``max_len``."""
         calls, real = Counter(), getattr(trainer_module, name)
 
-        def counted(item, *args):
-            calls[id(item)] += 1
-            return real(item, *args)
+        def counted(*args):
+            calls[tuple(map(id, args[:-2]))] += 1
+            return real(*args)
 
         monkeypatch.setattr(trainer_module, name, counted)
         return calls
@@ -535,8 +539,8 @@ class TestTokenStore:
     def test_pretraining_tokenizes_each_drawn_item_once_and_no_other(
         self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
     ):
-        sentences, tokenized = self.spy(monkeypatch, "tokenize_sentence"), self.spy(monkeypatch, "tlm_sequence")
-        mono, pairs = toy_small.mono_sentences, toy_small.train_pairs
+        sentences, tokenized = self.spy(monkeypatch, "tokenize"), self.spy(monkeypatch, "tlm_sequence")
+        mono, pairs = columns(toy_small.mono_sentences), columns(toy_small.train_pairs)
         cfg = PretrainConfig((Stage(2, 4), Stage(4, 2)), batch_size=4, seed=3, mix=(1, 1))
         pretrain(init_params(toy_encoder_config, 2), mono, pairs, cfg, toy_vocab)
         mlm, tlm = set(), set()
@@ -544,51 +548,23 @@ class TestTokenStore:
             mlm |= self.drawn([3, trainer_module._STREAM_MLM, k], len(mono), 4, range(0, stage.steps, 2))
             tlm |= self.drawn([3, trainer_module._STREAM_TLM, k], len(pairs), 4, range(1, stage.steps, 2))
         assert 0 < len(mlm) < len(mono) and 0 < len(tlm) < len(pairs)
-        assert sentences == Counter(id(mono[i]) for i in mlm)
-        assert tokenized == Counter(id(pairs[i]) for i in tlm)
-
-    def test_pretraining_on_read_columns_builds_only_the_drawn_records(
-        self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
-    ):
-        mono_list, pair_list = toy_small.mono_sentences, toy_small.train_pairs
-        mono = Sentences([s.id for s in mono_list], [s.lang for s in mono_list], [s.text for s in mono_list])
-        pairs = SentencePairs(
-            list(range(1, len(pair_list) + 1)), [p.src.lang for p in pair_list], [p.tgt.lang for p in pair_list],
-            [p.src.text for p in pair_list], [p.tgt.text for p in pair_list], [p.score for p in pair_list],
-        )
-        cfg = PretrainConfig((Stage(2, 4), Stage(4, 2)), batch_size=4, seed=3, mix=(1, 1))
-        params = init_params(toy_encoder_config, 2)
-        want = pretrain(params, mono_list, pair_list, cfg, toy_vocab)
-        built = Counter()
-        for record_type in (Sentence, SentencePair):
-            def counting(self, *args, _init=record_type.__init__, **kwargs):
-                built[type(self).__name__] += 1
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(record_type, "__init__", counting)
-        got = pretrain(params, mono, pairs, cfg, toy_vocab)
-        mlm, tlm = set(), set()
-        for k, stage in enumerate(cfg.stages):  # even steps draw MLM batches, odd ones TLM batches
-            mlm |= self.drawn([3, trainer_module._STREAM_MLM, k], len(mono), 4, range(0, stage.steps, 2))
-            tlm |= self.drawn([3, trainer_module._STREAM_TLM, k], len(pairs), 4, range(1, stage.steps, 2))
-        assert built == Counter(Sentence=len(mlm) + 2 * len(tlm), SentencePair=len(tlm))
-        assert len(mlm) < len(mono) and len(tlm) < len(pairs)
-        assert checkpoint_to_bytes(got, None) == checkpoint_to_bytes(want, None)
+        assert sentences == Counter((id(mono.texts[i]),) for i in mlm)
+        assert tokenized == Counter((id(pairs.src_texts[i]), id(pairs.tgt_texts[i])) for i in tlm)
 
     def test_fine_tuning_tokenizes_each_drawn_side_once_and_no_other(
         self, monkeypatch, toy_small, toy_vocab, toy_encoder_config
     ):
-        calls, pairs = self.spy(monkeypatch, "tokenize_sentence"), toy_small.train_pairs
+        calls, pairs = self.spy(monkeypatch, "tokenize"), columns(toy_small.train_pairs)
         cfg = TrainConfig(batch_size=4, steps=5, seed=8)
         params, state = finetune_dual_encoder(init_params(toy_encoder_config, 2), pairs, cfg, toy_vocab, stop_step=2)
         key = [8, trainer_module._STREAM_FINETUNE]
         first = self.drawn(key, len(pairs), 4, range(2))
-        assert calls == Counter(id(side) for i in first for side in (pairs[i].src, pairs[i].tgt))
+        assert calls == Counter((id(text),) for i in first for text in (pairs.src_texts[i], pairs.tgt_texts[i]))
         calls.clear()
         finetune_dual_encoder(params, pairs, cfg, toy_vocab, state=state)  # steps 3 to 5 only
         rest = self.drawn(key, len(pairs), 4, range(2, 5))
         assert 0 < len(rest) < len(pairs)
-        assert calls == Counter(id(side) for i in rest for side in (pairs[i].src, pairs[i].tgt))
+        assert calls == Counter((id(text),) for i in rest for text in (pairs.src_texts[i], pairs.tgt_texts[i]))
 
 
 class TestOneGeneratorPerStep:
@@ -629,7 +605,7 @@ class TestOneGeneratorPerStep:
     @pytest.mark.parametrize("mix", [(1, 1), (2, 1)])
     def test_two_stage_pretraining_builds_one_generator_per_step(self, monkeypatch, mix):
         config = PretrainConfig((Stage(1, 4), Stage(2, 5)), batch_size=3, seed=11, mix=mix)
-        mono = [p.src for p in _ONE_PER_STEP_PAIRS]
+        mono = columns([p.src for p in _ONE_PER_STEP_PAIRS])
         params = init_params(EncoderConfig(len(STORE_VOCAB), 4, 1, 12), 0)
         keys = self.counted_keys(monkeypatch)
         pretrain(params, mono, _ONE_PER_STEP_PAIRS, config, STORE_VOCAB)
@@ -640,10 +616,10 @@ class TestOneGeneratorPerStep:
         assert keys == expected
 
 
-_ONE_PER_STEP_PAIRS = [
+_ONE_PER_STEP_PAIRS = columns([
     SentencePair(Sentence(f"{i}s", "aa", s), Sentence(f"{i}t", "bb", t))
     for i, (s, t) in enumerate([("ab c", "ca"), ("a b", "bc ab"), ("c", "a a"), ("ab", "b"), ("ca ab", "c b")])
-]
+])
 
 
 def test_one_step_loop_for_both_objectives():
@@ -795,7 +771,7 @@ class TestCheckpoint:
         # a resumed run must use the TrainConfig its optimizer state was made under
         cfg = TrainConfig(batch_size=16, steps=10, learning_rate=1e-3, seed=1)
         params, state = finetune_dual_encoder(
-            init_params(toy_encoder_config, 7), toy_small.train_pairs, cfg, toy_vocab, stop_step=4
+            init_params(toy_encoder_config, 7), columns(toy_small.train_pairs), cfg, toy_vocab, stop_step=4
         )
         save_checkpoint(params, state, tmp_path / "ck.bin")
         params, state = load_checkpoint(tmp_path / "ck.bin")
@@ -805,7 +781,7 @@ class TestCheckpoint:
             ("seed", replace(cfg, seed=2)),
         ):
             with pytest.raises(CheckpointError, match=f"{field}={getattr(cfg, field)!r}"):
-                finetune_dual_encoder(params, toy_small.train_pairs, other, toy_vocab, state=state)
+                finetune_dual_encoder(params, columns(toy_small.train_pairs), other, toy_vocab, state=state)
 
     def test_bad_magic(self, tmp_path):
         data = bytearray(checkpoint_to_bytes(small_setup(), None))
@@ -851,14 +827,13 @@ class TestCheckpoint:
     def test_resume_matches_unbroken_run_step_for_step(self, toy_small, toy_vocab, toy_encoder_config, tmp_path):
         cfg = TrainConfig(batch_size=8, steps=20, learning_rate=1e-3, seed=9)
         # unbroken reference, snapshots after every step from 10 to 20
-        params = init_params(toy_encoder_config, 7)
-        state = None
-        params, state = finetune_dual_encoder(params, toy_small.train_pairs, cfg, toy_vocab, state=state, stop_step=10)
+        params, pairs = init_params(toy_encoder_config, 7), columns(toy_small.train_pairs)
+        params, state = finetune_dual_encoder(params, pairs, cfg, toy_vocab, stop_step=10)
         unbroken = [checkpoint_to_bytes(params, None)]
         ref_params, ref_state = params, state
         for stop in range(11, 21):
             ref_params, ref_state = finetune_dual_encoder(
-                ref_params, toy_small.train_pairs, cfg, toy_vocab, state=ref_state, stop_step=stop
+                ref_params, pairs, cfg, toy_vocab, state=ref_state, stop_step=stop
             )
             unbroken.append(checkpoint_to_bytes(ref_params, None))
         # serialize at step 10, reload, and continue step by step
@@ -868,7 +843,7 @@ class TestCheckpoint:
         resumed = [checkpoint_to_bytes(res_params, None)]
         for stop in range(11, 21):
             res_params, res_state = finetune_dual_encoder(
-                res_params, toy_small.train_pairs, cfg, toy_vocab, state=res_state, stop_step=stop
+                res_params, pairs, cfg, toy_vocab, state=res_state, stop_step=stop
             )
             resumed.append(checkpoint_to_bytes(res_params, None))
         assert resumed == unbroken

@@ -566,6 +566,36 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"^{re.escape(message[defect])}$"):
             read_pool(path)
 
+    # (header, payload bytes): signs, digit separators, a zero width,
+    # padding and a missing line end, each with the payload its numbers
+    # would ask for where they ask for one
+    BAD_HEADERS = [
+        (b"-2 -2\n", 16), (b"-1 4\n", 16), (b"1_0 4\n", 160), (b"+1 4\n", 16), (b"1 +4\n", 16),
+        (b"2 0\n", 0), (b"0 0\n", 0), (b" 1 4\n", 16), (b"1  4\n", 16), (b"1 4 \n", 16), (b"1\t4\n", 16),
+        (b"1 4\r\n", 16), (b"1 4 1\n", 16), (b"1\n", 16), (b"\n", 0), (b"", 0), (b"1 4", 0),
+    ]
+
+    @pytest.mark.parametrize("header, payload", BAD_HEADERS)
+    def test_malformed_pool_header_is_refused_naming_the_file(self, tmp_path, header, payload):
+        path = tmp_path / "p.pool"
+        write_pool(path, np.eye(4)[:1], ["a"])
+        path.write_bytes(header + bytes(payload))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad pool header {re.escape(repr(header))}$"):
+            read_pool(path)
+
+    @pytest.mark.parametrize("header, payload", BAD_HEADERS)
+    def test_malformed_centroids_header_is_refused_naming_the_file(self, tmp_path, header, payload):
+        save_index(build(np.eye(4), list("abcd"), IndexConfig(clusters=2, probes=1)), tmp_path)
+        path = tmp_path / "centroids.pool"
+        path.write_bytes(header + bytes(payload))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: bad pool header {re.escape(repr(header))}$"):
+            load_index(tmp_path)
+
+    def test_rows_file_of_no_rows_reads_back(self, tmp_path):
+        _write_rows(tmp_path / "p.pool", np.zeros((0, 4)))
+        assert (tmp_path / "p.pool").read_bytes() == b"0 4\n"
+        assert _read_rows(tmp_path / "p.pool").shape == (0, 4)
+
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
     def test_ids_holding_other_line_separators_round_trip(self, tmp_path, sep):
         # only \n ends an id line; str.splitlines would split these too
